@@ -81,17 +81,25 @@ void CountEngine::remove_count(std::size_t index, std::uint64_t delta) {
 }
 
 void CountEngine::compact() {
-  std::vector<State> ns;
-  std::vector<std::uint64_t> nc;
-  index_.clear();
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    index_.emplace(states_[i], ns.size());
-    ns.push_back(states_[i]);
-    nc.push_back(counts_[i]);
+  std::size_t k = 0;
+  while (k < counts_.size() && counts_[k] != 0) ++k;
+  if (k == counts_.size()) return;
+  // Slide the nonzero slots down over the zero ones, keeping their order.
+  for (std::size_t i = k; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) {
+      index_.erase(states_[i]);
+      continue;
+    }
+    if (i != k) {
+      states_[k] = states_[i];
+      counts_[k] = counts_[i];
+      index_[states_[k]] = k;
+    }
+    ++k;
   }
-  states_ = std::move(ns);
-  counts_ = std::move(nc);
+  states_.resize(k);
+  counts_.resize(k);
+  cw_.clear();
 }
 
 std::size_t CountEngine::sample_species(std::uint64_t exclude_one_of) {
@@ -271,20 +279,27 @@ void CountEngine::rebuild_events() {
   compact();
   events_.clear();
   events_total_weight_ = 0.0;
+  const std::size_t num = states_.size();
+  if (use_cache_ && cw_.size() != num * num) cw_.assign(num * num, -1.0);
   const double pair_norm =
       1.0 / (static_cast<double>(n_) * static_cast<double>(n_ - 1));
   // Pair-major: one fused change weight per ordered species pair replaces
   // the old rule-major triple loop, so the event list is |S|^2 instead of
-  // |rules| * |S|^2 and the weights come straight from the memo.
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    for (std::size_t j = 0; j < states_.size(); ++j) {
+  // |rules| * |S|^2 and the weights come straight from the slot table.
+  for (std::size_t i = 0; i < num; ++i) {
+    for (std::size_t j = 0; j < num; ++j) {
       const double pairs =
           static_cast<double>(counts_[i]) *
           (static_cast<double>(counts_[j]) - (i == j ? 1.0 : 0.0));
       if (pairs <= 0.0) continue;
-      const double cw =
-          use_cache_ ? cache_.change_weight(states_[i], states_[j])
-                     : cache_.change_weight_uncached(states_[i], states_[j]);
+      double cw;
+      if (use_cache_) {
+        double& slot = cw_[i * num + j];
+        if (slot < 0.0) slot = cache_.change_weight(states_[i], states_[j]);
+        cw = slot;
+      } else {
+        cw = cache_.change_weight_uncached(states_[i], states_[j]);
+      }
       if (cw <= 0.0) continue;
       const double w = pairs * pair_norm * cw;
       events_.push_back(Event{w, i, j});
@@ -293,17 +308,28 @@ void CountEngine::rebuild_events() {
   }
 }
 
-bool CountEngine::skip_step() {
+CountEngine::Jump CountEngine::skip_jump(double limit) {
   rebuild_events();
   if (events_total_weight_ <= 0.0) {
     silent_ = true;
-    return false;
+    return Jump::kSilent;
   }
-  const std::uint64_t skip = rng_.geometric(std::min(events_total_weight_, 1.0));
-  interactions_ += skip + 1;
+  const std::uint64_t skip =
+      rng_.geometric(std::min(events_total_weight_, 1.0));
+  const double landing =
+      time_ + static_cast<double>(skip + 1) / static_cast<double>(n_);
   ++ctr_.skip_jumps;
+  if (landing > limit) {
+    const auto bulk = static_cast<std::uint64_t>(
+        std::llround((limit - time_) * static_cast<double>(n_)));
+    interactions_ += bulk;
+    ctr_.skipped_interactions += bulk;
+    time_ = limit;
+    return Jump::kCut;
+  }
+  interactions_ += skip + 1;
   ctr_.skipped_interactions += skip;
-  time_ += static_cast<double>(skip + 1) / static_cast<double>(n_);
+  time_ = landing;
 
   double u = rng_.uniform() * events_total_weight_;
   const Event* chosen = &events_.back();
@@ -319,10 +345,10 @@ bool CountEngine::skip_step() {
   // to the exact Geometric(w * (1 - p)) law.
   if (injection_.drop_interaction && injection_.drop_interaction(rng_)) {
     ++ctr_.dropped_interactions;
-    return true;
+  } else {
+    apply_change(chosen->species_a, chosen->species_b);
   }
-  apply_change(chosen->species_a, chosen->species_b);
-  return true;
+  return Jump::kLanded;
 }
 
 // Batch aggregation assumes every interaction is an unbiased uniform pair
@@ -583,7 +609,8 @@ bool CountEngine::step() {
   }
   bool alive = true;
   if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed()) {
-    alive = skip_step();
+    alive = skip_jump(std::numeric_limits<double>::infinity()) !=
+            Jump::kSilent;
   } else {
     direct_step();
   }
@@ -620,45 +647,11 @@ void CountEngine::run_rounds(double rounds_to_run) {
       }
     }
     if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed()) {
-      rebuild_events();
-      if (events_total_weight_ <= 0.0) {
-        silent_ = true;
-        continue;
-      }
-      const std::uint64_t skip =
-          rng_.geometric(std::min(events_total_weight_, 1.0));
-      const double landing =
-          time_ + static_cast<double>(skip + 1) / static_cast<double>(n_);
-      if (landing > limit) {
-        const auto bulk = static_cast<std::uint64_t>(
-            std::llround((limit - time_) * static_cast<double>(n_)));
-        interactions_ += bulk;
-        ++ctr_.skip_jumps;
-        ctr_.skipped_interactions += bulk;
-        time_ = limit;
-        maybe_fire_injection();
-        continue;
-      }
-      interactions_ += skip + 1;
-      ++ctr_.skip_jumps;
-      ctr_.skipped_interactions += skip;
-      time_ = landing;
-      double u = rng_.uniform() * events_total_weight_;
-      const Event* chosen = &events_.back();
-      for (const auto& e : events_) {
-        if (u < e.weight) {
-          chosen = &e;
-          break;
-        }
-        u -= e.weight;
-      }
-      if (injection_.drop_interaction && injection_.drop_interaction(rng_)) {
-        ++ctr_.dropped_interactions;
-      } else {
-        apply_change(chosen->species_a, chosen->species_b);
-      }
+      const Jump jump = skip_jump(limit);
+      if (jump == Jump::kSilent) continue;
       // Re-evaluate auto/batch switching.
-      if ((mode_ == CountEngineMode::kAuto ||
+      if (jump == Jump::kLanded &&
+          (mode_ == CountEngineMode::kAuto ||
            mode_ == CountEngineMode::kBatch) &&
           events_total_weight_ > kSwitchToDirectAbove)
         use_skip_ = false;
@@ -885,7 +878,8 @@ void CountEngine::restore(std::istream& in) {
   ctr_ = st.ctr;
   cache_builds_base_ = st.ctr.cache_builds;
   cache_builds_floor_ = cache_.builds();
-  events_.clear();  // derived; skip_step/rebuild_events regenerates
+  events_.clear();  // derived; rebuild_events regenerates both
+  cw_.clear();
   bat_touched_.clear();
   bat_di_.clear();
   bat_row_.clear();
@@ -909,6 +903,7 @@ void CountEngine::reset_population(
   // species table is rebuilt lazily on the next step.
   silent_ = false;
   events_.clear();
+  cw_.clear();
   events_total_weight_ = 0.0;
   window_steps_ = window_effective_ = 0;
 }

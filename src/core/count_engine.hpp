@@ -49,10 +49,11 @@ class CountEngine final : public SimBackend {
               std::uint64_t seed,
               CountEngineMode mode = CountEngineMode::kAuto);
 
-  /// Advance by one scheduler interaction (direct) or one *effective*
-  /// interaction plus its geometric prefix of no-ops (skip mode). Returns
-  /// false iff the configuration is silent (no rule can change anything) —
-  /// time is then advanced past `silence_horizon_rounds` instead.
+  /// Advance by one scheduler interaction (direct), one *effective*
+  /// interaction plus its geometric prefix of no-ops (skip mode), or one
+  /// batch (kBatch). Returns false iff the configuration is silent (no rule
+  /// can change anything); time is then left where it is. Only run_rounds
+  /// fast-forwards a silent configuration.
   bool step() override;
 
   void run_rounds(double rounds) override;
@@ -178,9 +179,15 @@ class CountEngine final : public SimBackend {
     std::size_t species_b;
   };
 
+  /// Drop zero-count slots in place (a no-op when there are none).
   void compact();
   void direct_step();
-  bool skip_step();
+  enum class Jump { kSilent, kCut, kLanded };
+  /// One skip-ahead jump: rebuild the event list, draw the geometric run of
+  /// no-ops and, if it lands by `limit`, one state-changing interaction
+  /// (kLanded). A run past `limit` stops there instead (kCut); the law's
+  /// memorylessness makes stopping early and redrawing exact.
+  Jump skip_jump(double limit);
   /// One batch of up to `limit`-capped interactions via collision sampling
   /// (DESIGN.md §9): a collision-free block of ~√n interactions drawn as
   /// aggregate species-pair counts plus its boundary collision interaction.
@@ -241,11 +248,19 @@ class CountEngine final : public SimBackend {
   std::optional<SchedulerBias> bias_;
   std::vector<std::pair<State, std::uint64_t>> crashed_;
   std::uint64_t crashed_n_ = 0;
-  // Auto-mode statistics over a sliding window of direct steps.
+  // Auto-mode statistics over the direct steps (kAuto) or batches (kBatch)
+  // since the last mode decision.
   std::uint64_t window_steps_ = 0;
   std::uint64_t window_effective_ = 0;
   std::vector<Event> events_;
   double events_total_weight_ = 0.0;
+  // Change weight of each ordered slot pair, cw_[i * states_.size() + j],
+  // for the memoized path; negative until first looked up. rebuild_events
+  // lays it out afresh when the slot count no longer matches (a new slot);
+  // compaction, reset_population and restore, which can reorder slots
+  // without changing their number, clear it. A rebuild thus probes the
+  // cache once per pair and species table, not once per pair and jump.
+  std::vector<double> cw_;
   // Batch-mode scratch (sized to states_.size() inside batch_step; kept as
   // members so steady-state batches allocate nothing).
   std::uint64_t batch_size_ = 0;

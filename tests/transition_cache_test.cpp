@@ -5,8 +5,10 @@
 // run_steps' prefetch pipeline, the cap fallback) exercised explicitly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/count_engine.hpp"
 #include "core/engine.hpp"
 #include "protocols/baselines.hpp"
+#include "server/protocol_registry.hpp"
 #include "support/rng.hpp"
 
 namespace popproto {
@@ -347,6 +350,121 @@ TEST(CountEngineEquivalence, DirectModeOscillator) {
   EXPECT_EQ(ec, eu);
   EXPECT_DOUBLE_EQ(rc, ru);
   EXPECT_EQ(sc, su);
+}
+
+// Counters and species of a count engine driven a quarter round at a time
+// for `quarters` quarters or, with quarters == 0, until its species table
+// has gained a species and lost one (at most 400 rounds).
+struct CountTrace {
+  EngineCounters counters;
+  double rounds = 0.0;
+  std::vector<std::pair<State, std::uint64_t>> species;
+  int quarters = 0;
+  bool gained = false;
+  bool lost = false;
+};
+
+CountTrace drive(CountEngine& eng, int quarters) {
+  const auto has = [](const auto& species, State s) {
+    return std::any_of(species.begin(), species.end(),
+                       [s](const auto& sc) { return sc.first == s; });
+  };
+  CountTrace t;
+  auto before = eng.species();
+  while (quarters > 0 ? t.quarters < quarters
+                      : !(t.gained && t.lost) && t.quarters < 1600) {
+    eng.run_rounds(0.25);
+    ++t.quarters;
+    const auto now = eng.species();
+    for (const auto& [s, c] : now) t.gained |= !has(before, s);
+    for (const auto& [s, c] : before) t.lost |= !has(now, s);
+    before = now;
+  }
+  t.counters = eng.counters();
+  t.rounds = eng.rounds();
+  t.species = std::move(before);
+  return t;
+}
+
+void expect_same_run(const CountTrace& a, const CountTrace& b) {
+  EXPECT_EQ(a.counters.interactions, b.counters.interactions);
+  EXPECT_EQ(a.counters.effective_steps, b.counters.effective_steps);
+  EXPECT_EQ(a.counters.skip_jumps, b.counters.skip_jumps);
+  EXPECT_EQ(a.counters.batch_blocks, b.counters.batch_blocks);
+  EXPECT_DOUBLE_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.species, b.species);
+}
+
+TEST(CountEngineEquivalence, SlotTableFollowsSpeciesChurn) {
+  // The registry phase clock at n = 2^14 holds 25-26 species whose table
+  // grows and compacts mid-run. The memoized path keeps each slot pair's
+  // change weight in a table that every such change must invalidate; the
+  // uncached path looks every weight up afresh.
+  for (const CountEngineMode mode :
+       {CountEngineMode::kSkip, CountEngineMode::kAuto,
+        CountEngineMode::kBatch}) {
+    auto run = [mode](bool use_cache, int quarters) {
+      const auto inst = make_protocol_instance("phase_clock", 1 << 14);
+      CountEngine eng(*inst->protocol, inst->initial_counts, /*seed=*/51,
+                      mode);
+      eng.set_transition_cache(use_cache);
+      return drive(eng, quarters);
+    };
+    SCOPED_TRACE(static_cast<int>(mode));
+    const CountTrace cached = run(true, 0);
+    ASSERT_TRUE(cached.gained && cached.lost)
+        << "the species table never both grew and compacted";
+    const CountTrace uncached = run(false, cached.quarters);
+    expect_same_run(cached, uncached);
+    EXPECT_GT(cached.counters.skip_jumps, 0u);
+    if (mode == CountEngineMode::kBatch) {
+      EXPECT_GT(cached.counters.batch_blocks, 0u);
+    }
+  }
+}
+
+TEST(CountEngineEquivalence, ResetAndRestoreReplaceSlotTable) {
+  // reset_population and restore adopt a new species order: weights looked
+  // up for the old order must not outlive it, even when both tables have
+  // the same size.
+  const std::uint64_t n = 1 << 14;
+  const auto inst = make_protocol_instance("phase_clock", n);
+  CountEngine ref(*inst->protocol, inst->initial_counts, /*seed=*/61,
+                  CountEngineMode::kSkip);
+  ref.run_rounds(10.0);
+  ref.reset_population(ref.species());  // no zero-count slots
+  std::stringstream snap;
+  ref.snapshot(snap);
+  const auto forward = ref.species();
+  auto reversed = forward;
+  std::reverse(reversed.begin(), reversed.end());
+  // Builds an engine's table without changing a count: a jump cut short
+  // before its first possible landing.
+  const auto build_table = [n](CountEngine& eng) {
+    eng.run_rounds(0.5 / static_cast<double>(n));
+    EXPECT_EQ(eng.effective_interactions(), 0u);
+    EXPECT_EQ(eng.counters().skip_jumps, 1u);
+  };
+
+  // An engine that built its table for `forward` and then took `reversed`
+  // runs as one that held `reversed` from the start.
+  CountEngine reset(*inst->protocol, forward, /*seed=*/62,
+                    CountEngineMode::kSkip);
+  CountEngine fresh(*inst->protocol, reversed, /*seed=*/62,
+                    CountEngineMode::kSkip);
+  build_table(reset);
+  build_table(fresh);
+  reset.reset_population(reversed);
+  expect_same_run(drive(fresh, 40), drive(reset, 40));
+
+  // An engine that built its table for `reversed` and then restored the
+  // snapshot runs as the engine that took it.
+  CountEngine target(*inst->protocol, reversed, /*seed=*/63,
+                     CountEngineMode::kSkip);
+  build_table(target);
+  target.restore(snap);
+  ASSERT_EQ(target.species(), forward);
+  expect_same_run(drive(ref, 40), drive(target, 40));
 }
 
 // ---------------------------------------------------------------------------
