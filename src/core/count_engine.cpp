@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 #include "core/pair_sampler.hpp"
 #include "persist/snapshot.hpp"
@@ -14,6 +15,24 @@ namespace {
 constexpr std::uint64_t kAutoWindow = 512;
 constexpr double kSwitchToSkipBelow = 0.08;
 constexpr double kSwitchToDirectAbove = 0.25;
+
+// kBatch's hand-off between blocks and skip-ahead (DESIGN.md §9). A block
+// costs the same whether or not its ~0.63 sqrt(n) interactions change
+// anything, so kBatch weighs the expected number of state changes in one
+// block against the number of skip jumps one block costs. With S species a
+// block draws one hypergeometric row per species, about kBlockCostPerSpecies
+// event-weight updates each, and a skip jump rebuilds S^2 event weights on
+// top of a fixed cost worth kJumpFixedCost of them. The engine parks in
+// skip when a block's expected changes fall below kToSkip of that
+// break-even, measured over a window of kBlockWindow blocks that restarts
+// at every decision, and resumes blocks above kToBatch of it, from the
+// exact event weight of the last jump. The constants come from the
+// count_shard measurements in EXPERIMENTS.md.
+constexpr double kBlockCostPerSpecies = 200.0;
+constexpr double kJumpFixedCost = 27.0;
+constexpr double kToSkip = 0.85;
+constexpr double kToBatch = 1.25;
+constexpr double kBlockWindow = 16.0;
 
 // Default batch cap when set_batch_size(0). A batch ends at its first
 // collision anyway, so the cap only needs to clear the collision-free run
@@ -485,7 +504,7 @@ bool CountEngine::batch_step(double limit) {
   // Interaction budget until `limit` (round boundary or run target), capped
   // by the batch size. Guard the infinite-limit case before casting.
   const double room = (limit - time_) * static_cast<double>(n_);
-  const std::uint64_t cap = batch_size_ ? batch_size_ : auto_batch_cap(n_);
+  const std::uint64_t cap = batch_cap();
   std::uint64_t budget = cap;
   if (room < static_cast<double>(cap))
     budget = room >= 1.0 ? static_cast<std::uint64_t>(room) : 1;
@@ -563,24 +582,44 @@ bool CountEngine::batch_step(double limit) {
   return !silent_;
 }
 
+std::uint64_t CountEngine::batch_cap() const {
+  return batch_size_ ? batch_size_ : auto_batch_cap(n_);
+}
+
+double CountEngine::mean_block() const {
+  // A collision-free run lasts sqrt(pi n / 8) interactions on average (the
+  // birthday bound), unless the cap cuts it short.
+  const double run =
+      std::sqrt(std::numbers::pi / 8.0 * static_cast<double>(n_));
+  return std::min(run, static_cast<double>(batch_cap()));
+}
+
+double CountEngine::block_cost_in_jumps() const {
+  const double s = static_cast<double>(states_.size());
+  return kBlockCostPerSpecies * s / (s * s + kJumpFixedCost);
+}
+
+bool CountEngine::blocks_pay() const {
+  return events_total_weight_ * mean_block() >
+         kToBatch * block_cost_in_jumps();
+}
+
 void CountEngine::maybe_toggle_batch_skip() {
-  // Same hysteresis thresholds as kAuto, with the batch sampler playing
-  // direct mode's role: a batch whose effective fraction collapses hands
-  // off to skip-ahead (one event draw per *effective* interaction beats
-  // sqrt(n)-sized batches of no-ops), and skip hands back once the total
-  // change weight recovers.
-  if (!use_skip_) {
-    if (window_steps_ >= kAutoWindow &&
-        static_cast<double>(window_effective_) /
-                static_cast<double>(window_steps_) <
-            kSwitchToSkipBelow) {
-      use_skip_ = true;
+  // Skip-ahead spends one event draw per *effective* interaction, a block
+  // a fixed cost per ~sqrt(n) interactions; the switch compares the two.
+  if (use_skip_) {
+    if (blocks_pay()) {
+      use_skip_ = false;
       window_steps_ = window_effective_ = 0;
     }
-  } else if (events_total_weight_ > kSwitchToDirectAbove) {
-    use_skip_ = false;
-    window_steps_ = window_effective_ = 0;
+    return;
   }
+  const double block = mean_block();
+  const auto steps = static_cast<double>(window_steps_);
+  if (steps < kBlockWindow * block) return;
+  use_skip_ = static_cast<double>(window_effective_) * block <
+              kToSkip * block_cost_in_jumps() * steps;
+  window_steps_ = window_effective_ = 0;
 }
 
 bool CountEngine::step() {
@@ -651,9 +690,9 @@ void CountEngine::run_rounds(double rounds_to_run) {
       if (jump == Jump::kSilent) continue;
       // Re-evaluate auto/batch switching.
       if (jump == Jump::kLanded &&
-          (mode_ == CountEngineMode::kAuto ||
-           mode_ == CountEngineMode::kBatch) &&
-          events_total_weight_ > kSwitchToDirectAbove)
+          ((mode_ == CountEngineMode::kAuto &&
+            events_total_weight_ > kSwitchToDirectAbove) ||
+           (mode_ == CountEngineMode::kBatch && blocks_pay())))
         use_skip_ = false;
       maybe_fire_injection();
     } else {

@@ -206,8 +206,16 @@ class CountEngine final : public SimBackend {
   /// caller's untouched/touched totals in place.
   void batch_collision_interaction(std::uint64_t* m_total,
                                    std::uint64_t* u_total);
-  /// Batch/skip hysteresis for kBatch (same thresholds as kAuto, with the
-  /// batch sampler in direct mode's role).
+  /// The cap on one batch's interactions (set_batch_size, or auto).
+  std::uint64_t batch_cap() const;
+  /// Expected interactions in one kBatch block.
+  double mean_block() const;
+  /// How many skip jumps one block costs at the current species count.
+  double block_cost_in_jumps() const;
+  /// kBatch's hand-back test from skip: at the last rebuild's event weight,
+  /// a block would change enough states to beat skip-ahead.
+  bool blocks_pay() const;
+  /// Batch/skip hysteresis for kBatch, on expected changes per block.
   void maybe_toggle_batch_skip();
   void rebuild_events();
   /// Apply one state-changing interaction to the ordered species pair,

@@ -6,6 +6,7 @@
 #include "core/count_engine.hpp"
 #include "core/engine.hpp"
 #include "protocols/baselines.hpp"
+#include "server/protocol_registry.hpp"
 #include "support/stats.hpp"
 
 namespace popproto {
@@ -279,6 +280,64 @@ TEST(CountEngine, BatchModeHandsOffToSkipOnSparseDynamics) {
   eng.run_rounds(500000);
   EXPECT_TRUE(eng.skip_engaged());
   EXPECT_LE(eng.count_matching(BoolExpr::var(x)), 4u);
+}
+
+TEST(CountEngine, BatchModeHysteresisCrossesBothWays) {
+  // kBatch twin of AutoModeHysteresisCrossesBothWays: blocks hand off to
+  // skip-ahead on sparse dynamics and take over again once they densify.
+  auto vars = make_var_space();
+  const Protocol p = elimination_protocol(vars);
+  const VarId x = *vars->find("X");
+  const std::uint64_t n = 100032;
+  CountEngine eng(p, {{var_bit(x), 32}, {0, n - 32}}, 3,
+                  CountEngineMode::kBatch);
+  EXPECT_FALSE(eng.skip_engaged());
+  // Blocks of ~200 interactions that change almost nothing: one window of
+  // them parks the engine in skip mode.
+  eng.run_rounds(1.0);
+  EXPECT_TRUE(eng.skip_engaged());
+  const std::uint64_t blocks = eng.counters().batch_blocks;
+  EXPECT_GT(blocks, 0u);
+  // Densify: with 60% of the agents X, a block changes ~70 states. The
+  // first step's skip jump rebuilds the event weight; the next step must
+  // run a block.
+  Rng fault_rng(99);
+  eng.mutate_random_agents(60000, fault_rng,
+                           [&](State, std::uint64_t) { return var_bit(x); });
+  ASSERT_TRUE(eng.step());
+  ASSERT_TRUE(eng.step());
+  EXPECT_FALSE(eng.skip_engaged());
+  EXPECT_GT(eng.counters().batch_blocks, blocks);
+  EXPECT_NEAR(eng.rounds(),
+              static_cast<double>(eng.interactions()) / static_cast<double>(n),
+              1e-9 * eng.rounds());
+}
+
+TEST(CountEngine, BatchHandOffIgnoresPopulationResets) {
+  // CountShardEngine re-deals every shard with reset_population, which
+  // empties the hand-off window. An engine given its own counts back every
+  // 4 rounds must still park in skip where its dynamics do: within one
+  // round of an untouched twin.
+  const std::uint64_t n = std::uint64_t{1} << 20;
+  const auto inst = make_protocol_instance("approx_majority", n);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto park_round = [&](bool reset) {
+      CountEngine eng(*inst->protocol, inst->initial_counts, seed,
+                      CountEngineMode::kBatch);
+      for (int r = 1; r <= 300; ++r) {
+        eng.run_rounds(1.0);
+        if (eng.skip_engaged()) return r;
+        if (reset && r % 4 == 0) eng.reset_population(eng.species());
+      }
+      return 0;
+    };
+    const int untouched = park_round(false);
+    const int reset = park_round(true);
+    ASSERT_GT(untouched, 0) << "seed " << seed;
+    EXPECT_LE(std::abs(reset - untouched), 1)
+        << "seed " << seed << ": untouched parks at round " << untouched
+        << ", reset at round " << reset;
+  }
 }
 
 TEST(CountEngine, BatchDv12ExactMajorityIsAlwaysCorrect) {
