@@ -605,8 +605,6 @@ bool CountEngine::blocks_pay() const {
 }
 
 void CountEngine::maybe_toggle_batch_skip() {
-  // Skip-ahead spends one event draw per *effective* interaction, a block
-  // a fixed cost per ~sqrt(n) interactions; the switch compares the two.
   if (use_skip_) {
     if (blocks_pay()) {
       use_skip_ = false;
