@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
                           {var_bit(mb) | var_bit(st), n / 2 - 1}},
                          seed);
                      return eng.run_until(
-                         [&](const CountEngine& e) {
+                         [&](const SimBackend& e) {
                            return e.count_matching(BoolExpr::var(ma)) == n;
                          },
                          1e9);
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
                          {0, n_acc - 2 * minority - gap}},
                         0x7B13 + s * 7 + gap);
         const auto t_conv = eng.run_until(
-            [&](const CountEngine& e) {
+            [&](const SimBackend& e) {
               return e.count_matching(BoolExpr::var(a)) == n_acc ||
                      e.count_matching(BoolExpr::var(b)) == n_acc;
             },
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
                     0x7B15, mode);
     const auto t0 = std::chrono::steady_clock::now();
     eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(ma)) == n_eng;
         },
         1e9);

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         const VarId l = *vars->find("L");
         CountEngine eng(p, {{var_bit(l), n}}, seed);
         return eng.run_until(
-            [&](const CountEngine& e) {
+            [&](const SimBackend& e) {
               return e.count_matching(BoolExpr::var(l)) == 1;
             },
             1e9);
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     CountEngine eng(p, {{var_bit(l), n_eng}}, 0x7C15, mode);
     const auto t0 = std::chrono::steady_clock::now();
     eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(l)) == 1;
         },
         1e9);

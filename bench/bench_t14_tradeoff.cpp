@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
           if (v == 1) init |= var_bit(*vars->find(kZVar));
           CountEngine eng(p, {{init, n}}, seed);
           return eng.run_until(
-              [&](const CountEngine& e) {
+              [&](const SimBackend& e) {
                 return static_cast<double>(
                            e.count_matching(BoolExpr::var(x))) < thr;
               },

@@ -165,9 +165,9 @@ void export_telemetry(const std::vector<BenchRecord>& records) {
   EventTrace trace;
   eng.set_event_trace(&trace);
   eng.run_until(
-      [&](const AgentPopulation& pop) {
-        return pop.count_var(*vars->find("BA")) == 0 ||
-               pop.count_var(*vars->find("BB")) == 0;
+      [&](const SimBackend&) {
+        return eng.population().count_var(*vars->find("BA")) == 0 ||
+               eng.population().count_var(*vars->find("BB")) == 0;
       },
       /*max_rounds=*/400.0);
   telemetry.add_counters(eng.counters(), "probe.");

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
           const double thr =
               std::pow(static_cast<double>(n), 1.0 - eps);
           return eng.run_until(
-              [&](const CountEngine& e) {
+              [&](const SimBackend& e) {
                 return static_cast<double>(
                            e.count_matching(BoolExpr::var(x))) < thr;
               },

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
           CountEngine eng(p, {{init, nn}}, seed);
           const double thr = std::sqrt(static_cast<double>(nn));
           return eng.run_until(
-              [&](const CountEngine& e) {
+              [&](const SimBackend& e) {
                 return static_cast<double>(
                            e.count_matching(BoolExpr::var(x))) < thr;
               },

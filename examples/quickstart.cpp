@@ -33,7 +33,9 @@ int main() {
 
     Engine engine(protocol, std::move(population), /*seed=*/42);
     const auto done = engine.run_until(
-        [&](const AgentPopulation& pop) { return pop.count_var(infected) == n; },
+        [&](const SimBackend&) {
+          return engine.population().count_var(infected) == n;
+        },
         /*max_rounds=*/200.0);
     std::printf("[1] epidemic saturated %zu agents in %.1f parallel rounds "
                 "(Θ(log n) expected)\n",

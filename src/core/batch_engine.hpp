@@ -154,16 +154,17 @@ class BatchEngine final : public SimBackend {
   // on_round). Victim selection is uniform over scheduled agents, drawn
   // from the caller's `rng` so fault randomness stays off the engine
   // streams.
-  std::uint64_t crash_random(std::uint64_t k, Rng& rng);
-  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng);
-  std::uint64_t rejoin_all();
+  std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_all() override;
   std::uint64_t crashed_count() const { return crashed_.size(); }
   /// Overwrite the states of up to `k` distinct uniformly chosen scheduled
   /// agents: victim j (drawn without replacement) with old state s gets
   /// f(s, j). Returns the number rewritten.
   std::uint64_t mutate_random_agents(
       std::uint64_t k, Rng& rng,
-      const std::function<State(State old_state, std::uint64_t j)>& f);
+      const std::function<State(State old_state, std::uint64_t j)>& f)
+      override;
 
  protected:
   EventTrace* event_trace() const override { return trace_; }

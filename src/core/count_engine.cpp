@@ -699,29 +699,6 @@ void CountEngine::run_rounds(double rounds_to_run) {
   }
 }
 
-std::optional<double> CountEngine::run_until(
-    const std::function<bool(const CountEngine&)>& predicate, double max_rounds,
-    double check_interval) {
-  POPPROTO_CHECK(check_interval > 0.0);
-  if (predicate(*this)) {
-    if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-    return rounds();
-  }
-  while (rounds() < max_rounds) {
-    // Clamped like SimBackend::run_until: the final check lands on the
-    // max_rounds boundary rather than overshooting by a whole interval.
-    run_rounds(std::min(check_interval, max_rounds - rounds()));
-    if (predicate(*this)) {
-      if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-      return rounds();
-    }
-    // A silent configuration can only change if a fault schedule may still
-    // perturb it.
-    if (silent_ && !injection_.on_round) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 EngineCounters CountEngine::counters() const {
   EngineCounters c = ctr_;
   c.interactions = interactions_;

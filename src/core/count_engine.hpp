@@ -38,9 +38,6 @@ namespace popproto {
 enum class CountEngineMode { kDirect, kSkip, kAuto, kBatch };
 
 /// Implements SimBackend (core/sim_backend.hpp) as the "count" substrate.
-/// The backend-generic run_until (predicate over SimBackend) is reachable
-/// through a SimBackend reference; the concrete overload below (predicate
-/// over CountEngine) stays the native surface.
 class CountEngine final : public SimBackend {
  public:
   /// Initial configuration: (state, count) pairs; counts must sum to n >= 2.
@@ -57,15 +54,6 @@ class CountEngine final : public SimBackend {
   bool step() override;
 
   void run_rounds(double rounds) override;
-
-  /// Run until predicate(engine) holds (checked after every effective
-  /// change, at most every `check_interval` rounds); nullopt on timeout.
-  /// Same resolution caveat as Engine::run_until: the returned time is the
-  /// first *check* at which the predicate held, quantized to the
-  /// check-interval grid, not the true first-hold instant.
-  std::optional<double> run_until(
-      const std::function<bool(const CountEngine&)>& predicate,
-      double max_rounds, double check_interval = 1.0);
 
   /// Toggle the memoized transition kernel (on by default); both settings
   /// follow bit-identical trajectories from the same seed (see
@@ -97,11 +85,11 @@ class CountEngine final : public SimBackend {
   // -- Dynamic population (churn) on counts ---------------------------------
   /// Move up to `k` uniformly chosen agents out of the scheduled multiset
   /// (state frozen while away); at least two stay. Returns the number moved.
-  std::uint64_t crash_random(std::uint64_t k, Rng& rng);
+  std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;
   /// Return up to `k` uniformly chosen crashed agents, with their stale
   /// state. Returns the number rejoined.
-  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng);
-  std::uint64_t rejoin_all();
+  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_all() override;
   std::uint64_t crashed_count() const { return crashed_n_; }
 
   /// Overwrite the states of `k` distinct, uniformly chosen scheduled
@@ -111,7 +99,8 @@ class CountEngine final : public SimBackend {
   /// state unchanged are applied as no-ops. Used for fault injection.
   std::uint64_t mutate_random_agents(
       std::uint64_t k, Rng& rng,
-      const std::function<State(State old_state, std::uint64_t j)>& f);
+      const std::function<State(State old_state, std::uint64_t j)>& f)
+      override;
 
   /// Replace the scheduled population with `counts` (counts must sum to
   /// >= 2), keeping the RNG stream, time base, interaction/effective
@@ -166,6 +155,8 @@ class CountEngine final : public SimBackend {
   /// Scheduled (non-crashed) population size.
   std::uint64_t n() const { return n_; }
   bool silent() const { return silent_; }
+  /// Silent, and no fault schedule installed that could perturb it.
+  bool quiescent() const override { return silent_ && !injection_.on_round; }
 
  protected:
   EventTrace* event_trace() const override { return trace_; }

@@ -151,13 +151,17 @@ class CountShardEngine final : public SimBackend {
   // CountEngine-parity fault surface; victims are allocated to shards by
   // exact multivariate-hypergeometric draws on the caller's rng, so global
   // victim selection is uniform without replacement. Driver-thread only.
-  std::uint64_t crash_random(std::uint64_t k, Rng& rng);
-  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng);
-  std::uint64_t rejoin_all();
+  std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_all() override;
   std::uint64_t crashed_count() const;
   std::uint64_t mutate_random_agents(
       std::uint64_t k, Rng& rng,
-      const std::function<State(State old_state, std::uint64_t j)>& f);
+      const std::function<State(State old_state, std::uint64_t j)>& f)
+      override;
+
+  /// Globally silent, and no fault schedule installed that could perturb it.
+  bool quiescent() const override { return silent_ && !injection_.on_round; }
 
  protected:
   EventTrace* event_trace() const override { return trace_; }

@@ -73,6 +73,52 @@ void Engine::rejoin_agent(std::size_t i, State fresh) {
   pop_.set_state(i, fresh);
 }
 
+std::uint64_t Engine::crash_random(std::uint64_t k, Rng& rng) {
+  std::vector<std::uint32_t> pool = active_;
+  if (pool.size() <= 2) return 0;
+  k = std::min<std::uint64_t>(k, pool.size() - 2);
+  for (std::uint64_t j = 0; j < k; ++j) {
+    std::swap(pool[j], pool[j + rng.below(pool.size() - j)]);
+    crash_agent(pool[j]);
+  }
+  return k;
+}
+
+std::uint64_t Engine::rejoin_random(std::uint64_t k, Rng& rng) {
+  std::vector<std::uint32_t> pool;
+  for (std::size_t i = 0; i < pop_.size(); ++i)
+    if (!is_active(i)) pool.push_back(static_cast<std::uint32_t>(i));
+  k = std::min<std::uint64_t>(k, pool.size());
+  for (std::uint64_t j = 0; j < k; ++j) {
+    std::swap(pool[j], pool[j + rng.below(pool.size() - j)]);
+    rejoin_agent(pool[j]);  // stale state
+  }
+  return k;
+}
+
+std::uint64_t Engine::rejoin_all() {
+  std::uint64_t k = 0;
+  for (std::size_t i = 0; i < pop_.size(); ++i) {
+    if (is_active(i)) continue;
+    rejoin_agent(i);
+    ++k;
+  }
+  return k;
+}
+
+std::uint64_t Engine::mutate_random_agents(
+    std::uint64_t k, Rng& rng,
+    const std::function<State(State old_state, std::uint64_t j)>& f) {
+  std::vector<std::uint32_t> pool = active_;
+  k = std::min<std::uint64_t>(k, pool.size());
+  for (std::uint64_t j = 0; j < k; ++j) {
+    std::swap(pool[j], pool[j + rng.below(pool.size() - j)]);
+    const std::uint32_t victim = pool[j];
+    pop_.set_state(victim, f(pop_.state(victim), j));
+  }
+  return k;
+}
+
 void Engine::resync_sidx() {
   std::fill(sidx_.begin(), sidx_.end(), TransitionCache::kNoState);
   pop_version_seen_ = pop_.version();
@@ -327,26 +373,6 @@ void Engine::run_steps(std::uint64_t k) {
 void Engine::run_rounds(double rounds_to_run) {
   const double target = time_ + rounds_to_run;
   while (time_ < target) step();
-}
-
-std::optional<double> Engine::run_until(
-    const std::function<bool(const AgentPopulation&)>& predicate,
-    double max_rounds, double check_interval) {
-  POPPROTO_CHECK(check_interval > 0.0);
-  if (predicate(pop_)) {
-    if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-    return rounds();
-  }
-  while (rounds() < max_rounds) {
-    // Clamped like SimBackend::run_until: the final check lands on the
-    // max_rounds boundary rather than overshooting by a whole interval.
-    run_rounds(std::min(check_interval, max_rounds - rounds()));
-    if (predicate(pop_)) {
-      if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-      return rounds();
-    }
-  }
-  return std::nullopt;
 }
 
 EngineCounters Engine::counters() const {

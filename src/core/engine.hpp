@@ -45,25 +45,6 @@ class Engine final : public SimBackend {
   /// Run for (at least) `rounds` additional units of parallel time.
   void run_rounds(double rounds) override;
 
-  /// Run until `predicate(population)` holds, checking every
-  /// `check_interval` rounds; gives up after `max_rounds`.
-  ///
-  /// Resolution semantics: the predicate is only evaluated on the
-  /// check-interval grid, so the returned value is the parallel time of the
-  /// first *check* at which the predicate held — i.e. the true first-hold
-  /// time quantized UP to the next multiple of `check_interval` (plus at
-  /// most one interaction of scheduler overshoot). It is not the exact
-  /// first instant the predicate became true; shrink `check_interval` when
-  /// finer resolution is needed. Returns nullopt on timeout. Edge cases
-  /// (initial check, absolute horizon, clamped final interval) follow the
-  /// contract documented on SimBackend::run_until.
-  std::optional<double> run_until(
-      const std::function<bool(const AgentPopulation&)>& predicate,
-      double max_rounds, double check_interval = 1.0);
-  /// The backend-generic overload (predicate over SimBackend) is also
-  /// available through a SimBackend reference.
-  using SimBackend::run_until;
-
   /// Callback invoked exactly once per whole round of parallel time, with
   /// strictly increasing rounds. Installing a hook mid-run starts the
   /// cadence at the next whole round after the current time.
@@ -100,6 +81,15 @@ class Engine final : public SimBackend {
   std::size_t active_count() const { return active_.size(); }
   /// Ids of currently scheduled agents (order is internal, not stable).
   const std::vector<std::uint32_t>& active_agents() const { return active_; }
+  /// SimBackend churn and corruption: partial Fisher–Yates over the active
+  /// (crash, corrupt) or crashed (rejoin) ids; rejoin_all goes in id order.
+  std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_all() override;
+  std::uint64_t mutate_random_agents(
+      std::uint64_t k, Rng& rng,
+      const std::function<State(State old_state, std::uint64_t j)>& f)
+      override;
 
   // -- Observability (src/observe/, DESIGN.md §7) ---------------------------
   /// Telemetry counter snapshot: engine-side tallies merged with the

@@ -26,6 +26,7 @@ std::optional<double> SimBackend::run_until(const Predicate& predicate,
         t->push(EventKind::kConvergenceDetected, rounds());
       return rounds();
     }
+    if (quiescent()) return std::nullopt;
   }
   return std::nullopt;
 }

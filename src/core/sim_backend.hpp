@@ -17,10 +17,10 @@
 //     cross-shard migration; the extreme-n (2^30) parallel backend.
 //
 // This interface is the part every driver (benches, FaultInjector,
-// Telemetry, experiment sweeps) actually consumes: advance time, observe
-// the configuration, install fault hooks, snapshot counters. It is
-// deliberately small — substrate-specific surfaces (per-agent access,
-// churn primitives, skip-mode control, thread counts) stay on the concrete
+// Telemetry, experiment sweeps, popprotod) actually consumes: advance time,
+// observe the configuration, install fault hooks, churn and corrupt agents,
+// detect quiescence, snapshot counters. Substrate-specific surfaces
+// (per-agent access, skip-mode control, thread counts) stay on the concrete
 // classes, and the per-interaction hot paths never cross a virtual call:
 // virtual dispatch happens at the granularity of run_rounds()/step(), whose
 // bodies loop internally.
@@ -84,7 +84,9 @@ class SimBackend {
   ///    final check lands on the horizon (check_interval > max_rounds
   ///    still checks, exactly once, at max_rounds) and a timed-out backend
   ///    is left within one activation of max_rounds, never a whole
-  ///    check_interval past it.
+  ///    check_interval past it;
+  ///  * a backend that turns quiescent() returns nullopt at the first
+  ///    check after it went silent, without running on to the horizon.
   using Predicate = std::function<bool(const SimBackend&)>;
   std::optional<double> run_until(const Predicate& predicate,
                                   double max_rounds,
@@ -113,6 +115,31 @@ class SimBackend {
   /// Fault-layer injection points (core/injection.hpp, src/faults/).
   virtual void set_injection_hook(InjectionHook hook) = 0;
   virtual void set_scheduler_bias(std::optional<SchedulerBias> bias) = 0;
+
+  // -- Churn and corruption (src/faults/) -----------------------------------
+  // Victims are uniform over the scheduled agents and drawn from the
+  // caller's `rng`, so fault randomness stays off the engine's streams.
+  // Driver-thread only, between activations (FaultInjector calls them from
+  // on_round).
+  /// Crash up to `k` scheduled agents (state frozen while away); at least
+  /// two stay scheduled. Returns the number crashed.
+  virtual std::uint64_t crash_random(std::uint64_t k, Rng& rng) = 0;
+  /// Return up to `k` uniformly chosen crashed agents with their stale
+  /// state. Returns the number rejoined.
+  virtual std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) = 0;
+  /// Return every crashed agent; draws nothing. Returns the number rejoined.
+  virtual std::uint64_t rejoin_all() = 0;
+  /// Rewrite `min(k, active_n())` distinct uniformly drawn scheduled
+  /// agents: victim j (j = 0, 1, ...) with old state s gets f(s, j).
+  /// Returns the number drawn.
+  virtual std::uint64_t mutate_random_agents(
+      std::uint64_t k, Rng& rng,
+      const std::function<State(State old_state, std::uint64_t j)>& f) = 0;
+
+  /// True when no activation can change the configuration any more and no
+  /// fault schedule is installed that could perturb it, so run_until may
+  /// stop early. Backends that never detect silence keep the default.
+  virtual bool quiescent() const { return false; }
 
   /// Attach (or, with nullptr, detach) a structured event sink. Not owned.
   virtual void set_event_trace(EventTrace* trace) = 0;

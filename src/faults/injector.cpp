@@ -4,10 +4,7 @@
 #include <array>
 #include <cmath>
 
-#include "core/batch_engine.hpp"
-#include "core/count_engine.hpp"
-#include "core/count_shard_engine.hpp"
-#include "core/engine.hpp"
+#include "core/sim_backend.hpp"
 #include "persist/snapshot.hpp"
 
 namespace popproto {
@@ -25,7 +22,7 @@ void FaultInjector::reset_firing_state() {
 std::uint64_t FaultInjector::resolve_k(double fraction, std::uint64_t count) {
   if (count > 0) return count;
   return static_cast<std::uint64_t>(
-      std::llround(fraction * static_cast<double>(target_.active_n())));
+      std::llround(fraction * static_cast<double>(backend_->active_n())));
 }
 
 State FaultInjector::corrupt_value(const CorruptSpec& spec, std::uint64_t j) {
@@ -58,17 +55,26 @@ void FaultInjector::apply(const FaultEvent& event, std::size_t index,
                           double round) {
   std::uint64_t affected = 0;
   switch (event.kind) {
-    case FaultKind::kCorrupt:
-      affected = target_.corrupt(
-          event.corrupt, resolve_k(event.corrupt.fraction, event.corrupt.count));
+    case FaultKind::kCorrupt: {
+      const CorruptSpec& spec = event.corrupt;
+      affected = backend_->mutate_random_agents(
+          resolve_k(spec.fraction, spec.count), rng_,
+          [this, &spec](State old, std::uint64_t j) {
+            return (old & ~spec.mask) | (corrupt_value(spec, j) & spec.mask);
+          });
       break;
+    }
     case FaultKind::kCrash:
-      affected =
-          target_.crash(resolve_k(event.crash.fraction, event.crash.count));
+      affected = backend_->crash_random(
+          resolve_k(event.crash.fraction, event.crash.count), rng_);
       break;
     case FaultKind::kRejoin:
-      affected = target_.rejoin(
-          event.rejoin, resolve_k(event.rejoin.fraction, event.rejoin.count));
+      affected = event.rejoin.all
+                     ? backend_->rejoin_all()
+                     : backend_->rejoin_random(
+                           resolve_k(event.rejoin.fraction,
+                                     event.rejoin.count),
+                           rng_);
       break;
     case FaultKind::kDropout:
     case FaultKind::kBias:
@@ -110,7 +116,8 @@ void FaultInjector::on_round(double round, bool at_boundary) {
         const char want = round >= e.from_round && round < e.until_round;
         if (want != window_on_[i]) {
           window_on_[i] = want;
-          target_.set_bias(want ? &e.bias : nullptr);
+          backend_->set_scheduler_bias(
+              want ? std::optional<SchedulerBias>(e.bias) : std::nullopt);
           log_.push_back(Applied{round, e.kind, 0});
         }
         break;
@@ -129,203 +136,34 @@ bool plan_has_dropout(const FaultPlan& plan) {
 
 }  // namespace
 
-void FaultInjector::install_hook_on_bound_target() {
+void FaultInjector::bind(SimBackend& backend) {
+  backend_ = &backend;
   InjectionHook hook;
   hook.on_round = [this](double round) { on_round(round); };
   if (plan_has_dropout(plan_))
     hook.drop_interaction = [this](Rng& rng) {
       return dropout_p_ > 0.0 && rng.chance(dropout_p_);
     };
-  set_hook_(std::move(hook));
-}
-
-void FaultInjector::bind(Engine& engine) {
-  target_.active_n = [&engine] {
-    return static_cast<std::uint64_t>(engine.active_count());
-  };
-  target_.corrupt = [this, &engine](const CorruptSpec& spec,
-                                    std::uint64_t k) -> std::uint64_t {
-    std::vector<std::uint32_t> pool = engine.active_agents();
-    k = std::min<std::uint64_t>(k, pool.size());
-    for (std::uint64_t j = 0; j < k; ++j) {
-      std::swap(pool[j], pool[j + rng_.below(pool.size() - j)]);
-      const std::uint32_t victim = pool[j];
-      const State old = engine.population().state(victim);
-      const State value = corrupt_value(spec, j);
-      engine.population().set_state(victim,
-                                    (old & ~spec.mask) | (value & spec.mask));
-    }
-    return k;
-  };
-  target_.crash = [this, &engine](std::uint64_t k) -> std::uint64_t {
-    std::vector<std::uint32_t> pool = engine.active_agents();
-    if (pool.size() <= 2) return 0;
-    k = std::min<std::uint64_t>(k, pool.size() - 2);
-    for (std::uint64_t j = 0; j < k; ++j) {
-      std::swap(pool[j], pool[j + rng_.below(pool.size() - j)]);
-      engine.crash_agent(pool[j]);
-    }
-    return k;
-  };
-  target_.rejoin = [this, &engine](const RejoinSpec& spec,
-                                   std::uint64_t k) -> std::uint64_t {
-    std::vector<std::uint32_t> pool;
-    for (std::size_t i = 0; i < engine.n(); ++i)
-      if (!engine.is_active(i)) pool.push_back(static_cast<std::uint32_t>(i));
-    if (!spec.all) k = std::min<std::uint64_t>(k, pool.size());
-    if (spec.all) k = pool.size();
-    for (std::uint64_t j = 0; j < k; ++j) {
-      std::swap(pool[j], pool[j + rng_.below(pool.size() - j)]);
-      engine.rejoin_agent(pool[j]);  // stale state
-    }
-    return k;
-  };
-  target_.set_bias = [&engine](const SchedulerBias* bias) {
-    engine.set_scheduler_bias(bias ? std::optional<SchedulerBias>(*bias)
-                                   : std::nullopt);
-  };
-  set_hook_ = [&engine](InjectionHook hook) {
-    engine.set_injection_hook(std::move(hook));
-  };
-  install_hook_on_bound_target();
-}
-
-void FaultInjector::bind(CountEngine& engine) {
-  target_.active_n = [&engine] { return engine.n(); };
-  target_.corrupt = [this, &engine](const CorruptSpec& spec,
-                                    std::uint64_t k) -> std::uint64_t {
-    return engine.mutate_random_agents(
-        k, rng_, [this, &spec](State old, std::uint64_t j) {
-          return (old & ~spec.mask) | (corrupt_value(spec, j) & spec.mask);
-        });
-  };
-  target_.crash = [this, &engine](std::uint64_t k) {
-    return engine.crash_random(k, rng_);
-  };
-  target_.rejoin = [this, &engine](const RejoinSpec& spec, std::uint64_t k) {
-    return spec.all ? engine.rejoin_all() : engine.rejoin_random(k, rng_);
-  };
-  target_.set_bias = [&engine](const SchedulerBias* bias) {
-    engine.set_scheduler_bias(bias ? std::optional<SchedulerBias>(*bias)
-                                   : std::nullopt);
-  };
-  set_hook_ = [&engine](InjectionHook hook) {
-    engine.set_injection_hook(std::move(hook));
-  };
-  install_hook_on_bound_target();
-}
-
-void FaultInjector::bind(BatchEngine& engine) {
-  target_.active_n = [&engine] { return engine.active_n(); };
-  target_.corrupt = [this, &engine](const CorruptSpec& spec,
-                                    std::uint64_t k) -> std::uint64_t {
-    return engine.mutate_random_agents(
-        k, rng_, [this, &spec](State old, std::uint64_t j) {
-          return (old & ~spec.mask) | (corrupt_value(spec, j) & spec.mask);
-        });
-  };
-  target_.crash = [this, &engine](std::uint64_t k) {
-    return engine.crash_random(k, rng_);
-  };
-  target_.rejoin = [this, &engine](const RejoinSpec& spec, std::uint64_t k) {
-    return spec.all ? engine.rejoin_all() : engine.rejoin_random(k, rng_);
-  };
-  target_.set_bias = [&engine](const SchedulerBias* bias) {
-    engine.set_scheduler_bias(bias ? std::optional<SchedulerBias>(*bias)
-                                   : std::nullopt);
-  };
-  set_hook_ = [&engine](InjectionHook hook) {
-    engine.set_injection_hook(std::move(hook));
-  };
-  install_hook_on_bound_target();
-}
-
-void FaultInjector::bind(CountShardEngine& engine) {
-  target_.active_n = [&engine] { return engine.active_n(); };
-  target_.corrupt = [this, &engine](const CorruptSpec& spec,
-                                    std::uint64_t k) -> std::uint64_t {
-    return engine.mutate_random_agents(
-        k, rng_, [this, &spec](State old, std::uint64_t j) {
-          return (old & ~spec.mask) | (corrupt_value(spec, j) & spec.mask);
-        });
-  };
-  target_.crash = [this, &engine](std::uint64_t k) {
-    return engine.crash_random(k, rng_);
-  };
-  target_.rejoin = [this, &engine](const RejoinSpec& spec, std::uint64_t k) {
-    return spec.all ? engine.rejoin_all() : engine.rejoin_random(k, rng_);
-  };
-  target_.set_bias = [&engine](const SchedulerBias* bias) {
-    engine.set_scheduler_bias(bias ? std::optional<SchedulerBias>(*bias)
-                                   : std::nullopt);
-  };
-  set_hook_ = [&engine](InjectionHook hook) {
-    engine.set_injection_hook(std::move(hook));
-  };
-  install_hook_on_bound_target();
-}
-
-void FaultInjector::bind(SimBackend& backend) {
-  if (auto* e = dynamic_cast<Engine*>(&backend)) return bind(*e);
-  if (auto* e = dynamic_cast<CountEngine*>(&backend)) return bind(*e);
-  if (auto* e = dynamic_cast<BatchEngine*>(&backend)) return bind(*e);
-  if (auto* e = dynamic_cast<CountShardEngine*>(&backend)) return bind(*e);
-  POPPROTO_CHECK_MSG(false, "unknown SimBackend subtype in FaultInjector");
+  backend.set_injection_hook(std::move(hook));
 }
 
 // Every attach starts by detaching whatever a *previous* injector left on
-// the engine: installed hooks capture their injector by raw `this`, so a
+// the backend: installed hooks capture their injector by raw `this`, so a
 // stale hook surviving an empty-plan re-attach (which installs nothing)
 // would dangle the moment the old injector is destroyed, and a stale bias
-// window would keep skewing the scheduler with no owner. An engine with the
-// hook cleared consumes its RNG stream exactly as a never-hooked engine, so
+// window would keep skewing the scheduler with no owner. A backend with the
+// hook cleared consumes its RNG stream exactly as a never-hooked one, so
 // the empty-plan bit-for-bit guarantee is unaffected.
-
-void FaultInjector::attach(Engine& engine) {
+void FaultInjector::attach(SimBackend& backend) {
   reset_firing_state();
-  engine.set_injection_hook({});
-  engine.set_scheduler_bias(std::nullopt);
+  backend.set_injection_hook({});
+  backend.set_scheduler_bias(std::nullopt);
   if (plan_.empty()) return;  // zero-overhead no-op guarantee
-  bind(engine);
+  bind(backend);
   // Apply the schedule as of the current time: overdue one-shots (e.g.
   // corrupt_at(0) perturbing the initial configuration) fire now, and
   // windows covering the present open immediately.
-  on_round(engine.rounds(), /*at_boundary=*/false);
-}
-
-void FaultInjector::attach(CountEngine& engine) {
-  reset_firing_state();
-  engine.set_injection_hook({});
-  engine.set_scheduler_bias(std::nullopt);
-  if (plan_.empty()) return;  // zero-overhead no-op guarantee
-  bind(engine);
-  on_round(engine.rounds(), /*at_boundary=*/false);
-}
-
-void FaultInjector::attach(BatchEngine& engine) {
-  reset_firing_state();
-  engine.set_injection_hook({});
-  engine.set_scheduler_bias(std::nullopt);
-  if (plan_.empty()) return;  // zero-overhead no-op guarantee
-  bind(engine);
-  on_round(engine.rounds(), /*at_boundary=*/false);
-}
-
-void FaultInjector::attach(CountShardEngine& engine) {
-  reset_firing_state();
-  engine.set_injection_hook({});
-  engine.set_scheduler_bias(std::nullopt);
-  if (plan_.empty()) return;  // zero-overhead no-op guarantee
-  bind(engine);
-  on_round(engine.rounds(), /*at_boundary=*/false);
-}
-
-void FaultInjector::attach(SimBackend& backend) {
-  if (auto* e = dynamic_cast<Engine*>(&backend)) return attach(*e);
-  if (auto* e = dynamic_cast<CountEngine*>(&backend)) return attach(*e);
-  if (auto* e = dynamic_cast<BatchEngine*>(&backend)) return attach(*e);
-  if (auto* e = dynamic_cast<CountShardEngine*>(&backend)) return attach(*e);
-  POPPROTO_CHECK_MSG(false, "unknown SimBackend subtype in FaultInjector");
+  on_round(backend.rounds(), /*at_boundary=*/false);
 }
 
 void FaultInjector::snapshot(std::ostream& out) const {
@@ -460,7 +298,7 @@ void FaultInjector::restore(std::istream& in, SimBackend& backend) {
   const auto& events = plan_.events();
   for (std::size_t i = 0; i < events.size(); ++i)
     if (events[i].kind == FaultKind::kBias && window_on_[i])
-      target_.set_bias(&events[i].bias);
+      backend.set_scheduler_bias(events[i].bias);
 }
 
 }  // namespace popproto

@@ -1,7 +1,9 @@
-// FaultInjector: replays a FaultPlan against a running engine.
+// FaultInjector: replays a FaultPlan against a running SimBackend.
 //
-// The injector binds a plan to one engine at a time via attach(), which
-// installs the InjectionHook callbacks (core/injection.hpp) — nothing is
+// The injector binds a plan to one backend at a time via attach(), which
+// installs the InjectionHook callbacks (core/injection.hpp) and applies
+// churn and corruption through the backend's SimBackend primitives
+// (crash_random, rejoin_random, rejoin_all, mutate_random_agents) — nothing is
 // installed for an empty plan, so an empty-plan run is bit-for-bit equal to
 // an uninjected run at the same seed. Fault randomness (victim selection,
 // Bernoulli triggers, corruption values) is drawn from the injector's own
@@ -16,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -25,30 +26,19 @@
 
 namespace popproto {
 
-class Engine;
-class CountEngine;
-class BatchEngine;
-class CountShardEngine;
 class SimBackend;
 
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, std::uint64_t seed);
 
-  /// Install the plan's hooks on an engine. Re-attaching (to the same or a
-  /// fresh engine) resets all firing state, so one injector can drive many
+  /// Install the plan's hooks on a backend. Re-attaching (to the same or a
+  /// fresh backend) resets all firing state, so one injector can drive many
   /// seeded trials of the same plan. Attach always detaches first: any
-  /// hook/bias a previously attached injector installed on this engine is
+  /// hook/bias a previously attached injector installed on this backend is
   /// cleared before the new plan binds (an empty plan therefore leaves the
-  /// engine hook-free), so replacing an engine's injector never leaves a
+  /// backend hook-free), so replacing a backend's injector never leaves a
   /// dangling hook behind.
-  void attach(Engine& engine);
-  void attach(CountEngine& engine);
-  void attach(BatchEngine& engine);
-  void attach(CountShardEngine& engine);
-  /// Backend-generic entry: dispatches to the matching concrete overload
-  /// (churn and corruption need each backend's own mutation primitives, so
-  /// SimBackend alone is not enough to bind a Target).
   void attach(SimBackend& backend);
 
   struct Applied {
@@ -75,25 +65,10 @@ class FaultInjector {
   void restore(std::istream& in, SimBackend& backend);
 
  private:
-  /// Engine-agnostic mutation surface the adapters bind at attach time.
-  struct Target {
-    std::function<std::uint64_t()> active_n;
-    std::function<std::uint64_t(const CorruptSpec&, std::uint64_t k)> corrupt;
-    std::function<std::uint64_t(std::uint64_t k)> crash;
-    std::function<std::uint64_t(const RejoinSpec&, std::uint64_t k)> rejoin;
-    std::function<void(const SchedulerBias*)> set_bias;  // nullptr disables
-  };
-
   void reset_firing_state();
-  /// Install target_ lambdas + InjectionHook on the engine without touching
-  /// firing state (shared by attach and restore).
-  void bind(Engine& engine);
-  void bind(CountEngine& engine);
-  void bind(BatchEngine& engine);
-  void bind(CountShardEngine& engine);
+  /// Remember the backend and install the InjectionHook on it without
+  /// touching firing state (shared by attach and restore).
   void bind(SimBackend& backend);
-  void install_hook_on_bound_target();
-  std::function<void(InjectionHook)> set_hook_;  // bound alongside target_
   /// Evaluate the schedule at `round`. `at_boundary` is false for the one
   /// synchronization call attach() makes at the current engine time — it
   /// fires overdue one-shots and opens covering windows, but draws no
@@ -106,7 +81,7 @@ class FaultInjector {
 
   FaultPlan plan_;
   Rng rng_;
-  Target target_;
+  SimBackend* backend_ = nullptr;  // bound backend; not owned
   double dropout_p_ = 0.0;  // read by the installed drop_interaction hook
   std::vector<char> fired_;
   std::vector<char> window_on_;

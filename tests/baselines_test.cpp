@@ -20,7 +20,7 @@ TEST(ApproxMajority, CorrectWithLargeGap) {
     CountEngine eng(p, {{var_bit(a), n / 2 + n / 8}, {var_bit(b), n / 2 - n / 8}},
                     seed);
     const auto t = eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(a)) == n;
         },
         400.0);
@@ -37,7 +37,7 @@ TEST(ApproxMajority, ReachesConsensusEvenFromTie) {
   const VarId b = *vars->find("BB");
   CountEngine eng(p, {{var_bit(a), 2048}, {var_bit(b), 2048}}, 3);
   const auto t = eng.run_until(
-      [&](const CountEngine& e) {
+      [&](const SimBackend& e) {
         return e.count_matching(BoolExpr::var(a)) == 4096 ||
                e.count_matching(BoolExpr::var(b)) == 4096;
       },
@@ -58,7 +58,7 @@ TEST(ApproxMajority, UnreliableAtGapOne) {
     CountEngine eng(p, {{var_bit(a), 129}, {var_bit(b), 128}},
                     static_cast<std::uint64_t>(s) + 100);
     eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(a)) == 257 ||
                  e.count_matching(BoolExpr::var(b)) == 257;
         },
@@ -101,7 +101,7 @@ TEST(Dv12, ConvergenceIsSuperlinearInN) {
                         {var_bit(mb) | var_bit(st), n / 2 - 1}},
                     11);
     return *eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(ma)) == n;
         },
         1e9);
@@ -117,7 +117,7 @@ TEST(Fratricide, ExactlyOneLeaderSurvives) {
   const VarId l = *vars->find("L");
   CountEngine eng(p, {{var_bit(l), 10000}}, 13);
   const auto t = eng.run_until(
-      [&](const CountEngine& e) {
+      [&](const SimBackend& e) {
         return e.count_matching(BoolExpr::var(l)) == 1;
       },
       1e8);
@@ -136,7 +136,7 @@ TEST(Fratricide, LinearScaling) {
     const VarId l = *vars->find("L");
     CountEngine eng(p, {{var_bit(l), n}}, 17);
     return *eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(l)) == 1;
         },
         1e9);

@@ -123,7 +123,7 @@ TEST(CountEngine, RunUntilFindsThreshold) {
   const VarId x = *vars->find("X");
   CountEngine eng(p, {{var_bit(x), 4096}}, 17);
   const auto t = eng.run_until(
-      [&](const CountEngine& e) {
+      [&](const SimBackend& e) {
         return e.count_matching(BoolExpr::var(x)) <= 64;
       },
       1e7);
@@ -148,7 +148,7 @@ TEST(CountEngine, Dv12ExactMajorityIsAlwaysCorrect) {
                      {var_bit(mb) | var_bit(st), 199}},
                     seed);
     const auto t = eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(ma)) == n;
         },
         5e6);
@@ -253,7 +253,7 @@ TEST(CountEngine, BatchVsDirectHittingTimeKS) {
     for (int t = 0; t < 80; ++t) {
       CountEngine eng(p, {{var_bit(x), 4096}}, seed0 + t, mode);
       const auto hit = eng.run_until(
-          [&](const CountEngine& e) {
+          [&](const SimBackend& e) {
             return e.count_matching(BoolExpr::var(x)) <= 64;
           },
           1e5, /*check_interval=*/0.5);
@@ -355,7 +355,7 @@ TEST(CountEngine, BatchDv12ExactMajorityIsAlwaysCorrect) {
                      {var_bit(mb) | var_bit(st), 199}},
                     seed, CountEngineMode::kBatch);
     const auto t = eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return e.count_matching(BoolExpr::var(ma)) == n;
         },
         5e6);

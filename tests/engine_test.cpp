@@ -26,7 +26,7 @@ TEST(Engine, EpidemicSaturates) {
   init[0] = var_bit(i);
   Engine eng(p, std::move(init), 7);
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) == 1000; },
+      [&](const SimBackend&) { return eng.population().count_var(i) == 1000; },
       200.0);
   ASSERT_TRUE(t.has_value());
   // Epidemics complete in Θ(log n) rounds; allow generous slack.
@@ -42,7 +42,7 @@ TEST(Engine, EpidemicCompletesUnderMatchingScheduler) {
   init[0] = var_bit(i);
   Engine eng(p, std::move(init), 7, SchedulerKind::kRandomMatching);
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) == 1000; },
+      [&](const SimBackend&) { return eng.population().count_var(i) == 1000; },
       400.0);
   ASSERT_TRUE(t.has_value());
 }
@@ -112,7 +112,7 @@ TEST(Engine, RunUntilQuantizesToCheckIntervalGrid) {
     init[0] = var_bit(i);
     Engine eng(p, std::move(init), 29);
     const auto t = eng.run_until(
-        [&](const AgentPopulation& pop) { return pop.count_var(i) >= 128; },
+        [&](const SimBackend&) { return eng.population().count_var(i) >= 128; },
         100.0, interval);
     EXPECT_TRUE(t.has_value());
     return t.value_or(-1.0);
@@ -207,7 +207,8 @@ TEST(Engine, RunUntilTimesOut) {
   const VarId i = *vars->find("I");
   Engine eng(p, std::vector<State>(100, 0), 3);  // no infected agent
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) > 0; }, 10.0);
+      [&](const SimBackend&) { return eng.population().count_var(i) > 0; },
+      10.0);
   EXPECT_FALSE(t.has_value());
 }
 
@@ -227,7 +228,7 @@ TEST(Engine, RunUntilIntervalLargerThanHorizonStillChecks) {
   init[0] = var_bit(i);
   Engine eng(p, std::move(init), 11);
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) >= 2; },
+      [&](const SimBackend&) { return eng.population().count_var(i) >= 2; },
       /*max_rounds=*/10.0, /*check_interval=*/100.0);
   ASSERT_TRUE(t.has_value());  // spread to 2 agents happens in O(1) rounds
   EXPECT_LE(*t, 10.0 + 0.05);  // checked at the horizon, not at 100 rounds
@@ -240,7 +241,7 @@ TEST(Engine, RunUntilTimeoutStopsAtHorizonNotInterval) {
   const VarId i = *vars->find("I");
   Engine eng(p, std::vector<State>(100, 0), 3);  // no infected agent: timeout
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) > 0; },
+      [&](const SimBackend&) { return eng.population().count_var(i) > 0; },
       /*max_rounds=*/10.0, /*check_interval=*/100.0);
   EXPECT_FALSE(t.has_value());
   // Left within one activation (1/n rounds) of the horizon, not 100 rounds.
@@ -257,13 +258,15 @@ TEST(Engine, RunUntilZeroHorizonIsInitialCheckOnly) {
   Engine eng(p, std::move(init), 5);
   // Unsatisfied predicate + max_rounds = 0: no time passes, clean timeout.
   const auto miss = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) >= 2; }, 0.0);
+      [&](const SimBackend&) { return eng.population().count_var(i) >= 2; },
+      0.0);
   EXPECT_FALSE(miss.has_value());
   EXPECT_DOUBLE_EQ(eng.rounds(), 0.0);
   EXPECT_EQ(eng.interactions(), 0u);
   // Already-satisfied predicate succeeds even with a zero budget.
   const auto hit = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) >= 1; }, 0.0);
+      [&](const SimBackend&) { return eng.population().count_var(i) >= 1; },
+      0.0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(*hit, 0.0);
   EXPECT_EQ(eng.interactions(), 0u);
@@ -280,14 +283,15 @@ TEST(Engine, RunUntilAlreadySatisfiedReturnsCurrentTime) {
   const double before = eng.rounds();
   const std::uint64_t steps_before = eng.interactions();
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) >= 1; },
+      [&](const SimBackend&) { return eng.population().count_var(i) >= 1; },
       1000.0);
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(*t, before);            // current time, not quantized up
   EXPECT_EQ(eng.interactions(), steps_before);  // no simulation ran
   // An engine already past the horizon still gets its initial check.
   const auto late = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) >= 1; }, 1.0);
+      [&](const SimBackend&) { return eng.population().count_var(i) >= 1; },
+      1.0);
   ASSERT_TRUE(late.has_value());
   EXPECT_DOUBLE_EQ(*late, before);
 }

@@ -314,7 +314,7 @@ TEST(FaultInjector, ChurnConservesAgentsOnCountEngine) {
   EXPECT_EQ(eng.n(), n);
   // The epidemic still completes despite the churn.
   const auto t = eng.run_until(
-      [&](const CountEngine& e) {
+      [&](const SimBackend& e) {
         return e.count_matching(BoolExpr::var(i)) == n;
       },
       400.0);
@@ -342,7 +342,7 @@ TEST(FaultInjector, FullDropoutWindowFreezesEngineDynamics) {
   EXPECT_GE(eng.interactions(), 19u * 200u);     // but time kept flowing
 
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(i) == 200; },
+      [&](const SimBackend&) { return eng.population().count_var(i) == 200; },
       300.0);
   ASSERT_TRUE(t.has_value());  // dynamics resume once the window closes
 }
@@ -366,7 +366,7 @@ TEST(FaultInjector, FullDropoutWindowFreezesCountEngineSkipMode) {
   EXPECT_GE(eng.rounds(), 9.5);
 
   const auto t = eng.run_until(
-      [&](const CountEngine& e) {
+      [&](const SimBackend& e) {
         return e.count_matching(BoolExpr::var(i)) == 1000;
       },
       300.0);
@@ -384,7 +384,7 @@ TEST(FaultInjector, PartialDropoutSlowsButDoesNotStopEpidemic) {
     FaultInjector injector(std::move(plan), 57);
     injector.attach(eng);
     const auto t = eng.run_until(
-        [&](const AgentPopulation& pop) { return pop.count_var(i) == 400; },
+        [&](const SimBackend&) { return eng.population().count_var(i) == 400; },
         500.0);
     return t;
   };

@@ -126,8 +126,9 @@ TEST(EngineCounters, RunUntilPushesConvergenceEvent) {
   const VarId ba = *vars->find("BA");
   const VarId bb = *vars->find("BB");
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) {
-        return pop.count_var(ba) == 0 || pop.count_var(bb) == 0;
+      [&](const SimBackend&) {
+        return eng.population().count_var(ba) == 0 ||
+               eng.population().count_var(bb) == 0;
       },
       /*max_rounds=*/500.0);
   ASSERT_TRUE(t.has_value());

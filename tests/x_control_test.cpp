@@ -44,7 +44,7 @@ TEST(XElimination, ReachesSqrtNInSqrtNRounds) {
   CountEngine eng(p, {{var_bit(x), n}}, 7);
   const double thr = std::sqrt(static_cast<double>(n));
   const auto t = eng.run_until(
-      [&](const CountEngine& e) {
+      [&](const SimBackend& e) {
         return static_cast<double>(e.count_matching(BoolExpr::var(x))) < thr;
       },
       1e7);
@@ -61,7 +61,7 @@ TEST(XElimination, TimeToThresholdScalesAsPowerOfN) {
     CountEngine eng(p, {{var_bit(x), n}}, 11);
     const double thr = std::sqrt(static_cast<double>(n));
     return *eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return static_cast<double>(e.count_matching(BoolExpr::var(x))) < thr;
         },
         1e9);
@@ -87,7 +87,7 @@ TEST(KLevelSignal, ReachesThresholdInPolylogTime) {
   CountEngine eng(p, {{init, n}}, 13);
   const double thr = std::sqrt(static_cast<double>(n));
   const auto t = eng.run_until(
-      [&](const CountEngine& e) {
+      [&](const SimBackend& e) {
         return static_cast<double>(e.count_matching(BoolExpr::var(x))) < thr;
       },
       2e5);
@@ -109,7 +109,7 @@ TEST(KLevelSignal, ScalesSubPolynomially) {
     CountEngine eng(p, {{init, n}}, 17);
     const double thr = std::sqrt(static_cast<double>(n));
     return *eng.run_until(
-        [&](const CountEngine& e) {
+        [&](const SimBackend& e) {
           return static_cast<double>(e.count_matching(BoolExpr::var(x))) < thr;
         },
         1e9);
