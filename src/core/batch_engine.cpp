@@ -324,21 +324,13 @@ bool BatchEngine::step() {
     migrate();
     rounds_since_migrate_ = 0;
   }
-  fire_round_hooks_if_due();
+  fire_crossed_rounds(injection_, last_injection_round_, time_);
   return runnable;
 }
 
 void BatchEngine::run_rounds(double rounds_to_run) {
   const double target = time_ + rounds_to_run;
   while (time_ < target) step();
-}
-
-void BatchEngine::fire_round_hooks_if_due() {
-  if (!injection_.on_round) return;
-  while (last_injection_round_ + 1.0 <= time_) {
-    last_injection_round_ += 1.0;
-    injection_.on_round(last_injection_round_);
-  }
 }
 
 void BatchEngine::migrate() {
@@ -454,15 +446,20 @@ std::uint64_t BatchEngine::mutate_random_agents(
   for (const Shard& sh : shards_)
     for (const std::uint64_t slot : sh.slots) pool.push_back(slot_id(slot));
   k = std::min<std::uint64_t>(k, pool.size());
+  std::uint64_t rewritten = 0;
   for (std::uint64_t j = 0; j < k; ++j) {
     std::swap(pool[j], pool[j + rng.below(pool.size() - j)]);
     const std::uint32_t victim = pool[j];
-    states_[victim] = f(states_[victim], j);
+    const State ns = f(states_[victim], j);
+    if (ns == states_[victim]) continue;
+    states_[victim] = ns;
+    ++rewritten;
   }
-  if (k > 0) sidx_dirty_ = true;
-  ctr_.corrupted_agents += k;
+  if (rewritten > 0) sidx_dirty_ = true;
+  ctr_.corrupted_agents += rewritten;
   if (trace_ && k > 0)
-    trace_->push(EventKind::kFaultInjected, time_, static_cast<double>(k));
+    trace_->push(EventKind::kFaultInjected, time_,
+                 static_cast<double>(rewritten));
   return k;
 }
 

@@ -40,9 +40,9 @@
 // machine load (and with workers pinned or not).
 //
 // Fault surface: the same InjectionHook / SchedulerBias points as the other
-// engines (core/injection.hpp), plus CountEngine-style random churn and
-// corruption primitives, so FaultInjector::attach works unchanged. Round
-// hooks and all churn/corruption run on the driving thread between rounds;
+// engines (core/injection.hpp) and the SimBackend churn and corruption
+// primitives FaultInjector drives. Round hooks and all churn/corruption run
+// on the driving thread between rounds;
 // drop_interaction and bias draws happen inside shards on the shard's own
 // stream (documented in the hook contract: any engine-supplied Rng may be a
 // per-shard stream).
@@ -149,18 +149,18 @@ class BatchEngine final : public SimBackend {
   State agent_state(std::size_t id) const { return states_[id]; }
 
   // -- Dynamic population (churn) + targeted corruption ----------------------
-  // Count-level primitives mirroring CountEngine's fault surface; all run on
-  // the driving thread between rounds (the FaultInjector calls them from
-  // on_round). Victim selection is uniform over scheduled agents, drawn
-  // from the caller's `rng` so fault randomness stays off the engine
-  // streams.
+  // The SimBackend primitives (core/sim_backend.hpp); all run on the driving
+  // thread between rounds. Victim selection is uniform over scheduled
+  // agents, drawn from the caller's `rng` so fault randomness stays off the
+  // engine streams.
   std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;
   std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) override;
   std::uint64_t rejoin_all() override;
   std::uint64_t crashed_count() const { return crashed_.size(); }
   /// Overwrite the states of up to `k` distinct uniformly chosen scheduled
   /// agents: victim j (drawn without replacement) with old state s gets
-  /// f(s, j). Returns the number rewritten.
+  /// f(s, j). Returns the number drawn; corrupted_agents counts only the
+  /// rewrites that changed a state.
   std::uint64_t mutate_random_agents(
       std::uint64_t k, Rng& rng,
       const std::function<State(State old_state, std::uint64_t j)>& f)
@@ -216,7 +216,6 @@ class BatchEngine final : public SimBackend {
   /// Reset every slot's interned-index shadow (after external state
   /// mutation; each shard relearns lazily against its own cache).
   void invalidate_sidx();
-  void fire_round_hooks_if_due();
   /// Locate the r-th scheduled agent (0 <= r < active_n_) as (shard, pos).
   std::pair<std::size_t, std::size_t> locate(std::uint64_t r) const;
 

@@ -72,14 +72,6 @@ void CountEngine::set_scheduler_bias(std::optional<SchedulerBias> bias) {
 
 bool CountEngine::skip_allowed() const { return !bias_.has_value(); }
 
-void CountEngine::maybe_fire_injection() {
-  if (!injection_.on_round) return;
-  while (last_injection_round_ + 1.0 <= time_) {
-    last_injection_round_ += 1.0;
-    injection_.on_round(last_injection_round_);
-  }
-}
-
 void CountEngine::add_count(State s, std::uint64_t delta) {
   if (delta == 0) return;
   auto it = index_.find(s);

@@ -218,7 +218,9 @@ class CountEngine final : public SimBackend {
   /// sample_species with an external generator (fault-layer sampling).
   std::size_t sample_species_with(Rng& rng) const;
   bool skip_allowed() const;
-  void maybe_fire_injection();
+  void maybe_fire_injection() {
+    fire_crossed_rounds(injection_, last_injection_round_, time_);
+  }
 
   const Protocol& protocol_;
   TransitionCache cache_;

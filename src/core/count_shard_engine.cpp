@@ -195,14 +195,6 @@ void CountShardEngine::advance_shards_to(double target) {
   });
 }
 
-void CountShardEngine::fire_round_hooks_if_due() {
-  if (!injection_.on_round) return;
-  while (last_injection_round_ + 1.0 <= time_) {
-    last_injection_round_ += 1.0;
-    injection_.on_round(last_injection_round_);
-  }
-}
-
 bool CountShardEngine::all_shards_silent() const {
   for (const auto& sub : shards_)
     if (!sub->silent()) return false;
@@ -320,7 +312,7 @@ void CountShardEngine::run_rounds(double rounds_to_run) {
       if (!silent_) migrate();
       next_migrate_time_ += static_cast<double>(params_.migrate_every);
     }
-    fire_round_hooks_if_due();
+    fire_crossed_rounds(injection_, last_injection_round_, time_);
   }
 }
 
@@ -441,20 +433,22 @@ std::uint64_t CountShardEngine::mutate_random_agents(
   std::vector<std::uint64_t> w(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) w[s] = shards_[s]->n();
   const auto deal = deal_victims(k, w, rng);
-  std::uint64_t drawn = 0;
+  std::uint64_t drawn = 0, rewritten = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (deal[s] == 0) continue;
     const std::uint64_t offset = drawn;
     drawn += shards_[s]->mutate_random_agents(
         deal[s], rng,
-        [&f, offset](State old_state, std::uint64_t j) {
-          return f(old_state, offset + j);
+        [&f, &rewritten, offset](State old_state, std::uint64_t j) {
+          const State ns = f(old_state, offset + j);
+          if (ns != old_state) ++rewritten;
+          return ns;
         });
   }
-  if (drawn > 0) silent_ = false;
+  if (rewritten > 0) silent_ = false;
   if (trace_ && drawn > 0)
     trace_->push(EventKind::kFaultInjected, time_,
-                 static_cast<double>(drawn));
+                 static_cast<double>(rewritten));
   return drawn;
 }
 

@@ -32,8 +32,8 @@
 // is what makes billion-agent majority runs interactive (bench_kernel's
 // count_shard_majority_n30 record).
 //
-// Fault surface: the standard InjectionHook / SchedulerBias points plus
-// CountEngine-style churn and corruption, distributed across shards by
+// Fault surface: the standard InjectionHook / SchedulerBias points plus the
+// SimBackend churn and corruption primitives, distributed across shards by
 // hypergeometric victim allocation so global victim selection stays
 // uniform. A SchedulerBias or dropout hook routes every shard back through
 // CountEngine's exact per-interaction path (batch aggregation assumes
@@ -148,9 +148,10 @@ class CountShardEngine final : public SimBackend {
   const Rng& migration_rng() const { return migrate_rng_; }
 
   // -- Dynamic population (churn) + targeted corruption ----------------------
-  // CountEngine-parity fault surface; victims are allocated to shards by
-  // exact multivariate-hypergeometric draws on the caller's rng, so global
-  // victim selection is uniform without replacement. Driver-thread only.
+  // The SimBackend primitives (core/sim_backend.hpp); victims are allocated
+  // to shards by exact multivariate-hypergeometric draws on the caller's
+  // rng, so global victim selection is uniform without replacement.
+  // Driver-thread only.
   std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;
   std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) override;
   std::uint64_t rejoin_all() override;
@@ -181,7 +182,6 @@ class CountShardEngine final : public SimBackend {
   /// species pair with positive pair count has positive change weight.
   bool globally_silent();
   bool all_shards_silent() const;
-  void fire_round_hooks_if_due();
   /// Forward the wrapper's hooks to the sub-engines: drop_interaction and
   /// bias go down (per-shard streams), on_round stays wrapper-fired.
   void push_hooks_to_shards();

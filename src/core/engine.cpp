@@ -111,11 +111,20 @@ std::uint64_t Engine::mutate_random_agents(
     const std::function<State(State old_state, std::uint64_t j)>& f) {
   std::vector<std::uint32_t> pool = active_;
   k = std::min<std::uint64_t>(k, pool.size());
+  std::uint64_t rewritten = 0;
   for (std::uint64_t j = 0; j < k; ++j) {
     std::swap(pool[j], pool[j + rng.below(pool.size() - j)]);
     const std::uint32_t victim = pool[j];
-    pop_.set_state(victim, f(pop_.state(victim), j));
+    const State old_state = pop_.state(victim);
+    const State ns = f(old_state, j);
+    if (ns == old_state) continue;
+    pop_.set_state(victim, ns);
+    ++rewritten;
   }
+  ctr_.corrupted_agents += rewritten;
+  if (trace_ && k > 0)
+    trace_->push(EventKind::kFaultInjected, time_,
+                 static_cast<double>(rewritten));
   return k;
 }
 
@@ -247,12 +256,7 @@ void Engine::fire_round_hooks_if_due() {
   // Walk every whole-round boundary crossed since the last firing so each
   // hook runs exactly once per round, even when a single activation (a
   // matching round, or a hook installed mid-run) spans several boundaries.
-  if (injection_.on_round) {
-    while (last_injection_round_ + 1.0 <= time_) {
-      last_injection_round_ += 1.0;
-      injection_.on_round(last_injection_round_);
-    }
-  }
+  fire_crossed_rounds(injection_, last_injection_round_, time_);
   if (round_hook_) {
     while (last_hook_round_ + 1.0 <= time_) {
       last_hook_round_ += 1.0;

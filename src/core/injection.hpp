@@ -1,8 +1,8 @@
 // Injection points the fault layer (src/faults/) installs on an engine.
 //
-// Both Engine and CountEngine expose the same two-part surface so that a
-// FaultPlan applies identically under the sequential and random-matching
-// schedulers without forking the step loops:
+// Every SimBackend (core/sim_backend.hpp) exposes the same two-part surface
+// so that a FaultPlan applies identically on all four substrates and under
+// both schedulers without forking the step loops:
 //   * InjectionHook — an `on_round` callback fired at every whole-round
 //     boundary (where scheduled perturbations mutate the engine) and a
 //     per-interaction `drop_interaction` veto (lossy communication);
@@ -38,6 +38,18 @@ struct InjectionHook {
     return static_cast<bool>(on_round) || static_cast<bool>(drop_interaction);
   }
 };
+
+/// The whole-round firing rule every backend shares: call `hook.on_round`
+/// once per whole round in (last_round, now], in order, advancing
+/// `last_round` to each round as it fires. A no-op without an on_round.
+inline void fire_crossed_rounds(const InjectionHook& hook, double& last_round,
+                                double now) {
+  if (!hook.on_round) return;
+  while (last_round + 1.0 <= now) {
+    last_round += 1.0;
+    hook.on_round(last_round);
+  }
+}
 
 /// Adversarial-scheduler stressor: with probability `epsilon` the uniformly
 /// sampled initiator is redrawn (up to `tries` rejection attempts) toward an

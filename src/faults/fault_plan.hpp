@@ -7,8 +7,9 @@
 // conditions. A FaultPlan is the experimental counterpart of that
 // adversary: a schedule of perturbation events — state corruption, agent
 // crash & rejoin (churn), interaction dropout, and scheduler bias — that a
-// FaultInjector (src/faults/injector.hpp) replays against a running Engine
-// or CountEngine through the InjectionHook surface (core/injection.hpp).
+// FaultInjector (src/faults/injector.hpp) replays against any running
+// SimBackend through the InjectionHook surface (core/injection.hpp) and the
+// backend's churn and corruption primitives (core/sim_backend.hpp).
 //
 // Triggers are either one-shot ("at round t") or Bernoulli-per-round
 // ("each round in [from, until), fire with probability rate"); dropout and

@@ -11,8 +11,8 @@
 //    on the hot path itself (cache hit counting). Compiled out entirely in
 //    normal builds so the steady-state interaction cost is unchanged.
 //
-// Both Engine and CountEngine expose `counters()` returning a filled-in
-// snapshot of this struct; rates and derived quantities (no-op fraction,
+// Every SimBackend exposes `counters()` returning a filled-in snapshot of
+// this struct; rates and derived quantities (no-op fraction,
 // hit ratio) are computed by consumers, not stored.
 #pragma once
 
@@ -43,7 +43,8 @@ struct EngineCounters {
   /// Churn events applied (agents crashed / rejoined, fault layer).
   std::uint64_t crash_events = 0;
   std::uint64_t rejoin_events = 0;
-  /// Agents rewritten by targeted corruption (CountEngine fault surface).
+  /// Corruption rewrites that changed an agent's state, on every backend; a
+  /// victim rewritten to its own state is drawn but not counted.
   std::uint64_t corrupted_agents = 0;
   /// Collision-free blocks sampled in batch mode (CountEngine kBatch); each
   /// block aggregates ~sqrt(n) interactions into O(species^2) draws.

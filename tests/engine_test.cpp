@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
+#include "core/count_shard_engine.hpp"
 #include "core/engine.hpp"
+#include "faults/injector.hpp"
+#include "protocols/baselines.hpp"
 
 namespace popproto {
 namespace {
@@ -297,18 +302,26 @@ TEST(Engine, RunUntilAlreadySatisfiedReturnsCurrentTime) {
 }
 
 TEST(SimBackendContract, RunUntilEdgeCasesAcrossBackends) {
-  // The same edge contract through the backend-generic overload, for both
-  // the agent and count substrates.
+  // The same edge contract through SimBackend, on all four substrates.
   auto vars = make_var_space();
   const Protocol p = epidemic_protocol(vars);
   const VarId i = *vars->find("I");
   std::vector<State> init(100, 0);
   init[0] = var_bit(i);
-  Engine agent(p, std::move(init), 13);
-  CountEngine count(p, {{var_bit(i), 1}, {State{0}, 99}}, 13);
+  const std::vector<std::pair<State, std::uint64_t>> counts = {
+      {var_bit(i), 1}, {State{0}, 99}};
+  CountShardEngine::Params two_shards;
+  two_shards.shards = 2;
+  two_shards.min_shard = 2;
+  Engine agent(p, init, 13);
+  CountEngine count(p, counts, 13);
+  BatchEngine batch(p, init, 13);
+  CountShardEngine count_shard(p, counts, 13, two_shards);
   const BoolExpr infected = BoolExpr::var(i);
   for (SimBackend* b : {static_cast<SimBackend*>(&agent),
-                        static_cast<SimBackend*>(&count)}) {
+                        static_cast<SimBackend*>(&count),
+                        static_cast<SimBackend*>(&batch),
+                        static_cast<SimBackend*>(&count_shard)}) {
     SCOPED_TRACE(b->backend_name());
     // Already satisfied at a zero horizon: initial check wins.
     const auto hit = b->run_until(
@@ -328,6 +341,51 @@ TEST(SimBackendContract, RunUntilEdgeCasesAcrossBackends) {
         /*max_rounds=*/b->rounds() + 5.0, /*check_interval=*/500.0);
     EXPECT_FALSE(miss.has_value());
     EXPECT_LE(b->rounds(), t.value_or(0.0) + 5.0 + 1.0);
+  }
+
+  // Quiescence: fratricide ends with one leader, after which the count
+  // substrates are silent. An unsatisfiable predicate then times out at the
+  // silence round instead of at the horizon, unless a fault schedule could
+  // still perturb the configuration.
+  auto fvars = make_var_space();
+  const Protocol frat = make_fratricide_protocol(fvars);
+  const Guard is_leader(BoolExpr::var(*fvars->find("L")));
+  const State leader = var_bit(*fvars->find("L"));
+  const std::vector<std::pair<State, std::uint64_t>> leaders = {{leader, 64}};
+  const auto no_leader = [&](const SimBackend& s) {
+    return s.count_matching(is_leader) == 0;
+  };
+  const auto make_count = [&](bool sharded) -> std::unique_ptr<SimBackend> {
+    if (sharded)
+      return std::make_unique<CountShardEngine>(frat, leaders, 21, two_shards);
+    return std::make_unique<CountEngine>(frat, leaders, 21);
+  };
+  for (const bool sharded : {false, true}) {
+    auto silent = make_count(sharded);
+    SCOPED_TRACE(silent->backend_name());
+    EXPECT_FALSE(silent->run_until(no_leader, /*max_rounds=*/1e6));
+    EXPECT_TRUE(silent->quiescent());
+    EXPECT_LT(silent->rounds(), 1e4);
+    EXPECT_EQ(silent->count_matching(is_leader), 1u);
+
+    auto hooked = make_count(sharded);
+    FaultInjector injector(FaultPlan().crash_at(1e6, CrashSpec{0.0, 1}), 5);
+    injector.attach(*hooked);
+    EXPECT_FALSE(hooked->run_until(no_leader, /*max_rounds=*/2000.0));
+    EXPECT_FALSE(hooked->quiescent());
+    EXPECT_DOUBLE_EQ(hooked->rounds(), 2000.0);
+  }
+  Engine frat_agent(frat, std::vector<State>(64, leader), 21);
+  BatchEngine frat_batch(frat, std::vector<State>(64, leader), 21);
+  // One activation: an interaction (1/n rounds) or a whole batch round.
+  for (const auto& [b, activation] :
+       {std::pair<SimBackend*, double>{&frat_agent, 1.0 / 64},
+        std::pair<SimBackend*, double>{&frat_batch, 1.0}}) {
+    SCOPED_TRACE(b->backend_name());
+    EXPECT_FALSE(b->run_until(no_leader, /*max_rounds=*/300.0));
+    EXPECT_FALSE(b->quiescent());
+    EXPECT_GE(b->rounds(), 300.0);
+    EXPECT_LE(b->rounds(), 300.0 + activation);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "core/engine.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
+#include "server/protocol_registry.hpp"
 
 namespace popproto {
 namespace {
@@ -237,6 +238,39 @@ TEST(FaultInjector, ChurnKeepsInvariantsOnEngine) {
   EXPECT_EQ(injector.log()[0].affected, 30u);
   EXPECT_EQ(injector.log()[1].kind, FaultKind::kRejoin);
   EXPECT_EQ(injector.log()[1].affected, 30u);
+}
+
+TEST(SimBackendContract, ChurnAndCorruptionOnEveryBackend) {
+  // The mutation surface FaultInjector drives, through SimBackend alone.
+  for (const std::string& name : registered_backend_names()) {
+    SCOPED_TRACE(name);
+    const auto inst = make_protocol_instance("approx_majority", 1024);
+    const auto eng = make_backend_instance(name, *inst, 31, 2);
+    SimBackend& b = *eng;
+    const State a = inst->initial_counts[0].first;
+    const State c = inst->initial_counts[1].first;
+    Rng rng(41);
+    const std::uint64_t n = b.active_n();
+
+    // Asking for everyone still leaves at least two agents scheduled.
+    const std::uint64_t crashed = b.crash_random(10 * n, rng);
+    EXPECT_GE(b.active_n(), 2u);
+    EXPECT_EQ(b.active_n(), n - crashed);
+    const std::uint64_t back = b.rejoin_random(crashed / 2, rng);
+    EXPECT_EQ(back, crashed / 2);
+    EXPECT_EQ(b.active_n(), n - crashed + back);
+    EXPECT_EQ(b.rejoin_all(), crashed - back);
+    EXPECT_EQ(b.active_n(), n);
+
+    // Corruption draws min(k, active_n) victims and schedules no one.
+    b.crash_random(n / 2, rng);
+    const std::uint64_t active = b.active_n();
+    const auto flip = [&](State s, std::uint64_t) { return s == a ? c : a; };
+    EXPECT_EQ(b.mutate_random_agents(active + 10, rng, flip), active);
+    EXPECT_EQ(b.active_n(), active);
+    EXPECT_EQ(b.mutate_random_agents(5, rng, flip), 5u);
+    EXPECT_EQ(b.active_n(), active);
+  }
 }
 
 TEST(Engine, CrashFreezesStateAndRejoinIsStaleOrFresh) {

@@ -6,7 +6,9 @@
 #include <string>
 
 #include "analysis/recovery.hpp"
+#include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
+#include "core/count_shard_engine.hpp"
 #include "core/engine.hpp"
 #include "observe/counters.hpp"
 #include "observe/event_trace.hpp"
@@ -171,30 +173,52 @@ TEST(CountEngineCounters, ChurnAndCorruptionAreCountedAndTraced) {
   const Protocol p = make_approximate_majority_protocol(vars);
   const State a = var_bit(*vars->find("BA"));
   const State b = var_bit(*vars->find("BB"));
-  CountEngine eng(p, {{a, 500}, {b, 500}}, /*seed=*/11,
-                  CountEngineMode::kDirect);
-  EventTrace trace;
-  eng.set_event_trace(&trace);
-  Rng rng(17);
-  const std::uint64_t crashed = eng.crash_random(100, rng);
-  const std::uint64_t rejoined = eng.rejoin_all();
-  // Flip every victim so corrupted_agents (which counts only rewrites that
-  // changed a state) equals the number of agents drawn.
-  const std::uint64_t corrupted = eng.mutate_random_agents(
-      50, rng, [&](State s, std::uint64_t) { return s == a ? b : a; });
-  const EngineCounters c = eng.counters();
-  EXPECT_EQ(c.crash_events, crashed);
-  EXPECT_EQ(c.rejoin_events, rejoined);
-  EXPECT_EQ(c.corrupted_agents, corrupted);
-  double crash_v = 0.0, rejoin_v = 0.0, fault_v = 0.0;
-  for (const auto& e : trace.events()) {
-    if (e.kind == EventKind::kChurnCrash) crash_v += e.value;
-    if (e.kind == EventKind::kChurnRejoin) rejoin_v += e.value;
-    if (e.kind == EventKind::kFaultInjected) fault_v += e.value;
+  std::vector<State> states(500, a);
+  states.resize(1000, b);
+  CountShardEngine::Params two_shards;
+  two_shards.shards = 2;
+  Engine agent(p, states, /*seed=*/11);
+  CountEngine count(p, {{a, 500}, {b, 500}}, /*seed=*/11,
+                    CountEngineMode::kDirect);
+  BatchEngine batch(p, states, /*seed=*/11);
+  CountShardEngine count_shard(p, {{a, 500}, {b, 500}}, /*seed=*/11,
+                               two_shards);
+  for (SimBackend* eng : {static_cast<SimBackend*>(&agent),
+                          static_cast<SimBackend*>(&count),
+                          static_cast<SimBackend*>(&batch),
+                          static_cast<SimBackend*>(&count_shard)}) {
+    SCOPED_TRACE(eng->backend_name());
+    EventTrace trace;
+    eng->set_event_trace(&trace);
+    Rng rng(17);
+    const std::uint64_t crashed = eng->crash_random(100, rng);
+    const std::uint64_t rejoined = eng->rejoin_all();
+    // Flip every odd victim and leave the even ones as they are:
+    // corrupted_agents counts only rewrites that changed a state, so it is
+    // the number flipped, not the number drawn.
+    std::uint64_t flipped = 0;
+    const std::uint64_t drawn = eng->mutate_random_agents(
+        50, rng, [&](State s, std::uint64_t j) {
+          if (j % 2 == 0) return s;
+          ++flipped;
+          return s == a ? b : a;
+        });
+    EXPECT_EQ(drawn, 50u);
+    EXPECT_EQ(flipped, 25u);
+    const EngineCounters c = eng->counters();
+    EXPECT_EQ(c.crash_events, crashed);
+    EXPECT_EQ(c.rejoin_events, rejoined);
+    EXPECT_EQ(c.corrupted_agents, flipped);
+    double crash_v = 0.0, rejoin_v = 0.0, fault_v = 0.0;
+    for (const auto& e : trace.events()) {
+      if (e.kind == EventKind::kChurnCrash) crash_v += e.value;
+      if (e.kind == EventKind::kChurnRejoin) rejoin_v += e.value;
+      if (e.kind == EventKind::kFaultInjected) fault_v += e.value;
+    }
+    EXPECT_DOUBLE_EQ(crash_v, static_cast<double>(crashed));
+    EXPECT_DOUBLE_EQ(rejoin_v, static_cast<double>(rejoined));
+    EXPECT_DOUBLE_EQ(fault_v, static_cast<double>(flipped));
   }
-  EXPECT_DOUBLE_EQ(crash_v, static_cast<double>(crashed));
-  EXPECT_DOUBLE_EQ(rejoin_v, static_cast<double>(rejoined));
-  EXPECT_DOUBLE_EQ(fault_v, static_cast<double>(corrupted));
 }
 
 // ---------------------------------------------------------------------------
