@@ -79,8 +79,6 @@ class Engine final : public SimBackend {
     return pos_in_active_[i] != kNotActive;
   }
   std::size_t active_count() const { return active_.size(); }
-  /// Ids of currently scheduled agents (order is internal, not stable).
-  const std::vector<std::uint32_t>& active_agents() const { return active_; }
   /// SimBackend churn and corruption: partial Fisher–Yates over the active
   /// (crash, corrupt) or crashed (rejoin) ids; rejoin_all goes in id order.
   std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;

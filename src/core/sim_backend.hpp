@@ -131,7 +131,9 @@ class SimBackend {
   virtual std::uint64_t rejoin_all() = 0;
   /// Rewrite `min(k, active_n())` distinct uniformly drawn scheduled
   /// agents: victim j (j = 0, 1, ...) with old state s gets f(s, j).
-  /// Returns the number drawn.
+  /// Returns the number drawn; the corrupted_agents counter and the
+  /// kFaultInjected trace value count only the rewrites that changed a
+  /// state.
   virtual std::uint64_t mutate_random_agents(
       std::uint64_t k, Rng& rng,
       const std::function<State(State old_state, std::uint64_t j)>& f) = 0;
