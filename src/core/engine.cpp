@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <tuple>
 #include <unordered_map>
@@ -267,7 +268,7 @@ void Engine::fire_round_hooks_if_due() {
 
 bool Engine::step() {
   // Single-step paths draw from rng_ directly (hooks and bias take Rng&);
-  // any read-ahead the plain run_steps loop buffered must be rewound first
+  // any read-ahead the plain advance() loop buffered must be rewound first
   // so the stream stays in as-if-sequential order.
   draws_.flush(rng_);
   if (scheduler_ == SchedulerKind::kSequential) {
@@ -279,63 +280,33 @@ bool Engine::step() {
   return true;
 }
 
-namespace {
-
-// All 2m agent ids distinct? (64-entry open-addressing probe; the block is
-// tiny, so this is a handful of L1 hits per lane.) Distinctness is what
-// lets the block's interned indices be loaded up front: no resolve in the
-// block can then touch another lane's agents.
-bool block_ids_disjoint(const std::uint32_t* a, const std::uint32_t* b,
-                        std::size_t m) {
-  constexpr std::uint32_t kEmpty = ~0u;
-  std::uint32_t tbl[64];
-  std::fill(std::begin(tbl), std::end(tbl), kEmpty);
-  const auto insert = [&](std::uint32_t id) {
-    std::uint32_t h = (id * 0x9e3779b9u) >> 26;
-    while (tbl[h] != kEmpty) {
-      if (tbl[h] == id) return false;
-      h = (h + 1) & 63u;
-    }
-    tbl[h] = id;
-    return true;
-  };
-  for (std::size_t j = 0; j < m; ++j)
-    if (!insert(a[j]) || !insert(b[j])) return false;
-  return true;
-}
-
-}  // namespace
-
-void Engine::run_steps(std::uint64_t k) {
-  // Specialized loop for the plain configuration (sequential scheduler,
-  // cached kernel, no bias, no hooks, no churn so far). Nothing observable
-  // differs from k plain step() calls — the RNG word order (pair draws,
-  // then the outcome uniform, per step) and all counters are identical —
-  // but the draws come from the bulk buffer (refilled 1024 words at a
-  // time) and are precomputed a block of 16 steps ahead, so the scattered
-  // sidx_ loads of the whole block prefetch while earlier steps resolve.
-  // Within a block whose agents are pairwise distinct, the pair-table
-  // prescan (TransitionCache::prescan_slow, SIMD-gathered) proves the
-  // no-op lanes — the dominant case — in one pass, and only the lanes that
-  // may change state take the scalar kernel. No hooks can run, so none of
-  // the guard conditions can change mid-loop.
-  if (k == 0) return;
+void Engine::advance(std::uint64_t max_steps, double target_time) {
+  // Plain means sequential scheduler, cached kernel, no bias, no hooks and
+  // no churn so far. No hook can run inside the block loop, so the guard
+  // holds for all of it. A block adds its steps' time first (the step
+  // loop's own additions and stop test, so time_ stays bit-exact), then
+  // draws their pairs and uniforms in the step loop's word order, then
+  // resolves the lanes in order; the prefetches overlap the scattered
+  // sidx_ loads with the draws.
   const bool plain = scheduler_ == SchedulerKind::kSequential && use_cache_ &&
                      !bias_ && !injection_.drop_interaction &&
                      !injection_.on_round && !round_hook_ && active_identity_;
   if (!plain) {
-    for (std::uint64_t i = 0; i < k; ++i) step();
+    for (std::uint64_t i = 0; i < max_steps && time_ < target_time; ++i)
+      step();
     return;
   }
   if (pop_.version() != pop_version_seen_) resync_sidx();
   const std::uint64_t n = active_.size();
   constexpr std::size_t kBlock = 16;
-  std::uint32_t ba[kBlock], bb[kBlock], ia[kBlock], ib[kBlock];
+  std::uint32_t ba[kBlock], bb[kBlock];
   double bu[kBlock];
   std::uint64_t done = 0;
-  while (done < k) {
-    const auto m =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kBlock, k - done));
+  while (done < max_steps && time_ < target_time) {
+    const auto cap = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kBlock, max_steps - done));
+    std::size_t m = 0;
+    for (; m < cap && time_ < target_time; ++m) time_ += inv_active_;
     for (std::size_t j = 0; j < m; ++j) {
       const auto [a, b] = draws_.distinct_pair(rng_, n);
       ba[j] = static_cast<std::uint32_t>(a);
@@ -344,39 +315,18 @@ void Engine::run_steps(std::uint64_t k) {
       __builtin_prefetch(&sidx_[a]);
       __builtin_prefetch(&sidx_[b]);
     }
-    // time_ accumulates in the same per-step order as the step loop (the
-    // resolves never touch it, so hoisting it out of the resolve loop is
-    // bit-preserving).
-    for (std::size_t j = 0; j < m; ++j) time_ += inv_active_;
+    for (std::size_t j = 0; j < m; ++j) resolve_cached(ba[j], bb[j], bu[j]);
     interactions_ += m;
-    bool fast = true;
-    for (std::size_t j = 0; j < m; ++j) {
-      ia[j] = sidx_[ba[j]];
-      ib[j] = sidx_[bb[j]];
-      fast = fast && ia[j] != TransitionCache::kNoState &&
-             ib[j] != TransitionCache::kNoState;
-    }
-    if (fast && block_ids_disjoint(ba, bb, m)) {
-      const std::uint64_t slow = cache_.prescan_slow(ia, ib, bu, m);
-#ifdef POPPROTO_PROFILE
-      ctr_.cache_hits +=
-          m - static_cast<std::uint64_t>(__builtin_popcountll(slow));
-#endif
-      for (std::uint64_t bits = slow; bits != 0; bits &= bits - 1) {
-        const auto j =
-            static_cast<std::size_t>(__builtin_ctzll(bits));
-        resolve_cached(ba[j], bb[j], bu[j]);
-      }
-    } else {
-      for (std::size_t j = 0; j < m; ++j) resolve_cached(ba[j], bb[j], bu[j]);
-    }
     done += m;
   }
 }
 
+void Engine::run_steps(std::uint64_t k) {
+  advance(k, std::numeric_limits<double>::infinity());
+}
+
 void Engine::run_rounds(double rounds_to_run) {
-  const double target = time_ + rounds_to_run;
-  while (time_ < target) step();
+  advance(std::numeric_limits<std::uint64_t>::max(), time_ + rounds_to_run);
 }
 
 EngineCounters Engine::counters() const {

@@ -23,9 +23,10 @@ namespace popproto {
 /// round. n_active is the number of non-crashed agents, so parallel time
 /// stays calibrated to the scheduled population under churn.
 ///
-/// Implements SimBackend (core/sim_backend.hpp) as the "agent" substrate;
-/// the per-interaction hot path (run_steps / resolve_cached) never crosses
-/// a virtual boundary.
+/// Implements SimBackend (core/sim_backend.hpp) as the "agent" substrate.
+/// run_steps and run_rounds share one private block loop (advance), so the
+/// per-interaction hot path (advance / resolve_cached) never crosses a
+/// virtual boundary on either entry point.
 class Engine final : public SimBackend {
  public:
   Engine(const Protocol& protocol, std::vector<State> initial_states,
@@ -37,12 +38,12 @@ class Engine final : public SimBackend {
   /// engine is never silent; rules may still all be no-ops).
   bool step() override;
 
-  /// Exactly `k` scheduler activations. Equivalent to calling step() k
-  /// times, but the loop stays inside the engine so the per-activation call
-  /// overhead amortizes away (the throughput-measurement entry point).
+  /// Exactly `k` scheduler activations: the same trajectory, counters and
+  /// RNG position as calling step() k times.
   void run_steps(std::uint64_t k);
 
-  /// Run for (at least) `rounds` additional units of parallel time.
+  /// Run for (at least) `rounds` additional units of parallel time: the
+  /// same trajectory as `while (rounds() < target) step()`.
   void run_rounds(double rounds) override;
 
   /// Callback invoked exactly once per whole round of parallel time, with
@@ -141,6 +142,11 @@ class Engine final : public SimBackend {
  private:
   static constexpr std::uint32_t kNotActive = ~0u;
 
+  /// The loop behind run_steps and run_rounds: step until `max_steps`
+  /// activations ran or time_ reached `target_time`, whichever is first.
+  /// Plain configurations run in prefetching blocks over draws_; all others
+  /// call step().
+  void advance(std::uint64_t max_steps, double target_time);
   void sequential_step();
   void matching_step();
   void fire_round_hooks_if_due();
@@ -158,7 +164,7 @@ class Engine final : public SimBackend {
   const Protocol& protocol_;
   AgentPopulation pop_;
   Rng rng_;
-  // Bulk-draw buffer over rng_, consumed only by the plain run_steps loop.
+  // Bulk-draw buffer over rng_, consumed only by the plain advance() loop.
   // Invariant: every other draw site (step paths, hooks, bias) sees the
   // buffer flushed, so rng_ alone carries the stream there.
   BulkDraws draws_;

@@ -40,6 +40,7 @@
 #include "persist/replay_check.hpp"
 #include "persist/snapshot.hpp"
 #include "protocols/baselines.hpp"
+#include "server/protocol_registry.hpp"
 #include "support/rng.hpp"
 #include "support/serialize.hpp"
 
@@ -218,24 +219,49 @@ std::string snapshot_sans_counters(const SimBackend& backend) {
 
 TEST(MidBufferSnapshot, AgentEngineRestoresBitIdentically) {
   ClockFixture fx(2048);
-  Engine ref(fx.proto, fx.init, /*seed=*/7);
-  // The plain run_steps loop is the (only) buffered consumer; a step count
-  // that is no multiple of the refill size lands mid-buffer.
-  ref.run_steps(5001);
-  ASSERT_GT(ref.rng_buffer_pending(), 0u)
-      << "step count landed on a refill boundary; the test needs read-ahead";
-  const std::string snap = snapshot_bytes(ref);
-  const std::string sans = snapshot_sans_counters(ref);
+  // run_steps and run_rounds both draw through the bulk buffer (their shared
+  // plain loop); a step count or round length whose draws are no multiple of
+  // the refill size lands mid-buffer.
+  for (const bool by_rounds : {false, true}) {
+    Engine ref(fx.proto, fx.init, /*seed=*/7);
+    if (by_rounds)
+      ref.run_rounds(2.3);
+    else
+      ref.run_steps(5001);
+    ASSERT_GT(ref.rng_buffer_pending(), 0u)
+        << "landed on a refill boundary; the test needs read-ahead";
+    const std::string snap = snapshot_bytes(ref);
+    const std::string sans = snapshot_sans_counters(ref);
 
-  Engine res(fx.proto, fx.init, /*seed=*/99);  // diverged target
-  res.run_steps(1234);
-  restore_bytes(res, snap);
-  EXPECT_EQ(snapshot_sans_counters(res), sans);
+    Engine res(fx.proto, fx.init, /*seed=*/99);  // diverged target
+    res.run_steps(1234);
+    restore_bytes(res, snap);
+    EXPECT_EQ(snapshot_sans_counters(res), sans) << "by_rounds=" << by_rounds;
 
-  ref.run_steps(4321);
-  res.run_steps(4321);
-  EXPECT_EQ(snapshot_sans_counters(res), snapshot_sans_counters(ref));
-  EXPECT_EQ(res.species(), ref.species());
+    ref.run_steps(4321);
+    res.run_steps(4321);
+    ref.run_rounds(1.7);
+    res.run_rounds(1.7);
+    EXPECT_EQ(snapshot_sans_counters(res), snapshot_sans_counters(ref))
+        << "by_rounds=" << by_rounds;
+    EXPECT_EQ(res.species(), ref.species());
+  }
+}
+
+TEST(SnapshotBytes, AgentRunRoundsPinnedAcrossVersions) {
+  // The CRC of the whole agent snapshot after a fixed run_rounds call. The
+  // values were printed by builds whose run_rounds was a plain step() loop,
+  // so a change to the loop that moves any trajectory, counter or snapshot
+  // byte fails here.
+  const std::pair<const char*, std::uint32_t> pins[] = {
+      {"approx_majority", 0x7c83ce41u}, {"phase_clock", 0x339e6cf9u}};
+  for (const auto& [name, crc] : pins) {
+    const auto inst = make_protocol_instance(name, 4099);
+    ASSERT_NE(inst, nullptr) << name;
+    const auto eng = make_backend_instance("agent", *inst, /*seed=*/1);
+    eng->run_rounds(3.0);
+    EXPECT_EQ(crc32(snapshot_bytes(*eng)), crc) << name;
+  }
 }
 
 TEST(MidBufferSnapshot, BatchEngineRestoresBitIdentically) {

@@ -1,8 +1,9 @@
-// Kernel equivalence tests (ISSUE 2): the memoized transition kernel must be
-// a pure performance change — cached and uncached paths map every draw to the
-// same result, so engines follow bit-identical trajectories from the same
-// seed, with every special-cased fast path (sample_indexed, the sidx_ shadow,
-// run_steps' prefetch pipeline, the cap fallback) exercised explicitly.
+// Kernel equivalence tests: the memoized transition kernel must be a pure
+// performance change — cached and uncached paths map every draw to the same
+// result, so engines follow bit-identical trajectories from the same seed,
+// with every special-cased fast path (sample_indexed, the sidx_ shadow, the
+// prefetching block loop behind run_steps and run_rounds, the cap fallback)
+// exercised explicitly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -197,8 +198,9 @@ TEST(EngineEquivalence, MatchingTrajectoriesBitIdentical) {
 }
 
 TEST(EngineEquivalence, RunStepsMatchesStepLoop) {
-  // run_steps takes a specialized pipelined path when cached + sequential;
-  // it must consume the RNG in the same order as k plain step() calls.
+  // run_steps and run_rounds share one block loop when cached + sequential;
+  // it must consume the RNG in the same order as plain step() calls and
+  // stop exactly where the step loop stops.
   const Fixture f = phase_clock_fixture(256);
   Engine batched(f.proto, f.init, /*seed=*/22);
   Engine stepped(f.proto, f.init, /*seed=*/22);
@@ -206,6 +208,41 @@ TEST(EngineEquivalence, RunStepsMatchesStepLoop) {
     batched.run_steps(k);
     for (std::uint64_t s = 0; s < k; ++s) stepped.step();
     expect_identical(batched, stepped, "run_steps");
+  }
+
+  // run_rounds against `while (rounds() < target) step()` on an odd n, where
+  // 1/n is inexact and the last step of a call lands past the target; a
+  // 1e-9-round call must still take one step. The crashed-agent and
+  // drop-hook engines run the step() fallback under the same stop rule.
+  const Fixture odd = phase_clock_fixture(257);
+  enum class Config { kPlain, kCrashed, kDropHook };
+  for (const Config config :
+       {Config::kPlain, Config::kCrashed, Config::kDropHook}) {
+    Engine looped(odd.proto, odd.init, /*seed=*/26);
+    Engine reference(odd.proto, odd.init, /*seed=*/26);
+    for (Engine* e : {&looped, &reference}) {
+      if (config == Config::kCrashed) e->crash_agent(5);
+      if (config == Config::kDropHook) {
+        InjectionHook hook;
+        hook.drop_interaction = [](Rng& r) { return r.chance(0.25); };
+        e->set_injection_hook(std::move(hook));
+      }
+    }
+    for (const double r : {0.3, 1.0, 2.5, 1e-9}) {
+      const std::uint64_t before = looped.interactions();
+      looped.run_rounds(r);
+      const double target = reference.rounds() + r;
+      while (reference.rounds() < target) reference.step();
+      expect_identical(looped, reference, "run_rounds");
+      EXPECT_EQ(looped.rounds(), reference.rounds()) << "bitwise time";
+      EXPECT_GT(looped.interactions(), before);
+      looped.run_steps(1'001);
+      for (int s = 0; s < 1'001; ++s) reference.step();
+      expect_identical(looped, reference, "run_steps between run_rounds");
+    }
+    EXPECT_TRUE(looped.rng() == reference.rng())
+        << rng_state_hex(looped.rng()) << " vs "
+        << rng_state_hex(reference.rng());
   }
 }
 
