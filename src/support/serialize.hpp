@@ -3,13 +3,15 @@
 // Everything durable this library writes — engine snapshots, fault-schedule
 // state, auto-checkpoints — is framed with these three pieces:
 //
-//  * crc32(): the IEEE 802.3 polynomial, table-driven; every snapshot
-//    section carries the checksum of its payload so bit rot and truncation
-//    are detected before any state is touched.
+//  * crc32(): the IEEE 802.3 polynomial, table-driven (slicing-by-8); every
+//    snapshot section carries the checksum of its payload so bit rot and
+//    truncation are detected before any state is touched.
 //  * BinWriter: append-only little-endian encoder into a std::string buffer.
-//    Doubles are serialized as their IEEE-754 bit patterns, so a restored
-//    engine resumes from the *exact* accumulated parallel time — replay is
-//    bit-identical, not approximately-equal.
+//    Words and word vectors are copied in native byte order, which the
+//    static_assert below pins to little-endian. Doubles are serialized as
+//    their IEEE-754 bit patterns, so a restored engine resumes from the
+//    *exact* accumulated parallel time — replay is bit-identical, not
+//    approximately-equal.
 //  * BinReader: bounds-checked decoder over a byte buffer. Every read that
 //    would run past the end throws SnapshotError{kTruncated}; nothing is
 //    ever silently zero-filled.
@@ -21,6 +23,7 @@
 // commit only after the whole stream validated.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -28,6 +31,10 @@
 #include <vector>
 
 namespace popproto {
+
+// The codec copies native words; the format on disk is little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "BinWriter/BinReader and crc32 assume a little-endian host");
 
 /// Why a snapshot could not be read. Carried by SnapshotError.
 enum class SnapshotErrc {
@@ -78,20 +85,20 @@ class BinWriter {
     u64(s.size());
     out_.append(s);
   }
-  void u64_vec(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    for (const std::uint64_t x : v) u64(x);
-  }
-  void u32_vec(const std::vector<std::uint32_t>& v) {
-    u64(v.size());
-    for (const std::uint32_t x : v) u32(x);
-  }
+  /// Element count, then the elements as one append.
+  void u64_vec(const std::vector<std::uint64_t>& v) { vec(v); }
+  void u32_vec(const std::vector<std::uint32_t>& v) { vec(v); }
 
   std::size_t bytes_written() const { return out_.size(); }
 
  private:
   void append(const void* p, std::size_t len) {
     out_.append(static_cast<const char*>(p), len);
+  }
+  template <typename T>
+  void vec(const std::vector<T>& v) {
+    u64(v.size());
+    append(v.data(), v.size() * sizeof(T));
   }
   std::string& out_;
 };
@@ -133,18 +140,9 @@ class BinReader {
     p_ += len;
     return s;
   }
-  std::vector<std::uint64_t> u64_vec() {
-    const std::uint64_t len = checked_count(8);
-    std::vector<std::uint64_t> v(static_cast<std::size_t>(len));
-    for (auto& x : v) x = u64();
-    return v;
-  }
-  std::vector<std::uint32_t> u32_vec() {
-    const std::uint64_t len = checked_count(4);
-    std::vector<std::uint32_t> v(static_cast<std::size_t>(len));
-    for (auto& x : v) x = u32();
-    return v;
-  }
+  /// Element count, then the elements as one copy.
+  std::vector<std::uint64_t> u64_vec() { return vec<std::uint64_t>(); }
+  std::vector<std::uint32_t> u32_vec() { return vec<std::uint32_t>(); }
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   bool at_end() const { return p_ == end_; }
@@ -159,6 +157,13 @@ class BinReader {
     need(len);
     std::memcpy(out, p_, len);
     p_ += len;
+  }
+  template <typename T>
+  std::vector<T> vec() {
+    std::vector<T> v(static_cast<std::size_t>(checked_count(sizeof(T))));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (!v.empty()) take(v.data(), v.size() * sizeof(T));
+    return v;
   }
   /// Read an element count and verify count * elem_size fits in what is
   /// left, so corrupted lengths fail loudly instead of allocating wildly.

@@ -508,6 +508,68 @@ TEST(Serialization, CountersRoundTrip) {
   EXPECT_EQ(d.cache_hits, c.cache_hits);
 }
 
+// Reference for crc32's slicing-by-8 loop: the textbook reflected CRC-32,
+// one byte per step and one bit at a time within it.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Serialization, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(crc32(std::string()), 0u);
+  EXPECT_EQ(crc32(std::string("123456789")), 0xCBF43926u);  // IEEE check
+
+  std::mt19937_64 gen(17);
+  std::vector<unsigned char> buf((1u << 20) + 8);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(gen());
+  // Every tail length of the 8-byte loop, at every alignment.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+  EXPECT_EQ(crc32(buf.data(), 1u << 20), crc32_bitwise(buf.data(), 1u << 20));
+}
+
+TEST(Serialization, WordVectorsRoundTripWithExactLayout) {
+  // Layout: u64 element count, then the elements little-endian, packed.
+  const auto expected_bytes = [](const auto& v) {
+    std::string out;
+    const auto put = [&out](std::uint64_t x, int width) {
+      for (int b = 0; b < width; ++b)
+        out.push_back(static_cast<char>((x >> (8 * b)) & 0xFFu));
+    };
+    put(v.size(), 8);
+    for (const auto x : v) put(x, static_cast<int>(sizeof x));
+    return out;
+  };
+  std::mt19937_64 gen(18);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{65'536}}) {
+    std::vector<std::uint64_t> wide(n);
+    std::vector<std::uint32_t> narrow(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      wide[i] = gen();
+      narrow[i] = static_cast<std::uint32_t>(gen());
+    }
+    std::string bytes;
+    BinWriter w(bytes);
+    w.u64_vec(wide);
+    w.u32_vec(narrow);
+    EXPECT_EQ(bytes, expected_bytes(wide) + expected_bytes(narrow))
+        << "n=" << n;
+
+    BinReader r(bytes);
+    EXPECT_EQ(r.u64_vec(), wide) << "n=" << n;
+    EXPECT_EQ(r.u32_vec(), narrow) << "n=" << n;
+    EXPECT_TRUE(r.at_end());
+  }
+}
+
 TEST(Serialization, FaultPlanRoundTrip) {
   // One event of every kind, exercising every spec payload: palettes,
   // masks, Bernoulli windows, rejoin-all, and a bias window with a compiled
