@@ -152,7 +152,7 @@ std::string rng_state_hex(const Rng& rng);
 /// Buffered word stream over a caller-owned Rng (DESIGN.md §13).
 ///
 /// Draw primitives pull 64-bit words from a private buffer refilled
-/// `capacity` words at a time via Rng::fill_u64, consuming the exact word
+/// kWords words at a time via Rng::fill_u64, consuming the exact word
 /// sequence the unbuffered primitives would — so a BulkDraws-backed loop
 /// follows a bit-identical trajectory, it just refills in bulk instead of
 /// advancing the generator once per draw.
@@ -167,10 +167,10 @@ std::string rng_state_hex(const Rng& rng);
 /// contract tests/persist_test.cpp pins on every backend.
 class BulkDraws {
  public:
-  /// Default refill size in words. Overridden per-process by the
-  /// POPPROTO_RNG_BUFFER environment knob (clamped to [16, 65536]; see
-  /// docs/TUNING.md), read once at first use.
-  static constexpr std::size_t kDefaultWords = 1024;
+  /// Refill size in words. Larger buffers measured no faster
+  /// (docs/TUNING.md); a mid-buffer snapshot replays at most this many
+  /// words to recover the logical state.
+  static constexpr std::size_t kWords = 1024;
 
   BulkDraws() = default;
 
