@@ -115,6 +115,30 @@ TEST(EngineCounters, CachedAndUncachedAgreeOnEffectiveSteps) {
   EXPECT_EQ(uncached.cache_builds, 0u);
 }
 
+TEST(EngineCounters, DetailedTierCountsEveryCachedResolve) {
+  // The detailed tier (POPPROTO_PROFILE) counts each cached resolve as a
+  // hit or a fallback, so on a plain cached engine the two sum to the
+  // interactions, whichever entry point ran the block loop. Without the
+  // tier, hits are never counted.
+  auto vars = make_var_space();
+  const Protocol p = make_approximate_majority_protocol(vars);
+  const State a = var_bit(*vars->find("BA"));
+  const State b = var_bit(*vars->find("BB"));
+  std::vector<State> init(513);
+  for (std::size_t i = 0; i < init.size(); ++i) init[i] = i < 300 ? a : b;
+  Engine eng(p, std::move(init), /*seed=*/98);
+  eng.run_steps(5'000);
+  eng.run_rounds(3.5);
+  const EngineCounters c = eng.counters();
+  ASSERT_GT(c.interactions, 5'000u);
+  if (Profiler::compiled_in()) {
+    EXPECT_EQ(c.cache_hits + c.cache_fallbacks, c.interactions);
+    EXPECT_GT(c.cache_hits, 0u);
+  } else {
+    EXPECT_EQ(c.cache_hits, 0u);
+  }
+}
+
 TEST(EngineCounters, RunUntilPushesConvergenceEvent) {
   auto vars = make_var_space();
   const Protocol p = make_approximate_majority_protocol(vars);
