@@ -6,6 +6,7 @@
 
 #include "support/check.hpp"
 #include "support/simd.hpp"
+#include "support/stirling.hpp"
 
 namespace popproto {
 
@@ -273,15 +274,8 @@ std::uint64_t hypergeometric_hrua(Rng& rng, std::uint64_t good,
 }  // namespace
 
 double log_factorial(std::uint64_t k) {
-  if (k < kLogFactTableSize) return log_fact_table()[k];
-  // Stirling series for log Gamma(x+1), large x: error < 1e-11.
-  const double x = static_cast<double>(k);
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  const double series =
-      inv / 12.0 - inv * inv2 / 360.0 + inv * inv2 * inv2 / 1260.0;
-  constexpr double kHalfLog2Pi = 0.9189385332046727;  // log(2 pi) / 2
-  return (x + 0.5) * std::log(x) - x + kHalfLog2Pi + series;
+  return k < kLogFactTableSize ? log_fact_table()[k]
+                               : log_factorial_stirling(k);
 }
 
 void log_factorial_batch(const std::uint64_t* k, double* out, std::size_t n) {
@@ -366,33 +360,6 @@ void sample_multinomial(Rng& rng, std::uint64_t n, const double* p,
   if (k > 0) out[k - 1] = n;
 }
 
-namespace {
-
-// log(m! / (m-k)!), the falling-factorial mass the collision survival
-// function needs. Subtracting two log_factorial values loses absolute
-// precision proportional to m log m — at m ~ 2^27 the ~2.4e9-magnitude
-// terms cancel to an error near 1e-6, enough to drive log S(1) below zero
-// at m == n, an impossible "collision before the first interaction" whose
-// zero-touched-agent aftermath corrupts the batch pools. Expanding the
-// Stirling difference keeps every term O(k log m), so the absolute error
-// stays near 1e-10 at any population scale.
-double log_falling_factorial(std::uint64_t m, std::uint64_t k) {
-  const std::uint64_t r = m - k;
-  if (r < kLogFactTableSize) return log_factorial(m) - log_factorial(r);
-  const double md = static_cast<double>(m);
-  const double kd = static_cast<double>(k);
-  const double rd = static_cast<double>(r);
-  const double lr = -std::log1p(-kd / md);  // log(m / (m-k)), no cancel
-  const auto series = [](double x) {
-    const double inv = 1.0 / x;
-    const double inv2 = inv * inv;
-    return inv / 12.0 - inv * inv2 / 360.0 + inv * inv2 * inv2 / 1260.0;
-  };
-  return (rd + 0.5) * lr + kd * std::log(md) - kd + series(md) - series(rd);
-}
-
-}  // namespace
-
 std::uint64_t sample_collision_run(Rng& rng, std::uint64_t n, std::uint64_t m,
                                    std::uint64_t lmax, bool* collided) {
   POPPROTO_DCHECK(n >= 2 && m <= n);
@@ -401,29 +368,104 @@ std::uint64_t sample_collision_run(Rng& rng, std::uint64_t n, std::uint64_t m,
     *collided = true;  // not even one collision-free interaction possible
     return 0;
   }
-  // log S(l) = log m! - log (m-2l)! - l log(n(n-1)); S is the survival
-  // function of the first-collision time. Invert S(L) >= U > S(L+1) by
-  // binary search on the (monotone) log survival.
-  const double log_pairs = std::log(static_cast<double>(n)) +
-                           std::log(static_cast<double>(n - 1));
+  // log S(l) = log(m! / (m-2l)!) - l log(n(n-1)); S is the survival
+  // function of the first-collision time. The terms that do not depend on
+  // l are evaluated once, here.
+  //
+  // The falling factorial is not a difference of two log_factorial values
+  // once m - 2l leaves the table: that loses absolute precision
+  // proportional to m log m — at m ~ 2^27 the ~2.4e9-magnitude terms cancel
+  // to an error near 1e-6, enough to drive log S(1) below zero at m == n,
+  // an impossible "collision before the first interaction" whose
+  // zero-touched-agent aftermath corrupts the batch pools. Expanding the
+  // Stirling difference keeps every term O(l log m), so the absolute error
+  // stays near 1e-10 at any population scale.
+  const double md = static_cast<double>(m);
+  const double log_m = std::log(md);
+  const double log_n = std::log(static_cast<double>(n));
+  const double log_pairs = log_n + std::log(static_cast<double>(n - 1));
+  const double series_m = stirling_series(md);
+  const double log_fact_m =  // read only where m - 2l is a table entry
+      m - 2 * lmax < kLogFactTableSize ? log_factorial(m) : 0.0;
+  const double* table = log_fact_table();
   const auto log_survival = [&](std::uint64_t l) {
-    return log_falling_factorial(m, 2 * l) -
-           static_cast<double>(l) * log_pairs;
+    const std::uint64_t k = 2 * l;
+    const std::uint64_t r = m - k;
+    double log_falling;
+    if (r < kLogFactTableSize) {
+      log_falling = log_fact_m - table[r];
+    } else {
+      const double kd = static_cast<double>(k);
+      const double rd = static_cast<double>(r);
+      const double lr = -std::log1p(-kd / md);  // log(m / (m-k)), no cancel
+      log_falling = (rd + 0.5) * lr + kd * log_m - kd + series_m -
+                    stirling_series(rd);
+    }
+    return log_falling - static_cast<double>(l) * log_pairs;
   };
   const double lu = std::log(1.0 - rng.uniform());  // log U, U in (0, 1]
-  if (log_survival(lmax) >= lu) {
-    *collided = false;  // the run outlives the truncation bound
-    return lmax;
+  const auto collided_by = [&](std::uint64_t l) {
+    return log_survival(l) < lu;
+  };
+
+  // Invert S(L) >= U > S(L+1): find the smallest l in [1, lmax] with
+  // log S(l) < lu (the run length is l - 1), or learn that none exists
+  // (the run outlives the truncation bound). [lo, hi] brackets it: no
+  // collision by lo - 1, a collision by hi, where hi = lmax + 1 stands for
+  // "none within the bound" and is never evaluated. Any search that keeps
+  // such a bracket on the monotone log S returns what bisecting [1, lmax]
+  // returns; this one starts at the root of the second-order expansion
+  //   log S(l) ~ 2l log(m/n) - 2l^2/m,
+  // which is the answer or one below it nearly always, so two probes
+  // close the bracket. Galloping outward from there, then bisecting, keeps
+  // the worst case within about twice bisection's probe count.
+  std::uint64_t lo = 1, hi = lmax + 1;
+  const double a = log_m - log_n;  // log(m/n) <= 0
+  const double c = -2.0 * lu / md;
+  // -lu / (sqrt(a^2 + c) - a) is the positive root (m/2)(a + sqrt(a^2 + c))
+  // without its cancellation; NaN at lu == 0 == a, which starts at l = 1.
+  const double root = -lu / (std::sqrt(a * a + c) - a);
+  std::uint64_t start = 1;
+  if (root >= static_cast<double>(lmax)) {
+    start = lmax;
+  } else if (root >= 1.0) {
+    start = static_cast<std::uint64_t>(root) + 1;
   }
-  // Smallest l in [1, lmax] with log S(l) < lu; the run length is l - 1.
-  std::uint64_t lo = 1, hi = lmax;
+  std::uint64_t step = 1;
+  if (collided_by(start)) {
+    hi = start;
+    while (hi - lo >= step) {
+      const std::uint64_t probe = hi - step;
+      if (!collided_by(probe)) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+      step *= 2;
+    }
+  } else {
+    lo = start + 1;
+    while (hi - lo >= step) {
+      const std::uint64_t probe = lo - 1 + step;
+      if (collided_by(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+      step *= 2;
+    }
+  }
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (log_survival(mid) < lu) {
+    if (collided_by(mid)) {
       hi = mid;
     } else {
       lo = mid + 1;
     }
+  }
+  if (lo > lmax) {
+    *collided = false;  // the run outlives the truncation bound
+    return lmax;
   }
   *collided = true;
   std::uint64_t run = lo - 1;

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/stirling.hpp"
+
 #if defined(__x86_64__) || defined(_M_X64)
 #define POPPROTO_SIMD_X86 1
 #include <immintrin.h>
@@ -45,18 +47,6 @@ std::uint64_t mask_below_bounds_scalar(const double* bounds,
   for (std::size_t i = 0; i < n; ++i)
     if (u[i] < bounds[off[i]]) mask |= std::uint64_t{1} << i;
   return mask;
-}
-
-// Stirling tail of log(k!), textually identical to pair_sampler.cpp's
-// log_factorial so both paths agree bit for bit above the table.
-double log_factorial_stirling(std::uint64_t k) {
-  const double x = static_cast<double>(k);
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  const double series =
-      inv / 12.0 - inv * inv2 / 360.0 + inv * inv2 * inv2 / 1260.0;
-  constexpr double kHalfLog2Pi = 0.9189385332046727;  // log(2 pi) / 2
-  return (x + 0.5) * std::log(x) - x + kHalfLog2Pi + series;
 }
 
 void log_factorial_fill_scalar(const double* table, std::size_t table_n,

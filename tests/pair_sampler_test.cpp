@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "support/rng.hpp"
 #include "support/stats.hpp"
+#include "support/stirling.hpp"
 
 namespace popproto {
 namespace {
@@ -228,35 +231,123 @@ TEST(PairSampler, MultinomialGofPerCategoryAndTotal) {
 }
 
 TEST(PairSampler, CollisionRunSurvivalGof) {
-  // Full-population case m = n: compare the empirical run-length histogram
-  // (uncapped within [0, lmax]) against P(L* = l) = S(l) - S(l+1),
-  // S(l) = m!/(m-2l)! / (n(n-1))^l.
+  // Compare the empirical run-length histogram (uncapped within [0, lmax])
+  // against P(L* = l) = S(l) - S(l+1), S(l) = m!/(m-2l)! / (n(n-1))^l: the
+  // full-population case m = n, and m = n/2, where the search's starting
+  // point has a nonzero log(m/n) term.
   Rng rng(21);
-  const std::uint64_t n = 64;
-  const std::uint64_t lmax = n / 2;
-  const std::size_t trials = 30000;
-  std::vector<double> observed(lmax + 1, 0.0);
-  for (std::size_t t = 0; t < trials; ++t) {
-    bool collided = false;
-    const std::uint64_t l = sample_collision_run(rng, n, n, lmax, &collided);
-    ASSERT_LE(l, lmax);
-    if (!collided) ASSERT_EQ(l, lmax);
-    ++observed[l];
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {{64, 64},
+                                                           {128, 64}};
+  for (const auto& [n, m] : cases) {
+    const std::uint64_t lmax = m / 2;
+    const std::size_t trials = 30000;
+    std::vector<double> observed(lmax + 1, 0.0);
+    for (std::size_t t = 0; t < trials; ++t) {
+      bool collided = false;
+      const std::uint64_t l = sample_collision_run(rng, n, m, lmax, &collided);
+      ASSERT_LE(l, lmax);
+      if (!collided) {
+        ASSERT_EQ(l, lmax);
+      }
+      ++observed[l];
+    }
+    const double log_pairs = std::log(static_cast<double>(n)) +
+                             std::log(static_cast<double>(n - 1));
+    const auto survival = [&](std::uint64_t l) {
+      return std::exp(log_factorial(m) - log_factorial(m - 2 * l) -
+                      static_cast<double>(l) * log_pairs);
+    };
+    std::vector<double> expected(lmax + 1, 0.0);
+    for (std::uint64_t l = 0; l < lmax; ++l)
+      expected[l] =
+          static_cast<double>(trials) * (survival(l) - survival(l + 1));
+    expected[lmax] = static_cast<double>(trials) * survival(lmax);
+    std::size_t dof = 0;
+    const double stat = chi_square_gof(observed, expected, &dof);
+    ASSERT_GE(dof, 1u) << "n=" << n << " m=" << m;
+    EXPECT_LT(stat, chi_square_critical_value(dof, 0.001))
+        << "n=" << n << " m=" << m;
   }
+}
+
+// sample_collision_run before its search started at the quadratic root:
+// one probe at lmax, then bisection over [1, lmax]. The rooted search must
+// return what this returns from the same stream. Its log survival mirrors
+// the sampler's term for term (table differences below kTableEdge, the
+// expanded Stirling difference above), so both compare the same doubles.
+constexpr std::uint64_t kTableEdge = 2048;  // pair_sampler.cpp's table size
+
+std::uint64_t bisected_collision_run(Rng& rng, std::uint64_t n,
+                                     std::uint64_t m, std::uint64_t lmax,
+                                     bool* collided) {
+  lmax = std::min(lmax, m / 2);
+  if (lmax == 0) {
+    *collided = true;
+    return 0;
+  }
+  const auto log_falling_factorial = [](std::uint64_t mm, std::uint64_t k) {
+    const std::uint64_t r = mm - k;
+    if (r < kTableEdge) return log_factorial(mm) - log_factorial(r);
+    const double md = static_cast<double>(mm);
+    const double kd = static_cast<double>(k);
+    const double rd = static_cast<double>(r);
+    const double lr = -std::log1p(-kd / md);
+    return (rd + 0.5) * lr + kd * std::log(md) - kd + stirling_series(md) -
+           stirling_series(rd);
+  };
   const double log_pairs = std::log(static_cast<double>(n)) +
                            std::log(static_cast<double>(n - 1));
-  const auto survival = [&](std::uint64_t l) {
-    return std::exp(log_factorial(n) - log_factorial(n - 2 * l) -
-                    static_cast<double>(l) * log_pairs);
+  const auto log_survival = [&](std::uint64_t l) {
+    return log_falling_factorial(m, 2 * l) -
+           static_cast<double>(l) * log_pairs;
   };
-  std::vector<double> expected(lmax + 1, 0.0);
-  for (std::uint64_t l = 0; l < lmax; ++l)
-    expected[l] = static_cast<double>(trials) * (survival(l) - survival(l + 1));
-  expected[lmax] = static_cast<double>(trials) * survival(lmax);
-  std::size_t dof = 0;
-  const double stat = chi_square_gof(observed, expected, &dof);
-  ASSERT_GE(dof, 1u);
-  EXPECT_LT(stat, chi_square_critical_value(dof, 0.001));
+  const double lu = std::log(1.0 - rng.uniform());
+  if (log_survival(lmax) >= lu) {
+    *collided = false;
+    return lmax;
+  }
+  std::uint64_t lo = 1, hi = lmax;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (log_survival(mid) < lu) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  *collided = true;
+  std::uint64_t run = lo - 1;
+  if (run == 0 && m == n) run = 1;
+  return run;
+}
+
+TEST(PairSampler, CollisionRunMatchesBisection) {
+  for (const std::uint64_t n : {std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{64}, std::uint64_t{4099},
+                                std::uint64_t{1} << 22,
+                                std::uint64_t{1} << 30}) {
+    for (const std::uint64_t m : {std::uint64_t{2}, n / 2, n - 1, n}) {
+      for (const std::uint64_t lmax :
+           {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{7}, m / 2}) {
+        if (lmax == 0) continue;  // m < 2: no interaction fits
+        for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+          Rng rooted(seed), bisected(seed);
+          bool rooted_collided = false, bisected_collided = false;
+          const std::uint64_t got =
+              sample_collision_run(rooted, n, m, lmax, &rooted_collided);
+          const std::uint64_t want =
+              bisected_collision_run(bisected, n, m, lmax, &bisected_collided);
+          ASSERT_EQ(got, want)
+              << "n=" << n << " m=" << m << " lmax=" << lmax
+              << " seed=" << seed;
+          ASSERT_EQ(rooted_collided, bisected_collided)
+              << "n=" << n << " m=" << m << " lmax=" << lmax
+              << " seed=" << seed;
+          ASSERT_EQ(rooted(), bisected()) << "Rng states diverged";
+        }
+      }
+    }
+  }
 }
 
 TEST(PairSampler, CollisionRunRespectsTruncation) {
