@@ -520,27 +520,16 @@ bool CountEngine::batch_step(double limit) {
         sample_collision_run(rng_, n_, m_total, budget - done, &collided);
     if (run > 0) {
       // Collision-free block of `run` ordered pairs over 2*run distinct
-      // untouched agents: initiator species counts are one multivariate
-      // hypergeometric draw; each initiator row's responders are a nested
-      // one from the pool with all initiators removed (exact by
-      // exchangeability of the without-replacement sequence).
-      sample_multivariate_hypergeometric(rng_, counts_, m_total, run,
-                                         bat_di_);
-      for (std::size_t i = 0; i < bat_di_.size(); ++i)
-        counts_[i] -= bat_di_[i];
-      m_total -= run;
-      const std::size_t rows = bat_di_.size();  // slots may grow mid-loop
-      for (std::size_t i = 0; i < rows; ++i) {
-        const std::uint64_t di = bat_di_[i];
-        if (di == 0) continue;
-        sample_multivariate_hypergeometric(rng_, counts_, m_total, di,
-                                           bat_row_);
-        m_total -= di;
-        const std::size_t cols = bat_row_.size();
-        for (std::size_t j = 0; j < cols; ++j) {
-          if (bat_row_[j] == 0) continue;
-          counts_[j] -= bat_row_[j];
-          batch_apply_pair(i, j, bat_row_[j]);
+      // untouched agents. deal_pair_table draws their species once from
+      // the untouched counts and deals the pair table from that pool, so
+      // only its first draw is at population scale.
+      const std::size_t s = counts_.size();  // slots may grow mid-loop
+      deal_pair_table(rng_, counts_, m_total, run, bat_pairs_);
+      m_total -= 2 * run;
+      for (std::size_t i = 0; i < s; ++i) {
+        for (std::size_t j = 0; j < s; ++j) {
+          const std::uint64_t k = bat_pairs_[i * s + j];
+          if (k > 0) batch_apply_pair(i, j, k);
         }
       }
       u_total += 2 * run;
@@ -887,8 +876,7 @@ void CountEngine::restore(std::istream& in) {
   events_.clear();  // derived; rebuild_events regenerates both
   cw_.clear();
   bat_touched_.clear();
-  bat_di_.clear();
-  bat_row_.clear();
+  bat_pairs_.clear();
   bat_out_.clear();
   bat_gap_.clear();
   bat_ores_.clear();

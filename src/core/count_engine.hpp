@@ -266,8 +266,7 @@ class CountEngine final : public SimBackend {
   // members so steady-state batches allocate nothing).
   std::uint64_t batch_size_ = 0;
   std::vector<std::uint64_t> bat_touched_;
-  std::vector<std::uint64_t> bat_di_;
-  std::vector<std::uint64_t> bat_row_;
+  std::vector<std::uint64_t> bat_pairs_;  // S x S ordered species pairs
   std::vector<std::uint64_t> bat_out_;
   std::vector<double> bat_gap_;          // change-category masses
   std::vector<PairOutcome> bat_ores_;    // outcome snapshot (view-safe)

@@ -12,13 +12,15 @@ namespace popproto {
 
 namespace {
 
-// log k! for k < kLogFactTableSize, built once at first use. The size covers
-// every batch-scale argument (run lengths, per-pair counts, draws) so the
-// mode-pmf evaluations in the samplers below pay a table load instead of a
-// Stirling evaluation for those; population-scale arguments still take the
-// series path. Accumulated in long double so the summation error stays below
-// the Stirling tail truncation (~1e-11).
-constexpr std::size_t kLogFactTableSize = 2048;
+// log k! for k < kLogFactTableSize, built once at first use. A kBatch block
+// deals its participants from one population-scale draw; every later draw is
+// over that pool of at most 4 sqrt(n) agents (two per interaction, at most
+// the auto cap of 2 sqrt(n) interactions), so up to n = 2^24 per engine its
+// pmf evaluations are table loads instead of Stirling logs. Population-scale
+// arguments take the series path. 2^14 doubles are 128 KiB. Accumulated in
+// long double so the summation error stays below the Stirling tail
+// truncation (~1e-11).
+constexpr std::size_t kLogFactTableSize = std::size_t{1} << 14;
 
 const double* log_fact_table() {
   static const std::array<double, kLogFactTableSize> table = [] {
@@ -320,15 +322,16 @@ std::uint64_t sample_hypergeometric(Rng& rng, std::uint64_t good,
   return hypergeometric_hrua(rng, good, bad, sample);
 }
 
-void sample_multivariate_hypergeometric(Rng& rng,
-                                        const std::vector<std::uint64_t>& counts,
-                                        std::uint64_t total,
-                                        std::uint64_t draws,
-                                        std::vector<std::uint64_t>& out) {
+namespace {
+
+// Multivariate hypergeometric over counts[0..k) into out[0..k), which the
+// caller has zeroed.
+void multivariate_hypergeometric(Rng& rng, const std::uint64_t* counts,
+                                 std::size_t k, std::uint64_t total,
+                                 std::uint64_t draws, std::uint64_t* out) {
   POPPROTO_DCHECK(draws <= total);
-  out.assign(counts.size(), 0);
   std::uint64_t remaining = total;
-  for (std::size_t i = 0; i < counts.size() && draws > 0; ++i) {
+  for (std::size_t i = 0; i < k && draws > 0; ++i) {
     if (counts[i] == 0) continue;
     if (counts[i] == remaining) {  // only this species left: forced draw
       out[i] = draws;
@@ -341,6 +344,51 @@ void sample_multivariate_hypergeometric(Rng& rng,
     remaining -= counts[i];
   }
   POPPROTO_DCHECK(draws == 0);
+}
+
+}  // namespace
+
+void sample_multivariate_hypergeometric(Rng& rng,
+                                        const std::vector<std::uint64_t>& counts,
+                                        std::uint64_t total,
+                                        std::uint64_t draws,
+                                        std::vector<std::uint64_t>& out) {
+  out.assign(counts.size(), 0);
+  multivariate_hypergeometric(rng, counts.data(), counts.size(), total, draws,
+                              out.data());
+}
+
+void deal_pair_table(Rng& rng, std::vector<std::uint64_t>& counts,
+                     std::uint64_t total, std::uint64_t pairs,
+                     std::vector<std::uint64_t>& table) {
+  POPPROTO_DCHECK(2 * pairs <= total);
+  const std::size_t s = counts.size();
+  thread_local std::vector<std::uint64_t> pool, initiators;
+  pool.assign(s, 0);
+  initiators.assign(s, 0);
+  table.assign(s * s, 0);
+  // The 2 * pairs participants are a sample drawn without replacement, in
+  // uniformly random order. Their species are the block's one draw at
+  // population scale.
+  multivariate_hypergeometric(rng, counts.data(), s, total, 2 * pairs,
+                              pool.data());
+  for (std::size_t i = 0; i < s; ++i) counts[i] -= pool[i];
+  // The initiators are a uniformly random half of the pool; the rest
+  // respond.
+  multivariate_hypergeometric(rng, pool.data(), s, 2 * pairs, pairs,
+                              initiators.data());
+  for (std::size_t i = 0; i < s; ++i) pool[i] -= initiators[i];
+  // Responders meet initiators in uniformly random order: each initiator
+  // row draws its partners from the responders not yet paired.
+  std::uint64_t unpaired = pairs;
+  for (std::size_t i = 0; i < s; ++i) {
+    if (initiators[i] == 0) continue;
+    std::uint64_t* row = table.data() + i * s;
+    multivariate_hypergeometric(rng, pool.data(), s, unpaired, initiators[i],
+                                row);
+    for (std::size_t j = 0; j < s; ++j) pool[j] -= row[j];
+    unpaired -= initiators[i];
+  }
 }
 
 void sample_multinomial(Rng& rng, std::uint64_t n, const double* p,

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,10 @@
 
 namespace popproto {
 namespace {
+
+// Size of pair_sampler.cpp's log-factorial table: log_factorial(k) is a
+// table load below it and Stirling's series from it on.
+constexpr std::uint64_t kTableEdge = std::uint64_t{1} << 14;
 
 // Exact log pmf helpers for building expected counts.
 double log_binomial_pmf(std::uint64_t n, double p, std::uint64_t k) {
@@ -37,6 +42,15 @@ TEST(PairSampler, LogFactorialMatchesDirectSum) {
   for (std::uint64_t k = 1; k <= 200; ++k) {
     acc += std::log(static_cast<double>(k));
     EXPECT_NEAR(log_factorial(k), acc, 1e-8 * std::max(1.0, acc)) << k;
+  }
+  // Both sides of the table edge, where log_factorial switches from table
+  // loads to Stirling's series.
+  long double sum = 0.0L;
+  for (std::uint64_t k = 1; k <= kTableEdge + 64; ++k) {
+    sum += std::log(static_cast<long double>(k));
+    if (k + 64 < kTableEdge) continue;
+    const double want = static_cast<double>(sum);
+    EXPECT_NEAR(log_factorial(k), want, 1e-10 * want) << k;
   }
 }
 
@@ -199,6 +213,70 @@ TEST(PairSampler, MultivariateHypergeometricMarginalsAndTotal) {
   EXPECT_LT(stat, chi_square_critical_value(dof, 0.001));
 }
 
+// The law deal_pair_table must sample: draw 2l agents one at a time without
+// replacement and pair them in draw order. Enumerates every species
+// sequence of the 2l draws with its probability and adds it to the pmf of
+// the S x S pair table it produces.
+void add_sequential_pair_tables(std::vector<std::uint64_t>& counts,
+                                std::uint64_t remaining, std::uint64_t draws,
+                                std::vector<std::uint64_t>& table,
+                                std::size_t initiator, double p,
+                                std::map<std::vector<std::uint64_t>, double>&
+                                    pmf) {
+  if (draws == 0) {
+    pmf[table] += p;
+    return;
+  }
+  const std::size_t s = counts.size();
+  const bool responder = draws % 2 == 1;
+  for (std::size_t i = 0; i < s; ++i) {
+    if (counts[i] == 0) continue;
+    const double q = static_cast<double>(counts[i]) /
+                     static_cast<double>(remaining);
+    --counts[i];
+    if (responder) ++table[initiator * s + i];
+    add_sequential_pair_tables(counts, remaining - 1, draws - 1, table,
+                               responder ? 0 : i, p * q, pmf);
+    if (responder) --table[initiator * s + i];
+    ++counts[i];
+  }
+}
+
+TEST(PairSampler, DealtPairTableMatchesSequentialDraws) {
+  const std::vector<std::uint64_t> counts = {6, 4, 3};
+  const std::uint64_t total = 13, pairs = 4;
+  std::map<std::vector<std::uint64_t>, double> pmf;
+  std::vector<std::uint64_t> urn = counts, table(counts.size() * counts.size());
+  add_sequential_pair_tables(urn, total, 2 * pairs, table, 0, 1.0, pmf);
+
+  Rng rng(24);
+  const std::size_t trials = 100000;
+  std::map<std::vector<std::uint64_t>, double> seen;
+  for (std::size_t t = 0; t < trials; ++t) {
+    std::vector<std::uint64_t> left = counts;
+    deal_pair_table(rng, left, total, pairs, table);
+    // The dealt participants leave `counts`: species i loses its row and
+    // column sums.
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      std::uint64_t dealt = 0;
+      for (std::size_t j = 0; j < counts.size(); ++j)
+        dealt += table[i * counts.size() + j] + table[j * counts.size() + i];
+      ASSERT_EQ(left[i] + dealt, counts[i]) << "species " << i;
+    }
+    ASSERT_TRUE(pmf.count(table)) << "a table sequential draws cannot make";
+    ++seen[table];
+  }
+  std::vector<double> observed, expected;
+  for (const auto& [tab, p] : pmf) {
+    observed.push_back(seen.count(tab) ? seen[tab] : 0.0);
+    expected.push_back(static_cast<double>(trials) * p);
+  }
+  std::size_t dof = 0;
+  const double stat = chi_square_gof(observed, expected, &dof);
+  ASSERT_GE(dof, 10u);
+  EXPECT_LT(stat, chi_square_critical_value(dof, 0.001)) << "dof=" << dof;
+}
+
 TEST(PairSampler, MultinomialGofPerCategoryAndTotal) {
   Rng rng(20);
   const std::vector<double> p = {0.05, 0.55, 0.4};
@@ -275,7 +353,6 @@ TEST(PairSampler, CollisionRunSurvivalGof) {
 // return what this returns from the same stream. Its log survival mirrors
 // the sampler's term for term (table differences below kTableEdge, the
 // expanded Stirling difference above), so both compare the same doubles.
-constexpr std::uint64_t kTableEdge = 2048;  // pair_sampler.cpp's table size
 
 std::uint64_t bisected_collision_run(Rng& rng, std::uint64_t n,
                                      std::uint64_t m, std::uint64_t lmax,

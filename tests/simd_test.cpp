@@ -135,7 +135,8 @@ TEST(SimdKernels, LogFactorialFillMatchesPairSamplerScalar) {
   std::vector<std::uint64_t> k;
   // Straddle the table/Stirling boundary and span population-scale args.
   for (std::uint64_t v : {0ull, 1ull, 2ull, 2046ull, 2047ull, 2048ull,
-                          2049ull, 100000ull, (1ull << 30), (1ull << 44)})
+                          2049ull, 16382ull, 16383ull, 16384ull, 16385ull,
+                          100000ull, (1ull << 30), (1ull << 44)})
     k.push_back(v);
   for (int i = 0; i < 200; ++i) k.push_back(rng.below(1ull << 40));
   std::vector<double> got(k.size());
