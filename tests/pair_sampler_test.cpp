@@ -213,6 +213,9 @@ TEST(PairSampler, MultivariateHypergeometricMarginalsAndTotal) {
   EXPECT_LT(stat, chi_square_critical_value(dof, 0.001));
 }
 
+// A weight per S x S pair table: its probability, or how often it was drawn.
+using PairTableWeights = std::map<std::vector<std::uint64_t>, double>;
+
 // The law deal_pair_table must sample: draw 2l agents one at a time without
 // replacement and pair them in draw order. Enumerates every species
 // sequence of the 2l draws with its probability and adds it to the pmf of
@@ -221,8 +224,7 @@ void add_sequential_pair_tables(std::vector<std::uint64_t>& counts,
                                 std::uint64_t remaining, std::uint64_t draws,
                                 std::vector<std::uint64_t>& table,
                                 std::size_t initiator, double p,
-                                std::map<std::vector<std::uint64_t>, double>&
-                                    pmf) {
+                                PairTableWeights& pmf) {
   if (draws == 0) {
     pmf[table] += p;
     return;
@@ -245,13 +247,13 @@ void add_sequential_pair_tables(std::vector<std::uint64_t>& counts,
 TEST(PairSampler, DealtPairTableMatchesSequentialDraws) {
   const std::vector<std::uint64_t> counts = {6, 4, 3};
   const std::uint64_t total = 13, pairs = 4;
-  std::map<std::vector<std::uint64_t>, double> pmf;
+  PairTableWeights pmf;
   std::vector<std::uint64_t> urn = counts, table(counts.size() * counts.size());
   add_sequential_pair_tables(urn, total, 2 * pairs, table, 0, 1.0, pmf);
 
   Rng rng(24);
   const std::size_t trials = 100000;
-  std::map<std::vector<std::uint64_t>, double> seen;
+  PairTableWeights seen;
   for (std::size_t t = 0; t < trials; ++t) {
     std::vector<std::uint64_t> left = counts;
     deal_pair_table(rng, left, total, pairs, table);
