@@ -23,8 +23,9 @@
 
 namespace popproto {
 
-/// log(k!) — Stirling series above a small exact table. Accurate to ~1e-10,
-/// thread-safe (no signgam global, unlike lgamma on glibc).
+/// log(k!) — an exact table below 2^14, Stirling's series above it.
+/// Accurate to ~1e-10, thread-safe (no signgam global, unlike lgamma on
+/// glibc).
 double log_factorial(std::uint64_t k);
 
 /// Batched log(k!): out[i] = log_factorial(k[i]) for i in [0, n). Same table
