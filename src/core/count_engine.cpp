@@ -12,9 +12,7 @@
 namespace popproto {
 
 namespace {
-constexpr std::uint64_t kAutoWindow = 512;
-constexpr double kSwitchToSkipBelow = 0.08;
-constexpr double kSwitchToDirectAbove = 0.25;
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
 
 // kBatch's hand-off between blocks and skip-ahead (DESIGN.md §9). A block
 // costs the same whether or not its ~0.63 sqrt(n) interactions change
@@ -58,7 +56,6 @@ CountEngine::CountEngine(const Protocol& protocol,
   POPPROTO_CHECK(protocol.num_rules() > 0);
   for (const auto& [s, c] : initial) add_count(s, c);
   POPPROTO_CHECK_MSG(n_ >= 2, "population needs at least 2 agents");
-  use_skip_ = (mode == CountEngineMode::kSkip);
 }
 
 void CountEngine::set_injection_hook(InjectionHook hook) {
@@ -69,8 +66,6 @@ void CountEngine::set_injection_hook(InjectionHook hook) {
 void CountEngine::set_scheduler_bias(std::optional<SchedulerBias> bias) {
   bias_ = std::move(bias);
 }
-
-bool CountEngine::skip_allowed() const { return !bias_.has_value(); }
 
 void CountEngine::add_count(State s, std::uint64_t delta) {
   if (delta == 0) return;
@@ -262,7 +257,6 @@ void CountEngine::direct_step() {
   }
   const std::size_t ib = sample_species(/*exclude_one_of=*/ia);
   ++interactions_;
-  ++window_steps_;
   time_ += 1.0 / static_cast<double>(n_);
 
   if (injection_.drop_interaction && injection_.drop_interaction(rng_)) {
@@ -283,7 +277,6 @@ void CountEngine::direct_step() {
   add_count(o.a, 1);
   add_count(o.b, 1);
   ++effective_;
-  ++window_effective_;
 }
 
 void CountEngine::rebuild_events() {
@@ -365,9 +358,16 @@ CountEngine::Jump CountEngine::skip_jump(double limit) {
 // Batch aggregation assumes every interaction is an unbiased uniform pair
 // draw (SchedulerBias breaks that) and resolves same-pair interactions in
 // aggregate (a per-interaction dropout predicate cannot be consulted one
-// draw at a time). Either hook routes kBatch back through the scalar paths.
+// draw at a time). Either hook routes kBatch to the per-interaction paths:
+// skip jumps under a drop hook, direct steps under a bias.
 bool CountEngine::batch_allowed() const {
   return !bias_.has_value() && !injection_.drop_interaction;
+}
+
+bool CountEngine::block_next() {
+  if (mode_ != CountEngineMode::kBatch || !batch_allowed()) return false;
+  maybe_toggle_batch_skip();
+  return !use_skip_;
 }
 
 std::size_t CountEngine::batch_species_slot(State s) {
@@ -603,32 +603,12 @@ void CountEngine::maybe_toggle_batch_skip() {
 
 bool CountEngine::step() {
   if (silent_) return false;
-  if (mode_ == CountEngineMode::kBatch && batch_allowed()) {
-    maybe_toggle_batch_skip();
-    if (!use_skip_) {
-      const double limit =
-          injection_.on_round ? last_injection_round_ + 1.0
-                              : std::numeric_limits<double>::infinity();
-      const bool alive = batch_step(limit);
-      maybe_fire_injection();
-      return alive;
-    }
-  }
-  if (mode_ == CountEngineMode::kAuto) {
-    if (!use_skip_ && window_steps_ >= kAutoWindow) {
-      const double frac = static_cast<double>(window_effective_) /
-                          static_cast<double>(window_steps_);
-      if (frac < kSwitchToSkipBelow) use_skip_ = true;
-      window_steps_ = window_effective_ = 0;
-    } else if (use_skip_ && events_total_weight_ > kSwitchToDirectAbove) {
-      use_skip_ = false;
-      window_steps_ = window_effective_ = 0;
-    }
-  }
   bool alive = true;
-  if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed()) {
-    alive = skip_jump(std::numeric_limits<double>::infinity()) !=
-            Jump::kSilent;
+  if (block_next()) {
+    alive = batch_step(injection_.on_round ? last_injection_round_ + 1.0
+                                           : kNoLimit);
+  } else if (skip_engaged()) {
+    alive = skip_jump(kNoLimit) != Jump::kSilent;
   } else {
     direct_step();
   }
@@ -653,30 +633,19 @@ void CountEngine::run_rounds(double rounds_to_run) {
       ++ctr_.skip_jumps;
       ctr_.skipped_interactions += bulk;
       time_ = limit;  // nothing can change; fast-forward
-      maybe_fire_injection();
-      continue;
-    }
-    if (mode_ == CountEngineMode::kBatch && batch_allowed()) {
-      maybe_toggle_batch_skip();
-      if (!use_skip_) {
-        batch_step(limit);
-        maybe_fire_injection();
-        continue;
-      }
-    }
-    if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed()) {
+    } else if (block_next()) {
+      batch_step(limit);
+    } else if (skip_engaged()) {
       const Jump jump = skip_jump(limit);
       if (jump == Jump::kSilent) continue;
-      // Re-evaluate auto/batch switching.
-      if (jump == Jump::kLanded &&
-          ((mode_ == CountEngineMode::kAuto &&
-            events_total_weight_ > kSwitchToDirectAbove) ||
-           (mode_ == CountEngineMode::kBatch && blocks_pay())))
+      // A landed jump's exact event weight may hand kBatch back to blocks.
+      if (jump == Jump::kLanded && mode_ == CountEngineMode::kBatch &&
+          batch_allowed() && blocks_pay())
         use_skip_ = false;
-      maybe_fire_injection();
     } else {
-      step();
+      direct_step();
     }
+    maybe_fire_injection();
   }
 }
 
@@ -817,7 +786,9 @@ void CountEngine::restore(std::istream& in) {
                         "snapshot missing a required section");
 
   // Semantic validation — *this stays untouched until everything passed.
-  if (st.mode > static_cast<std::uint8_t>(CountEngineMode::kBatch))
+  if (st.mode != static_cast<std::uint8_t>(CountEngineMode::kDirect) &&
+      st.mode != static_cast<std::uint8_t>(CountEngineMode::kSkip) &&
+      st.mode != static_cast<std::uint8_t>(CountEngineMode::kBatch))
     throw SnapshotError(SnapshotErrc::kCorrupt, "unknown count engine mode");
   if (st.states.size() != st.counts.size())
     throw SnapshotError(SnapshotErrc::kCorrupt,

@@ -2,14 +2,16 @@
 //
 // For a protocol whose reachable state set is small, the population is fully
 // described by the count of agents in each state. This engine simulates the
-// sequential scheduler exactly on those counts and, when the probability
-// that a uniformly sampled interaction changes any state drops low, switches
-// to *skip-ahead* mode: it samples the number of no-op interactions from the
-// exact geometric law and then draws one state-changing interaction from the
-// conditional distribution. The resulting process is equal in distribution
-// to the direct simulation, but late-stage sparse dynamics (|X|+|X|
-// elimination, DV12 exact majority, ...) run in time proportional to the
-// number of *effective* interactions instead of all interactions.
+// sequential scheduler exactly on those counts. Its default mode, kBatch,
+// advances a collision-free block of ~0.63*sqrt(n) interactions per step
+// (DESIGN.md S9) and hands off to *skip-ahead* when blocks change too few
+// states to pay: it samples the number of no-op interactions from the exact
+// geometric law and then draws one state-changing interaction from the
+// conditional distribution. Both are equal in distribution to the direct
+// simulation, but late-stage sparse dynamics (|X|+|X| elimination, DV12
+// exact majority, ...) run in time proportional to the number of
+// *effective* interactions instead of all interactions. kDirect and kSkip
+// force one path and serve as references.
 //
 // Fault support (src/faults/): the engine carries the same InjectionHook /
 // SchedulerBias surface as the agent-based Engine, plus count-level churn
@@ -35,7 +37,10 @@
 
 namespace popproto {
 
-enum class CountEngineMode { kDirect, kSkip, kAuto, kBatch };
+/// How CountEngine steps (DESIGN.md S9). kBatch is the default and the only
+/// adaptive policy; kDirect and kSkip force one path. The values are
+/// snapshot bytes; 2 belonged to a retired mode, and restore rejects it.
+enum class CountEngineMode { kDirect = 0, kSkip = 1, kBatch = 3 };
 
 /// Implements SimBackend (core/sim_backend.hpp) as the "count" substrate.
 class CountEngine final : public SimBackend {
@@ -44,13 +49,15 @@ class CountEngine final : public SimBackend {
   CountEngine(const Protocol& protocol,
               std::vector<std::pair<State, std::uint64_t>> initial,
               std::uint64_t seed,
-              CountEngineMode mode = CountEngineMode::kAuto);
+              CountEngineMode mode = CountEngineMode::kBatch);
 
-  /// Advance by one scheduler interaction (direct), one *effective*
-  /// interaction plus its geometric prefix of no-ops (skip mode), or one
-  /// batch (kBatch). Returns false iff the configuration is silent (no rule
-  /// can change anything); time is then left where it is. Only run_rounds
-  /// fast-forwards a silent configuration.
+  /// Advance by one scheduler interaction (a direct step), one *effective*
+  /// interaction plus its geometric prefix of no-ops (a skip jump), or one
+  /// block. kBatch picks the path: direct steps under a SchedulerBias, skip
+  /// jumps under a drop hook, and otherwise a block unless the block/skip
+  /// hand-off has parked it in skip. Returns false iff the configuration is
+  /// silent (no rule can change anything); time is then left where it is.
+  /// Only run_rounds fast-forwards a silent configuration.
   bool step() override;
 
   void run_rounds(double rounds) override;
@@ -69,16 +76,20 @@ class CountEngine final : public SimBackend {
   /// past ~2·√n throughput is flat.
   void set_batch_size(std::uint64_t b) { batch_size_ = b; }
   std::uint64_t batch_size() const { return batch_size_; }
-  /// True while the engine is currently taking skip-ahead steps (kSkip, an
-  /// engaged kAuto, or a kBatch engine hysteresis-parked in skip).
+  /// True while steps take skip-ahead jumps: kSkip, or kBatch under a drop
+  /// hook or parked in skip by the hand-off. False under a SchedulerBias,
+  /// which forces direct steps.
   bool skip_engaged() const {
-    return mode_ == CountEngineMode::kSkip || use_skip_;
+    if (bias_ || mode_ == CountEngineMode::kDirect) return false;
+    return mode_ == CountEngineMode::kSkip || use_skip_ ||
+           injection_.drop_interaction;
   }
 
   /// Fault-layer injection points (see core/injection.hpp). Unset hooks
   /// leave the RNG stream and trajectory bit-for-bit unchanged. While a
-  /// SchedulerBias is active the engine runs in direct mode (the skip-ahead
-  /// law assumes uniform pair sampling).
+  /// SchedulerBias is active the engine takes direct steps (skip-ahead and
+  /// blocks assume uniform pair sampling); under a drop hook kBatch takes
+  /// skip jumps, which thin the effective process exactly.
   void set_injection_hook(InjectionHook hook) override;
   void set_scheduler_bias(std::optional<SchedulerBias> bias) override;
 
@@ -142,7 +153,8 @@ class CountEngine final : public SimBackend {
   void snapshot(std::ostream& out) const override;
   /// All-or-nothing restore (see SimBackend::restore). Adopts the saved
   /// mode, batch cap, and population; hooks/traces/bias must be re-attached
-  /// by the caller.
+  /// by the caller. A mode byte that names no mode, the retired 2 included,
+  /// throws SnapshotError.
   void restore(std::istream& in) override;
 
   // -- SimBackend observables (core/sim_backend.hpp) ------------------------
@@ -185,6 +197,9 @@ class CountEngine final : public SimBackend {
   /// Returns false iff the configuration is silent.
   bool batch_step(double limit);
   bool batch_allowed() const;
+  /// kBatch without hooks: run the block/skip hand-off, then say whether the
+  /// next step is a block.
+  bool block_next();
   /// Index of `s` in states_ (appending a zero-count slot if new), keeping
   /// the batch scratch vectors sized in lockstep.
   std::size_t batch_species_slot(State s);
@@ -217,7 +232,6 @@ class CountEngine final : public SimBackend {
   std::size_t sample_species(std::uint64_t exclude_one_of = ~0ull);
   /// sample_species with an external generator (fault-layer sampling).
   std::size_t sample_species_with(Rng& rng) const;
-  bool skip_allowed() const;
   void maybe_fire_injection() {
     fire_crossed_rounds(injection_, last_injection_round_, time_);
   }
@@ -249,8 +263,8 @@ class CountEngine final : public SimBackend {
   std::optional<SchedulerBias> bias_;
   std::vector<std::pair<State, std::uint64_t>> crashed_;
   std::uint64_t crashed_n_ = 0;
-  // Auto-mode statistics over the direct steps (kAuto) or batches (kBatch)
-  // since the last mode decision.
+  // kBatch hand-off window: interactions and state changes in the blocks
+  // since the last decision.
   std::uint64_t window_steps_ = 0;
   std::uint64_t window_effective_ = 0;
   std::vector<Event> events_;

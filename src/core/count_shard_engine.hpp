@@ -35,9 +35,9 @@
 // Fault surface: the standard InjectionHook / SchedulerBias points plus the
 // SimBackend churn and corruption primitives, distributed across shards by
 // hypergeometric victim allocation so global victim selection stays
-// uniform. A SchedulerBias or dropout hook routes every shard back through
-// CountEngine's exact per-interaction path (batch aggregation assumes
-// unbiased uniform pair draws).
+// uniform. A SchedulerBias or dropout hook routes every shard through
+// CountEngine's exact per-interaction paths, direct steps and skip jumps
+// respectively (batch aggregation assumes unbiased uniform pair draws).
 #pragma once
 
 #include <cstdint>

@@ -29,7 +29,9 @@ struct EngineCounters {
   std::uint64_t interactions = 0;
   /// Interactions that changed at least one agent state.
   std::uint64_t effective_steps = 0;
-  /// Interactions vetoed by an InjectionHook::drop_interaction hook.
+  /// Interactions vetoed by an InjectionHook::drop_interaction hook. Under
+  /// skip-ahead (CountEngine skip jumps) only landed state-changing draws
+  /// consult the hook, so no-op interactions are never counted here.
   std::uint64_t dropped_interactions = 0;
   /// Pair distributions built by the transition cache (first-sight misses).
   std::uint64_t cache_builds = 0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/count_engine.hpp"
@@ -156,48 +157,6 @@ TEST(CountEngine, Dv12ExactMajorityIsAlwaysCorrect) {
   }
 }
 
-TEST(CountEngine, AutoModeSwitchesToSkipOnSparseDynamics) {
-  auto vars = make_var_space();
-  const Protocol p = elimination_protocol(vars);
-  const VarId x = *vars->find("X");
-  CountEngine eng(p, {{var_bit(x), 32}, {0, 100000}}, 3,
-                  CountEngineMode::kAuto);
-  // With 32 X among 100k agents, effective interactions are ~1e-7 of all;
-  // direct simulation of 5000 rounds would be 5e8 steps. Auto mode must
-  // finish this quickly via skip-ahead.
-  eng.run_rounds(500000);
-  EXPECT_LE(eng.count_matching(BoolExpr::var(x)), 4u);
-  EXPECT_LT(eng.effective_interactions(), 2000u);
-}
-
-TEST(CountEngine, AutoModeHysteresisCrossesBothWays) {
-  auto vars = make_var_space();
-  const Protocol p = elimination_protocol(vars);
-  const VarId x = *vars->find("X");
-  const std::uint64_t n = 100032;
-  CountEngine eng(p, {{var_bit(x), 32}, {0, n - 32}}, 3,
-                  CountEngineMode::kAuto);
-  EXPECT_FALSE(eng.skip_engaged());
-  // Sparse dynamics: after one hysteresis window of near-pure no-ops the
-  // engine must park in skip mode.
-  eng.run_rounds(1.0);
-  EXPECT_TRUE(eng.skip_engaged());
-  // Densify: rewrite 60% of the agents to X, pushing the total change
-  // weight ~ (0.6)^2 well above the switch-back threshold. The first skip
-  // step rebuilds the event weights; the next step must return to direct.
-  Rng fault_rng(99);
-  eng.mutate_random_agents(60000, fault_rng,
-                           [&](State, std::uint64_t) { return var_bit(x); });
-  ASSERT_TRUE(eng.step());
-  ASSERT_TRUE(eng.step());
-  EXPECT_FALSE(eng.skip_engaged());
-  // Accounting stays exact across both switches: parallel time is exactly
-  // interactions / n (population size never changed).
-  EXPECT_NEAR(eng.rounds(),
-              static_cast<double>(eng.interactions()) / static_cast<double>(n),
-              1e-9 * eng.rounds());
-}
-
 // -- kBatch mode (batched collision sampling, DESIGN.md §9) ------------------
 
 TEST(CountEngine, BatchConservesPopulationAndAccounting) {
@@ -283,8 +242,8 @@ TEST(CountEngine, BatchModeHandsOffToSkipOnSparseDynamics) {
 }
 
 TEST(CountEngine, BatchModeHysteresisCrossesBothWays) {
-  // kBatch twin of AutoModeHysteresisCrossesBothWays: blocks hand off to
-  // skip-ahead on sparse dynamics and take over again once they densify.
+  // Blocks hand off to skip-ahead on sparse dynamics and take over again
+  // once they densify.
   auto vars = make_var_space();
   const Protocol p = elimination_protocol(vars);
   const VarId x = *vars->find("X");
@@ -384,7 +343,7 @@ TEST(CountEngine, BatchTruncatesAtFaultBoundaries) {
 
 TEST(CountEngine, BatchFallsBackUnderDropoutHook) {
   // A per-interaction dropout predicate cannot be consulted in aggregate;
-  // kBatch must silently take the scalar path and still honor the hook.
+  // kBatch must take skip jumps instead of blocks and still honor the hook.
   auto vars = make_var_space();
   const Protocol p = elimination_protocol(vars);
   const VarId x = *vars->find("X");
@@ -392,11 +351,59 @@ TEST(CountEngine, BatchFallsBackUnderDropoutHook) {
   InjectionHook hook;
   hook.drop_interaction = [](Rng&) { return true; };  // drop everything
   eng.set_injection_hook(std::move(hook));
+  EXPECT_TRUE(eng.skip_engaged());
   eng.run_rounds(5.0);
   EXPECT_EQ(eng.effective_interactions(), 0u);
   EXPECT_EQ(eng.count_matching(BoolExpr::var(x)), 500u);
   EXPECT_EQ(eng.counters().batch_blocks, 0u);
+  EXPECT_GT(eng.counters().skip_jumps, 0u);
   EXPECT_GT(eng.counters().dropped_interactions, 0u);
+}
+
+TEST(CountEngine, BatchDropoutMatchesDirectLaw) {
+  // Under a drop hook the default mode takes skip jumps, which consult the
+  // hook once per landed state-changing draw; direct steps consult it on
+  // every interaction. The consensus times of approx_majority at n = 2^12
+  // must have one law (KS two-sample test, alpha = 0.01).
+  const std::uint64_t n = 1 << 12;
+  const auto inst = make_protocol_instance("approx_majority", n);
+  const BoolExpr ba = BoolExpr::var(*inst->vars->find("BA"));
+  const BoolExpr bb = BoolExpr::var(*inst->vars->find("BB"));
+  std::uint64_t skip_jumps = 0, batch_blocks = 0;  // default side
+  auto hitting_times = [&](bool direct, std::uint64_t seed0) {
+    std::vector<double> out;
+    for (std::uint64_t t = 0; t < 200; ++t) {
+      std::unique_ptr<SimBackend> eng;
+      if (direct) {
+        eng = std::make_unique<CountEngine>(*inst->protocol,
+                                            inst->initial_counts, seed0 + t,
+                                            CountEngineMode::kDirect);
+      } else {
+        eng = make_backend_instance("count", *inst, seed0 + t);
+      }
+      InjectionHook hook;
+      hook.drop_interaction = [](Rng& r) { return r.chance(0.25); };
+      eng->set_injection_hook(std::move(hook));
+      const auto hit = eng->run_until(
+          [&](const SimBackend& e) {
+            return e.count_matching(ba) == n || e.count_matching(bb) == n;
+          },
+          1e4, /*check_interval=*/0.25);
+      EXPECT_TRUE(hit.has_value());
+      out.push_back(hit.value_or(1e4));
+      if (!direct) {
+        skip_jumps += eng->counters().skip_jumps;
+        batch_blocks += eng->counters().batch_blocks;
+      }
+    }
+    return out;
+  };
+  const auto direct = hitting_times(true, 21000);
+  const auto dflt = hitting_times(false, 31000);
+  const double d = ks_statistic(direct, dflt);
+  EXPECT_LT(d, ks_critical_value(direct.size(), dflt.size(), 0.01));
+  EXPECT_GT(skip_jumps, 0u);
+  EXPECT_EQ(batch_blocks, 0u);
 }
 
 }  // namespace

@@ -257,7 +257,8 @@ TEST(CountShardEngine, RestoreOntoDifferentThreadCountSucceeds) {
 TEST(CountShardEngine, FaultHooksForcePerInteractionPath) {
   // Batch aggregation assumes unbiased uniform pair draws; a dropout hook or
   // SchedulerBias must route every shard through CountEngine's exact
-  // per-interaction path (batch_blocks stays zero).
+  // per-interaction paths (batch_blocks stays zero): skip jumps under the
+  // dropout hook, direct steps under the bias.
   auto vars = make_var_space();
   const Protocol p = make_approximate_majority_protocol(vars);
   CountShardEngine::Params params;
@@ -271,6 +272,7 @@ TEST(CountShardEngine, FaultHooksForcePerInteractionPath) {
     eng.set_injection_hook(std::move(hook));
     eng.run_rounds(4.0);
     EXPECT_EQ(eng.counters().batch_blocks, 0u);
+    EXPECT_GT(eng.counters().skip_jumps, 0u);
     EXPECT_GT(eng.interactions(), 0u);
   }
   {
@@ -279,6 +281,7 @@ TEST(CountShardEngine, FaultHooksForcePerInteractionPath) {
         SchedulerBias{0.5, Guard(BoolExpr::var(*vars->find("BA"))), 4});
     eng.run_rounds(4.0);
     EXPECT_EQ(eng.counters().batch_blocks, 0u);
+    EXPECT_EQ(eng.counters().skip_jumps, 0u);
     EXPECT_GT(eng.interactions(), 0u);
   }
   {

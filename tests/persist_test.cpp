@@ -124,7 +124,7 @@ TEST(ReplayCheck, CountEngineAllModes) {
   MajorityFixture fx(4096);
   for (const CountEngineMode mode :
        {CountEngineMode::kDirect, CountEngineMode::kSkip,
-        CountEngineMode::kAuto, CountEngineMode::kBatch}) {
+        CountEngineMode::kBatch}) {
     const ReplayCheckResult r = replay_check(fx.count(7, mode), 16.0);
     EXPECT_TRUE(r.ok) << "mode " << static_cast<int>(mode) << ": " << r.detail;
   }
@@ -435,6 +435,45 @@ TEST(MalformedSnapshot, WrongBackendAndWrongProtocol) {
   const SnapshotErrc fp = SnapshotErrc::kBadFingerprint;
   expect_rejected(osc_target, snapshot_bytes(*clock_src), &fp,
                   "phase-clock snapshot into majority engine");
+}
+
+TEST(MalformedSnapshot, RetiredCountModeByteIsRejected) {
+  // Mode byte 2 named a count-engine mode that no longer exists. A snapshot
+  // carrying it, with a valid CRC, is rejected rather than guessed at.
+  MajorityFixture maj(512);
+  auto src = maj.count(7, CountEngineMode::kBatch)();
+  src->run_rounds(4.0);
+  const std::string snap = snapshot_bytes(*src);
+  BinReader r(snap);
+  std::string bad;
+  BinWriter w(bad);
+  w.u32(r.u32());  // magic
+  w.u32(r.u32());  // version
+  bool rewritten = false;
+  for (;;) {
+    const std::uint32_t tag = r.u32();
+    const std::uint64_t len = r.u64();
+    std::uint32_t crc = r.u32();
+    std::string payload;
+    for (std::uint64_t i = 0; i < len; ++i)
+      payload.push_back(static_cast<char>(r.u8()));
+    if (tag == static_cast<std::uint32_t>(SnapshotSection::kCore)) {
+      ASSERT_EQ(payload[0], static_cast<char>(CountEngineMode::kBatch));
+      payload[0] = 2;  // the core section opens with the mode byte
+      crc = crc32(payload);
+      rewritten = true;
+    }
+    w.u32(tag);
+    w.u64(len);
+    w.u32(crc);
+    for (const char ch : payload) w.u8(static_cast<std::uint8_t>(ch));
+    if (tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)) break;
+  }
+  ASSERT_TRUE(rewritten);
+  auto target = maj.count(9, CountEngineMode::kBatch)();
+  target->run_rounds(2.0);
+  const SnapshotErrc corrupt = SnapshotErrc::kCorrupt;
+  expect_rejected(*target, bad, &corrupt, "retired mode byte 2");
 }
 
 TEST(MalformedSnapshot, BatchShardCountMismatch) {

@@ -438,8 +438,7 @@ TEST(CountEngineEquivalence, SlotTableFollowsSpeciesChurn) {
   // change weight in a table that every such change must invalidate; the
   // uncached path looks every weight up afresh.
   for (const CountEngineMode mode :
-       {CountEngineMode::kSkip, CountEngineMode::kAuto,
-        CountEngineMode::kBatch}) {
+       {CountEngineMode::kSkip, CountEngineMode::kBatch}) {
     auto run = [mode](bool use_cache, int quarters) {
       const auto inst = make_protocol_instance("phase_clock", 1 << 14);
       CountEngine eng(*inst->protocol, inst->initial_counts, /*seed=*/51,

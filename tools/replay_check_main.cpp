@@ -8,13 +8,13 @@
 //
 // Usage:
 //   replay_check --backend agent|count|batch|count_shard [--threads T]
-//                [--shards S] [--mode M] [--n N] [--rounds K] [--seed S]
-//                [--faults]
+//                [--shards S] [--mode direct|skip|batch] [--n N]
+//                [--rounds K] [--seed S] [--faults]
 //
 //   --backend  which SimBackend to exercise (default agent)
 //   --threads  BatchEngine shard/thread count (default 2)
 //   --shards   CountShardEngine shard count (default 2)
-//   --mode     CountEngine mode: direct|skip|auto|batch (default batch)
+//   --mode     CountEngine mode: direct|skip|batch (default batch)
 //   --n        population size (default 4096)
 //   --rounds   k: rounds before the snapshot and again after (default 24)
 //   --seed     engine seed (default 7)
@@ -43,8 +43,8 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --backend agent|count|batch|count_shard "
-               "[--threads T] [--shards S] [--mode M] [--n N] [--rounds K] "
-               "[--seed S] [--faults]\n",
+               "[--threads T] [--shards S] [--mode direct|skip|batch] "
+               "[--n N] [--rounds K] [--seed S] [--faults]\n",
                argv0);
   return 2;
 }
@@ -52,7 +52,6 @@ int usage(const char* argv0) {
 CountEngineMode parse_mode(const std::string& mode) {
   if (mode == "direct") return CountEngineMode::kDirect;
   if (mode == "skip") return CountEngineMode::kSkip;
-  if (mode == "auto") return CountEngineMode::kAuto;
   if (mode == "batch") return CountEngineMode::kBatch;
   std::fprintf(stderr, "unknown --mode %s\n", mode.c_str());
   std::exit(2);
