@@ -27,7 +27,6 @@
 #include "core/count_engine.hpp"
 #include "core/count_shard_engine.hpp"
 #include "core/engine.hpp"
-#include "core/pair_sampler.hpp"
 #include "observe/telemetry.hpp"
 #include "protocols/baselines.hpp"
 #include "support/bench_io.hpp"
@@ -436,17 +435,15 @@ void bench_count_shard(bool smoke, std::vector<BenchRecord>& out,
 
 void bench_simd_ab(bool smoke, std::vector<BenchRecord>& out,
                    Telemetry& telemetry) {
-  // ISSUE 10 acceptance: scalar-vs-SIMD A/B on the two vectorized kernels
-  // behind the hot paths — the TransitionCache prescan comparison
-  // (simd::mask_below_bounds) and the pair-sampler log-factorial batch
-  // (log_factorial_batch -> simd::log_factorial_fill). Both tiers are timed
-  // in-process by pinning POPPROTO_FORCE_SCALAR around
-  // simd::refresh_tier_from_env(); the kernels are bit-identical by contract
+  // Scalar-vs-SIMD A/B on the vectorized kernel behind the batch engines'
+  // matching loops, the TransitionCache prescan (simd::mask_below_bounds).
+  // Both tiers are timed in-process by pinning POPPROTO_FORCE_SCALAR around
+  // simd::refresh_tier_from_env(); the tiers are bit-identical by contract
   // (tests/simd_test.cpp), so the checksums must agree between tiers and
   // the ratio is a pure implementation speedup. `simd_speedup` is the
-  // headline extra (>= 1.3x acceptance on at least one kernel when the host
-  // compiles and supports a vector tier; on a scalar-only host both runs hit
-  // the same code and the honest ~1.0x is recorded, tier 0 marking why).
+  // headline extra (>= 1.3x acceptance when the host runs the AVX2 tier; on
+  // a scalar-only host both runs hit the same code and the honest ~1.0x is
+  // recorded, tier 0 marking why).
   constexpr std::size_t kLanes = 64;  // prescan block width (one mask word)
   const std::size_t blocks = std::size_t{1} << 10;
   const std::uint64_t passes = smoke ? 8 : 64;
@@ -466,13 +463,6 @@ void bench_simd_ab(bool smoke, std::vector<BenchRecord>& out,
     off[i] = rng.below(bounds.size());
     u[i] = rng.uniform();
   }
-  // Arguments drawn from the exact-table range: that is where the vector
-  // gather applies. Stirling-tail lanes are scalar in every tier (bit
-  // identity with pair_sampler's log_factorial pins them to std::log), so a
-  // tail-heavy mix would measure parity, not the kernel under test.
-  std::vector<std::uint64_t> karg(blocks * kLanes);
-  for (auto& k : karg) k = rng.below(std::uint64_t{2048});
-  std::vector<double> lf(blocks * kLanes);
 
   auto time_prescan = [&] {
     const double t0 = now_seconds();
@@ -482,19 +472,6 @@ void bench_simd_ab(bool smoke, std::vector<BenchRecord>& out,
         acc ^= simd::mask_below_bounds(bounds.data(), off.data() + blk * kLanes,
                                        u.data() + blk * kLanes, kLanes);
     return std::pair<double, std::uint64_t>{now_seconds() - t0, acc};
-  };
-  auto time_logfact = [&] {
-    const double t0 = now_seconds();
-    double acc = 0.0;
-    for (std::uint64_t p = 0; p < passes; ++p)
-      for (std::size_t blk = 0; blk < blocks; ++blk) {
-        log_factorial_batch(karg.data() + blk * kLanes,
-                            lf.data() + blk * kLanes, kLanes);
-        acc += lf[blk * kLanes] + lf[blk * kLanes + kLanes - 1];
-      }
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &acc, sizeof bits);
-    return std::pair<double, std::uint64_t>{now_seconds() - t0, bits};
   };
 
   // Pin / release the scalar tier around each timed run. If the whole
@@ -514,53 +491,46 @@ void bench_simd_ab(bool smoke, std::vector<BenchRecord>& out,
     simd::refresh_tier_from_env();
   };
 
-  auto ab_record = [&](const char* name, auto&& fn) {
-    double native_best = std::numeric_limits<double>::infinity();
-    double scalar_best = std::numeric_limits<double>::infinity();
-    std::uint64_t native_sum = 0, scalar_sum = 0;
-    double tier = 0.0;
-    // Interleave tiers, best-of-3 each, like time_interleaved: adjacency
-    // plus best-of discards transient machine noise from the ratio.
-    for (int rep = 0; rep < 3; ++rep) {
-      pin_scalar(false);
-      tier = static_cast<double>(static_cast<int>(simd::active_tier()));
-      const auto [tn, cn] = fn();
-      native_best = std::min(native_best, tn);
-      native_sum = cn;
-      pin_scalar(true);
-      const auto [ts, cs] = fn();
-      scalar_best = std::min(scalar_best, ts);
-      scalar_sum = cs;
-    }
+  const char* name = "simd_ab_prescan";
+  double native_best = std::numeric_limits<double>::infinity();
+  double scalar_best = std::numeric_limits<double>::infinity();
+  std::uint64_t native_sum = 0, scalar_sum = 0;
+  double tier = 0.0;
+  // Interleave tiers, best-of-3 each, like time_interleaved: adjacency
+  // plus best-of discards transient machine noise from the ratio.
+  for (int rep = 0; rep < 3; ++rep) {
     pin_scalar(false);
-    if (native_sum != scalar_sum)
-      std::printf("WARNING: %s checksum mismatch between tiers "
-                  "(%016llx vs %016llx)\n",
-                  name, static_cast<unsigned long long>(native_sum),
-                  static_cast<unsigned long long>(scalar_sum));
-    const double speedup = scalar_best / native_best;
-    BenchRecord rec;
-    rec.name = name;
-    rec.wall_seconds = native_best + scalar_best;
-    rec.interactions_per_sec = lanes_total / native_best;  // lanes/s, native
-    rec.effective_interactions_per_sec = rec.interactions_per_sec;
-    rec.extra.emplace_back("n", lanes_total);
-    rec.extra.emplace_back("simd_tier", tier);
-    rec.extra.emplace_back("scalar_lanes_per_sec", lanes_total / scalar_best);
-    rec.extra.emplace_back("simd_speedup", speedup);
-    out.push_back(std::move(rec));
-    telemetry.add_counter(std::string(name) + ".speedup", speedup);
-    std::printf("%-32s %12.3g lanes/s (tier %s, %.2fx vs scalar)\n", name,
-                lanes_total / native_best, simd::tier_name(simd::active_tier()),
-                speedup);
-    return speedup;
-  };
-
-  ab_record("simd_ab_prescan", time_prescan);
-  ab_record("simd_ab_logfact", time_logfact);
-  telemetry.add_counter(
-      "simd_ab.tier",
-      static_cast<double>(static_cast<int>(simd::active_tier())));
+    tier = static_cast<double>(static_cast<int>(simd::active_tier()));
+    const auto [tn, cn] = time_prescan();
+    native_best = std::min(native_best, tn);
+    native_sum = cn;
+    pin_scalar(true);
+    const auto [ts, cs] = time_prescan();
+    scalar_best = std::min(scalar_best, ts);
+    scalar_sum = cs;
+  }
+  pin_scalar(false);
+  if (native_sum != scalar_sum)
+    std::printf("WARNING: %s checksum mismatch between tiers "
+                "(%016llx vs %016llx)\n",
+                name, static_cast<unsigned long long>(native_sum),
+                static_cast<unsigned long long>(scalar_sum));
+  const double speedup = scalar_best / native_best;
+  BenchRecord rec;
+  rec.name = name;
+  rec.wall_seconds = native_best + scalar_best;
+  rec.interactions_per_sec = lanes_total / native_best;  // lanes/s, native
+  rec.effective_interactions_per_sec = rec.interactions_per_sec;
+  rec.extra.emplace_back("n", lanes_total);
+  rec.extra.emplace_back("simd_tier", tier);
+  rec.extra.emplace_back("scalar_lanes_per_sec", lanes_total / scalar_best);
+  rec.extra.emplace_back("simd_speedup", speedup);
+  out.push_back(std::move(rec));
+  telemetry.add_counter(std::string(name) + ".speedup", speedup);
+  telemetry.add_counter("simd_ab.tier", tier);
+  std::printf("%-32s %12.3g lanes/s (tier %s, %.2fx vs scalar)\n", name,
+              lanes_total / native_best, simd::tier_name(simd::active_tier()),
+              speedup);
 }
 
 int run(bool smoke) {

@@ -33,7 +33,7 @@ std::vector<ScalingRow> run_sweep(const std::vector<std::uint64_t>& ns,
 
 /// run_sweep fanned out over a worker pool. The per-trial seed chain and the
 /// aggregation order are identical to run_sweep, so the returned rows are
-/// bit-for-bit the same for any thread count (0 = hardware concurrency) —
+/// bit-for-bit the same for any thread count (0 = probe_hardware_threads());
 /// parallelism only changes wall-clock. Requires `fn` to be thread-safe:
 /// each call must derive all of its state from its (n, seed) arguments,
 /// which every bench TrialFn in this repo already does.

@@ -71,9 +71,8 @@ BatchEngine::BatchEngine(const Protocol& protocol, std::vector<State> initial,
   POPPROTO_CHECK_MSG(states_.size() >= 2, "need at least two agents");
 
   const std::size_t n = states_.size();
-  std::size_t t = params_.threads != 0
-                      ? params_.threads
-                      : std::max(1u, std::thread::hardware_concurrency());
+  std::size_t t =
+      params_.threads != 0 ? params_.threads : probe_hardware_threads();
   const std::size_t floor_agents =
       std::max(params_.min_shard, kMinUsableShard);
   while (t > 1 && n / t < floor_agents) --t;
@@ -127,14 +126,6 @@ void BatchEngine::set_scheduler_bias(std::optional<SchedulerBias> bias) {
 }
 
 void BatchEngine::worker_loop(std::size_t shard_index) {
-  // Opt-in affinity (POPPROTO_PIN_SHARDS, docs/TUNING.md): worker w runs
-  // shard w for the engine's whole lifetime, so pinning it to CPU w keeps
-  // the shard's arena and caches resident in one core's private levels.
-  // Shard 0 runs on the driving thread, which we never pin — it is the
-  // caller's thread and may be running other backends or the popprotod
-  // event loop.
-  if (shard_pinning_requested())
-    pin_current_thread(static_cast<unsigned>(shard_index));
   std::uint64_t seen = 0;
   for (;;) {
     {

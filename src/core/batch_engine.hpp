@@ -69,7 +69,7 @@ namespace popproto {
 class BatchEngine final : public SimBackend {
  public:
   struct Params {
-    /// Worker threads == shards. 0 picks hardware_concurrency. The engine
+    /// Worker threads == shards. 0 picks probe_hardware_threads(). The engine
     /// lowers this until every shard holds at least min_shard agents.
     unsigned threads = 0;
     /// Minimum agents per shard; stops over-sharding small populations

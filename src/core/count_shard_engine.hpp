@@ -195,9 +195,7 @@ class CountShardEngine final : public SimBackend {
   Params params_;
   std::vector<std::unique_ptr<CountEngine>> shards_;
   Rng migrate_rng_;
-  // Fork-join pool advancing shards between barriers. Honors the opt-in
-  // POPPROTO_PIN_SHARDS affinity (support/thread_pool.hpp): spawned workers
-  // pin by worker index, the driving thread never does.
+  // Fork-join pool advancing shards between barriers.
   ThreadPool pool_;
   double time_ = 0.0;
   double next_migrate_time_ = 0.0;

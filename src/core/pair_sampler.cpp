@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "support/check.hpp"
-#include "support/simd.hpp"
 #include "support/stirling.hpp"
 
 namespace popproto {
@@ -245,13 +244,9 @@ std::uint64_t hypergeometric_hrua(Rng& rng, std::uint64_t good,
   const double h = kD1 * c + kD2;
   const auto m = static_cast<std::uint64_t>((samp + 1.0) * (mingb + 1.0) /
                                             (pop + 2.0));  // pmf mode
-  // The log-pmf is a sum of four log-factorials; both the one-time mode
-  // evaluation and the per-attempt candidate evaluation batch them through
-  // the vector kernel (bit-identical to four scalar calls).
-  std::uint64_t lf_args[4] = {m, good - m, sample - m, bad - sample + m};
-  double lf[4];
-  log_factorial_batch(lf_args, lf, 4);
-  const double g = lf[0] + lf[1] + lf[2] + lf[3];
+  const double g = log_factorial(m) + log_factorial(good - m) +
+                   log_factorial(sample - m) +
+                   log_factorial(bad - sample + m);
   const double b =
       std::min(std::min(samp, mingb) + 1.0, std::floor(a + 16.0 * c));
   for (;;) {
@@ -260,12 +255,9 @@ std::uint64_t hypergeometric_hrua(Rng& rng, std::uint64_t good,
     const double x = a + h * (v - 0.5) / u;
     if (x < 0.0 || x >= b) continue;
     const auto k = static_cast<std::uint64_t>(x);
-    lf_args[0] = k;
-    lf_args[1] = good - k;
-    lf_args[2] = sample - k;
-    lf_args[3] = bad - sample + k;
-    log_factorial_batch(lf_args, lf, 4);
-    const double gp = lf[0] + lf[1] + lf[2] + lf[3];
+    const double gp = log_factorial(k) + log_factorial(good - k) +
+                      log_factorial(sample - k) +
+                      log_factorial(bad - sample + k);
     const double t = g - gp;
     if (u * (4.0 - u) - 3.0 <= t) return k;  // fast accept
     if (u * (u - t) >= 1.0) continue;        // fast reject
@@ -278,10 +270,6 @@ std::uint64_t hypergeometric_hrua(Rng& rng, std::uint64_t good,
 double log_factorial(std::uint64_t k) {
   return k < kLogFactTableSize ? log_fact_table()[k]
                                : log_factorial_stirling(k);
-}
-
-void log_factorial_batch(const std::uint64_t* k, double* out, std::size_t n) {
-  simd::log_factorial_fill(log_fact_table(), kLogFactTableSize, k, out, n);
 }
 
 std::uint64_t sample_binomial(Rng& rng, std::uint64_t n, double p) {

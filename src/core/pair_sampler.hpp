@@ -28,12 +28,6 @@ namespace popproto {
 /// glibc).
 double log_factorial(std::uint64_t k);
 
-/// Batched log(k!): out[i] = log_factorial(k[i]) for i in [0, n). Same table
-/// and Stirling series as the scalar, dispatched through support/simd.hpp —
-/// every tier returns bit-identical doubles. The HRUA samplers evaluate
-/// log-pmf terms four arguments at a time through this.
-void log_factorial_batch(const std::uint64_t* k, double* out, std::size_t n);
-
 /// Binomial(n, p): number of successes in n trials. Exact: inversion when
 /// n * min(p, 1-p) is small, Hörmann's BTRS transformed rejection (with the
 /// exact log-pmf acceptance test) otherwise.

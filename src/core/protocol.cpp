@@ -21,25 +21,6 @@ void Protocol::compose(const Protocol& other) {
     threads_.push_back(ProtoThread{other.name_ + "." + t.name, t.rules});
 }
 
-const Rule* Protocol::sample_rule(Rng& rng) const {
-  if (threads_.empty()) return nullptr;
-  const auto& thread = threads_[rng.below(threads_.size())];
-  if (thread.rules.empty()) return nullptr;  // idle thread slot
-  return &thread.rules[rng.below(thread.rules.size())];
-}
-
-std::vector<Protocol::WeightedRule> Protocol::weighted_rules() const {
-  std::vector<WeightedRule> out;
-  if (threads_.empty()) return out;
-  const double thread_p = 1.0 / static_cast<double>(threads_.size());
-  for (const auto& t : threads_) {
-    if (t.rules.empty()) continue;
-    const double w = thread_p / static_cast<double>(t.rules.size());
-    for (const auto& r : t.rules) out.push_back(WeightedRule{&r, w});
-  }
-  return out;
-}
-
 std::size_t Protocol::num_rules() const {
   std::size_t n = 0;
   for (const auto& t : threads_) n += t.rules.size();

@@ -38,18 +38,6 @@ class Protocol {
   /// pool, §1.3).
   void compose(const Protocol& other);
 
-  /// Uniform thread choice, then uniform rule choice within the thread.
-  /// Returns nullptr when the protocol has no rules at all.
-  const Rule* sample_rule(Rng& rng) const;
-
-  /// Per-rule selection probability (for the count engine): rule r in thread
-  /// t is chosen with probability 1 / (num_threads * thread_size(t)).
-  struct WeightedRule {
-    const Rule* rule;
-    double weight;
-  };
-  std::vector<WeightedRule> weighted_rules() const;
-
   const std::string& name() const { return name_; }
   const VarSpacePtr& vars() const { return vars_; }
   VarSpace& var_space() { return *vars_; }

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "support/simd.hpp"
-
 namespace popproto {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -48,21 +46,12 @@ Rng Rng::split() {
   return Rng(seed);
 }
 
-void Rng::fill_below(std::uint64_t bound, std::uint64_t* out, std::size_t n) {
-  POPPROTO_DCHECK(bound > 0);
-  for (std::size_t i = 0; i < n; ++i) out[i] = below(bound);
-}
-
 void BulkDraws::refill(Rng& rng) {
   if (buf_.empty()) buf_.resize(kWords);
   base_ = rng;
   rng.fill_u64(buf_.data(), buf_.size());
   pos_ = 0;
   len_ = buf_.size();
-}
-
-void CounterStream::fill(std::uint64_t* out, std::size_t n) {
-  state_ = simd::splitmix_fill(state_, out, n);
 }
 
 std::string rng_state_hex(const Rng& rng) {

@@ -104,11 +104,6 @@ class Rng {
     for (std::size_t i = 0; i < n; ++i) out[i] = (*this)();
   }
 
-  /// Batched bounded uniforms: out[0..n) gets the results of n sequential
-  /// below(bound) calls (same Lemire rejection, same word consumption, so
-  /// the stream state afterwards matches the per-draw loop exactly).
-  void fill_below(std::uint64_t bound, std::uint64_t* out, std::size_t n);
-
   /// Advance the stream by `n` draws, discarding the outputs (used to
   /// compute the logical position of a partially consumed bulk buffer).
   void discard(std::uint64_t n) {
@@ -241,31 +236,6 @@ class BulkDraws {
   std::size_t pos_ = 0;
   std::size_t len_ = 0;
   Rng base_{1};  // rng's state as of the last refill (pre-fill)
-};
-
-/// Counter-based SplitMix64 stream (DESIGN.md §13): the same output
-/// sequence as repeated splitmix64(state) calls, but each value is a pure
-/// function of the counter, so fill() vectorizes (support/simd.hpp) and a
-/// shard can refill a private buffer from its own counter with no shared
-/// state and no sequential dependence. Used where streams are *derived*
-/// (seeding, stream splitting, scrambling) rather than replay-pinned;
-/// xoshiro streams that snapshots serialize stay on Rng.
-class CounterStream {
- public:
-  explicit CounterStream(std::uint64_t seed) : state_(seed) {}
-
-  /// Next value; identical to splitmix64(state_) on the running counter.
-  std::uint64_t operator()() { return splitmix64(state_); }
-
-  /// Bulk fill: out[0..n) gets the next n values, counter advanced past
-  /// them. Dispatches to the widest available SIMD tier.
-  void fill(std::uint64_t* out, std::size_t n);
-
-  std::uint64_t state() const { return state_; }
-  void set_state(std::uint64_t s) { state_ = s; }
-
- private:
-  std::uint64_t state_;
 };
 
 }  // namespace popproto

@@ -1,18 +1,18 @@
-// SIMD dispatch shim for the hot-path kernels (DESIGN.md §13).
+// SIMD dispatch shim for the hot-path kernel (DESIGN.md §13).
 //
-// Every kernel here has a scalar reference implementation and (on x86-64)
-// an AVX2 variant compiled with per-function target attributes, so the
+// The kernel here has a scalar reference implementation and (on x86-64) an
+// AVX2 variant compiled with a per-function target attribute, so the
 // library builds with a plain -march=x86-64 baseline and still uses the
 // wide units when the running CPU has them. Dispatch is resolved once, at
 // first use, from compile-time capability + runtime cpuid probing; the
 // POPPROTO_FORCE_SCALAR=1 environment knob (docs/TUNING.md) pins the
 // scalar tier for A/B measurement and fallback testing.
 //
-// Contract: for identical inputs, every tier of a kernel produces
-// bit-identical outputs (the vector variants reassociate nothing — they
-// evaluate the same expression per lane). Replay and snapshot fidelity
-// therefore do not depend on the tier a host happens to dispatch to;
-// tests/simd_test.cpp pins this lane-for-lane.
+// Contract: for identical inputs, every tier produces bit-identical outputs
+// (the vector variant reassociates nothing — it evaluates the same
+// expression per lane). Replay and snapshot fidelity therefore do not
+// depend on the tier a host happens to dispatch to; tests/simd_test.cpp
+// pins this lane-for-lane.
 #pragma once
 
 #include <cstddef>
@@ -20,17 +20,17 @@
 
 namespace popproto::simd {
 
-/// Instruction-set tiers, ordered by width. kSSE2 is the x86-64 baseline
-/// (always available there); kernels without a profitable SSE2 form fall
-/// through to scalar code at that tier. kAVX2 requires runtime support.
-enum class Tier { kScalar = 0, kSSE2 = 1, kAVX2 = 2 };
+/// Instruction-set tiers, ordered by width. kAVX2 requires runtime
+/// support; every other host runs the scalar body. The values are stable:
+/// bench records stamp them as `simd_tier`.
+enum class Tier { kScalar = 0, kAVX2 = 2 };
 
 /// The tier kernels dispatch to, resolved once per process: the widest
 /// tier the build *and* the running CPU support, clamped to kScalar when
 /// POPPROTO_FORCE_SCALAR=1 is set in the environment.
 Tier active_tier();
 
-/// Human-readable tier name ("scalar" / "sse2" / "avx2") for bench records.
+/// Human-readable tier name ("scalar" / "avx2") for bench records.
 const char* tier_name(Tier t);
 
 /// Re-read POPPROTO_FORCE_SCALAR and re-probe the CPU, replacing the cached
@@ -38,25 +38,9 @@ const char* tier_name(Tier t);
 /// not thread-safe against concurrent kernel calls.
 void refresh_tier_from_env();
 
-/// Widest tier this *build* can express, ignoring the runtime CPU and the
-/// environment override (compile-time capability ceiling).
-Tier compiled_tier();
-
 // -- Kernels ----------------------------------------------------------------
-// Each takes plain pointers (callers own layout/alignment; none required)
-// and dispatches internally on active_tier().
-
-/// Counter-based SplitMix64 fill: out[i] = the i-th value a sequential
-/// splitmix64(state) walk starting from `state` would produce. Returns the
-/// advanced state (state + n * golden gamma), so a caller holding a single
-/// u64 counter can refill a private buffer with no synchronization and no
-/// sequential dependence — the lanes are pure functions of the counter.
-std::uint64_t splitmix_fill(std::uint64_t state, std::uint64_t* out,
-                            std::size_t n);
-
-/// Map raw 64-bit words to uniform doubles in [0, 1) exactly as
-/// Rng::uniform does: (word >> 11) * 2^-53, per lane.
-void u01_from_words(const std::uint64_t* words, double* out, std::size_t n);
+// Plain pointers (callers own layout/alignment; none required); dispatches
+// internally on active_tier().
 
 /// Pair-table prescan for TransitionCache::sample_indexed (the batch
 /// engines' matching loops): bit j of the result is set when
@@ -66,11 +50,5 @@ void u01_from_words(const std::uint64_t* words, double* out, std::size_t n);
 /// load per lane instead of a call per pair. n <= 64.
 std::uint64_t mask_below_bounds(const double* bounds, const std::uint64_t* off,
                                 const double* u, std::size_t n);
-
-/// Batched log(k!): table gather for k < table_n, the same Stirling series
-/// as pair_sampler's scalar log_factorial above it. `table` must hold
-/// log(k!) for k in [0, table_n).
-void log_factorial_fill(const double* table, std::size_t table_n,
-                        const std::uint64_t* k, double* out, std::size_t n);
 
 }  // namespace popproto::simd

@@ -1,10 +1,10 @@
 // Stirling's series for log(k!) at large k.
 //
-// pair_sampler's scalar log_factorial, its collision-run sampler and the
-// batched log-factorial kernels in simd.cpp all evaluate the series here,
-// so every path returns bit-identical doubles for the same argument: the
-// exact samplers compare these values against uniforms, where one ULP of
-// drift between two paths would change an accept/reject decision.
+// pair_sampler's log_factorial and its collision-run sampler both evaluate
+// the series here, so both paths return bit-identical doubles for the same
+// argument: the exact samplers compare these values against uniforms, where
+// one ULP of drift between two paths would change an accept/reject
+// decision.
 #pragma once
 
 #include <cmath>

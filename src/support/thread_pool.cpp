@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -25,46 +23,8 @@ unsigned probe_hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-bool pin_current_thread(unsigned index) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return false;
-  const int cpus = CPU_COUNT(&allowed);
-  if (cpus <= 0) return false;
-  // Walk to the (index mod cpus)-th set bit of the allowed mask.
-  int want = static_cast<int>(index % static_cast<unsigned>(cpus));
-  int cpu = -1;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (!CPU_ISSET(c, &allowed)) continue;
-    if (want-- == 0) {
-      cpu = c;
-      break;
-    }
-  }
-  if (cpu < 0) return false;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  return pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0;
-#else
-  (void)index;
-  return false;
-#endif
-}
-
-bool shard_pinning_requested() {
-  static const bool requested = [] {
-    const char* v = std::getenv("POPPROTO_PIN_SHARDS");
-    return v != nullptr && *v != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-  }();
-  return requested;
-}
-
-ThreadPool::ThreadPool(unsigned threads) : threads_(threads) {
-  if (threads_ == 0) threads_ = std::max(1u, std::thread::hardware_concurrency());
-}
+ThreadPool::ThreadPool(unsigned threads)
+    : threads_(threads != 0 ? threads : probe_hardware_threads()) {}
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) const {
@@ -83,14 +43,7 @@ void ThreadPool::parallel_for(std::size_t count,
   };
   std::vector<std::thread> extra;
   extra.reserve(workers - 1);
-  // Same opt-in affinity as the engine shard pools: short-lived fork-join
-  // workers pin by worker index (the calling thread, worker 0, never does).
-  const bool pin = shard_pinning_requested();
-  for (unsigned w = 1; w < workers; ++w)
-    extra.emplace_back([&drain, pin, w] {
-      if (pin) pin_current_thread(w);
-      drain();
-    });
+  for (unsigned w = 1; w < workers; ++w) extra.emplace_back(drain);
   drain();  // the calling thread participates
   for (auto& t : extra) t.join();
 }

@@ -28,22 +28,9 @@ namespace popproto {
 /// speedup trajectory.
 unsigned probe_hardware_threads();
 
-/// Pin the calling thread to the `index`-th CPU of the process's affinity
-/// mask (modulo the mask population, so any worker index is valid). Linux
-/// only; returns false — leaving affinity untouched — elsewhere, or when the
-/// mask cannot be read or applied. Indexing into the *allowed* mask rather
-/// than raw CPU numbers keeps pinning correct under containers/taskset,
-/// where the allowed CPUs are an arbitrary subset.
-bool pin_current_thread(unsigned index);
-
-/// Whether the user asked for shard-worker pinning via POPPROTO_PIN_SHARDS
-/// (set and not "0"; see docs/TUNING.md). Read once and cached — engines
-/// consult it at worker spawn, which happens exactly once per pool.
-bool shard_pinning_requested();
-
 class ThreadPool {
  public:
-  /// `threads` = 0 picks std::thread::hardware_concurrency() (min 1).
+  /// `threads` = 0 picks probe_hardware_threads().
   explicit ThreadPool(unsigned threads = 0);
 
   unsigned size() const { return threads_; }

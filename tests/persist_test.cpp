@@ -275,6 +275,35 @@ TEST(SnapshotBytes, AgentRunRoundsPinnedAcrossVersions) {
   }
 }
 
+TEST(SnapshotBytes, CountRunRoundsPinnedAcrossVersions) {
+  // The count-backend counterpart of the agent pin above. At n = 2^20 the
+  // count_shard run covers two migrations, whose deals draw hypergeometrics
+  // with variance past the HRUA threshold, so a change to the exact
+  // samplers that moves a single accept/reject decision fails here. Pinned
+  // the same way: whole snapshot on the default tier, the snapshot without
+  // its counters section on both. count_shard has no top-level counters
+  // section (its shards' counters ride inside the population section), so
+  // its two CRCs agree.
+  struct Pin {
+    const char* backend;
+    std::uint32_t whole;
+    std::uint32_t sans_counters;
+  };
+  const auto inst = make_protocol_instance("approx_majority", 1u << 20);
+  ASSERT_NE(inst, nullptr);
+  for (const Pin& pin : {Pin{"count", 0x7786fddeu, 0xf043ec9du},
+                         Pin{"count_shard", 0xd2548841u, 0xd2548841u}}) {
+    const auto eng = make_backend_instance(pin.backend, *inst, /*seed=*/1,
+                                           /*parallelism=*/4);
+    eng->run_rounds(8.0);
+    EXPECT_EQ(crc32(snapshot_sans_counters(*eng)), pin.sans_counters)
+        << pin.backend;
+    if (!Profiler::compiled_in()) {
+      EXPECT_EQ(crc32(snapshot_bytes(*eng)), pin.whole) << pin.backend;
+    }
+  }
+}
+
 TEST(MidBufferSnapshot, BatchEngineRestoresBitIdentically) {
   ClockFixture fx(4096);
   for (const unsigned threads : {1u, 2u, 4u}) {

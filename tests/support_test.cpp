@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "support/fitting.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 
 namespace popproto {
 namespace {
@@ -311,6 +314,24 @@ TEST(TwoSample, ChiSquareSeparatesDifferentLaws) {
   EXPECT_LT(same, 3.0 * static_cast<double>(dof));
   const double diff = chi_square_two_sample(a, shifted, 8, &dof);
   EXPECT_GT(diff, 10.0 * static_cast<double>(dof));
+}
+
+// threads = 0 honours the affinity mask (taskset, cpusets), as TaskQueue
+// and CountShardEngine do, rather than the machine's core count.
+TEST(ThreadPool, ZeroThreadsMeansProbedHardwareThreads) {
+  EXPECT_EQ(ThreadPool(0).size(), probe_hardware_threads());
+}
+
+TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
+  constexpr std::size_t kCount = 1000;
+  for (const unsigned threads : {1u, 4u}) {
+    std::vector<std::atomic<int>> visits(kCount);
+    ThreadPool(threads).parallel_for(kCount, [&](std::size_t i) {
+      visits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kCount; ++i)
+      EXPECT_EQ(visits[i].load(), 1) << "threads=" << threads << " i=" << i;
+  }
 }
 
 }  // namespace

@@ -26,8 +26,6 @@ def good_bench(mod):
                         "hardware_threads": 4})
     records.append({"name": "simd_ab_prescan", "simd_tier": 2,
                     "simd_speedup": 5.0})
-    records.append({"name": "simd_ab_logfact", "simd_tier": 2,
-                    "simd_speedup": 1.4})
     records.append({"name": "count_batch_majority",
                     "speedup_vs_direct_effective": 12.0})
     load = {"suite": "bench_load", "records": [
@@ -115,16 +113,15 @@ def main():
     check("parallel scaling: one hardware thread only warns",
           got == [] and len(warnings) == 1, f"{got} {warnings}")
 
-    # scalar-vs-SIMD A/B
-    check("simd a/b: 1.4x on a vector tier passes",
+    # scalar-vs-SIMD prescan A/B
+    check("simd a/b: 5x on a vector tier passes",
           mod.check_simd_ab(records_of(good), []) == [])
     bad = copy.deepcopy(good)
     record(bad, "simd_ab_prescan")["simd_speedup"] = 1.1
-    record(bad, "simd_ab_logfact")["simd_speedup"] = 1.2
     got = mod.check_simd_ab(records_of(bad), [])
-    check("simd a/b: no kernel at 1.3x fails",
-          got == ["BENCH_engine.json: no vector-tier SIMD kernel reached "
-                  "1.3x over scalar"], got)
+    check("simd a/b: prescan below 1.3x fails",
+          got == ["BENCH_engine.json: simd_ab_prescan did not reach 1.3x "
+                  "over scalar on a vector tier"], got)
 
     # count_batch_majority speedup floor
     check("count batch: 12x passes",
