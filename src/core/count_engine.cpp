@@ -32,14 +32,14 @@ constexpr double kToSkip = 0.85;
 constexpr double kToBatch = 1.25;
 constexpr double kBlockWindow = 16.0;
 
-// Default batch cap when set_batch_size(0). A batch ends at its first
+// The cap on one batch's interactions. A batch ends at its first
 // collision anyway, so the cap only needs to clear the collision-free run
 // distribution (E[run] ~ 0.63 sqrt(n) by the birthday bound, tail ~ 2 sqrt(n));
 // 2 sqrt(n) lets nearly every run end naturally without truncation, and the
 // sweep in EXPERIMENTS.md shows throughput is flat past that point. Clamped
 // so tiny populations still batch and huge ones keep per-batch scratch
 // bounded.
-std::uint64_t auto_batch_cap(std::uint64_t n) {
+std::uint64_t batch_cap(std::uint64_t n) {
   const auto r =
       static_cast<std::uint64_t>(2.0 * std::sqrt(static_cast<double>(n)));
   return std::clamp<std::uint64_t>(r, 8, std::uint64_t{1} << 16);
@@ -496,7 +496,7 @@ bool CountEngine::batch_step(double limit) {
   // Interaction budget until `limit` (round boundary or run target), capped
   // by the batch size. Guard the infinite-limit case before casting.
   const double room = (limit - time_) * static_cast<double>(n_);
-  const std::uint64_t cap = batch_cap();
+  const std::uint64_t cap = batch_cap(n_);
   std::uint64_t budget = cap;
   if (room < static_cast<double>(cap))
     budget = room >= 1.0 ? static_cast<std::uint64_t>(room) : 1;
@@ -563,16 +563,12 @@ bool CountEngine::batch_step(double limit) {
   return !silent_;
 }
 
-std::uint64_t CountEngine::batch_cap() const {
-  return batch_size_ ? batch_size_ : auto_batch_cap(n_);
-}
-
 double CountEngine::mean_block() const {
   // A collision-free run lasts sqrt(pi n / 8) interactions on average (the
   // birthday bound), unless the cap cuts it short.
   const double run =
       std::sqrt(std::numbers::pi / 8.0 * static_cast<double>(n_));
-  return std::min(run, static_cast<double>(batch_cap()));
+  return std::min(run, static_cast<double>(batch_cap(n_)));
 }
 
 double CountEngine::block_cost_in_jumps() const {
@@ -667,7 +663,7 @@ void CountEngine::snapshot(std::ostream& out) const {
   c.u8(use_cache_ ? 1 : 0);
   c.u8(use_skip_ ? 1 : 0);
   c.u8(silent_ ? 1 : 0);
-  c.u64(batch_size_);
+  c.u64(0);  // retired batch-cap slot; restore rejects anything else
   c.f64(time_);
   c.u64(interactions_);
   c.u64(effective_);
@@ -711,7 +707,7 @@ void CountEngine::restore(std::istream& in) {
     bool use_cache = true;
     bool use_skip = false;
     bool silent = false;
-    std::uint64_t batch_size = 0;
+    std::uint64_t batch_cap_slot = 0;
     double time = 0.0;
     std::uint64_t interactions = 0;
     std::uint64_t effective = 0;
@@ -738,7 +734,7 @@ void CountEngine::restore(std::istream& in) {
         st.use_cache = r.u8() != 0;
         st.use_skip = r.u8() != 0;
         st.silent = r.u8() != 0;
-        st.batch_size = r.u64();
+        st.batch_cap_slot = r.u64();
         st.time = r.f64();
         st.interactions = r.u64();
         st.effective = r.u64();
@@ -790,6 +786,9 @@ void CountEngine::restore(std::istream& in) {
       st.mode != static_cast<std::uint8_t>(CountEngineMode::kSkip) &&
       st.mode != static_cast<std::uint8_t>(CountEngineMode::kBatch))
     throw SnapshotError(SnapshotErrc::kCorrupt, "unknown count engine mode");
+  if (st.batch_cap_slot != 0)
+    throw SnapshotError(SnapshotErrc::kCorrupt,
+                        "nonzero batch cap (the knob is retired)");
   if (st.states.size() != st.counts.size())
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "species/count table length mismatch");
@@ -834,7 +833,6 @@ void CountEngine::restore(std::istream& in) {
   use_cache_ = st.use_cache;
   use_skip_ = st.use_skip;
   silent_ = st.silent;
-  batch_size_ = st.batch_size;
   time_ = st.time;
   interactions_ = st.interactions;
   effective_ = st.effective;

@@ -68,14 +68,6 @@ class CountEngine final : public SimBackend {
   void set_transition_cache(bool enabled) { use_cache_ = enabled; }
   const TransitionCache& transition_cache() const { return cache_; }
 
-  // -- Batched collision sampling (kBatch mode, DESIGN.md §9) ---------------
-  /// Cap on the number of interactions one batch may span; 0 (default)
-  /// auto-tunes to ~2·√n. A batch ends at its first collision regardless, and
-  /// the collision-free run length is birthday-bounded at ~0.63·√n, so the
-  /// cap matters only as a truncation bound (fault boundaries, round limits);
-  /// past ~2·√n throughput is flat.
-  void set_batch_size(std::uint64_t b) { batch_size_ = b; }
-  std::uint64_t batch_size() const { return batch_size_; }
   /// True while steps take skip-ahead jumps: kSkip, or kBatch under a drop
   /// hook or parked in skip by the hand-off. False under a SchedulerBias,
   /// which forces direct steps.
@@ -212,8 +204,6 @@ class CountEngine final : public SimBackend {
   /// caller's untouched/touched totals in place.
   void batch_collision_interaction(std::uint64_t* m_total,
                                    std::uint64_t* u_total);
-  /// The cap on one batch's interactions (set_batch_size, or auto).
-  std::uint64_t batch_cap() const;
   /// Expected interactions in one kBatch block.
   double mean_block() const;
   /// How many skip jumps one block costs at the current species count.
@@ -278,7 +268,6 @@ class CountEngine final : public SimBackend {
   std::vector<double> cw_;
   // Batch-mode scratch (sized to states_.size() inside batch_step; kept as
   // members so steady-state batches allocate nothing).
-  std::uint64_t batch_size_ = 0;
   std::vector<std::uint64_t> bat_touched_;
   std::vector<std::uint64_t> bat_pairs_;  // S x S ordered species pairs
   std::vector<std::uint64_t> bat_out_;

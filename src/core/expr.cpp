@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <string_view>
+#include <utility>
+
+#include "support/parse.hpp"
 
 namespace popproto {
 
@@ -335,6 +339,49 @@ class ExprParser {
 
 BoolExpr parse_bool_expr(const std::string& text, const VarSpace& vars) {
   return ExprParser(text, vars).parse();
+}
+
+CountPredicate CountPredicate::parse(const std::vector<std::string>& tokens,
+                                     std::size_t from) {
+  using C = Cmp;
+  static constexpr std::pair<std::string_view, Cmp> kCmps[] = {
+      {"<", C::kLt},  {"<=", C::kLe}, {"==", C::kEq},
+      {"!=", C::kNe}, {">=", C::kGe}, {">", C::kGt}};
+  CountPredicate p;
+  std::size_t expr_end = tokens.size();
+  if (expr_end >= from + 2) {
+    const std::string& op = tokens[expr_end - 2];
+    const auto hit = std::find_if(std::begin(kCmps), std::end(kCmps),
+                                  [&](const auto& c) { return op == c.first; });
+    if (hit != std::end(kCmps)) {
+      p.cmp = hit->second;
+      const std::string& rhs = tokens.back();
+      if (rhs == "all")
+        p.all = true;
+      else if (const auto count = parse_u64(rhs))
+        p.count = *count;
+      else
+        throw ExprParseError{"bad predicate count '" + rhs + "'"};
+      expr_end -= 2;
+    }
+  }
+  if (expr_end <= from) throw ExprParseError{"predicate needs an expression"};
+  p.expr = join_tokens(tokens, from, expr_end);
+  return p;
+}
+
+bool CountPredicate::holds(std::uint64_t matching,
+                           std::uint64_t active_n) const {
+  const std::uint64_t rhs = all ? active_n : count;
+  switch (cmp) {
+    case Cmp::kLt: return matching < rhs;
+    case Cmp::kLe: return matching <= rhs;
+    case Cmp::kEq: return matching == rhs;
+    case Cmp::kNe: return matching != rhs;
+    case Cmp::kGe: return matching >= rhs;
+    case Cmp::kGt: return matching > rhs;
+  }
+  return false;
 }
 
 }  // namespace popproto

@@ -73,6 +73,29 @@ struct ExprParseError {
 /// message on bad input.
 BoolExpr parse_bool_expr(const std::string& text, const VarSpace& vars);
 
+/// A convergence predicate `count_matching(expr) <cmp> <count>|all`: the
+/// text form of popprotod's `run-until` and popsweep's `until` key. The
+/// expression stays text, since it compiles (parse_bool_expr) only against
+/// a concrete protocol's variable space, which the caller holds.
+struct CountPredicate {
+  enum class Cmp { kLt, kLe, kEq, kNe, kGe, kGt };
+
+  std::string expr;
+  Cmp cmp = Cmp::kGe;
+  std::uint64_t count = 1;
+  bool all = false;  // compare against active_n at check time, not count
+
+  /// Parse tokens[from..] as `<expr> [<cmp> <count>|all]`, cmp one of
+  /// < <= == != >= >. The trailing pair is a comparison when its first
+  /// token is a comparator; without it the predicate is `>= 1`
+  /// (existence). Throws ExprParseError on an empty expression or a count
+  /// that is neither `all` nor a u64.
+  static CountPredicate parse(const std::vector<std::string>& tokens,
+                              std::size_t from);
+
+  bool holds(std::uint64_t matching, std::uint64_t active_n) const;
+};
+
 /// Compiled guard: DNF minterm list over the formula's support.
 class Guard {
  public:

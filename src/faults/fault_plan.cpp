@@ -1,8 +1,10 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "support/check.hpp"
+#include "support/parse.hpp"
 #include "support/serialize.hpp"
 
 namespace popproto {
@@ -91,6 +93,77 @@ FaultPlan FaultPlan::from_events(std::vector<FaultEvent> events) {
   FaultPlan plan;
   plan.events_ = std::move(events);
   return plan;
+}
+
+namespace {
+
+constexpr const char* kTextFaultKinds = "crash, rejoin, corrupt, dropout";
+
+[[noreturn]] void fault_error(std::string message) {
+  throw FaultParseError{std::move(message)};
+}
+
+/// A round time: a double >= 0 (`inf` never fires).
+double parse_round(const std::string& token, const char* what) {
+  const auto v = parse_double(token);
+  if (!v || *v < 0)
+    fault_error(std::string("bad ") + what + " '" + token + "'");
+  return *v;
+}
+
+bool in_unit_interval(const std::optional<double>& v) {
+  return v && *v > 0 && *v <= 1;
+}
+
+}  // namespace
+
+FaultPlan& FaultPlan::parse_event(const std::vector<std::string>& tokens,
+                                  std::size_t from) {
+  if (from >= tokens.size())
+    fault_error(std::string("missing fault kind (have: ") + kTextFaultKinds +
+                ")");
+  const std::string& kind = tokens[from];
+  const std::size_t args = tokens.size() - from - 1;
+  const auto arg = [&](std::size_t i) -> const std::string& {
+    return tokens[from + 1 + i];
+  };
+  if (kind == "crash" || kind == "corrupt") {
+    if (args != 2) fault_error("usage: " + kind + " <round> <fraction>");
+    const double round = parse_round(arg(0), "round");
+    const auto fraction = parse_double(arg(1));
+    if (!in_unit_interval(fraction))
+      fault_error("bad fraction '" + arg(1) + "' (need (0, 1])");
+    if (kind == "crash")
+      return crash_at(round, CrashSpec{.fraction = *fraction, .count = 0});
+    CorruptSpec spec;  // kFixed all-zero full-mask rewrite
+    spec.fraction = *fraction;
+    return corrupt_at(round, spec);
+  }
+  if (kind == "rejoin") {
+    if (args != 2) fault_error("usage: rejoin <round> all|<fraction>");
+    const double round = parse_round(arg(0), "round");
+    RejoinSpec spec;
+    if (arg(1) == "all") {
+      spec.all = true;
+    } else {
+      const auto fraction = parse_double(arg(1));
+      if (!in_unit_interval(fraction))
+        fault_error("bad fraction '" + arg(1) + "' (need (0, 1] or 'all')");
+      spec.fraction = *fraction;
+    }
+    return rejoin_at(round, spec);
+  }
+  if (kind == "dropout") {
+    if (args != 3) fault_error("usage: dropout <from> <until> <p>");
+    const double start = parse_round(arg(0), "from");
+    const auto until = parse_double(arg(1));
+    if (!until || *until <= start) fault_error("bad until '" + arg(1) + "'");
+    const auto p = parse_double(arg(2));
+    if (!in_unit_interval(p)) fault_error("bad p '" + arg(2) + "'");
+    return dropout_window(start, *until, *p);
+  }
+  fault_error("unknown fault kind '" + kind + "' (have: " + kTextFaultKinds +
+              ")");
 }
 
 namespace {

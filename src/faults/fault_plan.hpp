@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/injection.hpp"
@@ -79,11 +80,27 @@ struct FaultEvent {
   SchedulerBias bias;
 };
 
+/// Thrown by FaultPlan::parse_event with a caller-presentable message.
+struct FaultParseError {
+  std::string message;
+};
+
 /// Builder/container for a perturbation schedule. All builder methods
 /// return *this for chaining; plans are value types and reusable across
 /// engines and trials (the injector keeps per-run firing state).
 class FaultPlan {
  public:
+  /// Append the event tokens[from..] describe, in the text form shared by
+  /// popprotod's `inject` and popsweep's `fault` key:
+  ///   crash|corrupt <round> <fraction>    round >= 0, fraction in (0, 1]
+  ///   rejoin <round> all|<fraction>
+  ///   dropout <from> <until> <p>          from >= 0, until > from, p in (0, 1]
+  /// A text `corrupt` rewrites its victims to the all-zero state over the
+  /// full mask. Throws FaultParseError and leaves the plan unchanged on
+  /// malformed input.
+  FaultPlan& parse_event(const std::vector<std::string>& tokens,
+                         std::size_t from);
+
   FaultPlan& corrupt_at(double round, CorruptSpec spec);
   FaultPlan& corrupt_bernoulli(double rate, double from, double until,
                                CorruptSpec spec);

@@ -28,6 +28,14 @@ namespace popproto {
 
 class SimBackend;
 
+/// The injector seed for a run whose engine is seeded with `seed`: split
+/// off it so the fault randomness never perturbs the engine's own streams.
+/// popprotod buckets and popsweep jobs both derive it here, so a bucket
+/// and a job with equal seeds and plans fault the same agents.
+constexpr std::uint64_t injector_seed(std::uint64_t seed) {
+  return seed ^ 0x9e3779b97f4a7c15ull;
+}
+
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, std::uint64_t seed);

@@ -1,54 +1,18 @@
 #include "server/command.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/expr.hpp"
 #include "persist/checkpoint.hpp"
+#include "support/parse.hpp"
 #include "support/serialize.hpp"
 
 namespace popproto {
 namespace {
-
-// -- Small formatting/parsing helpers ---------------------------------------
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty() || s[0] == '-') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
-}
-
-std::optional<double> parse_dbl(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size() || !(v == v)) return std::nullopt;
-  return v;
-}
 
 std::string fmt_dbl(double v) {
   char buf[64];
@@ -60,48 +24,6 @@ std::string fmt_u64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
   return buf;
-}
-
-// -- Guard-expression parsing -----------------------------------------------
-// The recursive-descent parser itself lives in core/expr.cpp
-// (parse_bool_expr) so popsweep's `until` spec key shares one grammar with
-// this protocol; ExprParseError propagates to the execute() catch below.
-
-/// Join tokens[from..] back into one expression string. Tokenizing the line
-/// first and re-joining keeps the command grammar whitespace-insensitive
-/// ("BA & !BB" and "BA&!BB" both work).
-std::string join_from(const std::vector<std::string>& tokens,
-                      std::size_t from, std::size_t until) {
-  std::string out;
-  for (std::size_t i = from; i < until; ++i) {
-    if (!out.empty()) out += ' ';
-    out += tokens[i];
-  }
-  return out;
-}
-
-enum class Cmp { kLt, kLe, kEq, kNe, kGe, kGt };
-
-std::optional<Cmp> parse_cmp(const std::string& s) {
-  if (s == "<") return Cmp::kLt;
-  if (s == "<=") return Cmp::kLe;
-  if (s == "==") return Cmp::kEq;
-  if (s == "!=") return Cmp::kNe;
-  if (s == ">=") return Cmp::kGe;
-  if (s == ">") return Cmp::kGt;
-  return std::nullopt;
-}
-
-bool cmp_eval(std::uint64_t lhs, Cmp cmp, std::uint64_t rhs) {
-  switch (cmp) {
-    case Cmp::kLt: return lhs < rhs;
-    case Cmp::kLe: return lhs <= rhs;
-    case Cmp::kEq: return lhs == rhs;
-    case Cmp::kNe: return lhs != rhs;
-    case Cmp::kGe: return lhs >= rhs;
-    case Cmp::kGt: return lhs > rhs;
-  }
-  return false;
 }
 
 CommandResult ok(std::string text) { return {std::move(text) + "\n"}; }
@@ -331,7 +253,7 @@ CommandResult CommandExecutor::execute(const std::string& line) {
 
     if (cmd == "run") {
       if (tokens.size() != 3) fail("usage: run <bucket> <rounds>");
-      const auto rounds = parse_dbl(tokens[2]);
+      const auto rounds = parse_double(tokens[2]);
       if (!rounds || *rounds <= 0) fail("bad rounds '" + tokens[2] + "'");
       if (*rounds > limits_.max_rounds_per_command)
         fail("rounds exceed max_rounds_per_command " +
@@ -346,40 +268,17 @@ CommandResult CommandExecutor::execute(const std::string& line) {
       if (tokens.size() < 4)
         fail("usage: run-until <bucket> <max-rounds> <guard-expr> "
              "[<cmp> <count>|all]");
-      const auto max_rounds = parse_dbl(tokens[2]);
+      const auto max_rounds = parse_double(tokens[2]);
       if (!max_rounds || *max_rounds < 0)
         fail("bad max-rounds '" + tokens[2] + "'");
       if (*max_rounds > limits_.max_rounds_per_command)
         fail("max-rounds exceeds max_rounds_per_command " +
              fmt_dbl(limits_.max_rounds_per_command));
-      // An optional trailing "<cmp> <count>" pair; everything between is the
-      // guard expression.
-      Cmp cmp = Cmp::kGe;
-      std::uint64_t target = 1;
-      bool target_all = false;
-      std::size_t expr_end = tokens.size();
-      if (tokens.size() >= 5) {
-        if (const auto c = parse_cmp(tokens[tokens.size() - 2])) {
-          const std::string& val = tokens.back();
-          if (val == "all") {
-            target_all = true;
-          } else {
-            const auto v = parse_u64(val);
-            if (!v) fail("bad predicate count '" + val + "'");
-            target = *v;
-          }
-          cmp = *c;
-          expr_end = tokens.size() - 2;
-        }
-      }
-      const std::string expr_text = join_from(tokens, 3, expr_end);
+      const CountPredicate until = CountPredicate::parse(tokens, 3);
       std::lock_guard<std::mutex> lock(bucket->mu);
-      const BoolExpr expr =
-          parse_bool_expr(expr_text, *bucket->instance->vars);
-      const Guard guard(expr);
+      const Guard guard(parse_bool_expr(until.expr, *bucket->instance->vars));
       const auto pred = [&](const SimBackend& e) {
-        const std::uint64_t rhs = target_all ? e.active_n() : target;
-        return cmp_eval(e.count_matching(guard), cmp, rhs);
+        return until.holds(e.count_matching(guard), e.active_n());
       };
       const auto hit = bucket->engine->run_until(pred, *max_rounds);
       bucket->dirty.store(true, std::memory_order_relaxed);
@@ -389,7 +288,7 @@ CommandResult CommandExecutor::execute(const std::string& line) {
 
     if (cmd == "observe") {
       if (tokens.size() < 3) fail("usage: observe <bucket> <guard-expr>");
-      const std::string expr_text = join_from(tokens, 2, tokens.size());
+      const std::string expr_text = join_tokens(tokens, 2, tokens.size());
       std::lock_guard<std::mutex> lock(bucket->mu);
       const BoolExpr expr =
           parse_bool_expr(expr_text, *bucket->instance->vars);
@@ -417,59 +316,17 @@ CommandResult CommandExecutor::execute(const std::string& line) {
     }
 
     if (cmd == "inject") {
-      if (tokens.size() < 3)
-        fail("usage: inject <bucket> crash|rejoin|corrupt|dropout ...");
-      const std::string& kind = tokens[2];
       FaultPlan plan;
-      if (kind == "crash" || kind == "corrupt") {
-        if (tokens.size() != 5)
-          fail("usage: inject <bucket> " + kind + " <round> <fraction>");
-        const auto round = parse_dbl(tokens[3]);
-        const auto fraction = parse_dbl(tokens[4]);
-        if (!round || *round < 0) fail("bad round '" + tokens[3] + "'");
-        if (!fraction || *fraction <= 0 || *fraction > 1)
-          fail("bad fraction '" + tokens[4] + "' (need (0, 1])");
-        if (kind == "crash") {
-          plan.crash_at(*round, CrashSpec{.fraction = *fraction, .count = 0});
-        } else {
-          CorruptSpec spec;  // kFixed all-zero full-mask rewrite
-          spec.fraction = *fraction;
-          plan.corrupt_at(*round, spec);
-        }
-      } else if (kind == "rejoin") {
-        if (tokens.size() != 5)
-          fail("usage: inject <bucket> rejoin <round> all|<fraction>");
-        const auto round = parse_dbl(tokens[3]);
-        if (!round || *round < 0) fail("bad round '" + tokens[3] + "'");
-        RejoinSpec spec;
-        if (tokens[4] == "all") {
-          spec.all = true;
-        } else {
-          const auto fraction = parse_dbl(tokens[4]);
-          if (!fraction || *fraction <= 0 || *fraction > 1)
-            fail("bad fraction '" + tokens[4] + "' (need (0, 1] or 'all')");
-          spec.fraction = *fraction;
-        }
-        plan.rejoin_at(*round, spec);
-      } else if (kind == "dropout") {
-        if (tokens.size() != 6)
-          fail("usage: inject <bucket> dropout <from> <until> <p>");
-        const auto from = parse_dbl(tokens[3]);
-        const auto until = parse_dbl(tokens[4]);
-        const auto p = parse_dbl(tokens[5]);
-        if (!from || *from < 0) fail("bad from '" + tokens[3] + "'");
-        if (!until || *until <= *from) fail("bad until '" + tokens[4] + "'");
-        if (!p || *p <= 0 || *p > 1) fail("bad p '" + tokens[5] + "'");
-        plan.dropout_window(*from, *until, *p);
-      } else {
-        fail("unknown fault kind '" + kind +
-             "' (have: crash, rejoin, corrupt, dropout)");
+      try {
+        plan.parse_event(tokens, 2);
+      } catch (const FaultParseError& e) {
+        fail("inject: " + e.message);
       }
       std::lock_guard<std::mutex> lock(bucket->mu);
       // Each inject replaces the bucket's schedule; events at or before the
       // current round fire immediately (FaultInjector::attach semantics).
       bucket->injector = std::make_unique<FaultInjector>(
-          std::move(plan), bucket->seed ^ 0x9e3779b97f4a7c15ull);
+          std::move(plan), injector_seed(bucket->seed));
       bucket->injector->attach(*bucket->engine);
       bucket->dirty.store(true, std::memory_order_relaxed);
       return ok("OK fault schedule installed");

@@ -2,11 +2,13 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
+#include "support/parse.hpp"
 #include "support/serialize.hpp"
 
 namespace popproto {
@@ -41,24 +43,10 @@ std::string fmt_exact(double v) {
   return buf;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t* out, int base = 10) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, base);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_exact(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
+/// A "0x"-prefixed hex field (crcs): the prefix, then parse_u64's base 16.
+std::optional<std::uint64_t> parse_hex(const std::string& s) {
+  if (s.compare(0, 2, "0x") != 0) return std::nullopt;
+  return parse_u64(std::string_view(s).substr(2), 16);
 }
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
@@ -75,10 +63,12 @@ struct FieldMap {
   }
 };
 
-FieldMap split_fields(std::istringstream& rest) {
+/// The key=value fields among tokens[from..].
+FieldMap split_fields(const std::vector<std::string>& tokens,
+                      std::size_t from) {
   FieldMap out;
-  std::string tok;
-  while (rest >> tok) {
+  for (std::size_t i = from; i < tokens.size(); ++i) {
+    const std::string& tok = tokens[i];
     const std::size_t eq = tok.find('=');
     if (eq == std::string::npos || eq == 0) continue;
     out.fields.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
@@ -111,32 +101,31 @@ void parse_result_fields(const std::string& path, const FieldMap& f,
     if (v == nullptr) corrupt(path, std::string("missing field ") + key);
     return *v;
   };
-  std::uint64_t u = 0;
-  if (!parse_exact(need("rounds"), &r->rounds))
-    corrupt(path, "bad rounds field");
-  if (!parse_u64(need("interactions"), &r->interactions))
-    corrupt(path, "bad interactions field");
-  if (!parse_u64(need("converged"), &u) || u > 1)
-    corrupt(path, "bad converged field");
-  r->converged = u == 1;
-  if (!parse_exact(need("converged_at"), &r->converged_at))
-    corrupt(path, "bad converged_at field");
-  const std::string& crc = need("species_crc");
-  if (crc.size() < 3 || crc.compare(0, 2, "0x") != 0 ||
-      !parse_u64(crc.substr(2), &r->species_crc, 16))
-    corrupt(path, "bad species_crc field");
-  if (!parse_u64(need("active_n"), &r->active_n))
-    corrupt(path, "bad active_n field");
-  if (!parse_u64(need("effective"), &r->effective_steps))
-    corrupt(path, "bad effective field");
-  if (!parse_exact(need("wall"), &r->wall_seconds))
-    corrupt(path, "bad wall field");
-  if (!parse_u64(need("resumed"), &u) || u > 1)
-    corrupt(path, "bad resumed field");
-  r->resumed = u == 1;
-  if (!parse_u64(need("ckpt_rejected"), &u) || u > 1)
-    corrupt(path, "bad ckpt_rejected field");
-  r->checkpoint_rejected = u == 1;
+  const auto field = [&](const char* key, auto parsed) {
+    if (!parsed) corrupt(path, std::string("bad ") + key + " field");
+    return *parsed;
+  };
+  const auto u64 = [&](const char* key) {
+    return field(key, parse_u64(need(key)));
+  };
+  const auto dbl = [&](const char* key) {
+    return field(key, parse_double(need(key)));
+  };
+  const auto flag = [&](const char* key) {
+    const std::uint64_t v = u64(key);
+    if (v > 1) corrupt(path, std::string("bad ") + key + " field");
+    return v == 1;
+  };
+  r->rounds = dbl("rounds");
+  r->interactions = u64("interactions");
+  r->converged = flag("converged");
+  r->converged_at = dbl("converged_at");
+  r->species_crc = field("species_crc", parse_hex(need("species_crc")));
+  r->active_n = u64("active_n");
+  r->effective_steps = u64("effective");
+  r->wall_seconds = dbl("wall");
+  r->resumed = flag("resumed");
+  r->checkpoint_rejected = flag("ckpt_rejected");
 }
 
 /// Atomic publish shared by the manifest and result writers.
@@ -175,17 +164,15 @@ std::string read_checked(const std::string& path, bool* missing) {
     corrupt(path, "truncated (no trailing newline)");
   const std::size_t pos = text.rfind("\nend ");
   if (pos == std::string::npos) corrupt(path, "truncated (no end trailer)");
-  const std::string trailer = text.substr(pos + 1);  // "end 0x........\n"
-  std::istringstream ts(trailer);
-  std::string word, crc_text;
-  if (!(ts >> word >> crc_text) || word != "end")
+  // "end 0x........", without the final newline.
+  const std::vector<std::string> trailer =
+      tokenize(std::string_view(text).substr(pos + 1, text.size() - pos - 2));
+  if (trailer.size() != 2 || trailer[0] != "end")
     corrupt(path, "malformed end trailer");
-  std::uint64_t stored = 0;
-  if (crc_text.size() < 3 || crc_text.compare(0, 2, "0x") != 0 ||
-      !parse_u64(crc_text.substr(2), &stored, 16))
-    corrupt(path, "malformed end trailer crc");
+  const auto stored = parse_hex(trailer[1]);
+  if (!stored) corrupt(path, "malformed end trailer crc");
   const std::string body = text.substr(0, pos + 1);
-  if (crc32(body) != static_cast<std::uint32_t>(stored))
+  if (crc32(body) != static_cast<std::uint32_t>(*stored))
     corrupt(path, "crc mismatch (truncated or corrupt)");
   return body;
 }
@@ -272,27 +259,24 @@ Manifest Manifest::load(const std::string& path) {
   };
   if (next() != kMagic) corrupt(path, "bad magic line");
 
-  std::istringstream crc_line(next());
-  std::string word, value;
-  std::uint64_t stored_spec_crc = 0;
-  if (!(crc_line >> word >> value) || word != "spec_crc" ||
-      value.size() < 3 || value.compare(0, 2, "0x") != 0 ||
-      !parse_u64(value.substr(2), &stored_spec_crc, 16))
-    corrupt(path, "bad spec_crc line");
-
-  std::istringstream count_line(next());
-  std::uint64_t spec_lines = 0;
-  if (!(count_line >> word >> value) || word != "spec_lines" ||
-      !parse_u64(value, &spec_lines))
-    corrupt(path, "bad spec_lines line");
+  // A "<key> <value>" header line's value.
+  const auto header = [&](const std::string& key) {
+    const std::vector<std::string> t = tokenize(next());
+    if (t.size() != 2 || t[0] != key) corrupt(path, "bad " + key + " line");
+    return t[1];
+  };
+  const auto stored_spec_crc = parse_hex(header("spec_crc"));
+  if (!stored_spec_crc) corrupt(path, "bad spec_crc line");
+  const auto spec_lines = parse_u64(header("spec_lines"));
+  if (!spec_lines) corrupt(path, "bad spec_lines line");
   std::string spec_text;
-  for (std::uint64_t k = 0; k < spec_lines; ++k) {
+  for (std::uint64_t k = 0; k < *spec_lines; ++k) {
     const std::string& line = next();
     if (line.compare(0, 2, "| ") != 0) corrupt(path, "bad spec body line");
     spec_text += line.substr(2);
     spec_text += '\n';
   }
-  if (crc32(spec_text) != static_cast<std::uint32_t>(stored_spec_crc))
+  if (crc32(spec_text) != static_cast<std::uint32_t>(*stored_spec_crc))
     corrupt(path, "embedded spec does not match spec_crc");
 
   Manifest m;
@@ -301,24 +285,22 @@ Manifest Manifest::load(const std::string& path) {
   } catch (const SpecError& e) {
     corrupt(path, "embedded spec invalid: " + e.message);
   }
-  m.spec_crc_ = static_cast<std::uint32_t>(stored_spec_crc);
+  m.spec_crc_ = static_cast<std::uint32_t>(*stored_spec_crc);
 
-  std::istringstream jobs_line(next());
-  std::uint64_t job_count = 0;
-  if (!(jobs_line >> word >> value) || word != "jobs" ||
-      !parse_u64(value, &job_count))
-    corrupt(path, "bad jobs line");
+  const auto job_count = parse_u64(header("jobs"));
+  if (!job_count) corrupt(path, "bad jobs line");
 
   // Rows must be exactly the embedded spec's grid, in expansion order: the
   // id is the join key between manifest, checkpoints, and result files.
   std::vector<JobSpec> grid = expand_grid(m.spec_);
-  if (job_count != grid.size())
+  if (*job_count != grid.size())
     corrupt(path, "job count disagrees with the embedded spec's grid");
   for (std::size_t k = 0; k < grid.size(); ++k) {
-    std::istringstream row_line(next());
-    std::string tag, id, state;
-    if (!(row_line >> tag >> id >> state) || tag != "job")
+    const std::vector<std::string> row_tokens = tokenize(next());
+    if (row_tokens.size() < 3 || row_tokens[0] != "job")
       corrupt(path, "bad job row");
+    const std::string& id = row_tokens[1];
+    const std::string& state = row_tokens[2];
     if (id != grid[k].id)
       corrupt(path, "job row '" + id + "' does not match grid id '" +
                         grid[k].id + "'");
@@ -334,12 +316,11 @@ Manifest Manifest::load(const std::string& path) {
       row.state = JobState::kFailed;
     else
       corrupt(path, "bad job state '" + state + "'");
-    const FieldMap fields = split_fields(row_line);
+    const FieldMap fields = split_fields(row_tokens, 3);
     const std::string* attempts = fields.get("attempts");
-    std::uint64_t a = 0;
-    if (attempts == nullptr || !parse_u64(*attempts, &a))
-      corrupt(path, "bad attempts field");
-    row.attempts = static_cast<std::uint32_t>(a);
+    const auto a = attempts ? parse_u64(*attempts) : std::nullopt;
+    if (!a || *a > UINT32_MAX) corrupt(path, "bad attempts field");
+    row.attempts = static_cast<std::uint32_t>(*a);
     if (row.state == JobState::kDone)
       parse_result_fields(path, fields, &row.result);
     m.jobs_.push_back(std::move(row));
@@ -377,13 +358,13 @@ bool read_result_file(const std::string& path, const std::string& job_id,
   const std::vector<std::string> lines = split_lines(body);
   if (lines.size() != 2 || lines[0] != kResultMagic)
     corrupt(path, "bad result file");
-  std::istringstream row(lines[1]);
-  std::string tag, id;
-  if (!(row >> tag >> id) || tag != "job") corrupt(path, "bad result row");
-  if (id != job_id)
-    corrupt(path, "result for job '" + id + "', expected '" + job_id + "'");
+  const std::vector<std::string> row = tokenize(lines[1]);
+  if (row.size() < 2 || row[0] != "job") corrupt(path, "bad result row");
+  if (row[1] != job_id)
+    corrupt(path,
+            "result for job '" + row[1] + "', expected '" + job_id + "'");
   JobResult r;
-  parse_result_fields(path, split_fields(row), &r);
+  parse_result_fields(path, split_fields(row, 2), &r);
   *out = r;
   return true;
 }

@@ -14,15 +14,6 @@
 namespace popproto {
 namespace {
 
-bool cmp_eval(std::uint64_t lhs, const std::string& cmp, std::uint64_t rhs) {
-  if (cmp == "<") return lhs < rhs;
-  if (cmp == "<=") return lhs <= rhs;
-  if (cmp == "==") return lhs == rhs;
-  if (cmp == "!=") return lhs != rhs;
-  if (cmp == ">=") return lhs >= rhs;
-  return lhs > rhs;  // ">"
-}
-
 /// crc32 over the backend's (state, count) species table, serialized LE.
 /// Each substrate's species() ordering is deterministic for a fixed
 /// trajectory, so equal crcs here witness equal final configurations.
@@ -52,11 +43,8 @@ JobContext build_job(const JobSpec& job, const SweepSpec& spec) {
       make_backend_instance(job.backend, *ctx.instance, job.seed, job.threads);
   if (!ctx.engine) throw RunnerError{"unknown backend '" + job.backend + "'"};
   if (!spec.faults.empty()) {
-    // Same seed derivation as popprotod buckets (server/command.cpp): the
-    // injector's stream is split off the job seed so the fault randomness
-    // never perturbs the engine's own streams.
-    ctx.injector = std::make_unique<FaultInjector>(
-        spec.faults, job.seed ^ 0x9e3779b97f4a7c15ull);
+    ctx.injector =
+        std::make_unique<FaultInjector>(spec.faults, injector_seed(job.seed));
     ctx.injector->attach(*ctx.engine);
   }
   return ctx;
@@ -90,22 +78,17 @@ JobResult run_one_job(const JobSpec& job, const SweepSpec& spec,
 
   // The until predicate compiles against this protocol's variable space;
   // an expression over unknown variables is a spec error surfaced per job.
-  bool has_pred = false;
   Guard guard;
-  if (spec.has_until) {
+  if (spec.until) {
     try {
-      guard = Guard(parse_bool_expr(spec.until.expr_text,
-                                    *ctx.instance->vars));
+      guard = Guard(parse_bool_expr(spec.until->expr, *ctx.instance->vars));
     } catch (const ExprParseError& e) {
       throw RunnerError{"until predicate: " + e.message};
     }
-    has_pred = true;
   }
   const auto predicate_holds = [&]() {
-    if (!has_pred) return false;
-    const std::uint64_t rhs =
-        spec.until.rhs_is_all ? ctx.engine->active_n() : spec.until.rhs;
-    return cmp_eval(ctx.engine->count_matching(guard), spec.until.cmp, rhs);
+    return spec.until && spec.until->holds(ctx.engine->count_matching(guard),
+                                           ctx.engine->active_n());
   };
 
   // Constructed after a successful load so the cadence counts from the

@@ -1,54 +1,17 @@
 #include "sweep/spec.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
-#include <optional>
 #include <sstream>
+
+#include "support/parse.hpp"
 
 namespace popproto {
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) out.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty() || s[0] == '-') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
-}
-
-std::optional<double> parse_dbl(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size() || !(v == v))
-    return std::nullopt;
-  return v;
-}
-
 [[noreturn]] void fail(std::size_t lineno, const std::string& message) {
   throw SpecError{"spec line " + std::to_string(lineno) + ": " + message};
-}
-
-bool is_cmp(const std::string& s) {
-  return s == "<" || s == "<=" || s == "==" || s == "!=" || s == ">=" ||
-         s == ">";
 }
 
 /// Axis names must survive as path components of checkpoint/result files
@@ -71,90 +34,6 @@ void reject_duplicates(std::size_t lineno, const std::vector<T>& values,
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
     fail(lineno, std::string("duplicate ") + key +
                      " value (grid points must have unique job ids)");
-}
-
-void parse_fault_line(std::size_t lineno,
-                      const std::vector<std::string>& tokens,
-                      FaultPlan* plan) {
-  // Same grammar as popprotod's `inject <bucket> ...` (server/command.cpp),
-  // minus the bucket operand; every job in the grid replays the same plan.
-  if (tokens.size() < 2) fail(lineno, "fault needs a kind");
-  const std::string& kind = tokens[1];
-  if (kind == "crash" || kind == "corrupt") {
-    if (tokens.size() != 4)
-      fail(lineno, "usage: fault " + kind + " <round> <fraction>");
-    const auto round = parse_dbl(tokens[2]);
-    const auto fraction = parse_dbl(tokens[3]);
-    if (!round || *round < 0) fail(lineno, "bad round '" + tokens[2] + "'");
-    if (!fraction || *fraction <= 0 || *fraction > 1)
-      fail(lineno, "bad fraction '" + tokens[3] + "' (need (0, 1])");
-    if (kind == "crash") {
-      plan->crash_at(*round, CrashSpec{.fraction = *fraction, .count = 0});
-    } else {
-      CorruptSpec spec;  // kFixed all-zero full-mask rewrite
-      spec.fraction = *fraction;
-      plan->corrupt_at(*round, spec);
-    }
-  } else if (kind == "rejoin") {
-    if (tokens.size() != 4)
-      fail(lineno, "usage: fault rejoin <round> all|<fraction>");
-    const auto round = parse_dbl(tokens[2]);
-    if (!round || *round < 0) fail(lineno, "bad round '" + tokens[2] + "'");
-    RejoinSpec spec;
-    if (tokens[3] == "all") {
-      spec.all = true;
-    } else {
-      const auto fraction = parse_dbl(tokens[3]);
-      if (!fraction || *fraction <= 0 || *fraction > 1)
-        fail(lineno, "bad fraction '" + tokens[3] + "' (need (0, 1] or 'all')");
-      spec.fraction = *fraction;
-    }
-    plan->rejoin_at(*round, spec);
-  } else if (kind == "dropout") {
-    if (tokens.size() != 5)
-      fail(lineno, "usage: fault dropout <from> <until> <p>");
-    const auto from = parse_dbl(tokens[2]);
-    const auto until = parse_dbl(tokens[3]);
-    const auto p = parse_dbl(tokens[4]);
-    if (!from || *from < 0) fail(lineno, "bad from '" + tokens[2] + "'");
-    if (!until || *until <= *from) fail(lineno, "bad until '" + tokens[3] + "'");
-    if (!p || *p <= 0 || *p > 1) fail(lineno, "bad p '" + tokens[4] + "'");
-    plan->dropout_window(*from, *until, *p);
-  } else {
-    fail(lineno, "unknown fault kind '" + kind +
-                     "' (have: crash, rejoin, corrupt, dropout)");
-  }
-}
-
-void parse_until(std::size_t lineno, const std::vector<std::string>& tokens,
-                 SweepSpec* spec) {
-  // until <expr tokens...> [<cmp> <count>|all] — the popprotod run-until
-  // grammar. The trailing pair is a comparison only when the second-to-last
-  // token is a comparator; everything before is the expression text.
-  if (tokens.size() < 2) fail(lineno, "until needs an expression");
-  if (spec->has_until) fail(lineno, "duplicate until key");
-  std::size_t expr_end = tokens.size();
-  UntilSpec u;
-  if (tokens.size() >= 4 && is_cmp(tokens[tokens.size() - 2])) {
-    const std::string& rhs = tokens.back();
-    u.cmp = tokens[tokens.size() - 2];
-    if (rhs == "all") {
-      u.rhs_is_all = true;
-    } else {
-      const auto count = parse_u64(rhs);
-      if (!count) fail(lineno, "bad count '" + rhs + "'");
-      u.rhs = *count;
-    }
-    expr_end = tokens.size() - 2;
-  }
-  std::string expr;
-  for (std::size_t i = 1; i < expr_end; ++i) {
-    if (!expr.empty()) expr += ' ';
-    expr += tokens[i];
-  }
-  u.expr_text = expr;
-  spec->until = u;
-  spec->has_until = true;
 }
 
 }  // namespace
@@ -214,20 +93,31 @@ SweepSpec parse_sweep_spec(const std::string& text) {
       reject_duplicates(lineno, spec.threads, "threads");
     } else if (key == "max_rounds") {
       if (tokens.size() != 2) fail(lineno, "max_rounds takes one value");
-      const auto r = parse_dbl(tokens[1]);
-      if (!r || *r <= 0) fail(lineno, "bad max_rounds '" + tokens[1] + "'");
+      // A job without an `until` runs to the horizon, so it must be finite.
+      const auto r = parse_double(tokens[1]);
+      if (!r || *r <= 0 || !std::isfinite(*r))
+        fail(lineno, "bad max_rounds '" + tokens[1] + "' (need finite > 0)");
       spec.max_rounds = *r;
       has_max_rounds = true;
     } else if (key == "checkpoint_every") {
       if (tokens.size() != 2) fail(lineno, "checkpoint_every takes one value");
-      const auto r = parse_dbl(tokens[1]);
+      const auto r = parse_double(tokens[1]);
       if (!r || *r <= 0)
         fail(lineno, "bad checkpoint_every '" + tokens[1] + "'");
       spec.checkpoint_every = *r;
     } else if (key == "until") {
-      parse_until(lineno, tokens, &spec);
+      if (spec.until) fail(lineno, "duplicate until key");
+      try {
+        spec.until = CountPredicate::parse(tokens, 1);
+      } catch (const ExprParseError& e) {
+        fail(lineno, "until: " + e.message);
+      }
     } else if (key == "fault") {
-      parse_fault_line(lineno, tokens, &spec.faults);
+      try {
+        spec.faults.parse_event(tokens, 1);
+      } catch (const FaultParseError& e) {
+        fail(lineno, "fault: " + e.message);
+      }
     } else {
       fail(lineno, "unknown key '" + key + "'");
     }

@@ -18,24 +18,27 @@
 //   max_rounds 64
 //   checkpoint_every 8
 //   until BA == all              # optional: count_matching(expr) <cmp> rhs
-//   fault corrupt 12 0.25        # optional, popprotod `inject` grammar
+//   fault corrupt 12 0.25        # optional, repeatable
 //
 // Keys: `protocol`, `backend`, `n`, `seed` (required, ≥1 value each);
 // `threads` (optional structural-parallelism axis, see
-// make_backend_instance); `max_rounds` (required horizon, same absolute
-// semantics as SimBackend::run_until); `checkpoint_every` (parallel time
-// between AutoCheckpoint writes, default 16); `until <expr> [<cmp>
-// <count>|all]` (popprotod run-until grammar; validated per protocol at job
-// start); `fault crash|corrupt <round> <fraction>`, `fault rejoin <round>
-// all|<fraction>`, `fault dropout <from> <until> <p>` (repeatable;
-// popprotod `inject` grammar). `#` starts a comment; blank lines are
-// ignored.
+// make_backend_instance); `max_rounds` (required finite horizon, same
+// absolute semantics as SimBackend::run_until); `checkpoint_every`
+// (parallel time between AutoCheckpoint writes, default 16); `until <expr>
+// [<cmp> <count>|all]` (CountPredicate::parse in core/expr.hpp, the parser
+// popprotod's `run-until` uses; the expression is validated per protocol
+// at job start); `fault crash|corrupt <round> <fraction>`, `fault rejoin
+// <round> all|<fraction>`, `fault dropout <from> <until> <p>` (repeatable;
+// FaultPlan::parse_event in faults/fault_plan.hpp, the parser popprotod's
+// `inject` uses). `#` starts a comment; blank lines are ignored.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/expr.hpp"
 #include "faults/fault_plan.hpp"
 
 namespace popproto {
@@ -43,17 +46,6 @@ namespace popproto {
 /// Thrown on malformed spec text; `message` names the offending line.
 struct SpecError {
   std::string message;
-};
-
-/// One optional run-until predicate: count_matching(expr_text) <cmp> rhs,
-/// where rhs may be "all" (= active_n at check time). Stored as text — the
-/// expression can only be compiled against a concrete protocol's VarSpace,
-/// which jobs build at run time (sweep/runner.cpp).
-struct UntilSpec {
-  std::string expr_text;
-  std::string cmp = ">=";  // one of < <= == != >= >
-  std::uint64_t rhs = 1;
-  bool rhs_is_all = false;
 };
 
 struct SweepSpec {
@@ -65,8 +57,8 @@ struct SweepSpec {
   std::vector<unsigned> threads;
   double max_rounds = 0.0;
   double checkpoint_every = 16.0;
-  bool has_until = false;
-  UntilSpec until;
+  /// Optional run-until predicate, checked after every unit round.
+  std::optional<CountPredicate> until;
   FaultPlan faults;
   /// The exact text the spec was parsed from; crc32(canonical_text) pins a
   /// manifest to its spec.

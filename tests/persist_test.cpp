@@ -19,6 +19,7 @@
 //  * AutoCheckpoint: tick cadence, atomic write + load, missing-file and
 //    injector-flag handling.
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -383,10 +384,11 @@ void expect_rejected(SimBackend& target, const std::string& bytes,
     restore_bytes(target, bytes);
     FAIL() << what << ": corrupted snapshot was accepted";
   } catch (const SnapshotError& e) {
-    if (expected_code)
+    if (expected_code) {
       EXPECT_EQ(static_cast<int>(e.code()), static_cast<int>(*expected_code))
           << what << ": wrong error code (" << snapshot_errc_name(e.code())
           << ": " << e.what() << ")";
+    }
   } catch (...) {
     FAIL() << what << ": threw something other than SnapshotError";
   }
@@ -466,16 +468,17 @@ TEST(MalformedSnapshot, WrongBackendAndWrongProtocol) {
                   "phase-clock snapshot into majority engine");
 }
 
-TEST(MalformedSnapshot, RetiredCountModeByteIsRejected) {
-  // Mode byte 2 named a count-engine mode that no longer exists. A snapshot
-  // carrying it, with a valid CRC, is rejected rather than guessed at.
-  MajorityFixture maj(512);
+/// A kBatch count-engine snapshot (n = 512, 4 rounds) with `edit` applied
+/// to its core section payload and that section's CRC recomputed, so only
+/// the semantic checks can reject it.
+std::string count_snapshot_with_core_edit(
+    MajorityFixture& maj, const std::function<void(std::string&)>& edit) {
   auto src = maj.count(7, CountEngineMode::kBatch)();
   src->run_rounds(4.0);
   const std::string snap = snapshot_bytes(*src);
   BinReader r(snap);
-  std::string bad;
-  BinWriter w(bad);
+  std::string out;
+  BinWriter w(out);
   w.u32(r.u32());  // magic
   w.u32(r.u32());  // version
   bool rewritten = false;
@@ -487,8 +490,7 @@ TEST(MalformedSnapshot, RetiredCountModeByteIsRejected) {
     for (std::uint64_t i = 0; i < len; ++i)
       payload.push_back(static_cast<char>(r.u8()));
     if (tag == static_cast<std::uint32_t>(SnapshotSection::kCore)) {
-      ASSERT_EQ(payload[0], static_cast<char>(CountEngineMode::kBatch));
-      payload[0] = 2;  // the core section opens with the mode byte
+      edit(payload);
       crc = crc32(payload);
       rewritten = true;
     }
@@ -498,11 +500,39 @@ TEST(MalformedSnapshot, RetiredCountModeByteIsRejected) {
     for (const char ch : payload) w.u8(static_cast<std::uint8_t>(ch));
     if (tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)) break;
   }
-  ASSERT_TRUE(rewritten);
+  EXPECT_TRUE(rewritten);
+  return out;
+}
+
+TEST(MalformedSnapshot, RetiredCountModeByteIsRejected) {
+  // Mode byte 2 named a count-engine mode that no longer exists. A snapshot
+  // carrying it, with a valid CRC, is rejected rather than guessed at.
+  MajorityFixture maj(512);
+  const std::string bad =
+      count_snapshot_with_core_edit(maj, [](std::string& core) {
+        ASSERT_EQ(core[0], static_cast<char>(CountEngineMode::kBatch));
+        core[0] = 2;  // the core section opens with the mode byte
+      });
   auto target = maj.count(9, CountEngineMode::kBatch)();
   target->run_rounds(2.0);
   const SnapshotErrc corrupt = SnapshotErrc::kCorrupt;
   expect_rejected(*target, bad, &corrupt, "retired mode byte 2");
+}
+
+TEST(MalformedSnapshot, NonzeroCountBatchCapIsRejected) {
+  // The u64 after the four flag bytes held a batch-cap knob that no longer
+  // exists; snapshots write it as 0, and any other value is rejected.
+  MajorityFixture maj(512);
+  const std::string bad =
+      count_snapshot_with_core_edit(maj, [](std::string& core) {
+        ASSERT_GE(core.size(), 12u);
+        for (int b = 4; b < 12; ++b) ASSERT_EQ(core[b], 0) << b;
+        core[4] = 64;  // a cap of 64 interactions
+      });
+  auto target = maj.count(9, CountEngineMode::kBatch)();
+  target->run_rounds(2.0);
+  const SnapshotErrc corrupt = SnapshotErrc::kCorrupt;
+  expect_rejected(*target, bad, &corrupt, "nonzero batch cap slot");
 }
 
 TEST(MalformedSnapshot, BatchShardCountMismatch) {

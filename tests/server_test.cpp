@@ -173,6 +173,11 @@ TEST_F(ServerTest, ParserRejectsGarbage) {
   EXPECT_EQ(c.cmd("observe ok1 BA &").rfind("ERROR", 0), 0u);   // bad expr
   EXPECT_EQ(c.cmd("observe ok1 NOPE").rfind("ERROR", 0), 0u);   // unknown var
   EXPECT_EQ(c.cmd("run-until ok1 10 BA >= zz").rfind("ERROR", 0), 0u);
+  EXPECT_EQ(c.cmd("run-until ok1 10 >= 5").rfind("ERROR", 0), 0u);
+  EXPECT_EQ(c.cmd("inject ok1").rfind("ERROR", 0), 0u);
+  EXPECT_EQ(c.cmd("inject ok1 crash -1 0.5").rfind("ERROR", 0), 0u);
+  EXPECT_EQ(c.cmd("inject ok1 dropout 5 2 0.5").rfind("ERROR", 0), 0u);
+  EXPECT_EQ(c.cmd("inject ok1 warp 1 0.5").rfind("ERROR", 0), 0u);
   EXPECT_EQ(c.cmd("observe ok1 BA | BB").rfind("COUNT 100", 0), 0u);
 }
 

@@ -67,7 +67,7 @@ TEST(SweepSpec, ParsesAxesAndDriveConfig) {
   EXPECT_TRUE(spec.threads.empty());
   EXPECT_EQ(spec.max_rounds, 8.0);
   EXPECT_EQ(spec.checkpoint_every, 2.0);
-  EXPECT_FALSE(spec.has_until);
+  EXPECT_FALSE(spec.until.has_value());
 }
 
 TEST(SweepSpec, ExpandsCartesianGridInSpecOrder) {
@@ -97,21 +97,21 @@ TEST(SweepSpec, ParsesUntilWithComparatorAndAll) {
   const SweepSpec spec = parse_sweep_spec(
       "protocol approx_majority\nbackend count\nn 256\nseed 1\n"
       "max_rounds 4\nuntil BA & !BB == all\n");
-  ASSERT_TRUE(spec.has_until);
-  EXPECT_EQ(spec.until.expr_text, "BA & !BB");
-  EXPECT_EQ(spec.until.cmp, "==");
-  EXPECT_TRUE(spec.until.rhs_is_all);
+  ASSERT_TRUE(spec.until.has_value());
+  EXPECT_EQ(spec.until->expr, "BA & !BB");
+  EXPECT_EQ(spec.until->cmp, CountPredicate::Cmp::kEq);
+  EXPECT_TRUE(spec.until->all);
 }
 
 TEST(SweepSpec, BareUntilDefaultsToAtLeastOne) {
   const SweepSpec spec = parse_sweep_spec(
       "protocol approx_majority\nbackend count\nn 256\nseed 1\n"
       "max_rounds 4\nuntil BB\n");
-  ASSERT_TRUE(spec.has_until);
-  EXPECT_EQ(spec.until.expr_text, "BB");
-  EXPECT_EQ(spec.until.cmp, ">=");
-  EXPECT_EQ(spec.until.rhs, 1u);
-  EXPECT_FALSE(spec.until.rhs_is_all);
+  ASSERT_TRUE(spec.until.has_value());
+  EXPECT_EQ(spec.until->expr, "BB");
+  EXPECT_EQ(spec.until->cmp, CountPredicate::Cmp::kGe);
+  EXPECT_EQ(spec.until->count, 1u);
+  EXPECT_FALSE(spec.until->all);
 }
 
 TEST(SweepSpec, RejectsMalformedSpecs) {
@@ -138,6 +138,23 @@ TEST(SweepSpec, RejectsMalformedSpecs) {
       parse_sweep_spec(
           "protocol p\nbackend b\nn 4\nseed 1\nmax_rounds 4\nbogus 1\n"),
       SpecError);  // unknown key
+  // A job without `until` runs to its horizon, which must therefore end.
+  EXPECT_THROW(
+      parse_sweep_spec("protocol p\nbackend b\nn 4\nseed 1\nmax_rounds inf\n"),
+      SpecError);
+  // The shared predicate and fault-line parsers' errors name the line.
+  EXPECT_THROW(
+      parse_sweep_spec(
+          "protocol p\nbackend b\nn 4\nseed 1\nmax_rounds 4\nuntil BA >= x\n"),
+      SpecError);
+  EXPECT_THROW(
+      parse_sweep_spec(
+          "protocol p\nbackend b\nn 4\nseed 1\nmax_rounds 4\nuntil == all\n"),
+      SpecError);
+  EXPECT_THROW(
+      parse_sweep_spec(
+          "protocol p\nbackend b\nn 4\nseed 1\nmax_rounds 4\nfault crash 1\n"),
+      SpecError);
 }
 
 // -- parse_bool_expr (core/expr, shared with popprotod) ----------------------
@@ -240,6 +257,25 @@ TEST(SweepManifest, RejectsRowsDisagreeingWithTheEmbeddedSpec) {
   EXPECT_THROW(Manifest::load(path), ManifestError);
 }
 
+TEST(SweepManifest, RejectsNegativeAttempts) {
+  // A row whose attempts field reads -1, under a valid trailer: the strict
+  // number parser refuses it instead of wrapping it to 2^64 - 1.
+  const std::string dir = temp_dir("sweep_manifest_attempts");
+  const std::string path = manifest_path(dir);
+  Manifest::create(parse_sweep_spec(kSpecText)).save(path);
+  std::string full = read_file(path);
+  const std::string from = "-n256-s1 pending attempts=0\n";
+  const std::size_t at = full.find(from);
+  ASSERT_NE(at, std::string::npos);
+  full.replace(at, from.size(), "-n256-s1 pending attempts=-1\n");
+  const std::string body = full.substr(0, full.rfind("end 0x"));
+  char crc_line[32];
+  std::snprintf(crc_line, sizeof crc_line, "end 0x%08x\n", crc32(body));
+  write_file(path, body + crc_line);
+  EXPECT_THROW(Manifest::load(path), ManifestError);
+  std::remove(path.c_str());
+}
+
 TEST(SweepManifest, ResultFileRoundTripsAndRejectsWrongJob) {
   const std::string dir = temp_dir("sweep_result_rt");
   const std::string path = dir + "/job1.result";
@@ -264,36 +300,48 @@ TEST(SweepManifest, ResultFileRoundTripsAndRejectsWrongJob) {
 
 // -- Runner ------------------------------------------------------------------
 
-SweepSpec tiny_spec() {
+SweepSpec tiny_spec(const std::string& extra = "") {
   return parse_sweep_spec(
       "protocol approx_majority\nbackend count\nn 256\nseed 7\n"
-      "max_rounds 8\ncheckpoint_every 1\n");
+      "max_rounds 8\ncheckpoint_every 1\n" + extra);
 }
 
 TEST(SweepRunner, ResumedJobMatchesUninterruptedBitForBit) {
   const std::string dir = temp_dir("sweep_runner_resume");
-  const SweepSpec full = tiny_spec();
-  SweepSpec half = full;
-  half.max_rounds = 4.0;
-  const JobSpec job = expand_grid(full)[0];
+  // The second spec crashes agents at round 2, has its dropout window open
+  // at the round-4 checkpoint and rejoins everyone at round 5: the resumed
+  // half must replay the rest of the schedule exactly.
+  const SweepSpec faulted = tiny_spec(
+      "fault crash 2 0.1\nfault rejoin 5 all\nfault dropout 3 6 0.2\n");
+  ASSERT_EQ(faulted.faults.size(), 3u);
+  std::vector<JobResult> references;
+  for (const SweepSpec& full : {tiny_spec(), faulted}) {
+    SCOPED_TRACE(full.faults.empty() ? "no faults" : "fault schedule");
+    SweepSpec half = full;
+    half.max_rounds = 4.0;
+    const JobSpec job = expand_grid(full)[0];
 
-  // Uninterrupted reference.
-  const std::string ref_ckpt = dir + "/ref.ckpt";
-  std::remove(ref_ckpt.c_str());
-  const JobResult reference = run_one_job(job, full, ref_ckpt);
-  EXPECT_FALSE(reference.resumed);
-  EXPECT_EQ(reference.rounds, 8.0);
+    // Uninterrupted reference.
+    const std::string ref_ckpt = dir + "/ref.ckpt";
+    std::remove(ref_ckpt.c_str());
+    const JobResult reference = run_one_job(job, full, ref_ckpt);
+    EXPECT_FALSE(reference.resumed);
+    EXPECT_EQ(reference.rounds, 8.0);
 
-  // Half now (leaves its final checkpoint at round 4), rest later.
-  const std::string ckpt = dir + "/job.ckpt";
-  std::remove(ckpt.c_str());
-  const JobResult first = run_one_job(job, half, ckpt);
-  EXPECT_EQ(first.rounds, 4.0);
-  const JobResult second = run_one_job(job, full, ckpt);
-  EXPECT_TRUE(second.resumed);
-  EXPECT_TRUE(deterministic_fields_equal(second, reference));
-  std::remove(ref_ckpt.c_str());
-  std::remove(ckpt.c_str());
+    // Half now (leaves its final checkpoint at round 4), rest later.
+    const std::string ckpt = dir + "/job.ckpt";
+    std::remove(ckpt.c_str());
+    const JobResult first = run_one_job(job, half, ckpt);
+    EXPECT_EQ(first.rounds, 4.0);
+    const JobResult second = run_one_job(job, full, ckpt);
+    EXPECT_TRUE(second.resumed);
+    EXPECT_TRUE(deterministic_fields_equal(second, reference));
+    std::remove(ref_ckpt.c_str());
+    std::remove(ckpt.c_str());
+    references.push_back(reference);
+  }
+  // The schedule changed the trajectory, so the second pass resumed faults.
+  EXPECT_FALSE(deterministic_fields_equal(references[0], references[1]));
 }
 
 TEST(SweepRunner, InvalidCheckpointIsDiscardedAndJobRerunsFromScratch) {
@@ -332,8 +380,7 @@ TEST(SweepRunner, InvalidCheckpointIsDiscardedAndJobRerunsFromScratch) {
 TEST(SweepRunner, UnknownUntilVariableIsARunnerError) {
   const std::string dir = temp_dir("sweep_runner_badexpr");
   SweepSpec spec = tiny_spec();
-  spec.has_until = true;
-  spec.until.expr_text = "NOT_A_VAR";
+  spec.until = CountPredicate{.expr = "NOT_A_VAR"};
   EXPECT_THROW(run_one_job(expand_grid(spec)[0], spec, dir + "/x.ckpt"),
                RunnerError);
 }

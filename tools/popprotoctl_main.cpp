@@ -18,12 +18,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
+
+#include "support/parse.hpp"
 
 namespace {
 
@@ -131,9 +133,11 @@ int main(int argc, char** argv) {
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--host" && i + 1 < argc) host = argv[++i];
-    else if (arg == "--port" && i + 1 < argc)
-      port = static_cast<std::uint16_t>(std::strtoul(argv[++i], nullptr, 10));
-    else if (arg == "--strict-converge") strict_converge = true;
+    else if (arg == "--port" && i + 1 < argc) {
+      const auto v = popproto::parse_u64(argv[++i]);
+      if (!v || *v > UINT16_MAX) return usage(argv[0]);
+      port = static_cast<std::uint16_t>(*v);
+    } else if (arg == "--strict-converge") strict_converge = true;
     else break;
   }
   if (port == 0 || i >= argc) return usage(argv[0]);

@@ -14,13 +14,17 @@
 // --snapshot-root confines client-supplied snapshot/restore paths to DIR
 // (relative paths only, no ".."); without it any path the daemon user can
 // access is accepted, which is only appropriate for trusted loopback use.
+// A numeric flag that does not parse whole (or a port past 65535) prints
+// the usage line and exits 2.
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "server/server.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -49,17 +53,22 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(usage(argv[0]));
       return argv[++i];
     };
+    const auto number = [&](std::uint64_t max) {
+      const auto v = popproto::parse_u64(next());
+      if (!v || *v > max) std::exit(usage(argv[0]));
+      return *v;
+    };
     if (arg == "--host") options.host = next();
     else if (arg == "--port")
-      options.port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 10));
+      options.port = static_cast<std::uint16_t>(number(UINT16_MAX));
     else if (arg == "--workers")
-      options.workers = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      options.workers = static_cast<unsigned>(number(UINT_MAX));
     else if (arg == "--max-buckets")
-      options.max_buckets = std::strtoull(next(), nullptr, 10);
+      options.max_buckets = static_cast<std::size_t>(number(SIZE_MAX));
     else if (arg == "--max-n")
-      options.limits.max_n = std::strtoull(next(), nullptr, 10);
+      options.limits.max_n = number(UINT64_MAX);
     else if (arg == "--max-agent-n")
-      options.limits.max_agent_n = std::strtoull(next(), nullptr, 10);
+      options.limits.max_agent_n = number(UINT64_MAX);
     else if (arg == "--snapshot-dir")
       options.snapshot_dir = next();
     else if (arg == "--snapshot-root")

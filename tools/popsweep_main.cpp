@@ -18,11 +18,11 @@
 // spec, or manifest errors.
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "support/parse.hpp"
 #include "sweep/orchestrator.hpp"
 #include "sweep/spec.hpp"
 
@@ -84,9 +84,11 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--spec" && i + 1 < argc) spec_path = argv[++i];
     else if (arg == "--dir" && i + 1 < argc) dir = argv[++i];
-    else if (arg == "--jobs" && i + 1 < argc)
-      jobs = std::atoi(argv[++i]);
-    else if (arg == "--bench-out" && i + 1 < argc) bench_out = argv[++i];
+    else if (arg == "--jobs" && i + 1 < argc) {
+      const auto v = popproto::parse_u64(argv[++i]);
+      if (!v || *v > INT_MAX) return usage(argv[0]);
+      jobs = static_cast<int>(*v);
+    } else if (arg == "--bench-out" && i + 1 < argc) bench_out = argv[++i];
     else if (arg == "--suite" && i + 1 < argc) suite = argv[++i];
     else if (arg == "--job" && i + 1 < argc) job_id = argv[++i];
     else if (arg == "--in-process") in_process = true;

@@ -20,10 +20,15 @@
 //   --seed     engine seed (default 7)
 //   --faults   attach a crash/rejoin/dropout fault schedule and require the
 //              restored run to replay the remaining schedule exactly
+//
+// A numeric flag that does not parse whole, or is out of range (n < 2,
+// shards < 1, rounds not finite and > 0), prints the usage line and
+// exits 2.
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,6 +41,7 @@
 #include "faults/fault_plan.hpp"
 #include "persist/replay_check.hpp"
 #include "protocols/baselines.hpp"
+#include "support/parse.hpp"
 
 namespace popproto {
 namespace {
@@ -148,13 +154,24 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(popproto::usage(argv[0]));
       return argv[++i];
     };
+    const auto number = [&](std::uint64_t min, std::uint64_t max) {
+      const auto v = popproto::parse_u64(next());
+      if (!v || *v < min || *v > max) std::exit(popproto::usage(argv[0]));
+      return *v;
+    };
     if (arg == "--backend") backend = next();
     else if (arg == "--mode") mode = next();
-    else if (arg == "--threads") threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--shards") shards = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    else if (arg == "--n") n = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--rounds") rounds = std::strtod(next(), nullptr);
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
+    else if (arg == "--threads")
+      threads = static_cast<unsigned>(number(0, UINT_MAX));
+    else if (arg == "--shards")
+      shards = static_cast<std::size_t>(number(1, SIZE_MAX));
+    else if (arg == "--n") n = number(2, UINT64_MAX);
+    else if (arg == "--rounds") {
+      const auto v = popproto::parse_double(next());
+      if (!v || !(*v > 0) || !std::isfinite(*v))
+        return popproto::usage(argv[0]);
+      rounds = *v;
+    } else if (arg == "--seed") seed = number(0, UINT64_MAX);
     else if (arg == "--faults") faults = true;
     else return popproto::usage(argv[0]);
   }
