@@ -24,8 +24,7 @@ Engine::Engine(const Protocol& protocol, std::vector<State> initial_states,
   std::iota(active_.begin(), active_.end(), 0u);
   pos_in_active_ = active_;
   inv_active_ = 1.0 / static_cast<double>(active_.size());
-  sidx_.assign(pop_.size(), TransitionCache::kNoState);
-  pop_version_seen_ = pop_.version();
+  resync_sidx();
 }
 
 void Engine::set_round_hook(RoundHook hook) {
@@ -55,6 +54,7 @@ void Engine::crash_agent(std::size_t i) {
   pos_in_active_[i] = kNotActive;
   inv_active_ = 1.0 / static_cast<double>(active_.size());
   active_identity_ = false;
+  if (counts_live()) --species_n_[sidx_[i]];
   ++ctr_.crash_events;
   if (trace_) trace_->push(EventKind::kChurnCrash, time_, 1.0);
 }
@@ -65,13 +65,14 @@ void Engine::rejoin_agent(std::size_t i) {
   pos_in_active_[i] = static_cast<std::uint32_t>(active_.size());
   active_.push_back(static_cast<std::uint32_t>(i));
   inv_active_ = 1.0 / static_cast<double>(active_.size());
+  if (counts_live()) ++species_n_[sidx_[i]];
   ++ctr_.rejoin_events;
   if (trace_) trace_->push(EventKind::kChurnRejoin, time_, 1.0);
 }
 
 void Engine::rejoin_agent(std::size_t i, State fresh) {
   rejoin_agent(i);
-  pop_.set_state(i, fresh);
+  write_state(i, fresh);
 }
 
 std::uint64_t Engine::crash_random(std::uint64_t k, Rng& rng) {
@@ -119,7 +120,7 @@ std::uint64_t Engine::mutate_random_agents(
     const State old_state = pop_.state(victim);
     const State ns = f(old_state, j);
     if (ns == old_state) continue;
-    pop_.set_state(victim, ns);
+    write_state(victim, ns);
     ++rewritten;
   }
   ctr_.corrupted_agents += rewritten;
@@ -129,9 +130,48 @@ std::uint64_t Engine::mutate_random_agents(
   return k;
 }
 
+void Engine::intern_all(const std::vector<State>& states,
+                        const std::vector<std::uint32_t>& pos,
+                        std::vector<std::uint32_t>& sidx,
+                        std::vector<std::uint64_t>& counts) {
+  // A run of equal states (a uniform start, a converged population) reuses
+  // the previous index instead of probing the hash again, and adds its
+  // active agents to the count once, at the run's end.
+  sidx.resize(states.size());
+  counts.assign(cache_.max_states(), 0);
+  std::uint32_t idx = TransitionCache::kNoState;
+  std::uint64_t run = 0;
+  const auto end_run = [&] {
+    if (idx != TransitionCache::kNoState) counts[idx] += run;
+  };
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    if (i == 0 || states[i] != states[i - 1]) {
+      end_run();
+      idx = cache_.state_index(states[i]);
+      run = 0;
+    }
+    sidx[i] = idx;
+    run += pos[i] != kNotActive;
+  }
+  end_run();
+}
+
 void Engine::resync_sidx() {
-  std::fill(sidx_.begin(), sidx_.end(), TransitionCache::kNoState);
+  intern_all(pop_.states(), pos_in_active_, sidx_, species_n_);
   pop_version_seen_ = pop_.version();
+}
+
+void Engine::write_state(std::size_t i, State s) {
+  const bool in_sync = pop_.version() == pop_version_seen_;
+  pop_.set_state(i, s);
+  if (!in_sync) return;  // the next resync rebuilds sidx_ and the counts
+  const std::uint32_t idx = cache_.state_index(s);
+  if (!cache_.cap_reached() && is_active(i)) {
+    --species_n_[sidx_[i]];
+    ++species_n_[idx];
+  }
+  sidx_[i] = idx;
+  ++pop_version_seen_;
 }
 
 void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
@@ -158,11 +198,15 @@ void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
       if (r.a != ia) {
         pop_.set_state(a, cache_.state_at(r.a));
         sidx_[a] = r.a;
+        --species_n_[ia];
+        ++species_n_[r.a];
         ++pop_version_seen_;
       }
       if (r.b != ib) {
         pop_.set_state(b, cache_.state_at(r.b));
         sidx_[b] = r.b;
+        --species_n_[ib];
+        ++species_n_[r.b];
         ++pop_version_seen_;
       }
       ++ctr_.effective_steps;
@@ -170,7 +214,8 @@ void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
     }
   }
   // Cap overflow on an input or result state: resolve by value. sidx_
-  // entries for changed agents are reset so the miss path relearns them.
+  // entries for changed agents are reset so the miss path relearns them;
+  // past the cap the species counts are no longer read.
   ++ctr_.cache_fallbacks;
   const State sa = pop_.state(a);
   const State sb = pop_.state(b);
@@ -348,11 +393,13 @@ void Engine::snapshot(std::ostream& out) const {
   c.u64(interactions_);
   w.section(SnapshotSection::kCore, core);
 
-  std::string popn;
-  BinWriter p(popn);
-  p.u64_vec(pop_.states());
-  p.u32_vec(active_);
-  w.section(SnapshotSection::kPopulation, popn);
+  // [n][states][m][active_], the layout of u64_vec + u32_vec, gathered
+  // straight from the vectors instead of copied into a payload string.
+  const std::uint64_t n_states = pop_.size();
+  const std::uint64_t n_active = active_.size();
+  w.section(SnapshotSection::kPopulation,
+            {bytes_of(n_states), bytes_of(pop_.states()), bytes_of(n_active),
+             bytes_of(active_)});
 
   std::string rng;
   BinWriter r(rng);
@@ -451,12 +498,15 @@ void Engine::restore(std::istream& in) {
   std::vector<std::uint32_t> pos(n, kNotActive);
   for (std::size_t p = 0; p < st.active.size(); ++p)
     pos[st.active[p]] = static_cast<std::uint32_t>(p);
-  std::vector<std::uint32_t> fresh_sidx(n, TransitionCache::kNoState);
+  std::vector<std::uint32_t> fresh_sidx;
+  std::vector<std::uint64_t> fresh_counts;
+  intern_all(staged_pop.states(), pos, fresh_sidx, fresh_counts);
 
   pop_ = std::move(staged_pop);
   active_ = std::move(st.active);
   pos_in_active_ = std::move(pos);
   sidx_ = std::move(fresh_sidx);
+  species_n_ = std::move(fresh_counts);
   pop_version_seen_ = pop_.version();
   inv_active_ = 1.0 / static_cast<double>(active_.size());
   active_identity_ = identity;
@@ -477,18 +527,32 @@ void Engine::restore(std::istream& in) {
 }
 
 std::uint64_t Engine::count_matching(const Guard& g) const {
-  if (active_identity_) return pop_.count_matching(g);
   std::uint64_t count = 0;
+  if (counts_live()) {
+    const std::size_t k = cache_.num_states();
+    for (std::uint32_t s = 0; s < k; ++s)
+      if (species_n_[s] != 0 && g.matches(cache_.state_at(s)))
+        count += species_n_[s];
+    return count;
+  }
+  if (active_identity_) return pop_.count_matching(g);
   for (const std::uint32_t i : active_)
     if (g.matches(pop_.state(i))) ++count;
   return count;
 }
 
 std::vector<std::pair<State, std::uint64_t>> Engine::species() const {
-  std::unordered_map<State, std::uint64_t> counts;
-  for (const std::uint32_t i : active_) ++counts[pop_.state(i)];
-  std::vector<std::pair<State, std::uint64_t>> out(counts.begin(),
-                                                   counts.end());
+  std::vector<std::pair<State, std::uint64_t>> out;
+  if (counts_live()) {
+    const std::size_t k = cache_.num_states();
+    for (std::uint32_t s = 0; s < k; ++s)
+      if (species_n_[s] != 0)
+        out.emplace_back(cache_.state_at(s), species_n_[s]);
+  } else {
+    std::unordered_map<State, std::uint64_t> counts;
+    for (const std::uint32_t i : active_) ++counts[pop_.state(i)];
+    out.assign(counts.begin(), counts.end());
+  }
   std::sort(out.begin(), out.end());
   return out;
 }

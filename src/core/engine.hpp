@@ -103,7 +103,9 @@ class Engine final : public SimBackend {
   const char* backend_name() const override { return "agent"; }
   std::uint64_t active_n() const override { return active_.size(); }
   /// Scheduled agents whose state satisfies the guard (crashed agents'
-  /// frozen states are excluded, matching the other backends).
+  /// frozen states are excluded, matching the other backends). Both this
+  /// and species() read the per-species counts in O(species) while they are
+  /// live (see species_n_); otherwise they scan the active agents.
   std::uint64_t count_matching(const Guard& g) const override;
   using SimBackend::count_matching;  // + the BoolExpr convenience overload
   std::vector<std::pair<State, std::uint64_t>> species() const override;
@@ -158,8 +160,23 @@ class Engine final : public SimBackend {
   void resolve_cached(std::uint32_t a, std::uint32_t b, double u);
   /// ε-mixture initiator skew for a sequential pair (see SchedulerBias).
   void bias_sequential_pair(std::uint32_t& a, std::uint32_t b);
-  /// Invalidate the interned-index shadow after an external pop_ mutation.
+  /// Rebuild the interned-index shadow and the species counts from pop_
+  /// (construction, and after an external pop_ mutation).
   void resync_sidx();
+  /// Intern every state of `states` into `sidx` and count the active
+  /// agents (`pos` entry not kNotActive) per interned index into `counts`
+  /// (sized to the cache cap; not live once the cap is reached).
+  void intern_all(const std::vector<State>& states,
+                  const std::vector<std::uint32_t>& pos,
+                  std::vector<std::uint32_t>& sidx,
+                  std::vector<std::uint64_t>& counts);
+  /// Set agent i's state outside an interaction, keeping sidx_ and the
+  /// species counts in step when the shadow is in sync.
+  void write_state(std::size_t i, State s);
+  /// True while species_n_ counts every active agent exactly.
+  bool counts_live() const {
+    return pop_.version() == pop_version_seen_ && !cache_.cap_reached();
+  }
 
   const Protocol& protocol_;
   AgentPopulation pop_;
@@ -192,12 +209,17 @@ class Engine final : public SimBackend {
   std::optional<SchedulerBias> bias_;
   std::vector<std::uint32_t> active_;         // scheduled agent ids
   std::vector<std::uint32_t> pos_in_active_;  // agent id -> index in active_
-  // Agent id -> interned state index in cache_ (kNoState when unknown);
-  // a shadow of pop_ that lets interact() skip the State -> index hash.
-  // Trusted while pop_.version() == pop_version_seen_; any mutation that
-  // bypassed interact() triggers a wholesale lazy resync.
+  // Agent id -> interned state index in cache_ (kNoState past the cache
+  // cap); a shadow of pop_ that lets interact() skip the State -> index
+  // hash. Trusted while pop_.version() == pop_version_seen_; a write to
+  // population() that bypassed the engine triggers a wholesale resync.
   std::vector<std::uint32_t> sidx_;
   std::uint64_t pop_version_seen_ = 0;
+  // Active agents per interned state index, updated beside sidx_ by every
+  // engine mutation (interactions, churn, corruption, restore). Exact while
+  // counts_live(): not past the cache cap (agents without an index go
+  // uncounted), and not after a write to population() until the resync.
+  std::vector<std::uint64_t> species_n_;
   bool active_identity_ = true;  // active_[i] == i (no crash yet)
   std::vector<std::pair<std::uint32_t, std::uint32_t>> matching_buf_;
 };

@@ -248,10 +248,11 @@ namespace {
 
 // Recursive descent over a character stream:  or := and ('|' and)*,
 // and := not ('&' not)*, not := '!'* atom, atom := '(' or ')' | ident | 0|1.
-// `&&`/`||` collapse to their single-character forms in the lexer.
+// `&&`/`||` collapse to their single-character forms in the lexer. Without
+// a variable space (syntax check only) every identifier reads as true.
 class ExprParser {
  public:
-  ExprParser(const std::string& text, const VarSpace& vars)
+  ExprParser(const std::string& text, const VarSpace* vars)
       : text_(text), vars_(vars) {}
 
   BoolExpr parse() {
@@ -324,21 +325,25 @@ class ExprParser {
                            text_[pos_] + "' in expression"};
     const std::string name = text_.substr(start, pos_ - start);
     if (name == "0") return BoolExpr::constant(false);
-    if (name == "1") return BoolExpr::constant(true);
-    if (auto id = vars_.find(name)) return BoolExpr::var(*id);
+    if (name == "1" || vars_ == nullptr) return BoolExpr::constant(true);
+    if (auto id = vars_->find(name)) return BoolExpr::var(*id);
     throw ExprParseError{"unknown variable '" + name +
                          "' for this protocol"};
   }
 
   const std::string& text_;
-  const VarSpace& vars_;
+  const VarSpace* vars_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
 BoolExpr parse_bool_expr(const std::string& text, const VarSpace& vars) {
-  return ExprParser(text, vars).parse();
+  return ExprParser(text, &vars).parse();
+}
+
+void check_bool_expr_syntax(const std::string& text) {
+  ExprParser(text, nullptr).parse();
 }
 
 CountPredicate CountPredicate::parse(const std::vector<std::string>& tokens,

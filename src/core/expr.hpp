@@ -73,6 +73,12 @@ struct ExprParseError {
 /// message on bad input.
 BoolExpr parse_bool_expr(const std::string& text, const VarSpace& vars);
 
+/// parse_bool_expr's syntax check alone: any identifier is accepted and
+/// none is looked up or interned, so no variable space is needed. Throws
+/// the ExprParseError parse_bool_expr throws on malformed text. popsweep
+/// checks an `until` expression with it when the spec is parsed.
+void check_bool_expr_syntax(const std::string& text);
+
 /// A convergence predicate `count_matching(expr) <cmp> <count>|all`: the
 /// text form of popprotod's `run-until` and popsweep's `until` key. The
 /// expression stays text, since it compiles (parse_bool_expr) only against

@@ -84,18 +84,27 @@ SnapshotWriter::SnapshotWriter(std::ostream& out, const std::string& producer,
   section(SnapshotSection::kMeta, meta);
 }
 
-void SnapshotWriter::section(SnapshotSection tag, const std::string& payload) {
+void SnapshotWriter::section(SnapshotSection tag,
+                             std::initializer_list<std::string_view> parts) {
   POPPROTO_CHECK_MSG(!finished_, "section() after finish()");
+  std::uint64_t len = 0;
+  std::uint32_t crc = 0;
+  for (const std::string_view part : parts) {
+    len += part.size();
+    crc = crc32_extend(crc, part.data(), part.size());
+  }
   std::string head;
   BinWriter w(head);
   w.u32(static_cast<std::uint32_t>(tag));
-  w.u64(payload.size());
-  w.u32(crc32(payload));
+  w.u64(len);
+  w.u32(crc);
   out_.write(head.data(), static_cast<std::streamsize>(head.size()));
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  for (const std::string_view part : parts)
+    if (!part.empty())  // an empty vector's data() may be null
+      out_.write(part.data(), static_cast<std::streamsize>(part.size()));
   if (!out_)
     throw SnapshotError(SnapshotErrc::kIo, "snapshot stream write failed");
-  bytes_ += head.size() + payload.size();
+  bytes_ += head.size() + len;
 }
 
 void SnapshotWriter::finish() {

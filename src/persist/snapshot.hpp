@@ -28,8 +28,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "observe/counters.hpp"
 #include "support/serialize.hpp"
@@ -73,7 +75,15 @@ class SnapshotWriter {
   SnapshotWriter(std::ostream& out, const std::string& producer,
                  std::uint64_t fingerprint, std::uint64_t population_n);
 
-  void section(SnapshotSection tag, const std::string& payload);
+  /// One section whose payload is `parts` back to back. Each part is
+  /// checksummed (crc32_extend) and written where it lies, so a payload
+  /// held in several buffers is never joined into one; the bytes are those
+  /// of the joined payload.
+  void section(SnapshotSection tag,
+               std::initializer_list<std::string_view> parts);
+  void section(SnapshotSection tag, const std::string& payload) {
+    section(tag, {std::string_view(payload)});
+  }
   /// Write the kEnd terminator and flush. No sections may follow.
   void finish();
 

@@ -3,9 +3,12 @@
 // Everything durable this library writes — engine snapshots, fault-schedule
 // state, auto-checkpoints — is framed with these three pieces:
 //
-//  * crc32(): the IEEE 802.3 polynomial, table-driven (slicing-by-8); every
-//    snapshot section carries the checksum of its payload so bit rot and
-//    truncation are detected before any state is touched.
+//  * crc32(): the IEEE 802.3 polynomial (slicing-by-8, or a carry-less
+//    multiply fold where support/simd.hpp dispatches to one; both give the
+//    same values); every snapshot section carries the checksum of its
+//    payload so bit rot and truncation are detected before any state is
+//    touched. crc32_extend() continues a checksum over the next piece, so a
+//    payload held in parts needs no joined copy.
 //  * BinWriter: append-only little-endian encoder into a std::string buffer.
 //    Words and word vectors are copied in native byte order, which the
 //    static_assert below pins to little-endian. Doubles are serialized as
@@ -28,6 +31,8 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace popproto {
@@ -62,8 +67,15 @@ class SnapshotError : public std::runtime_error {
   SnapshotErrc code_;
 };
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `len` bytes.
-std::uint32_t crc32(const void* data, std::size_t len);
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of the bytes that `crc`
+/// covers followed by `len` more: crc32_extend(crc32(a), b) == crc32(a + b),
+/// and crc32_extend(0, ...) starts a new checksum.
+std::uint32_t crc32_extend(std::uint32_t crc, const void* data,
+                           std::size_t len);
+/// CRC-32 of `len` bytes.
+inline std::uint32_t crc32(const void* data, std::size_t len) {
+  return crc32_extend(0, data, len);
+}
 inline std::uint32_t crc32(const std::string& bytes) {
   return crc32(bytes.data(), bytes.size());
 }
@@ -102,6 +114,20 @@ class BinWriter {
   }
   std::string& out_;
 };
+
+/// The bytes of a word, or of a vector's elements, in place: the parts of a
+/// payload written without joining it (the gather form of
+/// SnapshotWriter::section). A vector's element count is a part of its own,
+/// so [bytes_of(v.size() as u64), bytes_of(v)] is BinWriter's u64_vec(v).
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+std::string_view bytes_of(const T& word) {
+  return {reinterpret_cast<const char*>(&word), sizeof word};
+}
+template <typename T>
+std::string_view bytes_of(const std::vector<T>& v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T)};
+}
 
 /// Bounds-checked little-endian decoder; throws SnapshotError{kTruncated}
 /// instead of reading past the end, SnapshotError{kCorrupt} on impossible

@@ -77,7 +77,8 @@ JobResult run_one_job(const JobSpec& job, const SweepSpec& spec,
   }
 
   // The until predicate compiles against this protocol's variable space;
-  // an expression over unknown variables is a spec error surfaced per job.
+  // its syntax was checked with the spec, so what fails here is a variable
+  // this protocol does not have, surfaced per job.
   Guard guard;
   if (spec.until) {
     try {

@@ -109,6 +109,9 @@ SweepSpec parse_sweep_spec(const std::string& text) {
       if (spec.until) fail(lineno, "duplicate until key");
       try {
         spec.until = CountPredicate::parse(tokens, 1);
+        // Syntax now, before any job runs; variable names per protocol at
+        // job start (run_one_job).
+        check_bool_expr_syntax(spec.until->expr);
       } catch (const ExprParseError& e) {
         fail(lineno, "until: " + e.message);
       }

@@ -26,9 +26,10 @@
 // absolute semantics as SimBackend::run_until); `checkpoint_every`
 // (parallel time between AutoCheckpoint writes, default 16); `until <expr>
 // [<cmp> <count>|all]` (CountPredicate::parse in core/expr.hpp, the parser
-// popprotod's `run-until` uses; the expression is validated per protocol
-// at job start); `fault crash|corrupt <round> <fraction>`, `fault rejoin
-// <round> all|<fraction>`, `fault dropout <from> <until> <p>` (repeatable;
+// popprotod's `run-until` uses; a malformed expression fails the spec, and
+// its variable names are checked per protocol at job start); `fault
+// crash|corrupt <round> <fraction>`, `fault rejoin <round>
+// all|<fraction>`, `fault dropout <from> <until> <p>` (repeatable;
 // FaultPlan::parse_event in faults/fault_plan.hpp, the parser popprotod's
 // `inject` uses). `#` starts a comment; blank lines are ignored.
 #pragma once

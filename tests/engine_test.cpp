@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include "clocks/phase_clock.hpp"
 #include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
 #include "core/count_shard_engine.hpp"
@@ -457,6 +461,188 @@ TEST(SchedulerTest, MatchingIsUniformish) {
   }
   // P(0 matched with 1) = 1/7.
   EXPECT_NEAR(together / static_cast<double>(rounds), 1.0 / 7.0, 0.01);
+}
+
+// -- Species counts ---------------------------------------------------------
+// Engine answers count_matching and species() from per-species counts kept
+// beside its interned-index shadow, falling back to a scan past the
+// transition-cache cap, with the cache off, or after a write to
+// population(). Whichever path answers, it must equal a brute-force scan of
+// population() over the active agents after every kind of mutation.
+
+/// Always-true, never-true, one literal, negated, and multi-minterm guards.
+std::vector<Guard> probe_guards(VarId a, VarId b, VarId c) {
+  const BoolExpr x = BoolExpr::var(a), y = BoolExpr::var(b),
+                 z = BoolExpr::var(c);
+  std::vector<Guard> g{Guard(), Guard(BoolExpr::constant(false)), Guard(x),
+                       Guard(!y), Guard((x && !z) || (y && z))};
+  EXPECT_TRUE(g[0].always_true());
+  EXPECT_TRUE(g[1].never_true());
+  EXPECT_GT(g[4].num_terms(), 1u);
+  return g;
+}
+
+void expect_counts_match_scan(const Engine& e,
+                              const std::vector<Guard>& guards) {
+  std::map<State, std::uint64_t> scan;
+  for (std::size_t i = 0; i < e.n(); ++i)
+    if (e.is_active(i)) ++scan[e.population().state(i)];
+  const std::vector<std::pair<State, std::uint64_t>> want(scan.begin(),
+                                                          scan.end());
+  EXPECT_EQ(e.species(), want);
+  for (std::size_t k = 0; k < guards.size(); ++k) {
+    std::uint64_t matching = 0;
+    for (const auto& [s, c] : want)
+      if (guards[k].matches(s)) matching += c;
+    EXPECT_EQ(e.count_matching(guards[k]), matching) << "guard " << k;
+  }
+}
+
+struct ClockSpecies {
+  VarSpacePtr vars = make_var_space();
+  Protocol proto = make_phase_clock_protocol(vars);
+  std::vector<State> init = phase_clock_initial_states(4096, 256, *vars);
+  std::vector<Guard> guards = probe_guards(0, 1, 2);
+};
+
+TEST(EngineSpeciesCounts, EqualScanAfterEveryMutationPath) {
+  const ClockSpecies f;
+  Engine e(f.proto, f.init, /*seed=*/11);
+  const auto check = [&](const char* where) {
+    SCOPED_TRACE(where);
+    expect_counts_match_scan(e, f.guards);
+  };
+  check("construction");
+  e.run_steps(5000);
+  check("block loop, run_steps");
+  e.run_rounds(1.5);
+  check("block loop, run_rounds");
+
+  e.set_scheduler_bias(SchedulerBias{0.3, f.guards[2], 4});
+  e.run_rounds(1.0);
+  check("step() under a bias");
+  e.set_scheduler_bias(std::nullopt);
+
+  InjectionHook drop;
+  drop.drop_interaction = [](Rng& rng) { return rng.chance(0.3); };
+  e.set_injection_hook(drop);
+  e.run_rounds(1.0);
+  check("step() under a drop hook");
+  e.set_injection_hook(InjectionHook{});
+
+  Rng churn(5);
+  e.crash_agent(3);
+  e.crash_agent(4000);
+  e.crash_random(500, churn);
+  check("crash");
+  e.run_rounds(1.0);  // churned: the step() loop
+  check("step() after churn");
+  e.rejoin_agent(3);
+  e.rejoin_random(100, churn);
+  check("rejoin");
+  std::size_t crashed = 0;
+  while (e.is_active(crashed)) ++crashed;
+  e.rejoin_agent(crashed, f.init[0] ^ var_bit(5));
+  e.rejoin_agent(1, f.init[2]);  // already active: only the state changes
+  check("rejoin with a fresh state");
+  e.rejoin_all();
+  check("rejoin_all");
+  e.mutate_random_agents(300, churn, [](State old, std::uint64_t j) {
+    return j % 3 == 0 ? old : old ^ var_bit(static_cast<VarId>(j % 4));
+  });
+  check("mutate_random_agents");
+  e.run_rounds(1.0);
+  check("block loop after corruption");
+
+  e.population().set_state(7, f.init[9] ^ var_bit(1));
+  check("external population() write");
+  e.run_steps(100);
+  check("resync after the external write");
+
+  e.set_transition_cache(false);
+  e.run_rounds(1.0);
+  check("set_transition_cache(false)");
+  e.crash_agent(10);
+  check("crash with the cache off");
+  e.set_transition_cache(true);
+  e.run_rounds(1.0);
+  check("cache back on");
+}
+
+TEST(EngineSpeciesCounts, EqualScanUnderTheMatchingScheduler) {
+  const ClockSpecies f;
+  Engine e(f.proto, f.init, /*seed=*/12, SchedulerKind::kRandomMatching);
+  Rng churn(6);
+  for (int r = 0; r < 4; ++r) {
+    e.step();
+    if (r == 1) e.crash_random(300, churn);
+    if (r == 2) e.rejoin_random(150, churn);
+    SCOPED_TRACE("matching round " + std::to_string(r));
+    expect_counts_match_scan(e, f.guards);
+  }
+}
+
+TEST(EngineSpeciesCounts, EqualScanAfterRestore) {
+  const ClockSpecies f;
+  Engine src(f.proto, f.init, /*seed=*/13);
+  Rng churn(7);
+  src.run_rounds(2.0);
+  src.crash_random(400, churn);
+  src.run_rounds(0.5);
+  std::ostringstream out;
+  src.snapshot(out);
+
+  Engine dst(f.proto, std::vector<State>(100, f.init[0]), /*seed=*/99);
+  dst.run_rounds(1.0);
+  std::istringstream in(out.str());
+  dst.restore(in);
+  expect_counts_match_scan(dst, f.guards);
+  EXPECT_EQ(dst.species(), src.species());
+  dst.run_rounds(1.0);
+  src.run_rounds(1.0);
+  expect_counts_match_scan(dst, f.guards);
+  EXPECT_EQ(dst.species(), src.species());
+}
+
+TEST(EngineSpeciesCounts, EqualScanAcrossTheTransitionCacheCap) {
+  // Every interaction flips one bit of the initiator among 12, so the
+  // reachable states (4096) pass the cache's 1024-state cap mid-run: the
+  // counts answer before it, the scan after.
+  auto vars = make_var_space();
+  Protocol proto("bit_flip", vars);
+  std::vector<Rule> rules;
+  for (int k = 0; k < 12; ++k) {
+    const VarId v = vars->intern("F" + std::to_string(k));
+    rules.push_back(make_rule(!BoolExpr::var(v), BoolExpr::any(),
+                              BoolExpr::var(v), BoolExpr::any()));
+    rules.push_back(make_rule(BoolExpr::var(v), BoolExpr::any(),
+                              !BoolExpr::var(v), BoolExpr::any()));
+  }
+  proto.add_thread("flip", std::move(rules));
+  const std::vector<Guard> guards = probe_guards(0, 1, 2);
+
+  Engine e(proto, std::vector<State>(4096, 0), /*seed=*/14);
+  expect_counts_match_scan(e, guards);
+  int checks_below_cap = 0;
+  for (int step = 0; step < 40 && !e.transition_cache().cap_reached();
+       ++step) {
+    e.run_rounds(0.25);
+    expect_counts_match_scan(e, guards);
+    ++checks_below_cap;
+  }
+  ASSERT_TRUE(e.transition_cache().cap_reached());
+  EXPECT_GT(checks_below_cap, 1);
+  Rng churn(8);
+  e.run_rounds(1.0);
+  expect_counts_match_scan(e, guards);
+  e.crash_random(700, churn);
+  e.mutate_random_agents(200, churn,
+                         [](State old, std::uint64_t) { return ~old & 0xFFF; });
+  e.rejoin_agent(0, 0xABC);
+  e.run_rounds(1.0);
+  expect_counts_match_scan(e, guards);
+  e.rejoin_all();
+  expect_counts_match_scan(e, guards);
 }
 
 }  // namespace

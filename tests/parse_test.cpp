@@ -112,6 +112,20 @@ TEST(CountPredicate, RejectsEmptyExpressionsAndBadCounts) {
   EXPECT_THROW(CountPredicate::parse({"until"}, 3), ExprParseError);
 }
 
+TEST(CountPredicate, SyntaxCheckNeedsNoVariableSpace) {
+  // More distinct names than a VarSpace holds (64): the check interns none,
+  // so a wide expression cannot hit that cap.
+  std::string wide = "V0";
+  for (int i = 1; i < 100; ++i) wide += " | V" + std::to_string(i);
+  EXPECT_NO_THROW(check_bool_expr_syntax(wide));
+  for (const char* ok : {"BA", "NOPE", "!(BA & NOPE) | 1", "a&&b||!c", "0"})
+    EXPECT_NO_THROW(check_bool_expr_syntax(ok)) << "'" << ok << "'";
+  for (const char* bad :
+       {"", "BA &", "BA BB", "BA >=", "(BA", "BA)", "!", "BA $ BB", "| BA"})
+    EXPECT_THROW(check_bool_expr_syntax(bad), ExprParseError)
+        << "'" << bad << "'";
+}
+
 TEST(CountPredicate, HoldsComparesAgainstCountOrActivePopulation) {
   using C = CountPredicate::Cmp;
   const auto holds = [](C cmp, std::uint64_t matching) {
@@ -279,36 +293,41 @@ TEST(SharedGrammar, InjectAndSpecFaultLinesAgree) {
 TEST(SharedGrammar, RunUntilAndSpecUntilAgree) {
   using C = CountPredicate::Cmp;
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  // Where a spec rejects a predicate: a syntax error or a bad count fails
+  // parse_sweep_spec itself, before any job runs; an expression that parses
+  // but names a variable the protocol lacks fails at job start.
+  enum class Verdict { kAccepted, kSpecError, kJobError };
+  using V = Verdict;
   const struct {
     const char* text;
-    bool accepted;
+    Verdict verdict;
     C cmp;
     std::uint64_t count;
     bool all;
   } kCases[] = {
       // Expression `1` counts every agent (64), `0` none: the comparisons
       // below come out both ways, so a swapped comparator shows.
-      {"BA", true, C::kGe, 1, false},
-      {"1 == all", true, C::kEq, 1, true},
-      {"1 != all", true, C::kNe, 1, true},
-      {"1 < 64", true, C::kLt, 64, false},
-      {"1 <= 64", true, C::kLe, 64, false},
-      {"1 > 63", true, C::kGt, 63, false},
-      {"1 >= 65", true, C::kGe, 65, false},
-      {"0 == 0", true, C::kEq, 0, false},
-      {"BA & !BB < 3", true, C::kLt, 3, false},
-      {"BA|BB >= +7", true, C::kGe, 7, false},
-      {"BA > 18446744073709551615", true, C::kGt, kMax, false},
-      {"BA >= zz", false, C::kGe, 1, false},
-      {"BA >= -1", false, C::kGe, 1, false},
-      {"BA >= 18446744073709551616", false, C::kGe, 1, false},
-      {"BA == 0x10", false, C::kGe, 1, false},
-      {">= 5", false, C::kGe, 1, false},
-      {"== all", false, C::kGe, 1, false},
-      {"BA &", false, C::kGe, 1, false},
-      {"NOPE", false, C::kGe, 1, false},
-      {"BA >=", false, C::kGe, 1, false},
-      {"BA BB", false, C::kGe, 1, false},
+      {"BA", V::kAccepted, C::kGe, 1, false},
+      {"1 == all", V::kAccepted, C::kEq, 1, true},
+      {"1 != all", V::kAccepted, C::kNe, 1, true},
+      {"1 < 64", V::kAccepted, C::kLt, 64, false},
+      {"1 <= 64", V::kAccepted, C::kLe, 64, false},
+      {"1 > 63", V::kAccepted, C::kGt, 63, false},
+      {"1 >= 65", V::kAccepted, C::kGe, 65, false},
+      {"0 == 0", V::kAccepted, C::kEq, 0, false},
+      {"BA & !BB < 3", V::kAccepted, C::kLt, 3, false},
+      {"BA|BB >= +7", V::kAccepted, C::kGe, 7, false},
+      {"BA > 18446744073709551615", V::kAccepted, C::kGt, kMax, false},
+      {"BA >= zz", V::kSpecError, C::kGe, 1, false},
+      {"BA >= -1", V::kSpecError, C::kGe, 1, false},
+      {"BA >= 18446744073709551616", V::kSpecError, C::kGe, 1, false},
+      {"BA == 0x10", V::kSpecError, C::kGe, 1, false},
+      {">= 5", V::kSpecError, C::kGe, 1, false},
+      {"== all", V::kSpecError, C::kGe, 1, false},
+      {"BA &", V::kSpecError, C::kGe, 1, false},
+      {"NOPE", V::kJobError, C::kGe, 1, false},
+      {"BA >=", V::kSpecError, C::kGe, 1, false},
+      {"BA BB", V::kSpecError, C::kGe, 1, false},
   };
   Daemon daemon;
   const std::string ckpt = testing::TempDir() + "shared_grammar_until.ckpt";
@@ -318,24 +337,27 @@ TEST(SharedGrammar, RunUntilAndSpecUntilAgree) {
     const std::string reply =
         daemon.exec(std::string("run-until b 0 ") + c.text);
     const bool daemon_ok = reply.rfind("ERROR ", 0) != 0;
-    // A spec accepts a predicate when it parses and compiles against the
-    // job's protocol at job start.
+    EXPECT_EQ(daemon_ok, c.verdict == V::kAccepted) << reply;
+    // The spec alone (no job run) must already refuse every syntax error.
     SweepSpec spec;
-    bool spec_ok = true;
     try {
       spec = parse_sweep_spec(std::string(kSpecBase) + "until " + c.text +
                               "\n");
-      std::remove(ckpt.c_str());
-      (void)run_one_job(expand_grid(spec)[0], spec, ckpt);
     } catch (const SpecError&) {
-      spec_ok = false;
+      EXPECT_EQ(c.verdict, V::kSpecError);
+      continue;
+    }
+    EXPECT_NE(c.verdict, V::kSpecError) << "parse_sweep_spec accepted it";
+    bool job_ok = true;
+    std::remove(ckpt.c_str());
+    try {
+      (void)run_one_job(expand_grid(spec)[0], spec, ckpt);
     } catch (const RunnerError&) {
-      spec_ok = false;
+      job_ok = false;
     }
     std::remove(ckpt.c_str());
-    EXPECT_EQ(daemon_ok, c.accepted) << reply;
-    EXPECT_EQ(spec_ok, c.accepted);
-    if (!daemon_ok || !spec_ok) continue;
+    EXPECT_EQ(job_ok, c.verdict == V::kAccepted);
+    if (!daemon_ok || !job_ok) continue;
     ASSERT_TRUE(spec.until.has_value());
     EXPECT_EQ(spec.until->cmp, c.cmp);
     EXPECT_EQ(spec.until->count, c.count);

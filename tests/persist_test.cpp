@@ -257,21 +257,30 @@ TEST(SnapshotBytes, AgentRunRoundsPinnedAcrossVersions) {
   // fails here. The counters section carries cache_hits, which only the
   // detailed tier (POPPROTO_PROFILE) counts, so the whole-snapshot pin
   // applies to the default tier and the pin without that section to both.
+  // At n = 2^20 the population section (12.6 MB) is gathered from the
+  // engine's vectors and checksummed by the CRC fold where the host has
+  // one; that pin was printed by the build that still joined the payload
+  // into one string and checksummed it with slicing-by-8 alone.
   struct Pin {
     const char* name;
+    std::uint64_t n;
     std::uint32_t whole;
     std::uint32_t sans_counters;
   };
-  for (const Pin& pin : {Pin{"approx_majority", 0x7c83ce41u, 0xe691ab45u},
-                         Pin{"phase_clock", 0x339e6cf9u, 0xf81fa35bu}}) {
-    const auto inst = make_protocol_instance(pin.name, 4099);
+  for (const Pin& pin :
+       {Pin{"approx_majority", 4099, 0x7c83ce41u, 0xe691ab45u},
+        Pin{"phase_clock", 4099, 0x339e6cf9u, 0xf81fa35bu},
+        Pin{"approx_majority", std::uint64_t{1} << 20, 0xdb1a5ba4u,
+            0x508e7b34u}}) {
+    const auto inst = make_protocol_instance(pin.name, pin.n);
     ASSERT_NE(inst, nullptr) << pin.name;
     const auto eng = make_backend_instance("agent", *inst, /*seed=*/1);
     eng->run_rounds(3.0);
     EXPECT_EQ(crc32(snapshot_sans_counters(*eng)), pin.sans_counters)
-        << pin.name;
+        << pin.name << " n=" << pin.n;
     if (!Profiler::compiled_in()) {
-      EXPECT_EQ(crc32(snapshot_bytes(*eng)), pin.whole) << pin.name;
+      EXPECT_EQ(crc32(snapshot_bytes(*eng)), pin.whole)
+          << pin.name << " n=" << pin.n;
     }
   }
 }
@@ -642,6 +651,43 @@ TEST(Serialization, Crc32MatchesBytewiseReference) {
                 crc32_bitwise(buf.data() + offset, len))
           << "offset " << offset << " len " << len;
   EXPECT_EQ(crc32(buf.data(), 1u << 20), crc32_bitwise(buf.data(), 1u << 20));
+}
+
+TEST(Serialization, GatherSectionWritesTheStringFormsBytes) {
+  // The gather form checksums and writes its parts in place; the container
+  // it produces must equal the one-string form's byte for byte, whatever
+  // the split (empty parts and an empty vector's null data() included).
+  std::mt19937_64 gen(19);
+  std::vector<std::uint64_t> wide(100'003);
+  for (auto& w : wide) w = gen();
+  std::vector<std::uint32_t> narrow(77);
+  for (auto& w : narrow) w = static_cast<std::uint32_t>(gen());
+  const std::vector<std::uint32_t> none;
+  const std::uint64_t n_wide = wide.size();
+  const std::uint64_t n_narrow = narrow.size();
+  const std::uint64_t n_none = 0;
+
+  std::string joined;
+  BinWriter j(joined);
+  j.u64_vec(wide);
+  j.u32_vec(narrow);
+  j.u32_vec(none);
+
+  std::ostringstream one, gathered;
+  SnapshotWriter a(one, "agent", 42, 7);
+  a.section(SnapshotSection::kPopulation, joined);
+  a.section(SnapshotSection::kCore, "");
+  a.finish();
+  SnapshotWriter b(gathered, "agent", 42, 7);
+  b.section(SnapshotSection::kPopulation,
+            {bytes_of(n_wide), bytes_of(wide), std::string_view(),
+             bytes_of(n_narrow), bytes_of(narrow), bytes_of(n_none),
+             bytes_of(none)});
+  b.section(SnapshotSection::kCore, {});
+  b.finish();
+  EXPECT_EQ(gathered.str(), one.str());
+  EXPECT_EQ(b.bytes_written(), a.bytes_written());
+  EXPECT_EQ(b.bytes_written(), one.str().size());
 }
 
 TEST(Serialization, WordVectorsRoundTripWithExactLayout) {
