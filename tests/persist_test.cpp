@@ -314,6 +314,40 @@ TEST(SnapshotBytes, CountRunRoundsPinnedAcrossVersions) {
   }
 }
 
+TEST(SnapshotBytes, BatchRunRoundsPinnedAcrossVersions) {
+  // The batch-backend counterpart of the pins above, on 1, 2 and 4 shards.
+  // Each shard's stream feeds the matching shuffle 32 bits at a time and
+  // the pairing loop one uniform per pair, so a change that consumes a
+  // single word differently moves the shard states and fails here. Pinned
+  // the same way: whole snapshot on the default tier, the snapshot without
+  // its counters section on both.
+  struct Pin {
+    const char* name;
+    unsigned threads;
+    std::uint32_t whole;
+    std::uint32_t sans_counters;
+  };
+  for (const Pin& pin :
+       {Pin{"approx_majority", 1, 0x95ca9563u, 0x6a3e8fafu},
+        Pin{"approx_majority", 2, 0x1c17469fu, 0x7e546594u},
+        Pin{"approx_majority", 4, 0x6a911d0au, 0x1a155307u},
+        Pin{"phase_clock", 1, 0x94d4b9d7u, 0xc52a2b56u},
+        Pin{"phase_clock", 2, 0x653fb7abu, 0x460c00f8u},
+        Pin{"phase_clock", 4, 0xf37c84c8u, 0x0ce6b113u}}) {
+    const auto inst = make_protocol_instance(pin.name, 1u << 16);
+    ASSERT_NE(inst, nullptr) << pin.name;
+    const auto eng =
+        make_backend_instance("batch", *inst, /*seed=*/1, pin.threads);
+    eng->run_rounds(8.0);
+    EXPECT_EQ(crc32(snapshot_sans_counters(*eng)), pin.sans_counters)
+        << pin.name << " t=" << pin.threads;
+    if (!Profiler::compiled_in()) {
+      EXPECT_EQ(crc32(snapshot_bytes(*eng)), pin.whole)
+          << pin.name << " t=" << pin.threads;
+    }
+  }
+}
+
 TEST(MidBufferSnapshot, BatchEngineRestoresBitIdentically) {
   ClockFixture fx(4096);
   for (const unsigned threads : {1u, 2u, 4u}) {
