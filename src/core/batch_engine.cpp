@@ -21,12 +21,9 @@ constexpr std::size_t kMinUsableShard = 2;
 // Fisher–Yates bound fits in 32 bits and the shuffle can run on half-words,
 // halving the generator advances (the dominant cost of the shuffle). Each
 // half rejects independently — the accepted stream is still exactly uniform.
-// Words come through the shard's bulk-draw buffer, which consumes the
-// generator in the same order as direct calls would (support/rng.hpp), so
-// the shuffle trajectory is unchanged by the buffering.
 class HalfWordDraws {
  public:
-  HalfWordDraws(BulkDraws& draws, Rng& rng) : draws_(draws), rng_(rng) {}
+  explicit HalfWordDraws(Rng& rng) : rng_(rng) {}
 
   std::uint32_t below(std::uint32_t bound) {
     for (;;) {
@@ -47,12 +44,11 @@ class HalfWordDraws {
       buffered_ = false;
       return static_cast<std::uint32_t>(word_ >> 32);
     }
-    word_ = draws_.next(rng_);
+    word_ = rng_();
     buffered_ = true;
     return static_cast<std::uint32_t>(word_);
   }
 
-  BulkDraws& draws_;
   Rng& rng_;
   std::uint64_t word_ = 0;
   bool buffered_ = false;
@@ -88,7 +84,6 @@ BatchEngine::BatchEngine(const Protocol& protocol, std::vector<State> initial,
   for (std::size_t s = 0; s < t; ++s) {
     const std::size_t take = base + (s < extra ? 1 : 0);
     Shard sh{Rng(splitmix64(sm)),
-             {},
              0,
              {},
              {},
@@ -225,7 +220,7 @@ void BatchEngine::shard_round(Shard& sh) {
   // dies with the local draw state, so the pairing loop below resumes the
   // stream at a whole-word boundary.
   {
-    HalfWordDraws draw(sh.draws, sh.rng);
+    HalfWordDraws draw(sh.rng);
     for (std::size_t i = m - 1; i > 0; --i) {
       const std::size_t j = draw.below(static_cast<std::uint32_t>(i + 1));
       std::swap(slots[i], slots[j]);
@@ -235,11 +230,9 @@ void BatchEngine::shard_round(Shard& sh) {
   const bool biased = bias_ && bias_->epsilon > 0.0;
   const std::uint64_t pairs = m / 2;
   if (dropping || biased) {
-    // Hook draws (bias coin, dropout) take the raw generator by reference
-    // and interleave with the pairing uniforms, so the buffer must be at
-    // its logical position before the first of them fires. Scalar loop —
-    // hook paths are fault-injection territory, not the throughput path.
-    sh.draws.flush(sh.rng);
+    // Hook draws (bias coin, dropout) interleave with the pairing uniforms
+    // on the shard's stream. Scalar loop — hook paths are fault-injection
+    // territory, not the throughput path.
     for (std::size_t i = 0; i + 1 < m; i += 2) {
       if (biased && sh.rng.chance(bias_->epsilon) &&
           !bias_->prefer.matches(states_[slot_id(slots[i])]) &&
@@ -270,7 +263,7 @@ void BatchEngine::shard_round(Shard& sh) {
       const std::size_t cnt =
           static_cast<std::size_t>(std::min<std::uint64_t>(kBlock, pairs - p0));
       for (std::size_t j = 0; j < cnt; ++j)
-        bu[j] = sh.draws.uniform(sh.rng);
+        bu[j] = sh.rng.uniform();
       bool fast = true;
       for (std::size_t j = 0; j < cnt; ++j) {
         const std::size_t i = 2 * static_cast<std::size_t>(p0 + j);
@@ -512,17 +505,13 @@ void BatchEngine::snapshot(std::ostream& out) const {
   w.section(SnapshotSection::kPopulation, popn);
 
   // Stream order mirrors construction: migration stream first, then one
-  // stream per shard in shard order. Shard streams are written at their
-  // *logical* position (raw generator rewound past unconsumed bulk-draw
-  // read-ahead), so the 4-word format is unchanged and a snapshot taken
-  // mid-buffer restores bit-identically.
+  // stream per shard in shard order.
   std::string rng;
   BinWriter r(rng);
   r.u64(1 + shards_.size());
   for (const std::uint64_t word : migrate_rng_.state()) r.u64(word);
   for (const Shard& sh : shards_)
-    for (const std::uint64_t word : sh.draws.logical(sh.rng).state())
-      r.u64(word);
+    for (const std::uint64_t word : sh.rng.state()) r.u64(word);
   w.section(SnapshotSection::kRngStreams, rng);
 
   std::string ctrs;
@@ -674,10 +663,6 @@ void BatchEngine::restore(std::istream& in) {
   states_ = std::move(st.states);
   for (std::size_t s = 0; s < t; ++s) {
     shards_[s].slots = std::move(staged_slots[s]);
-    // Drop buffered read-ahead *without* rewinding: the saved stream words
-    // are already a logical position, and the raw generator is about to be
-    // overwritten anyway.
-    shards_[s].draws.reset();
     shards_[s].rng.set_state(st.rngs[1 + s]);
     shards_[s].ctr = st.shard_ctrs[s];
     shards_[s].pairs = 0;

@@ -133,14 +133,10 @@ class BatchEngine final : public SimBackend {
   /// Shards actually in use (== worker threads; may be fewer than
   /// Params::threads for small populations).
   std::size_t shards() const { return shards_.size(); }
-  /// The given shard's private RNG stream at its *logical* position — the
-  /// raw generator rewound past any unconsumed bulk-draw read-ahead
-  /// (support/rng.hpp BulkDraws), returned by value. Stream-state equality
-  /// checks in tests compare these; see support/rng.hpp's operator== and
+  /// The given shard's private RNG stream. Stream-state equality checks in
+  /// tests compare these; see support/rng.hpp's operator== and
   /// rng_state_hex.
-  Rng shard_rng(std::size_t s) const {
-    return shards_[s].draws.logical(shards_[s].rng);
-  }
+  const Rng& shard_rng(std::size_t s) const { return shards_[s].rng; }
   /// The dedicated cross-shard migration stream.
   const Rng& migration_rng() const { return migrate_rng_; }
   /// Total population, crashed agents included.
@@ -185,11 +181,6 @@ class BatchEngine final : public SimBackend {
   // it, which is inherent to global-state sharing and decays with n.
   struct alignas(64) Shard {
     Rng rng;
-    // Bulk-draw buffer over rng (its backing store is the shard's private
-    // arena: allocated once on first refill, refilled in place — no
-    // cross-shard allocator traffic on the round path). All matching-loop
-    // draws go through it; shard_round flushes it before any hook draws.
-    BulkDraws draws;
     std::uint64_t pairs = 0;  // pairs matched in the last round
     std::vector<std::uint64_t> slots;
     EngineCounters ctr;

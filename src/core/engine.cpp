@@ -27,9 +27,9 @@ Engine::Engine(const Protocol& protocol, std::vector<State> initial_states,
   resync_sidx();
 }
 
-void Engine::set_round_hook(RoundHook hook) {
-  round_hook_ = std::move(hook);
-  last_hook_round_ = std::floor(time_);
+void Engine::set_transition_cache(bool enabled) {
+  if (enabled && !use_cache_) resync_sidx();
+  use_cache_ = enabled;
 }
 
 void Engine::set_injection_hook(InjectionHook hook) {
@@ -72,7 +72,7 @@ void Engine::rejoin_agent(std::size_t i) {
 
 void Engine::rejoin_agent(std::size_t i, State fresh) {
   rejoin_agent(i);
-  write_state(i, fresh);
+  set_state(i, fresh);
 }
 
 std::uint64_t Engine::crash_random(std::uint64_t k, Rng& rng) {
@@ -120,7 +120,7 @@ std::uint64_t Engine::mutate_random_agents(
     const State old_state = pop_.state(victim);
     const State ns = f(old_state, j);
     if (ns == old_state) continue;
-    write_state(victim, ns);
+    set_state(victim, ns);
     ++rewritten;
   }
   ctr_.corrupted_agents += rewritten;
@@ -158,27 +158,25 @@ void Engine::intern_all(const std::vector<State>& states,
 
 void Engine::resync_sidx() {
   intern_all(pop_.states(), pos_in_active_, sidx_, species_n_);
-  pop_version_seen_ = pop_.version();
 }
 
-void Engine::write_state(std::size_t i, State s) {
-  const bool in_sync = pop_.version() == pop_version_seen_;
+void Engine::set_state(std::size_t i, State s) {
+  POPPROTO_CHECK(i < pop_.size());
   pop_.set_state(i, s);
-  if (!in_sync) return;  // the next resync rebuilds sidx_ and the counts
+  if (!use_cache_) return;  // turning the cache back on resyncs
   const std::uint32_t idx = cache_.state_index(s);
   if (!cache_.cap_reached() && is_active(i)) {
     --species_n_[sidx_[i]];
     ++species_n_[idx];
   }
   sidx_[i] = idx;
-  ++pop_version_seen_;
 }
 
 void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
   // Index-based fast path: sidx_ shadows each agent's interned state index,
   // so the steady-state interaction is two index loads, one pair-bound load,
   // and (only when the draw changes a state) a breakpoint scan — no hashing,
-  // no guard work. Caller guarantees sidx_ is in sync with pop_.
+  // no guard work.
   std::uint32_t ia = sidx_[a];
   if (ia == TransitionCache::kNoState) [[unlikely]]
     ia = sidx_[a] = cache_.state_index(pop_.state(a));
@@ -200,14 +198,12 @@ void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
         sidx_[a] = r.a;
         --species_n_[ia];
         ++species_n_[r.a];
-        ++pop_version_seen_;
       }
       if (r.b != ib) {
         pop_.set_state(b, cache_.state_at(r.b));
         sidx_[b] = r.b;
         --species_n_[ib];
         ++species_n_[r.b];
-        ++pop_version_seen_;
       }
       ++ctr_.effective_steps;
       return;
@@ -224,12 +220,10 @@ void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
   if (o.a != sa) {
     pop_.set_state(a, o.a);
     sidx_[a] = TransitionCache::kNoState;
-    ++pop_version_seen_;
   }
   if (o.b != sb) {
     pop_.set_state(b, o.b);
     sidx_[b] = TransitionCache::kNoState;
-    ++pop_version_seen_;
   }
 }
 
@@ -242,11 +236,6 @@ void Engine::interact(std::uint32_t a, std::uint32_t b) {
   // (core/transition_cache.hpp); both kernel paths resolve it identically.
   const double u = rng_.uniform();
   if (use_cache_) {
-    // The shadow index array is trustworthy as long as every population
-    // mutation went through us; a version mismatch (faults or tests writing
-    // states directly) invalidates it wholesale and relearns lazily.
-    if (pop_.version() != pop_version_seen_) [[unlikely]]
-      resync_sidx();
     resolve_cached(a, b, u);
     return;
   }
@@ -298,30 +287,15 @@ void Engine::matching_step() {
   time_ += 1.0;
 }
 
-void Engine::fire_round_hooks_if_due() {
-  // Walk every whole-round boundary crossed since the last firing so each
-  // hook runs exactly once per round, even when a single activation (a
-  // matching round, or a hook installed mid-run) spans several boundaries.
-  fire_crossed_rounds(injection_, last_injection_round_, time_);
-  if (round_hook_) {
-    while (last_hook_round_ + 1.0 <= time_) {
-      last_hook_round_ += 1.0;
-      round_hook_(last_hook_round_, pop_);
-    }
-  }
-}
-
 bool Engine::step() {
-  // Single-step paths draw from rng_ directly (hooks and bias take Rng&);
-  // any read-ahead the plain advance() loop buffered must be rewound first
-  // so the stream stays in as-if-sequential order.
-  draws_.flush(rng_);
   if (scheduler_ == SchedulerKind::kSequential) {
     sequential_step();
   } else {
     matching_step();
   }
-  fire_round_hooks_if_due();
+  // Every whole-round boundary crossed fires once, even when one activation
+  // (a matching round, or a hook installed mid-run) spans several.
+  fire_crossed_rounds(injection_, last_injection_round_, time_);
   return true;
 }
 
@@ -335,13 +309,12 @@ void Engine::advance(std::uint64_t max_steps, double target_time) {
   // sidx_ loads with the draws.
   const bool plain = scheduler_ == SchedulerKind::kSequential && use_cache_ &&
                      !bias_ && !injection_.drop_interaction &&
-                     !injection_.on_round && !round_hook_ && active_identity_;
+                     !injection_.on_round && active_identity_;
   if (!plain) {
     for (std::uint64_t i = 0; i < max_steps && time_ < target_time; ++i)
       step();
     return;
   }
-  if (pop_.version() != pop_version_seen_) resync_sidx();
   const std::uint64_t n = active_.size();
   constexpr std::size_t kBlock = 16;
   std::uint32_t ba[kBlock], bb[kBlock];
@@ -353,10 +326,10 @@ void Engine::advance(std::uint64_t max_steps, double target_time) {
     std::size_t m = 0;
     for (; m < cap && time_ < target_time; ++m) time_ += inv_active_;
     for (std::size_t j = 0; j < m; ++j) {
-      const auto [a, b] = draws_.distinct_pair(rng_, n);
+      const auto [a, b] = rng_.distinct_pair(n);
       ba[j] = static_cast<std::uint32_t>(a);
       bb[j] = static_cast<std::uint32_t>(b);
-      bu[j] = draws_.uniform(rng_);
+      bu[j] = rng_.uniform();
       __builtin_prefetch(&sidx_[a]);
       __builtin_prefetch(&sidx_[b]);
     }
@@ -404,11 +377,7 @@ void Engine::snapshot(std::ostream& out) const {
   std::string rng;
   BinWriter r(rng);
   r.u64(1);  // stream count
-  // The *logical* stream state: rng_ rewound past any unconsumed bulk-draw
-  // read-ahead (support/rng.hpp BulkDraws). Same 4-word format as ever — a
-  // snapshot taken mid-buffer restores to the exact next unconsumed draw,
-  // and old snapshots stay readable.
-  for (const std::uint64_t word : draws_.logical(rng_).state()) r.u64(word);
+  for (const std::uint64_t word : rng_.state()) r.u64(word);
   w.section(SnapshotSection::kRngStreams, rng);
 
   std::string ctrs;
@@ -507,10 +476,8 @@ void Engine::restore(std::istream& in) {
   pos_in_active_ = std::move(pos);
   sidx_ = std::move(fresh_sidx);
   species_n_ = std::move(fresh_counts);
-  pop_version_seen_ = pop_.version();
   inv_active_ = 1.0 / static_cast<double>(active_.size());
   active_identity_ = identity;
-  draws_.reset();  // buffered read-ahead belongs to the overwritten stream
   rng_.set_state(st.rng);
   scheduler_ = static_cast<SchedulerKind>(st.scheduler);
   use_cache_ = st.use_cache;
@@ -519,9 +486,8 @@ void Engine::restore(std::istream& in) {
   ctr_ = st.ctr;
   cache_builds_base_ = st.ctr.cache_builds;
   cache_builds_floor_ = cache_.builds();
-  // Hook cadences resume on the uninterrupted run's grid: the next firing is
-  // the first whole round after the restored time.
-  last_hook_round_ = std::floor(time_);
+  // The hook cadence resumes on the uninterrupted run's grid: the next firing
+  // is the first whole round after the restored time.
   last_injection_round_ = std::floor(time_);
   matching_buf_.clear();
 }

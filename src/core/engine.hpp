@@ -46,19 +46,14 @@ class Engine final : public SimBackend {
   /// same trajectory as `while (rounds() < target) step()`.
   void run_rounds(double rounds) override;
 
-  /// Callback invoked exactly once per whole round of parallel time, with
-  /// strictly increasing rounds. Installing a hook mid-run starts the
-  /// cadence at the next whole round after the current time.
-  using RoundHook = std::function<void(double round, const AgentPopulation&)>;
-  void set_round_hook(RoundHook hook);
-
   /// Toggle the memoized transition kernel (on by default). Both settings
   /// produce bit-identical trajectories from the same seed — the uncached
   /// path recomputes the same fused distribution per interaction — so this
   /// exists for benchmarking and for protocols whose reachable state space
   /// exceeds the cache cap (which otherwise degrade to per-pair fallback
-  /// automatically; see core/transition_cache.hpp).
-  void set_transition_cache(bool enabled) { use_cache_ = enabled; }
+  /// automatically; see core/transition_cache.hpp). The uncached path keeps
+  /// no interned-index shadow, so turning the cache back on rebuilds it.
+  void set_transition_cache(bool enabled);
   const TransitionCache& transition_cache() const { return cache_; }
 
   /// Fault-layer injection points (see core/injection.hpp). Unset hooks
@@ -124,19 +119,13 @@ class Engine final : public SimBackend {
   double rounds() const override { return time_; }
   std::uint64_t interactions() const override { return interactions_; }
   const AgentPopulation& population() const { return pop_; }
-  AgentPopulation& population() { return pop_; }
-  /// Direct access to the engine's stream. Flushes the bulk-draw buffer
-  /// first (support/rng.hpp BulkDraws) so the returned generator is at the
-  /// exact as-if-sequential position — callers may draw from or compare it
-  /// without seeing buffered read-ahead.
-  Rng& rng() {
-    draws_.flush(rng_);
-    return rng_;
-  }
+  /// Set agent i's state outside an interaction: the one write path into
+  /// the population from outside the engine. Keeps the interned-index
+  /// shadow and the species counts exact.
+  void set_state(std::size_t i, State s);
+  /// The engine's stream, for comparing positions or saving it.
+  const Rng& rng() const { return rng_; }
   std::size_t n() const { return pop_.size(); }
-  /// Bulk-draw words buffered but not yet consumed (tests pin the
-  /// mid-buffer snapshot contract on this being nonzero).
-  std::size_t rng_buffer_pending() const { return draws_.pending(); }
 
  protected:
   EventTrace* event_trace() const override { return trace_; }
@@ -146,12 +135,10 @@ class Engine final : public SimBackend {
 
   /// The loop behind run_steps and run_rounds: step until `max_steps`
   /// activations ran or time_ reached `target_time`, whichever is first.
-  /// Plain configurations run in prefetching blocks over draws_; all others
-  /// call step().
+  /// Plain configurations run in prefetching blocks; all others call step().
   void advance(std::uint64_t max_steps, double target_time);
   void sequential_step();
   void matching_step();
-  void fire_round_hooks_if_due();
   /// Apply one interaction of the protocol to the ordered pair (a, b),
   /// honouring dropout and rule sampling. Shared by both schedulers.
   void interact(std::uint32_t a, std::uint32_t b);
@@ -161,7 +148,7 @@ class Engine final : public SimBackend {
   /// ε-mixture initiator skew for a sequential pair (see SchedulerBias).
   void bias_sequential_pair(std::uint32_t& a, std::uint32_t b);
   /// Rebuild the interned-index shadow and the species counts from pop_
-  /// (construction, and after an external pop_ mutation).
+  /// (construction, and when the cache is turned back on).
   void resync_sidx();
   /// Intern every state of `states` into `sidx` and count the active
   /// agents (`pos` entry not kNotActive) per interned index into `counts`
@@ -170,30 +157,19 @@ class Engine final : public SimBackend {
                   const std::vector<std::uint32_t>& pos,
                   std::vector<std::uint32_t>& sidx,
                   std::vector<std::uint64_t>& counts);
-  /// Set agent i's state outside an interaction, keeping sidx_ and the
-  /// species counts in step when the shadow is in sync.
-  void write_state(std::size_t i, State s);
   /// True while species_n_ counts every active agent exactly.
-  bool counts_live() const {
-    return pop_.version() == pop_version_seen_ && !cache_.cap_reached();
-  }
+  bool counts_live() const { return use_cache_ && !cache_.cap_reached(); }
 
   const Protocol& protocol_;
   AgentPopulation pop_;
   Rng rng_;
-  // Bulk-draw buffer over rng_, consumed only by the plain advance() loop.
-  // Invariant: every other draw site (step paths, hooks, bias) sees the
-  // buffer flushed, so rng_ alone carries the stream there.
-  BulkDraws draws_;
   SchedulerKind scheduler_;
   TransitionCache cache_;
   bool use_cache_ = true;
   std::uint64_t interactions_ = 0;
   double time_ = 0.0;
   double inv_active_ = 0.0;  // 1 / active_.size(), kept in sync with churn
-  double last_hook_round_ = 0.0;
   double last_injection_round_ = 0.0;
-  RoundHook round_hook_;
   InjectionHook injection_;
   // Telemetry tallies (interactions_ stays the master interaction count;
   // counters() merges it in). Maintained only on slow/branchy paths.
@@ -211,14 +187,13 @@ class Engine final : public SimBackend {
   std::vector<std::uint32_t> pos_in_active_;  // agent id -> index in active_
   // Agent id -> interned state index in cache_ (kNoState past the cache
   // cap); a shadow of pop_ that lets interact() skip the State -> index
-  // hash. Trusted while pop_.version() == pop_version_seen_; a write to
-  // population() that bypassed the engine triggers a wholesale resync.
+  // hash. Every write to pop_ is the engine's own, so the cached path keeps
+  // it exact; the uncached path leaves it stale until the cache is back on.
   std::vector<std::uint32_t> sidx_;
-  std::uint64_t pop_version_seen_ = 0;
   // Active agents per interned state index, updated beside sidx_ by every
-  // engine mutation (interactions, churn, corruption, restore). Exact while
-  // counts_live(): not past the cache cap (agents without an index go
-  // uncounted), and not after a write to population() until the resync.
+  // engine mutation (interactions, churn, set_state, corruption, restore).
+  // Exact while counts_live(): the cache is on and not past its cap (agents
+  // without an index go uncounted).
   std::vector<std::uint64_t> species_n_;
   bool active_identity_ = true;  // active_[i] == i (no crash yet)
   std::vector<std::pair<std::uint32_t, std::uint32_t>> matching_buf_;

@@ -18,8 +18,8 @@ struct TracePoint {
 /// grid {interval, 2·interval, ...} anchored at 0: each grid point is
 /// served by the first observation at or after it, so sample spacing stays
 /// `interval` on average regardless of how irregularly the caller observes
-/// (round hooks, skip-ahead jumps). Attach via Engine::set_round_hook or
-/// call record() manually from any simulation loop.
+/// (round hooks, skip-ahead jumps). Call record() from any simulation loop:
+/// between run_rounds calls, or from an InjectionHook::on_round.
 class VarTrace {
  public:
   VarTrace(std::vector<VarId> vars, double interval_rounds = 1.0);

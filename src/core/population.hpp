@@ -22,11 +22,6 @@ class AgentPopulation {
   State state(std::size_t i) const { return states_[i]; }
   const std::vector<State>& states() const { return states_; }
 
-  /// Bumped on every set_state. Lets observers that shadow per-agent data
-  /// (Engine's interned-index array) detect mutations made behind their back
-  /// and revalidate lazily instead of re-checking every access.
-  std::uint64_t version() const { return version_; }
-
   void set_state(std::size_t i, State s) {
     POPPROTO_DCHECK(i < states_.size());
     const State diff = states_[i] ^ s;
@@ -41,7 +36,6 @@ class AgentPopulation {
       r &= r - 1;
     }
     states_[i] = s;
-    ++version_;
   }
 
   /// Number of agents with variable v set (O(1), maintained incrementally).
@@ -66,7 +60,6 @@ class AgentPopulation {
 
   std::vector<State> states_;
   std::array<std::uint64_t, kMaxVars> var_count_{};
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace popproto

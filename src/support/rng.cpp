@@ -46,14 +46,6 @@ Rng Rng::split() {
   return Rng(seed);
 }
 
-void BulkDraws::refill(Rng& rng) {
-  if (buf_.empty()) buf_.resize(kWords);
-  base_ = rng;
-  rng.fill_u64(buf_.data(), buf_.size());
-  pos_ = 0;
-  len_ = buf_.size();
-}
-
 std::string rng_state_hex(const Rng& rng) {
   const auto s = rng.state();
   char buf[4 * 16 + 4];

@@ -7,11 +7,9 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "support/check.hpp"
 
@@ -95,21 +93,6 @@ class Rng {
   /// Derive an independent generator (stream-split by jumbling state).
   Rng split();
 
-  // -- Bulk draws (DESIGN.md §13) -------------------------------------------
-  /// Fill out[0..n) with the next n raw draws — exactly the sequence n
-  /// operator() calls would produce, state advanced identically. The loop
-  /// stays in one frame (no per-draw call), which is what the buffered
-  /// consumers below amortize their refills through.
-  void fill_u64(std::uint64_t* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = (*this)();
-  }
-
-  /// Advance the stream by `n` draws, discarding the outputs (used to
-  /// compute the logical position of a partially consumed bulk buffer).
-  void discard(std::uint64_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) (*this)();
-  }
-
   // -- Stream-state persistence (src/persist/, DESIGN.md §10) ---------------
   /// The full 256-bit generator state. Restoring it with set_state resumes
   /// the stream at the exact draw it was captured at — not a reseed: two
@@ -143,99 +126,5 @@ class Rng {
 /// Hex rendering of a generator's full stream state ("s0:s1:s2:s3"), for
 /// test-failure diagnostics alongside operator== checks.
 std::string rng_state_hex(const Rng& rng);
-
-/// Buffered word stream over a caller-owned Rng (DESIGN.md §13).
-///
-/// Draw primitives pull 64-bit words from a private buffer refilled
-/// kWords words at a time via Rng::fill_u64, consuming the exact word
-/// sequence the unbuffered primitives would — so a BulkDraws-backed loop
-/// follows a bit-identical trajectory, it just refills in bulk instead of
-/// advancing the generator once per draw.
-///
-/// The generator the caller passes must be the SAME object every call (the
-/// buffer caches words already drawn from it). Between refills the Rng's
-/// raw state runs AHEAD of the draws actually handed out; logical() maps
-/// back to the as-if-sequential state, and flush() rewinds the Rng to it.
-/// Snapshots taken mid-buffer therefore serialize the logical state in the
-/// unchanged 4-word format, and a restore (which clears the buffer) resumes
-/// the stream at exactly the next unconsumed draw — the persistence
-/// contract tests/persist_test.cpp pins on every backend.
-class BulkDraws {
- public:
-  /// Refill size in words. Larger buffers measured no faster
-  /// (docs/TUNING.md); a mid-buffer snapshot replays at most this many
-  /// words to recover the logical state.
-  static constexpr std::size_t kWords = 1024;
-
-  BulkDraws() = default;
-
-  std::uint64_t next(Rng& rng) {
-    if (pos_ == len_) [[unlikely]]
-      refill(rng);
-    return buf_[pos_++];
-  }
-
-  /// Rng::uniform over buffered words.
-  double uniform(Rng& rng) {
-    return static_cast<double>(next(rng) >> 11) * 0x1.0p-53;
-  }
-
-  /// Rng::below over buffered words (identical Lemire rejection walk).
-  std::uint64_t below(Rng& rng, std::uint64_t bound) {
-    const std::uint64_t x = next(rng);
-    unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
-    auto low = static_cast<std::uint64_t>(m);
-    if (low < bound) [[unlikely]] {
-      const std::uint64_t threshold = -bound % bound;
-      while (low < threshold) {
-        m = static_cast<unsigned __int128>(next(rng)) * bound;
-        low = static_cast<std::uint64_t>(m);
-      }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-  }
-
-  /// Rng::distinct_pair over buffered words.
-  std::pair<std::uint64_t, std::uint64_t> distinct_pair(Rng& rng,
-                                                        std::uint64_t n) {
-    const std::uint64_t a = below(rng, n);
-    std::uint64_t b = below(rng, n - 1);
-    if (b >= a) ++b;
-    return {a, b};
-  }
-
-  /// Buffered words not yet handed out.
-  std::size_t pending() const { return len_ - pos_; }
-
-  /// The as-if-sequential stream state: `rng` rewound past the unconsumed
-  /// tail of the buffer. Equals `rng` itself when the buffer is empty.
-  Rng logical(const Rng& rng) const {
-    if (len_ == 0) return rng;
-    Rng l = base_;
-    l.discard(pos_);
-    return l;
-  }
-
-  /// Rewind `rng` to the logical state and drop the buffer. Required before
-  /// any draw bypasses this buffer (direct Rng use, hooks) and before
-  /// serializing or comparing the raw generator.
-  void flush(Rng& rng) {
-    if (len_ == 0) return;
-    rng = logical(rng);
-    pos_ = len_ = 0;
-  }
-
-  /// Drop the buffer WITHOUT rewinding — for restore paths that overwrite
-  /// the generator state wholesale right after.
-  void reset() { pos_ = len_ = 0; }
-
- private:
-  void refill(Rng& rng);
-
-  std::vector<std::uint64_t> buf_;
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-  Rng base_{1};  // rng's state as of the last refill (pre-fill)
-};
 
 }  // namespace popproto

@@ -131,10 +131,10 @@ TEST(VarTrace, IntegratesWithEngineRoundHook) {
   init[0] = var_bit(i);
   Engine eng(p, std::move(init), 3);
   VarTrace trace({i}, 1.0);
-  eng.set_round_hook([&](double round, const AgentPopulation& pop) {
-    trace.record(round, pop);
-  });
-  eng.run_rounds(20.0);
+  for (int r = 0; r < 20; ++r) {
+    eng.run_rounds(1.0);
+    trace.record(eng.rounds(), eng.population());
+  }
   ASSERT_GE(trace.points().size(), 15u);
   // The epidemic is monotone: recorded counts never decrease.
   for (std::size_t k = 1; k < trace.points().size(); ++k)

@@ -80,14 +80,16 @@ TEST(Engine, RoundHookFiresOncePerRound) {
   const Protocol p = epidemic_protocol(vars);
   Engine eng(p, std::vector<State>(64, 0), 3);
   int calls = 0;
-  eng.set_round_hook([&](double, const AgentPopulation&) { ++calls; });
+  InjectionHook hook;
+  hook.on_round = [&](double) { ++calls; };
+  eng.set_injection_hook(std::move(hook));
   eng.run_rounds(10.0);
   EXPECT_GE(calls, 9);
   EXPECT_LE(calls, 11);
 }
 
 TEST(Engine, RoundHookFiresExactlyOncePerWholeRound) {
-  // Regression: the round-hook cadence must not drift — over a long run the
+  // Regression: the on_round cadence must not drift — over a long run the
   // hook fires at every whole round exactly once, in order, under both
   // schedulers (a matching activation can cross a boundary in one step; a
   // sequential run crosses one every n interactions).
@@ -97,8 +99,9 @@ TEST(Engine, RoundHookFiresExactlyOncePerWholeRound) {
     const Protocol p = epidemic_protocol(vars);
     Engine eng(p, std::vector<State>(96, 0), 17, sched);
     std::vector<double> fired;
-    eng.set_round_hook(
-        [&](double r, const AgentPopulation&) { fired.push_back(r); });
+    InjectionHook hook;
+    hook.on_round = [&](double r) { fired.push_back(r); };
+    eng.set_injection_hook(std::move(hook));
     eng.run_rounds(200.0);
     ASSERT_EQ(fired.size(),
               static_cast<std::size_t>(std::floor(eng.rounds() + 1e-9)))
@@ -171,7 +174,7 @@ TEST(Engine, SchedulerPairsAreUniform) {
   std::size_t agent0_initiations = 0;
   const std::size_t steps = 64000;
   for (std::size_t s = 0; s < steps; ++s) {
-    eng.population().set_state(0, 0);
+    eng.set_state(0, 0);
     eng.step();
     if (var_is_set(eng.population().state(0), m)) ++agent0_initiations;
   }
@@ -198,7 +201,7 @@ TEST(Engine, ThreadsShareSchedulingEqually) {
     eng.step();
     fired_x = eng.population().count_var(x);
     fired_y = eng.population().count_var(y);
-    for (std::size_t a = 0; a < 1000; ++a) eng.population().set_state(a, 0);
+    for (std::size_t a = 0; a < 1000; ++a) eng.set_state(a, 0);
   }
   // Both threads fire; equality is checked statistically over fresh runs.
   Engine eng2(p, std::vector<State>(1000, 0), 10);
@@ -554,10 +557,10 @@ TEST(EngineSpeciesCounts, EqualScanAfterEveryMutationPath) {
   e.run_rounds(1.0);
   check("block loop after corruption");
 
-  e.population().set_state(7, f.init[9] ^ var_bit(1));
-  check("external population() write");
+  e.set_state(7, f.init[9] ^ var_bit(1));
+  check("set_state");
   e.run_steps(100);
-  check("resync after the external write");
+  check("block loop after set_state");
 
   e.set_transition_cache(false);
   e.run_rounds(1.0);

@@ -6,9 +6,9 @@
 //    BatchEngine at t = 1, 2, 4 shards;
 //  * RNG stream restore regression: BatchEngine's split per-shard streams
 //    and migration stream compare equal generator-state-for-generator-state;
-//  * mid-buffer snapshots: a snapshot taken while bulk-draw read-ahead is
-//    pending restores bit-identically (all four backends, counters-section
-//    exempt like replay_check);
+//  * mid-run snapshots: a snapshot taken at an arbitrary point, restored
+//    into a diverged instance and continued, matches the uninterrupted run
+//    (all four backends, counters-section exempt like replay_check);
 //  * malformed snapshots: truncations, a fuzz loop of single-byte flips,
 //    wrong magic/version/backend/fingerprint, shard-count mismatch — every
 //    one throws a typed SnapshotError and leaves the target engine
@@ -186,14 +186,12 @@ TEST(RngStreams, BatchEngineSplitStreamsRestoreExactly) {
   }
 }
 
-// -- Mid-buffer snapshots (bulk-draw read-ahead, DESIGN.md §13) --------------
-// The buffered engines' raw generators run AHEAD of the draws actually
-// consumed; snapshots must serialize the logical position so a snapshot
-// taken mid-buffer restores bit-identically. Protocol: run to an arbitrary
-// point, snapshot, restore into a diverged instance, advance both equally,
-// and require byte-equal snapshots on every section except kCounters —
-// cache-warmth counters legitimately differ after a restore (caches are
-// derived state, relearned lazily), the same convention replay_check uses.
+// -- Mid-run snapshots ---------------------------------------------------------
+// Run to an arbitrary point, snapshot, restore into a diverged instance,
+// advance both equally, and require byte-equal snapshots on every section
+// except kCounters — cache-warmth counters legitimately differ after a
+// restore (caches are derived state, relearned lazily), the same convention
+// replay_check uses.
 
 std::string snapshot_sans_counters(const SimBackend& backend) {
   const std::string bytes = snapshot_bytes(backend);
@@ -221,17 +219,13 @@ std::string snapshot_sans_counters(const SimBackend& backend) {
 
 TEST(MidBufferSnapshot, AgentEngineRestoresBitIdentically) {
   ClockFixture fx(2048);
-  // run_steps and run_rounds both draw through the bulk buffer (their shared
-  // plain loop); a step count or round length whose draws are no multiple of
-  // the refill size lands mid-buffer.
+  // Snapshot once after a step count and once after a round length.
   for (const bool by_rounds : {false, true}) {
     Engine ref(fx.proto, fx.init, /*seed=*/7);
     if (by_rounds)
       ref.run_rounds(2.3);
     else
       ref.run_steps(5001);
-    ASSERT_GT(ref.rng_buffer_pending(), 0u)
-        << "landed on a refill boundary; the test needs read-ahead";
     const std::string snap = snapshot_bytes(ref);
     const std::string sans = snapshot_sans_counters(ref);
 
@@ -355,7 +349,7 @@ TEST(MidBufferSnapshot, BatchEngineRestoresBitIdentically) {
     params.threads = threads;
     params.min_shard = 256;
     BatchEngine ref(fx.proto, fx.init, /*seed=*/7, params);
-    ref.run_rounds(5.0);  // per-shard buffers sit mid-refill generically
+    ref.run_rounds(5.0);
     const std::string snap = snapshot_bytes(ref);
     const std::string sans = snapshot_sans_counters(ref);
 
@@ -372,8 +366,8 @@ TEST(MidBufferSnapshot, BatchEngineRestoresBitIdentically) {
   }
 }
 
-// The count backends hold no read-ahead, but the same continue-and-compare
-// protocol pins the full four-backend matrix the replay contract covers.
+// The same continue-and-compare protocol on the count backends completes the
+// four-backend matrix the replay contract covers.
 TEST(MidBufferSnapshot, CountEngineRestoresBitIdentically) {
   MajorityFixture fx(4096);
   CountEngine ref(fx.proto, {{fx.a, 2048}, {fx.b, 2048}}, /*seed=*/7,

@@ -182,63 +182,5 @@ TEST(SimdKernels, Crc32ExtendOverRandomSplitsEqualsWholeBuffer) {
   simd::refresh_tier_from_env();
 }
 
-TEST(BulkDrawsTest, PrimitivesMatchUnbufferedRng) {
-  Rng raw(2024);
-  Rng buffered_rng(2024);
-  BulkDraws draws;
-  // Interleave every primitive; the buffered trajectory must match the
-  // unbuffered one draw for draw across refill boundaries.
-  for (int i = 0; i < 5000; ++i) {
-    switch (i % 4) {
-      case 0:
-        ASSERT_EQ(draws.next(buffered_rng), raw());
-        break;
-      case 1:
-        ASSERT_EQ(draws.uniform(buffered_rng), raw.uniform());
-        break;
-      case 2:
-        ASSERT_EQ(draws.below(buffered_rng, 3 + i % 97),
-                  raw.below(3 + i % 97));
-        break;
-      default:
-        ASSERT_EQ(draws.distinct_pair(buffered_rng, 10 + i % 50),
-                  raw.distinct_pair(10 + i % 50));
-    }
-  }
-  // logical() reports the as-if-sequential position mid-buffer...
-  ASSERT_GT(draws.pending(), 0u);
-  EXPECT_EQ(draws.logical(buffered_rng), raw)
-      << rng_state_hex(draws.logical(buffered_rng)) << " vs "
-      << rng_state_hex(raw);
-  // ...and flush() rewinds the raw generator to it.
-  draws.flush(buffered_rng);
-  EXPECT_EQ(buffered_rng, raw);
-  EXPECT_EQ(draws.pending(), 0u);
-  EXPECT_EQ(draws.next(buffered_rng), raw());
-}
-
-// Chi-square goodness of fit on the batched bounded-uniform path: the
-// buffered Lemire draws must stay uniform over [0, bound) (a biased
-// threshold or half-word mixup would show up here long before a protocol
-// test notices).
-TEST(BulkDrawsTest, BatchedBoundedUniformPassesChiSquare) {
-  constexpr std::uint64_t kBound = 64;
-  constexpr std::uint64_t kDraws = 64 * 2000;
-  Rng rng(31337);
-  BulkDraws draws;
-  std::vector<std::uint64_t> counts(kBound, 0);
-  for (std::uint64_t i = 0; i < kDraws; ++i)
-    ++counts[draws.below(rng, kBound)];
-  const double expected = static_cast<double>(kDraws) / kBound;
-  double chi2 = 0.0;
-  for (const std::uint64_t c : counts) {
-    const double d = static_cast<double>(c) - expected;
-    chi2 += d * d / expected;
-  }
-  // 63 degrees of freedom: mean 63, sd ~11.2. 120 is ~5 sd — a fixed seed
-  // either passes forever or flags a real distribution bug.
-  EXPECT_LT(chi2, 120.0);
-}
-
 }  // namespace
 }  // namespace popproto

@@ -290,9 +290,8 @@ TEST(EngineEquivalence, ChurnPreservesEquivalence) {
 }
 
 TEST(EngineEquivalence, ExternalMutationResyncsShadow) {
-  // Writing states through population() bypasses the engine; the version
-  // counter must invalidate the sidx_ shadow so the cached path relearns
-  // instead of acting on stale indices.
+  // Writing states through set_state between runs must keep the sidx_
+  // shadow exact, so the cached path never acts on a stale index.
   const Fixture f = oscillator_fixture(256);
   Engine cached(f.proto, f.init, /*seed=*/25);
   Engine uncached(f.proto, f.init, /*seed=*/25);
@@ -303,8 +302,8 @@ TEST(EngineEquivalence, ExternalMutationResyncsShadow) {
     for (std::size_t i = 0; i < 32; ++i) {
       const State s = f.init[(i * 7 + static_cast<std::size_t>(round)) %
                              f.init.size()];
-      cached.population().set_state(i, s);
-      uncached.population().set_state(i, s);
+      cached.set_state(i, s);
+      uncached.set_state(i, s);
     }
     expect_identical(cached, uncached, "external mutation");
   }
