@@ -467,15 +467,12 @@ std::vector<std::pair<State, std::uint64_t>> BatchEngine::species() const {
 
 EngineCounters BatchEngine::counters() const {
   EngineCounters c = ctr_;
-  c.interactions = interactions_;
   std::uint64_t builds = 0;
   for (const Shard& sh : shards_) {
-    c.effective_steps += sh.ctr.effective_steps;
-    c.dropped_interactions += sh.ctr.dropped_interactions;
-    c.cache_fallbacks += sh.ctr.cache_fallbacks;
-    c.cache_hits += sh.ctr.cache_hits;
+    c += sh.ctr;
     builds += sh.cache.builds();
   }
+  c.interactions = interactions_;
   c.cache_builds += cache_builds_base_ + (builds - cache_builds_floor_);
   return c;
 }

@@ -133,27 +133,8 @@ CountShardEngine::CountShardEngine(
       }
       mig_counts_[it->second] += c;
     }
-    std::uint64_t remaining = n;
-    const std::uint64_t base = n / S;
-    const std::uint64_t extra = n % S;
     for (std::size_t s = 0; s < S; ++s) {
-      const std::uint64_t take = base + (s < extra ? 1 : 0);
-      mig_init_.clear();
-      if (s + 1 == S) {
-        // Forced remainder: consumes no draws (mirrors the MVH early-exit).
-        for (std::size_t i = 0; i < mig_states_.size(); ++i)
-          if (mig_counts_[i] > 0)
-            mig_init_.emplace_back(mig_states_[i], mig_counts_[i]);
-      } else {
-        sample_multivariate_hypergeometric(migrate_rng_, mig_counts_,
-                                           remaining, take, mig_deal_);
-        for (std::size_t i = 0; i < mig_states_.size(); ++i) {
-          if (mig_deal_[i] == 0) continue;
-          mig_init_.emplace_back(mig_states_[i], mig_deal_[i]);
-          mig_counts_[i] -= mig_deal_[i];
-        }
-        remaining -= take;
-      }
+      deal_shard(s, S, n);
       shards_.push_back(std::make_unique<CountEngine>(
           protocol_, mig_init_, seeds[s], CountEngineMode::kBatch));
     }
@@ -249,27 +230,35 @@ void CountShardEngine::migrate() {
   // frozen state inside the shard they crashed in.
   const std::uint64_t total = pool_scheduled();
   const std::size_t S = shards_.size();
-  std::uint64_t remaining = total;
-  const std::uint64_t base = total / S;
-  const std::uint64_t extra = total % S;
   for (std::size_t s = 0; s < S; ++s) {
-    const std::uint64_t take = base + (s < extra ? 1 : 0);
-    mig_init_.clear();
-    if (s + 1 == S) {
-      for (std::size_t i = 0; i < mig_states_.size(); ++i)
-        if (mig_counts_[i] > 0)
-          mig_init_.emplace_back(mig_states_[i], mig_counts_[i]);
-    } else {
-      sample_multivariate_hypergeometric(migrate_rng_, mig_counts_, remaining,
-                                         take, mig_deal_);
-      for (std::size_t i = 0; i < mig_states_.size(); ++i) {
-        if (mig_deal_[i] == 0) continue;
-        mig_init_.emplace_back(mig_states_[i], mig_deal_[i]);
-        mig_counts_[i] -= mig_deal_[i];
-      }
-      remaining -= take;
-    }
+    deal_shard(s, S, total);
     shards_[s]->reset_population(mig_init_);
+  }
+}
+
+void CountShardEngine::deal_shard(std::size_t s, std::size_t shards,
+                                  std::uint64_t total) {
+  const std::uint64_t base = total / shards;
+  const std::uint64_t extra = total % shards;
+  mig_init_.clear();
+  if (s + 1 == shards) {
+    // Forced remainder: consumes no draws (mirrors the MVH early-exit).
+    for (std::size_t i = 0; i < mig_states_.size(); ++i)
+      if (mig_counts_[i] > 0)
+        mig_init_.emplace_back(mig_states_[i], mig_counts_[i]);
+    return;
+  }
+  // Shards 0..s-1 took base agents each, plus one for each of the first
+  // `extra` shards.
+  const std::uint64_t remaining =
+      total - s * base - std::min<std::uint64_t>(s, extra);
+  const std::uint64_t take = base + (s < extra ? 1 : 0);
+  sample_multivariate_hypergeometric(migrate_rng_, mig_counts_, remaining,
+                                     take, mig_deal_);
+  for (std::size_t i = 0; i < mig_states_.size(); ++i) {
+    if (mig_deal_[i] == 0) continue;
+    mig_init_.emplace_back(mig_states_[i], mig_deal_[i]);
+    mig_counts_[i] -= mig_deal_[i];
   }
 }
 
@@ -352,22 +341,7 @@ std::vector<std::pair<State, std::uint64_t>> CountShardEngine::species()
 
 EngineCounters CountShardEngine::counters() const {
   EngineCounters c;
-  for (const auto& sub : shards_) {
-    const EngineCounters sc = sub->counters();
-    c.interactions += sc.interactions;
-    c.effective_steps += sc.effective_steps;
-    c.dropped_interactions += sc.dropped_interactions;
-    c.cache_builds += sc.cache_builds;
-    c.cache_fallbacks += sc.cache_fallbacks;
-    c.skip_jumps += sc.skip_jumps;
-    c.skipped_interactions += sc.skipped_interactions;
-    c.crash_events += sc.crash_events;
-    c.rejoin_events += sc.rejoin_events;
-    c.corrupted_agents += sc.corrupted_agents;
-    c.batch_blocks += sc.batch_blocks;
-    c.batch_collisions += sc.batch_collisions;
-    c.cache_hits += sc.cache_hits;
-  }
+  for (const auto& sub : shards_) c += sub->counters();
   return c;
 }
 

@@ -58,6 +58,26 @@ struct EngineCounters {
   /// Indexed-path cache resolutions (per-draw hit counting).
   std::uint64_t cache_hits = 0;
 
+  bool operator==(const EngineCounters&) const = default;
+
+  /// Field-wise sum, for backends that merge per-shard tallies.
+  EngineCounters& operator+=(const EngineCounters& o) {
+    interactions += o.interactions;
+    effective_steps += o.effective_steps;
+    dropped_interactions += o.dropped_interactions;
+    cache_builds += o.cache_builds;
+    cache_fallbacks += o.cache_fallbacks;
+    skip_jumps += o.skip_jumps;
+    skipped_interactions += o.skipped_interactions;
+    crash_events += o.crash_events;
+    rejoin_events += o.rejoin_events;
+    corrupted_agents += o.corrupted_agents;
+    batch_blocks += o.batch_blocks;
+    batch_collisions += o.batch_collisions;
+    cache_hits += o.cache_hits;
+    return *this;
+  }
+
   /// No-op interactions: executed but changed nothing (dropped ones count
   /// as no-ops too; skipped-over ones are *not* executed and excluded).
   std::uint64_t noop_steps() const {
@@ -87,5 +107,10 @@ struct EngineCounters {
     };
   }
 };
+
+// A new counter must join operator+= (and to_pairs); this fails until the
+// size below is bumped beside them.
+static_assert(sizeof(EngineCounters) == 13 * sizeof(std::uint64_t),
+              "EngineCounters gained a field: add it to operator+=");
 
 }  // namespace popproto

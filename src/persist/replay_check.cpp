@@ -56,16 +56,7 @@ bool counters_match(EngineCounters a, EngineCounters b) {
   a.cache_builds = b.cache_builds = 0;
   a.cache_fallbacks = b.cache_fallbacks = 0;
   a.cache_hits = b.cache_hits = 0;
-  return a.interactions == b.interactions &&
-         a.effective_steps == b.effective_steps &&
-         a.dropped_interactions == b.dropped_interactions &&
-         a.skip_jumps == b.skip_jumps &&
-         a.skipped_interactions == b.skipped_interactions &&
-         a.crash_events == b.crash_events &&
-         a.rejoin_events == b.rejoin_events &&
-         a.corrupted_agents == b.corrupted_agents &&
-         a.batch_blocks == b.batch_blocks &&
-         a.batch_collisions == b.batch_collisions;
+  return a == b;
 }
 
 /// Split a serialized snapshot into (tag, payload) pairs. The buffer came
