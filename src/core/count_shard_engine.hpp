@@ -175,9 +175,14 @@ class CountShardEngine final : public SimBackend {
   /// mig_counts_ (first-appearance scan order); returns the total.
   std::uint64_t pool_scheduled();
   /// Pool all scheduled species counts and deal them back into shard-sized
-  /// subsets by multivariate-hypergeometric draws on the migration stream
-  /// (the last shard takes the forced remainder, consuming no draws).
+  /// subsets (deal_shard for every shard in order).
   void migrate();
+  /// Fill mig_init_ with shard s's share of the `total` pooled agents in
+  /// mig_states_ / mig_counts_, dealt evenly over `shards`: one
+  /// multivariate-hypergeometric draw on the migration stream, taken out of
+  /// the pool, or for the last shard the forced remainder, consuming no
+  /// draws. Call for s = 0, 1, ... in order.
+  void deal_shard(std::size_t s, std::size_t shards, std::uint64_t total);
   /// Exact global-silence test on the pooled counts: true iff no ordered
   /// species pair with positive pair count has positive change weight.
   bool globally_silent();
