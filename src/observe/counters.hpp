@@ -108,8 +108,8 @@ struct EngineCounters {
   }
 };
 
-// A new counter must join operator+= (and to_pairs); this fails until the
-// size below is bumped beside them.
+// operator+= names every field; a new counter fails this until it is added
+// there and the count below is bumped.
 static_assert(sizeof(EngineCounters) == 13 * sizeof(std::uint64_t),
               "EngineCounters gained a field: add it to operator+=");
 
