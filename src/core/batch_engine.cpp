@@ -1,7 +1,6 @@
 #include "core/batch_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <unordered_map>
 
@@ -503,12 +502,11 @@ void BatchEngine::snapshot(std::ostream& out) const {
 
   // Stream order mirrors construction: migration stream first, then one
   // stream per shard in shard order.
+  std::vector<RngState> streams{migrate_rng_.state()};
+  for (const Shard& sh : shards_) streams.push_back(sh.rng.state());
   std::string rng;
   BinWriter r(rng);
-  r.u64(1 + shards_.size());
-  for (const std::uint64_t word : migrate_rng_.state()) r.u64(word);
-  for (const Shard& sh : shards_)
-    for (const std::uint64_t word : sh.rng.state()) r.u64(word);
+  serialize_rng_streams(r, streams);
   w.section(SnapshotSection::kRngStreams, rng);
 
   std::string ctrs;
@@ -530,105 +528,64 @@ void BatchEngine::restore(std::istream& in) {
   SnapshotReader reader(in, backend_name(), protocol_fingerprint(protocol_));
   const std::size_t t = shards_.size();
 
-  struct Staging {
-    std::uint64_t shard_count = 0;
-    std::uint32_t migrate_every = 0;
-    std::uint32_t rounds_since_migrate = 0;
-    double time = 0.0;
-    std::uint64_t interactions = 0;
-    std::uint64_t active_n = 0;
-    std::vector<State> states;
-    std::vector<std::vector<std::uint32_t>> shard_ids;
-    std::vector<std::uint32_t> crashed;
-    std::vector<std::array<std::uint64_t, 4>> rngs;  // migration, then shards
-    std::uint64_t cache_builds = 0;
-    EngineCounters ctr;
-    std::vector<EngineCounters> shard_ctrs;
-  } st;
-  bool have_core = false, have_pop = false, have_rng = false, have_ctr = false;
+  // Parse every section, in writer order, into staging locals.
+  const std::string core = reader.section(SnapshotSection::kCore);
+  BinReader c(core);
+  const std::uint64_t shard_count = c.u64();
+  const std::uint32_t migrate_every = c.u32();
+  const std::uint32_t rounds_since_migrate = c.u32();
+  const double time = c.f64();
+  const std::uint64_t interactions = c.u64();
+  const std::uint64_t active_n = c.u64();
+  if (shard_count != t)
+    throw SnapshotError(
+        SnapshotErrc::kConfigMismatch,
+        "snapshot has " + std::to_string(shard_count) + " shards, engine has " +
+            std::to_string(t) +
+            " (thread pools are structural; match Params::threads)");
 
-  SnapshotSection tag;
-  std::string payload;
-  while (reader.next(&tag, &payload)) {
-    BinReader r(payload);
-    switch (tag) {
-      case SnapshotSection::kCore:
-        st.shard_count = r.u64();
-        st.migrate_every = r.u32();
-        st.rounds_since_migrate = r.u32();
-        st.time = r.f64();
-        st.interactions = r.u64();
-        st.active_n = r.u64();
-        have_core = true;
-        if (st.shard_count != t)
-          throw SnapshotError(
-              SnapshotErrc::kConfigMismatch,
-              "snapshot has " + std::to_string(st.shard_count) +
-                  " shards, engine has " + std::to_string(t) +
-                  " (thread pools are structural; match Params::threads)");
-        break;
-      case SnapshotSection::kPopulation: {
-        if (!have_core)
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "population section before core");
-        st.states = r.u64_vec();
-        st.shard_ids.resize(t);
-        for (std::size_t s = 0; s < t; ++s) {
-          const std::uint64_t m = r.u64();
-          if (m > r.remaining() / 4)
-            throw SnapshotError(SnapshotErrc::kCorrupt,
-                                "shard size exceeds payload");
-          st.shard_ids[s].resize(static_cast<std::size_t>(m));
-          for (auto& id : st.shard_ids[s]) id = r.u32();
-        }
-        st.crashed = r.u32_vec();
-        have_pop = true;
-        break;
-      }
-      case SnapshotSection::kRngStreams: {
-        if (!have_core)
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "rng section before core");
-        if (r.u64() != 1 + t)
-          throw SnapshotError(SnapshotErrc::kConfigMismatch,
-                              "rng stream count does not match shard count");
-        st.rngs.resize(1 + t);
-        for (auto& stream : st.rngs)
-          for (auto& word : stream) word = r.u64();
-        have_rng = true;
-        break;
-      }
-      case SnapshotSection::kCounters: {
-        if (!have_core)
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "counters section before core");
-        st.cache_builds = r.u64();
-        st.ctr = deserialize_counters(r);
-        if (r.u64() != t)
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "per-shard counter count mismatch");
-        st.shard_ctrs.resize(t);
-        for (auto& sc : st.shard_ctrs) sc = deserialize_counters(r);
-        have_ctr = true;
-        break;
-      }
-      default:
+  std::vector<State> states;
+  std::vector<std::vector<std::uint32_t>> shard_ids(t);
+  std::vector<std::uint32_t> crashed;
+  {
+    const std::string popn = reader.section(SnapshotSection::kPopulation);
+    BinReader p(popn);
+    states = p.u64_vec();
+    for (auto& ids : shard_ids) {
+      const std::uint64_t m = p.u64();
+      if (m > p.remaining() / 4)
         throw SnapshotError(SnapshotErrc::kCorrupt,
-                            "section not used by the batch engine");
+                            "shard size exceeds payload");
+      ids.resize(static_cast<std::size_t>(m));
+      for (auto& id : ids) id = p.u32();
     }
+    crashed = p.u32_vec();
   }
-  if (!(have_core && have_pop && have_rng && have_ctr))
-    throw SnapshotError(SnapshotErrc::kTruncated,
-                        "snapshot missing a required section");
+
+  const std::string rng = reader.section(SnapshotSection::kRngStreams);
+  BinReader r(rng);
+  const std::vector<RngState> streams =  // migration, then shards
+      deserialize_rng_streams(r, 1 + t);
+
+  const std::string ctrs = reader.section(SnapshotSection::kCounters);
+  BinReader k(ctrs);
+  const std::uint64_t cache_builds = k.u64();
+  const EngineCounters ctr = deserialize_counters(k);
+  if (k.u64() != t)
+    throw SnapshotError(SnapshotErrc::kCorrupt,
+                        "per-shard counter count mismatch");
+  std::vector<EngineCounters> shard_ctrs(t);
+  for (auto& sc : shard_ctrs) sc = deserialize_counters(k);
+  reader.finish();
 
   // Semantic validation — *this stays untouched until everything passed.
-  const std::size_t n = st.states.size();
+  const std::size_t n = states.size();
   if (n != reader.population_n() || n < 2)
     throw SnapshotError(SnapshotErrc::kCorrupt, "population size mismatch");
   std::uint64_t scheduled = 0;
-  for (const auto& ids : st.shard_ids) scheduled += ids.size();
-  if (scheduled != st.active_n || scheduled < 2 ||
-      scheduled + st.crashed.size() != n)
+  for (const auto& ids : shard_ids) scheduled += ids.size();
+  if (scheduled != active_n || scheduled < 2 ||
+      scheduled + crashed.size() != n)
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "scheduled/crashed partition does not cover n");
   std::vector<char> seen(n, 0);
@@ -637,42 +594,39 @@ void BatchEngine::restore(std::istream& in) {
       throw SnapshotError(SnapshotErrc::kCorrupt, "invalid agent id");
     seen[id] = 1;
   };
-  for (const auto& ids : st.shard_ids)
+  for (const auto& ids : shard_ids)
     for (const std::uint32_t id : ids) claim(id);
-  for (const std::uint32_t id : st.crashed) claim(id);
-  for (const auto& stream : st.rngs)
-    if (stream == std::array<std::uint64_t, 4>{})
-      throw SnapshotError(SnapshotErrc::kCorrupt, "all-zero RNG state");
-  if (!(st.time >= 0.0))  // also rejects NaN
+  for (const std::uint32_t id : crashed) claim(id);
+  if (!(time >= 0.0))  // also rejects NaN
     throw SnapshotError(SnapshotErrc::kCorrupt, "negative time base");
 
   // Stage slot arrays, then commit with throw-free moves/assignments.
   std::vector<std::vector<std::uint64_t>> staged_slots(t);
   for (std::size_t s = 0; s < t; ++s) {
-    staged_slots[s].reserve(st.shard_ids[s].size());
-    for (const std::uint32_t id : st.shard_ids[s])
+    staged_slots[s].reserve(shard_ids[s].size());
+    for (const std::uint32_t id : shard_ids[s])
       staged_slots[s].push_back(pack(TransitionCache::kNoState, id));
   }
 
   std::uint64_t builds_now = 0;
   for (const Shard& sh : shards_) builds_now += sh.cache.builds();
 
-  states_ = std::move(st.states);
+  states_ = std::move(states);
   for (std::size_t s = 0; s < t; ++s) {
     shards_[s].slots = std::move(staged_slots[s]);
-    shards_[s].rng.set_state(st.rngs[1 + s]);
-    shards_[s].ctr = st.shard_ctrs[s];
+    shards_[s].rng.set_state(streams[1 + s]);
+    shards_[s].ctr = shard_ctrs[s];
     shards_[s].pairs = 0;
   }
-  migrate_rng_.set_state(st.rngs[0]);
-  crashed_ = std::move(st.crashed);
-  active_n_ = st.active_n;
-  interactions_ = st.interactions;
-  time_ = st.time;
-  rounds_since_migrate_ = st.rounds_since_migrate;
-  params_.migrate_every = st.migrate_every;
-  ctr_ = st.ctr;
-  cache_builds_base_ = st.cache_builds;
+  migrate_rng_.set_state(streams[0]);
+  crashed_ = std::move(crashed);
+  active_n_ = active_n;
+  interactions_ = interactions;
+  time_ = time;
+  rounds_since_migrate_ = rounds_since_migrate;
+  params_.migrate_every = migrate_every;
+  ctr_ = ctr;
+  cache_builds_base_ = cache_builds;
   cache_builds_floor_ = builds_now;
   sidx_dirty_ = false;  // staged slots already carry kNoState shadows
   migration_buf_.clear();

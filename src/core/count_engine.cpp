@@ -1,7 +1,6 @@
 #include "core/count_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -654,6 +653,11 @@ EngineCounters CountEngine::counters() const {
 }
 
 void CountEngine::snapshot(std::ostream& out) const {
+  write_snapshot(out, counters());
+}
+
+void CountEngine::write_snapshot(std::ostream& out,
+                                 const EngineCounters& ctr) const {
   SnapshotWriter w(out, backend_name(), protocol_fingerprint(protocol_),
                    n_ + crashed_n_);
 
@@ -687,13 +691,12 @@ void CountEngine::snapshot(std::ostream& out) const {
 
   std::string rng;
   BinWriter r(rng);
-  r.u64(1);  // stream count
-  for (const std::uint64_t word : rng_.state()) r.u64(word);
+  serialize_rng_streams(r, {rng_.state()});
   w.section(SnapshotSection::kRngStreams, rng);
 
   std::string ctrs;
   BinWriter k(ctrs);
-  serialize_counters(k, counters());
+  serialize_counters(k, ctr);
   w.section(SnapshotSection::kCounters, ctrs);
 
   w.finish();
@@ -702,145 +705,105 @@ void CountEngine::snapshot(std::ostream& out) const {
 void CountEngine::restore(std::istream& in) {
   SnapshotReader reader(in, backend_name(), protocol_fingerprint(protocol_));
 
-  struct Staging {
-    std::uint8_t mode = 0;
-    bool use_cache = true;
-    bool use_skip = false;
-    bool silent = false;
-    std::uint64_t batch_cap_slot = 0;
-    double time = 0.0;
-    std::uint64_t interactions = 0;
-    std::uint64_t effective = 0;
-    std::uint64_t window_steps = 0;
-    std::uint64_t window_effective = 0;
-    double events_total_weight = 0.0;
-    std::uint64_t n = 0;
-    std::vector<State> states;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t crashed_n = 0;
-    std::vector<std::pair<State, std::uint64_t>> crashed;
-    std::array<std::uint64_t, 4> rng{};
-    EngineCounters ctr;
-  } st;
-  bool have_core = false, have_pop = false, have_rng = false, have_ctr = false;
+  // Parse every section, in writer order, into staging locals.
+  const std::string core = reader.section(SnapshotSection::kCore);
+  BinReader c(core);
+  const std::uint8_t mode = c.u8();
+  const bool use_cache = c.u8() != 0;
+  const bool use_skip = c.u8() != 0;
+  const bool silent = c.u8() != 0;
+  const std::uint64_t batch_cap_slot = c.u64();
+  const double time = c.f64();
+  const std::uint64_t interactions = c.u64();
+  const std::uint64_t effective = c.u64();
+  const std::uint64_t window_steps = c.u64();
+  const std::uint64_t window_effective = c.u64();
+  const double events_total_weight = c.f64();
 
-  SnapshotSection tag;
-  std::string payload;
-  while (reader.next(&tag, &payload)) {
-    BinReader r(payload);
-    switch (tag) {
-      case SnapshotSection::kCore:
-        st.mode = r.u8();
-        st.use_cache = r.u8() != 0;
-        st.use_skip = r.u8() != 0;
-        st.silent = r.u8() != 0;
-        st.batch_cap_slot = r.u64();
-        st.time = r.f64();
-        st.interactions = r.u64();
-        st.effective = r.u64();
-        st.window_steps = r.u64();
-        st.window_effective = r.u64();
-        st.events_total_weight = r.f64();
-        have_core = true;
-        break;
-      case SnapshotSection::kPopulation: {
-        st.n = r.u64();
-        st.states = r.u64_vec();
-        st.counts = r.u64_vec();
-        st.crashed_n = r.u64();
-        const std::uint64_t pairs = r.u64();
-        if (pairs > r.remaining() / 16)
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "crashed-species count exceeds payload");
-        st.crashed.reserve(static_cast<std::size_t>(pairs));
-        for (std::uint64_t i = 0; i < pairs; ++i) {
-          const State s = r.u64();
-          const std::uint64_t cnt = r.u64();
-          st.crashed.emplace_back(s, cnt);
-        }
-        have_pop = true;
-        break;
-      }
-      case SnapshotSection::kRngStreams:
-        if (r.u64() != 1)
-          throw SnapshotError(SnapshotErrc::kConfigMismatch,
-                              "count engine snapshots carry one RNG stream");
-        for (auto& word : st.rng) word = r.u64();
-        have_rng = true;
-        break;
-      case SnapshotSection::kCounters:
-        st.ctr = deserialize_counters(r);
-        have_ctr = true;
-        break;
-      default:
-        throw SnapshotError(SnapshotErrc::kCorrupt,
-                            "section not used by the count engine");
-    }
+  const std::string popn = reader.section(SnapshotSection::kPopulation);
+  BinReader p(popn);
+  const std::uint64_t n = p.u64();
+  std::vector<State> states = p.u64_vec();
+  std::vector<std::uint64_t> counts = p.u64_vec();
+  const std::uint64_t crashed_n = p.u64();
+  const std::uint64_t pairs = p.u64();
+  if (pairs > p.remaining() / 16)
+    throw SnapshotError(SnapshotErrc::kCorrupt,
+                        "crashed-species count exceeds payload");
+  std::vector<std::pair<State, std::uint64_t>> crashed;
+  crashed.reserve(static_cast<std::size_t>(pairs));
+  for (std::uint64_t i = 0; i < pairs; ++i) {
+    const State s = p.u64();
+    const std::uint64_t cnt = p.u64();
+    crashed.emplace_back(s, cnt);
   }
-  if (!(have_core && have_pop && have_rng && have_ctr))
-    throw SnapshotError(SnapshotErrc::kTruncated,
-                        "snapshot missing a required section");
+
+  const std::string rng = reader.section(SnapshotSection::kRngStreams);
+  BinReader r(rng);
+  const RngState stream = deserialize_rng_streams(r, 1).front();
+
+  const std::string ctrs = reader.section(SnapshotSection::kCounters);
+  BinReader k(ctrs);
+  const EngineCounters ctr = deserialize_counters(k);
+  reader.finish();
 
   // Semantic validation — *this stays untouched until everything passed.
-  if (st.mode != static_cast<std::uint8_t>(CountEngineMode::kDirect) &&
-      st.mode != static_cast<std::uint8_t>(CountEngineMode::kSkip) &&
-      st.mode != static_cast<std::uint8_t>(CountEngineMode::kBatch))
+  if (mode != static_cast<std::uint8_t>(CountEngineMode::kDirect) &&
+      mode != static_cast<std::uint8_t>(CountEngineMode::kSkip) &&
+      mode != static_cast<std::uint8_t>(CountEngineMode::kBatch))
     throw SnapshotError(SnapshotErrc::kCorrupt, "unknown count engine mode");
-  if (st.batch_cap_slot != 0)
+  if (batch_cap_slot != 0)
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "nonzero batch cap (the knob is retired)");
-  if (st.states.size() != st.counts.size())
+  if (states.size() != counts.size())
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "species/count table length mismatch");
   std::uint64_t sum = 0;
-  for (const std::uint64_t cnt : st.counts) {
-    if (cnt > st.n - sum)  // overflow-safe running bound
+  for (const std::uint64_t cnt : counts) {
+    if (cnt > n - sum)  // overflow-safe running bound
       throw SnapshotError(SnapshotErrc::kCorrupt, "species counts exceed n");
     sum += cnt;
   }
-  if (sum != st.n || st.n < 2)
+  if (sum != n || n < 2)
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "species counts do not sum to n");
   std::uint64_t crashed_sum = 0;
-  for (const auto& [s, cnt] : st.crashed) {
-    if (cnt > st.crashed_n - crashed_sum)
+  for (const auto& [s, cnt] : crashed) {
+    if (cnt > crashed_n - crashed_sum)
       throw SnapshotError(SnapshotErrc::kCorrupt,
                           "crashed counts exceed crashed_n");
     crashed_sum += cnt;
   }
-  if (crashed_sum != st.crashed_n ||
-      st.n + st.crashed_n != reader.population_n())
+  if (crashed_sum != crashed_n || n + crashed_n != reader.population_n())
     throw SnapshotError(SnapshotErrc::kCorrupt, "population size mismatch");
   std::unordered_map<State, std::size_t> staged_index;
-  staged_index.reserve(st.states.size());
-  for (std::size_t i = 0; i < st.states.size(); ++i)
-    if (!staged_index.emplace(st.states[i], i).second)
+  staged_index.reserve(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i)
+    if (!staged_index.emplace(states[i], i).second)
       throw SnapshotError(SnapshotErrc::kCorrupt, "duplicate species entry");
-  if (st.rng == std::array<std::uint64_t, 4>{})
-    throw SnapshotError(SnapshotErrc::kCorrupt, "all-zero RNG state");
-  if (!(st.time >= 0.0) || !(st.events_total_weight >= 0.0))  // rejects NaN
+  if (!(time >= 0.0) || !(events_total_weight >= 0.0))  // rejects NaN
     throw SnapshotError(SnapshotErrc::kCorrupt, "negative time or weight");
 
   // Commit with throw-free moves.
-  states_ = std::move(st.states);
-  counts_ = std::move(st.counts);
+  states_ = std::move(states);
+  counts_ = std::move(counts);
   index_ = std::move(staged_index);
-  n_ = st.n;
-  crashed_ = std::move(st.crashed);
-  crashed_n_ = st.crashed_n;
-  rng_.set_state(st.rng);
-  mode_ = static_cast<CountEngineMode>(st.mode);
-  use_cache_ = st.use_cache;
-  use_skip_ = st.use_skip;
-  silent_ = st.silent;
-  time_ = st.time;
-  interactions_ = st.interactions;
-  effective_ = st.effective;
-  window_steps_ = st.window_steps;
-  window_effective_ = st.window_effective;
-  events_total_weight_ = st.events_total_weight;
-  ctr_ = st.ctr;
-  cache_builds_base_ = st.ctr.cache_builds;
+  n_ = n;
+  crashed_ = std::move(crashed);
+  crashed_n_ = crashed_n;
+  rng_.set_state(stream);
+  mode_ = static_cast<CountEngineMode>(mode);
+  use_cache_ = use_cache;
+  use_skip_ = use_skip;
+  silent_ = silent;
+  time_ = time;
+  interactions_ = interactions;
+  effective_ = effective;
+  window_steps_ = window_steps;
+  window_effective_ = window_effective;
+  events_total_weight_ = events_total_weight;
+  ctr_ = ctr;
+  cache_builds_base_ = ctr.cache_builds;
   cache_builds_floor_ = cache_.builds();
   events_.clear();  // derived; rebuild_events regenerates both
   cw_.clear();

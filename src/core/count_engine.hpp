@@ -166,6 +166,14 @@ class CountEngine final : public SimBackend {
   EventTrace* event_trace() const override { return trace_; }
 
  private:
+  // CountShardEngine embeds each shard's container through write_snapshot.
+  friend class CountShardEngine;
+
+  /// snapshot() with `ctr` as the kCounters payload: CountShardEngine embeds
+  /// its shards' containers with the cache-warmth counters zeroed, which a
+  /// resumed run relearns differently (EngineCounters::without_cache_warmth).
+  void write_snapshot(std::ostream& out, const EngineCounters& ctr) const;
+
   // One state-changing (ordered species pair) event for skip-ahead; the
   // fused per-pair change weight replaces per-rule bookkeeping.
   struct Event {

@@ -1,7 +1,6 @@
 #include "core/count_shard_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <sstream>
 #include <unordered_map>
@@ -36,37 +35,6 @@ unsigned resolve_threads(unsigned requested, std::size_t shards) {
   if (requested != 0) return requested;
   return static_cast<unsigned>(std::min<std::size_t>(
       shards, probe_hardware_threads()));
-}
-
-// Re-frame a sub-engine snapshot with the cache-warmth counter fields
-// (cache_builds / cache_fallbacks / cache_hits) zeroed. Transition caches
-// are deliberately not serialized — a resumed engine re-learns pair
-// bindings — so those diagnostics differ between a never-stopped run and a
-// resumed one. Embedded verbatim they would make the wrapper's population
-// section fail replay_check's byte comparison even though the trajectory is
-// bit-identical; the top-level kCounters skip that covers the other
-// backends cannot see inside an embedded container.
-std::string normalize_sub_snapshot(const std::string& blob,
-                                   std::uint64_t fingerprint) {
-  std::istringstream in(blob);
-  SnapshotReader reader(in, "count", fingerprint);
-  std::ostringstream out;
-  SnapshotWriter w(out, "count", fingerprint, reader.population_n());
-  SnapshotSection tag;
-  std::string payload;
-  while (reader.next(&tag, &payload)) {
-    if (tag == SnapshotSection::kCounters) {
-      BinReader r(payload);
-      EngineCounters c = deserialize_counters(r);
-      c.cache_builds = c.cache_fallbacks = c.cache_hits = 0;
-      payload.clear();
-      BinWriter bw(payload);
-      serialize_counters(bw, c);
-    }
-    w.section(tag, payload);
-  }
-  w.finish();
-  return out.str();
 }
 
 }  // namespace
@@ -445,23 +413,24 @@ void CountShardEngine::snapshot(std::ostream& out) const {
   // Each shard's complete CountEngine snapshot rides as a length-prefixed
   // embedded container — self-validating (own magic, per-section CRCs,
   // protocol fingerprint), so a flipped bit inside any shard fails that
-  // shard's restore before this engine commits anything. Cache-warmth
-  // counters are normalized so the bytes are replay-deterministic.
+  // shard's restore before this engine commits anything. Its cache-warmth
+  // counters are written as zero: a resumed run relearns its caches, and
+  // this wrapper has no top-level kCounters section for replay_check to
+  // skip, so only zeros keep the bytes replay-deterministic.
   std::string popn;
   BinWriter p(popn);
   p.u64(shards_.size());
   for (const auto& sub : shards_) {
     std::ostringstream blob;
-    sub->snapshot(blob);
-    p.str(normalize_sub_snapshot(blob.str(),
-                                 protocol_fingerprint(protocol_)));
+    sub->write_snapshot(blob, sub->counters().without_cache_warmth());
+    p.str(blob.str());
   }
   w.section(SnapshotSection::kPopulation, popn);
 
   std::string rng;
   BinWriter r(rng);
-  r.u64(1);  // the migration stream; shard streams live in their blobs
-  for (const std::uint64_t word : migrate_rng_.state()) r.u64(word);
+  // The migration stream; shard streams live in their containers.
+  serialize_rng_streams(r, {migrate_rng_.state()});
   w.section(SnapshotSection::kRngStreams, rng);
 
   w.finish();
@@ -471,98 +440,67 @@ void CountShardEngine::restore(std::istream& in) {
   SnapshotReader reader(in, backend_name(), protocol_fingerprint(protocol_));
   const std::size_t S = shards_.size();
 
-  struct Staging {
-    std::uint64_t shard_count = 0;
-    std::uint32_t migrate_every = 0;
-    bool silent = false;
-    double time = 0.0;
-    double next_migrate = 0.0;
-    std::vector<std::unique_ptr<CountEngine>> subs;
-    std::array<std::uint64_t, 4> rng{};
-  } st;
-  bool have_core = false, have_pop = false, have_rng = false;
+  // Parse every section, in writer order, into staging locals.
+  const std::string core = reader.section(SnapshotSection::kCore);
+  BinReader c(core);
+  const std::uint64_t shard_count = c.u64();
+  const std::uint32_t migrate_every = c.u32();
+  const bool silent = c.u8() != 0;
+  const double time = c.f64();
+  const double next_migrate = c.f64();
+  if (shard_count != S)
+    throw SnapshotError(
+        SnapshotErrc::kConfigMismatch,
+        "snapshot has " + std::to_string(shard_count) + " shards, engine has " +
+            std::to_string(S) +
+            " (shard count is structural; worker threads are not)");
 
-  SnapshotSection tag;
-  std::string payload;
-  while (reader.next(&tag, &payload)) {
-    BinReader r(payload);
-    switch (tag) {
-      case SnapshotSection::kCore:
-        st.shard_count = r.u64();
-        st.migrate_every = r.u32();
-        st.silent = r.u8() != 0;
-        st.time = r.f64();
-        st.next_migrate = r.f64();
-        have_core = true;
-        if (st.shard_count != S)
-          throw SnapshotError(
-              SnapshotErrc::kConfigMismatch,
-              "snapshot has " + std::to_string(st.shard_count) +
-                  " shards, engine has " + std::to_string(S) +
-                  " (shard count is structural; worker threads are not)");
-        break;
-      case SnapshotSection::kPopulation: {
-        if (!have_core)
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "population section before core");
-        if (r.u64() != S)
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "per-shard blob count mismatch");
-        for (std::size_t s = 0; s < S; ++s) {
-          // Stage into throwaway engines: each blob is a full CountEngine
-          // container and validates itself (producer, fingerprint, CRCs)
-          // before its staging engine adopts it.
-          auto sub = std::make_unique<CountEngine>(
-              protocol_,
-              std::vector<std::pair<State, std::uint64_t>>{{State{0}, 2}},
-              /*seed=*/1, CountEngineMode::kBatch);
-          std::istringstream blob(r.str());
-          sub->restore(blob);
-          st.subs.push_back(std::move(sub));
-        }
-        have_pop = true;
-        break;
-      }
-      case SnapshotSection::kRngStreams:
-        if (r.u64() != 1)
-          throw SnapshotError(
-              SnapshotErrc::kConfigMismatch,
-              "count-shard snapshots carry one top-level RNG stream");
-        for (auto& word : st.rng) word = r.u64();
-        have_rng = true;
-        break;
-      default:
-        throw SnapshotError(SnapshotErrc::kCorrupt,
-                            "section not used by the count-shard engine");
+  std::vector<std::unique_ptr<CountEngine>> subs;
+  {
+    const std::string popn = reader.section(SnapshotSection::kPopulation);
+    BinReader p(popn);
+    if (p.u64() != S)
+      throw SnapshotError(SnapshotErrc::kCorrupt,
+                          "per-shard blob count mismatch");
+    for (std::size_t s = 0; s < S; ++s) {
+      // Stage into throwaway engines: each blob is a full CountEngine
+      // container and validates itself (producer, fingerprint, CRCs)
+      // before its staging engine adopts it.
+      auto sub = std::make_unique<CountEngine>(
+          protocol_,
+          std::vector<std::pair<State, std::uint64_t>>{{State{0}, 2}},
+          /*seed=*/1, CountEngineMode::kBatch);
+      std::istringstream blob(p.str());
+      sub->restore(blob);
+      subs.push_back(std::move(sub));
     }
   }
-  if (!(have_core && have_pop && have_rng))
-    throw SnapshotError(SnapshotErrc::kTruncated,
-                        "snapshot missing a required section");
+
+  const std::string rng = reader.section(SnapshotSection::kRngStreams);
+  BinReader r(rng);
+  const RngState migrate_stream = deserialize_rng_streams(r, 1).front();
+  reader.finish();
 
   // Semantic validation — *this stays untouched until everything passed.
   std::uint64_t population = 0;
-  for (const auto& sub : st.subs)
-    population += sub->n() + sub->crashed_count();
+  for (const auto& sub : subs) population += sub->n() + sub->crashed_count();
   if (population != reader.population_n())
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "shard populations do not sum to n");
-  if (st.migrate_every == 0)
+  if (migrate_every == 0)
     throw SnapshotError(SnapshotErrc::kCorrupt, "zero migrate_every");
-  if (st.rng == std::array<std::uint64_t, 4>{})
-    throw SnapshotError(SnapshotErrc::kCorrupt, "all-zero RNG state");
-  if (!(st.time >= 0.0) || !(st.next_migrate >= 0.0))  // also rejects NaN
+  if (!(time >= 0.0) || !(next_migrate >= 0.0))  // also rejects NaN
     throw SnapshotError(SnapshotErrc::kCorrupt, "negative time base");
 
   // Commit with throw-free moves. The wrapper's own hook state survives a
   // restore (like the other engines'); the freshly staged subs need it
   // re-forwarded.
-  shards_ = std::move(st.subs);
-  migrate_rng_.set_state(st.rng);
-  params_.migrate_every = st.migrate_every;
-  time_ = st.time;
-  next_migrate_time_ = st.next_migrate;
-  silent_ = st.silent;
+  shards_ = std::move(subs);
+  migrate_rng_.set_state(migrate_stream);
+  params_.migrate_every = migrate_every;
+  time_ = time;
+  next_migrate_time_ = next_migrate;
+  silent_ = silent;
   last_injection_round_ = std::floor(time_);
   mig_states_.clear();
   mig_counts_.clear();

@@ -127,7 +127,7 @@ class CountShardEngine final : public SimBackend {
   /// Full-fidelity snapshot: engine config and time base, the migration
   /// stream, and every shard's complete CountEngine snapshot embedded as a
   /// length-prefixed container (each self-validating: own magic, CRC,
-  /// fingerprint).
+  /// fingerprint) with its cache-warmth counters written as zero.
   void snapshot(std::ostream& out) const override;
   /// All-or-nothing restore. The shard count is structural: a snapshot
   /// taken with a different shard count throws SnapshotError

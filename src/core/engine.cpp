@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -376,8 +375,7 @@ void Engine::snapshot(std::ostream& out) const {
 
   std::string rng;
   BinWriter r(rng);
-  r.u64(1);  // stream count
-  for (const std::uint64_t word : rng_.state()) r.u64(word);
+  serialize_rng_streams(r, {rng_.state()});
   w.section(SnapshotSection::kRngStreams, rng);
 
   std::string ctrs;
@@ -391,100 +389,75 @@ void Engine::snapshot(std::ostream& out) const {
 void Engine::restore(std::istream& in) {
   SnapshotReader reader(in, backend_name(), protocol_fingerprint(protocol_));
 
-  struct Staging {
-    std::uint8_t scheduler = 0;
-    bool use_cache = true;
-    double time = 0.0;
-    std::uint64_t interactions = 0;
-    std::vector<State> states;
-    std::vector<std::uint32_t> active;
-    std::array<std::uint64_t, 4> rng{};
-    EngineCounters ctr;
-  } st;
-  bool have_core = false, have_pop = false, have_rng = false, have_ctr = false;
+  // Parse every section, in writer order, into staging locals.
+  const std::string core = reader.section(SnapshotSection::kCore);
+  BinReader c(core);
+  const std::uint8_t scheduler = c.u8();
+  const bool use_cache = c.u8() != 0;
+  const double time = c.f64();
+  const std::uint64_t interactions = c.u64();
 
-  SnapshotSection tag;
-  std::string payload;
-  while (reader.next(&tag, &payload)) {
-    BinReader r(payload);
-    switch (tag) {
-      case SnapshotSection::kCore:
-        st.scheduler = r.u8();
-        st.use_cache = r.u8() != 0;
-        st.time = r.f64();
-        st.interactions = r.u64();
-        have_core = true;
-        break;
-      case SnapshotSection::kPopulation:
-        st.states = r.u64_vec();
-        st.active = r.u32_vec();
-        have_pop = true;
-        break;
-      case SnapshotSection::kRngStreams:
-        if (r.u64() != 1)
-          throw SnapshotError(SnapshotErrc::kConfigMismatch,
-                              "agent engine snapshots carry one RNG stream");
-        for (auto& word : st.rng) word = r.u64();
-        have_rng = true;
-        break;
-      case SnapshotSection::kCounters:
-        st.ctr = deserialize_counters(r);
-        have_ctr = true;
-        break;
-      default:
-        throw SnapshotError(SnapshotErrc::kCorrupt,
-                            "section not used by the agent engine");
-    }
+  std::vector<State> states;
+  std::vector<std::uint32_t> active;
+  {
+    const std::string popn = reader.section(SnapshotSection::kPopulation);
+    BinReader p(popn);
+    states = p.u64_vec();
+    active = p.u32_vec();
   }
-  if (!(have_core && have_pop && have_rng && have_ctr))
-    throw SnapshotError(SnapshotErrc::kTruncated,
-                        "snapshot missing a required section");
+
+  const std::string rng = reader.section(SnapshotSection::kRngStreams);
+  BinReader r(rng);
+  const RngState stream = deserialize_rng_streams(r, 1).front();
+
+  const std::string ctrs = reader.section(SnapshotSection::kCounters);
+  BinReader k(ctrs);
+  const EngineCounters ctr = deserialize_counters(k);
+  reader.finish();
 
   // Semantic validation — *this stays untouched until everything passed.
-  if (st.scheduler > static_cast<std::uint8_t>(SchedulerKind::kRandomMatching))
+  if (scheduler > static_cast<std::uint8_t>(SchedulerKind::kRandomMatching))
     throw SnapshotError(SnapshotErrc::kCorrupt, "unknown scheduler kind");
-  const std::size_t n = st.states.size();
+  const std::size_t n = states.size();
   if (n != reader.population_n() || n < 2)
     throw SnapshotError(SnapshotErrc::kCorrupt, "population size mismatch");
-  if (st.active.size() < 2 || st.active.size() > n)
+  if (active.size() < 2 || active.size() > n)
     throw SnapshotError(SnapshotErrc::kCorrupt, "active set out of range");
   std::vector<char> seen(n, 0);
-  bool identity = st.active.size() == n;
-  for (std::size_t p = 0; p < st.active.size(); ++p) {
-    const std::uint32_t id = st.active[p];
+  bool identity = active.size() == n;
+  for (std::size_t p = 0; p < active.size(); ++p) {
+    const std::uint32_t id = active[p];
     if (id >= n || seen[id])
       throw SnapshotError(SnapshotErrc::kCorrupt, "invalid active agent id");
     seen[id] = 1;
     identity = identity && id == p;
   }
-  if (st.rng == std::array<std::uint64_t, 4>{})
-    throw SnapshotError(SnapshotErrc::kCorrupt, "all-zero RNG state");
-  if (!(st.time >= 0.0))  // also rejects NaN
+  if (!(time >= 0.0))  // also rejects NaN
     throw SnapshotError(SnapshotErrc::kCorrupt, "negative time base");
 
   // Stage the remaining allocations, then commit with throw-free moves.
-  AgentPopulation staged_pop(std::move(st.states));
+  AgentPopulation staged_pop(std::move(states));
   std::vector<std::uint32_t> pos(n, kNotActive);
-  for (std::size_t p = 0; p < st.active.size(); ++p)
-    pos[st.active[p]] = static_cast<std::uint32_t>(p);
+  for (std::size_t p = 0; p < active.size(); ++p)
+    pos[active[p]] = static_cast<std::uint32_t>(p);
   std::vector<std::uint32_t> fresh_sidx;
   std::vector<std::uint64_t> fresh_counts;
   intern_all(staged_pop.states(), pos, fresh_sidx, fresh_counts);
 
   pop_ = std::move(staged_pop);
-  active_ = std::move(st.active);
+  active_ = std::move(active);
   pos_in_active_ = std::move(pos);
   sidx_ = std::move(fresh_sidx);
   species_n_ = std::move(fresh_counts);
   inv_active_ = 1.0 / static_cast<double>(active_.size());
   active_identity_ = identity;
-  rng_.set_state(st.rng);
-  scheduler_ = static_cast<SchedulerKind>(st.scheduler);
-  use_cache_ = st.use_cache;
-  time_ = st.time;
-  interactions_ = st.interactions;
-  ctr_ = st.ctr;
-  cache_builds_base_ = st.ctr.cache_builds;
+  rng_.set_state(stream);
+  scheduler_ = static_cast<SchedulerKind>(scheduler);
+  use_cache_ = use_cache;
+  time_ = time;
+  interactions_ = interactions;
+  ctr_ = ctr;
+  cache_builds_base_ = ctr.cache_builds;
   cache_builds_floor_ = cache_.builds();
   // The hook cadence resumes on the uninterrupted run's grid: the next firing
   // is the first whole round after the restored time.

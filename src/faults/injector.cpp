@@ -1,7 +1,6 @@
 #include "faults/injector.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "core/sim_backend.hpp"
@@ -180,7 +179,7 @@ void FaultInjector::snapshot(std::ostream& out) const {
 
   std::string state;
   BinWriter s(state);
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
+  serialize_rng_state(s, rng_.state());
   s.u64(fired_.size());
   for (const char f : fired_) s.u8(f ? 1 : 0);
   s.u64(window_on_.size());
@@ -200,65 +199,42 @@ void FaultInjector::snapshot(std::ostream& out) const {
 void FaultInjector::restore(std::istream& in, SimBackend& backend) {
   SnapshotReader reader(in, "fault_injector", /*expected_fingerprint=*/0);
 
-  FaultPlan staged_plan;
-  std::array<std::uint64_t, 4> rng{};
-  std::vector<char> fired;
-  std::vector<char> window;
-  double dropout = 0.0;
-  std::vector<Applied> log;
-  bool have_plan = false, have_state = false;
+  // Parse both sections, in writer order, into staging locals.
+  const std::string planb = reader.section(SnapshotSection::kFaultPlan);
+  BinReader p(planb);
+  FaultPlan staged_plan = deserialize_fault_plan(p);
 
-  SnapshotSection tag;
-  std::string payload;
-  while (reader.next(&tag, &payload)) {
-    BinReader r(payload);
-    switch (tag) {
-      case SnapshotSection::kFaultPlan:
-        staged_plan = deserialize_fault_plan(r);
-        have_plan = true;
-        break;
-      case SnapshotSection::kFaultState: {
-        for (auto& word : rng) word = r.u64();
-        const std::uint64_t nf = r.u64();
-        if (nf > r.remaining())
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "fired vector exceeds payload");
-        fired.resize(static_cast<std::size_t>(nf));
-        for (auto& f : fired) f = r.u8() ? 1 : 0;
-        const std::uint64_t nw = r.u64();
-        if (nw > r.remaining())
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "window vector exceeds payload");
-        window.resize(static_cast<std::size_t>(nw));
-        for (auto& f : window) f = r.u8() ? 1 : 0;
-        dropout = r.f64();
-        const std::uint64_t nl = r.u64();
-        if (nl > r.remaining() / 17)  // f64 + u8 + u64 per entry
-          throw SnapshotError(SnapshotErrc::kCorrupt,
-                              "log length exceeds payload");
-        log.reserve(static_cast<std::size_t>(nl));
-        for (std::uint64_t i = 0; i < nl; ++i) {
-          Applied a;
-          a.round = r.f64();
-          const std::uint8_t kind = r.u8();
-          if (kind > static_cast<std::uint8_t>(FaultKind::kBias))
-            throw SnapshotError(SnapshotErrc::kCorrupt,
-                                "unknown fault kind in log");
-          a.kind = static_cast<FaultKind>(kind);
-          a.affected = r.u64();
-          log.push_back(a);
-        }
-        have_state = true;
-        break;
-      }
-      default:
-        throw SnapshotError(SnapshotErrc::kCorrupt,
-                            "section not used by the fault injector");
-    }
+  const std::string state = reader.section(SnapshotSection::kFaultState);
+  BinReader r(state);
+  const RngState rng = deserialize_rng_state(r);
+  const std::uint64_t nf = r.u64();
+  if (nf > r.remaining())
+    throw SnapshotError(SnapshotErrc::kCorrupt, "fired vector exceeds payload");
+  std::vector<char> fired(static_cast<std::size_t>(nf));
+  for (auto& f : fired) f = r.u8() ? 1 : 0;
+  const std::uint64_t nw = r.u64();
+  if (nw > r.remaining())
+    throw SnapshotError(SnapshotErrc::kCorrupt,
+                        "window vector exceeds payload");
+  std::vector<char> window(static_cast<std::size_t>(nw));
+  for (auto& f : window) f = r.u8() ? 1 : 0;
+  const double dropout = r.f64();
+  const std::uint64_t nl = r.u64();
+  if (nl > r.remaining() / 17)  // f64 + u8 + u64 per entry
+    throw SnapshotError(SnapshotErrc::kCorrupt, "log length exceeds payload");
+  std::vector<Applied> log;
+  log.reserve(static_cast<std::size_t>(nl));
+  for (std::uint64_t i = 0; i < nl; ++i) {
+    Applied a;
+    a.round = r.f64();
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(FaultKind::kBias))
+      throw SnapshotError(SnapshotErrc::kCorrupt, "unknown fault kind in log");
+    a.kind = static_cast<FaultKind>(kind);
+    a.affected = r.u64();
+    log.push_back(a);
   }
-  if (!have_plan || !have_state)
-    throw SnapshotError(SnapshotErrc::kTruncated,
-                        "snapshot missing a required section");
+  reader.finish();
 
   // A snapshot taken before any attach has empty firing vectors; size them.
   if (fired.empty() && window.empty() && !staged_plan.empty()) {
@@ -269,8 +245,6 @@ void FaultInjector::restore(std::istream& in, SimBackend& backend) {
       window.size() != staged_plan.size())
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "firing state does not match plan size");
-  if (rng == std::array<std::uint64_t, 4>{})
-    throw SnapshotError(SnapshotErrc::kCorrupt, "all-zero RNG state");
   if (!(dropout >= 0.0 && dropout <= 1.0))  // also rejects NaN
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "dropout probability out of range");

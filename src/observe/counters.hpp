@@ -16,6 +16,7 @@
 // hit ratio) are computed by consumers, not stored.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -60,22 +61,34 @@ struct EngineCounters {
 
   bool operator==(const EngineCounters&) const = default;
 
+  /// Every field, in declaration order. This is also the order of a
+  /// snapshot's kCounters payload (persist/snapshot.hpp), so a field moved
+  /// here moves on disk.
+  static constexpr auto fields() {
+    using C = EngineCounters;
+    return std::array{&C::interactions,         &C::effective_steps,
+                      &C::dropped_interactions, &C::cache_builds,
+                      &C::cache_fallbacks,      &C::skip_jumps,
+                      &C::skipped_interactions, &C::crash_events,
+                      &C::rejoin_events,        &C::corrupted_agents,
+                      &C::batch_blocks,         &C::batch_collisions,
+                      &C::cache_hits};
+  }
+
   /// Field-wise sum, for backends that merge per-shard tallies.
   EngineCounters& operator+=(const EngineCounters& o) {
-    interactions += o.interactions;
-    effective_steps += o.effective_steps;
-    dropped_interactions += o.dropped_interactions;
-    cache_builds += o.cache_builds;
-    cache_fallbacks += o.cache_fallbacks;
-    skip_jumps += o.skip_jumps;
-    skipped_interactions += o.skipped_interactions;
-    crash_events += o.crash_events;
-    rejoin_events += o.rejoin_events;
-    corrupted_agents += o.corrupted_agents;
-    batch_blocks += o.batch_blocks;
-    batch_collisions += o.batch_collisions;
-    cache_hits += o.cache_hits;
+    for (const auto field : fields()) this->*field += o.*field;
     return *this;
+  }
+
+  /// These counters with the cache-warmth diagnostics zeroed: cache_builds,
+  /// cache_fallbacks and cache_hits. Transition caches are not serialized,
+  /// so a resumed engine relearns its pair bindings, and these three are
+  /// the only counters allowed to differ from an uninterrupted run's.
+  EngineCounters without_cache_warmth() const {
+    EngineCounters c = *this;
+    c.cache_builds = c.cache_fallbacks = c.cache_hits = 0;
+    return c;
   }
 
   /// No-op interactions: executed but changed nothing (dropped ones count
@@ -108,9 +121,10 @@ struct EngineCounters {
   }
 };
 
-// operator+= names every field; a new counter fails this until it is added
-// there and the count below is bumped.
-static_assert(sizeof(EngineCounters) == 13 * sizeof(std::uint64_t),
-              "EngineCounters gained a field: add it to operator+=");
+// fields() drives operator+= and the kCounters codec; a new counter fails
+// this until it is listed there.
+static_assert(sizeof(EngineCounters) ==
+                  EngineCounters::fields().size() * sizeof(std::uint64_t),
+              "EngineCounters gained a field: add it to fields()");
 
 }  // namespace popproto

@@ -52,11 +52,8 @@ FinalObservation observe(SimBackend& backend, const EventTrace& trace,
 }
 
 /// Counter equality modulo the cache-warmth diagnostics (see header).
-bool counters_match(EngineCounters a, EngineCounters b) {
-  a.cache_builds = b.cache_builds = 0;
-  a.cache_fallbacks = b.cache_fallbacks = 0;
-  a.cache_hits = b.cache_hits = 0;
-  return a == b;
+bool counters_match(const EngineCounters& a, const EngineCounters& b) {
+  return a.without_cache_warmth() == b.without_cache_warmth();
 }
 
 /// Split a serialized snapshot into (tag, payload) pairs. The buffer came

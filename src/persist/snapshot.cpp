@@ -135,31 +135,27 @@ SnapshotReader::SnapshotReader(std::istream& in,
                             " (this build reads " +
                             std::to_string(kSnapshotVersion) + ")");
 
-  std::uint32_t tag;
-  std::string payload;
-  if (!read_section(&tag, &payload) ||
-      tag != static_cast<std::uint32_t>(SnapshotSection::kMeta))
-    throw SnapshotError(SnapshotErrc::kCorrupt, "first section is not kMeta");
+  const std::string payload = section(SnapshotSection::kMeta);
   BinReader meta(payload);
-  producer_ = meta.str();
-  fingerprint_ = meta.u64();
+  const std::string producer = meta.str();
+  const std::uint64_t fingerprint = meta.u64();
   population_n_ = meta.u64();
-  if (producer_ != expected_producer)
+  if (producer != expected_producer)
     throw SnapshotError(SnapshotErrc::kBadBackend,
-                        "snapshot written by '" + producer_ +
+                        "snapshot written by '" + producer +
                             "', restoring into '" + expected_producer + "'");
-  if (fingerprint_ != expected_fingerprint)
+  if (fingerprint != expected_fingerprint)
     throw SnapshotError(SnapshotErrc::kBadFingerprint,
                         "snapshot was taken under a different protocol");
 }
 
-bool SnapshotReader::read_section(std::uint32_t* tag, std::string* payload) {
+std::uint32_t SnapshotReader::read_section(std::string* payload) {
   char head[16];
   in_.read(head, sizeof head);
   if (in_.gcount() != sizeof head)
     throw SnapshotError(SnapshotErrc::kTruncated, "section header missing");
   BinReader r(head, sizeof head);
-  *tag = r.u32();
+  const std::uint32_t tag = r.u32();
   const std::uint64_t len = r.u64();
   const std::uint32_t expected_crc = r.u32();
   if (len > kMaxSectionBytes)
@@ -183,58 +179,73 @@ bool SnapshotReader::read_section(std::uint32_t* tag, std::string* payload) {
   if (crc32(*payload) != expected_crc)
     throw SnapshotError(SnapshotErrc::kBadChecksum,
                         "section CRC mismatch (corrupted snapshot)");
-  return *tag != static_cast<std::uint32_t>(SnapshotSection::kEnd);
+  return tag;
 }
 
-bool SnapshotReader::next(SnapshotSection* tag, std::string* payload) {
-  if (done_) return false;
-  std::uint32_t raw_tag;
-  if (!read_section(&raw_tag, payload)) {
-    done_ = true;
-    return false;
-  }
-  if (raw_tag == static_cast<std::uint32_t>(SnapshotSection::kMeta) ||
-      raw_tag > static_cast<std::uint32_t>(SnapshotSection::kFaultState))
+std::string SnapshotReader::section(SnapshotSection expected) {
+  std::string payload;
+  const std::uint32_t tag = read_section(&payload);
+  if (tag != static_cast<std::uint32_t>(expected))
+    throw SnapshotError(
+        tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)
+            ? SnapshotErrc::kTruncated
+            : SnapshotErrc::kCorrupt,
+        "section " + std::to_string(tag) + " where section " +
+            std::to_string(static_cast<std::uint32_t>(expected)) +
+            " belongs");
+  return payload;
+}
+
+void SnapshotReader::finish() {
+  std::string payload;
+  const std::uint32_t tag = read_section(&payload);
+  if (tag != static_cast<std::uint32_t>(SnapshotSection::kEnd) ||
+      !payload.empty())
     throw SnapshotError(SnapshotErrc::kCorrupt,
-                        "unexpected section tag " + std::to_string(raw_tag));
-  *tag = static_cast<SnapshotSection>(raw_tag);
-  return true;
+                        "section " + std::to_string(tag) +
+                            " where the empty terminator belongs");
 }
 
 // -- Shared payload helpers --------------------------------------------------
 
 void serialize_counters(BinWriter& w, const EngineCounters& c) {
-  w.u64(c.interactions);
-  w.u64(c.effective_steps);
-  w.u64(c.dropped_interactions);
-  w.u64(c.cache_builds);
-  w.u64(c.cache_fallbacks);
-  w.u64(c.skip_jumps);
-  w.u64(c.skipped_interactions);
-  w.u64(c.crash_events);
-  w.u64(c.rejoin_events);
-  w.u64(c.corrupted_agents);
-  w.u64(c.batch_blocks);
-  w.u64(c.batch_collisions);
-  w.u64(c.cache_hits);
+  for (const auto field : EngineCounters::fields()) w.u64(c.*field);
 }
 
 EngineCounters deserialize_counters(BinReader& r) {
   EngineCounters c;
-  c.interactions = r.u64();
-  c.effective_steps = r.u64();
-  c.dropped_interactions = r.u64();
-  c.cache_builds = r.u64();
-  c.cache_fallbacks = r.u64();
-  c.skip_jumps = r.u64();
-  c.skipped_interactions = r.u64();
-  c.crash_events = r.u64();
-  c.rejoin_events = r.u64();
-  c.corrupted_agents = r.u64();
-  c.batch_blocks = r.u64();
-  c.batch_collisions = r.u64();
-  c.cache_hits = r.u64();
+  for (const auto field : EngineCounters::fields()) c.*field = r.u64();
   return c;
+}
+
+void serialize_rng_state(BinWriter& w, const RngState& state) {
+  for (const std::uint64_t word : state) w.u64(word);
+}
+
+RngState deserialize_rng_state(BinReader& r) {
+  RngState state;
+  for (std::uint64_t& word : state) word = r.u64();
+  if (state == RngState{})
+    throw SnapshotError(SnapshotErrc::kCorrupt, "all-zero RNG state");
+  return state;
+}
+
+void serialize_rng_streams(BinWriter& w, const std::vector<RngState>& streams) {
+  w.u64(streams.size());
+  for (const RngState& state : streams) serialize_rng_state(w, state);
+}
+
+std::vector<RngState> deserialize_rng_streams(BinReader& r,
+                                              std::size_t expected) {
+  const std::uint64_t count = r.u64();
+  if (count != expected)
+    throw SnapshotError(SnapshotErrc::kConfigMismatch,
+                        "snapshot carries " + std::to_string(count) +
+                            " RNG streams, this engine uses " +
+                            std::to_string(expected));
+  std::vector<RngState> streams(expected);
+  for (RngState& state : streams) state = deserialize_rng_state(r);
+  return streams;
 }
 
 }  // namespace popproto

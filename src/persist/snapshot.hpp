@@ -1,8 +1,8 @@
 // Versioned, checksummed binary snapshot container (DESIGN.md §10).
 //
-// Every durable artifact the simulator writes — engine snapshots for all
-// three SimBackend substrates, FaultInjector schedule state, periodic
-// auto-checkpoints — shares one container format:
+// Every durable artifact the simulator writes — engine snapshots for every
+// SimBackend, FaultInjector schedule state, periodic auto-checkpoints —
+// shares one container format:
 //
 //   [u32 magic "PPS1"] [u32 format version]
 //   [section]*                  each: u32 tag, u64 payload length,
@@ -13,7 +13,9 @@
 // the engine that wrote it, or "fault_injector"), the protocol fingerprint,
 // and the population size. A reader validates magic, version, producer and
 // fingerprint before looking at anything else, and every section's CRC
-// before handing its payload out — so a truncated file, a flipped bit, a
+// before handing its payload out. It then reads the sections in exactly the
+// order their writer wrote them: a section missing, repeated, reordered or
+// foreign to the producer is refused. So a truncated file, a flipped bit, a
 // snapshot from the wrong substrate, or one taken under a different
 // protocol all fail with a typed SnapshotError and the restoring engine is
 // never touched (engines parse into staging storage and commit only after
@@ -27,11 +29,13 @@
 // long-term archival interchange.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "observe/counters.hpp"
 #include "support/serialize.hpp"
@@ -96,36 +100,54 @@ class SnapshotWriter {
 };
 
 /// Validating reader. The constructor consumes the header and kMeta section
-/// and cross-checks producer/fingerprint; next() then yields payload
-/// sections until the terminator. All failures throw SnapshotError.
+/// and cross-checks producer/fingerprint. The caller then asks for each
+/// section in the order its writer wrote them, one section() call apiece,
+/// and ends with finish(). All failures throw SnapshotError.
 class SnapshotReader {
  public:
   SnapshotReader(std::istream& in, const std::string& expected_producer,
                  std::uint64_t expected_fingerprint);
 
-  /// Advance to the next payload section; false at the kEnd terminator.
-  /// CRC validation happens here, before the caller sees the payload.
-  bool next(SnapshotSection* tag, std::string* payload);
+  /// The payload of the next section, which must be tagged `expected`; its
+  /// CRC is checked before it is returned. The terminator in its place
+  /// throws kTruncated (the container lacks a section), any other tag
+  /// kCorrupt (a section repeated, out of order or foreign to the producer).
+  std::string section(SnapshotSection expected);
+  /// Consume the kEnd terminator, which must come next (kCorrupt if another
+  /// section does). The stream is left just past it: an AutoCheckpoint file
+  /// holds the injector's container right behind the engine's.
+  void finish();
 
-  const std::string& producer() const { return producer_; }
-  std::uint64_t fingerprint() const { return fingerprint_; }
+  /// The population size kMeta recorded.
   std::uint64_t population_n() const { return population_n_; }
 
  private:
-  /// Read one raw section (tag + verified payload).
-  bool read_section(std::uint32_t* tag, std::string* payload);
+  /// Read one raw section: its payload into `payload`, CRC verified, and
+  /// its tag as the result.
+  std::uint32_t read_section(std::string* payload);
 
   std::istream& in_;
-  std::string producer_;
-  std::uint64_t fingerprint_ = 0;
   std::uint64_t population_n_ = 0;
-  bool done_ = false;
 };
 
 // -- Shared section payload helpers -----------------------------------------
 
-/// EngineCounters round-trip (kCounters payload): every field, fixed order.
+/// EngineCounters round-trip (kCounters payload): every field, in the order
+/// EngineCounters::fields() lists them.
 void serialize_counters(BinWriter& w, const EngineCounters& c);
 EngineCounters deserialize_counters(BinReader& r);
+
+/// One RNG stream's full state (Rng::state), as four words. Reading refuses
+/// the all-zero state, xoshiro256**'s fixed point, as kCorrupt.
+using RngState = std::array<std::uint64_t, 4>;
+void serialize_rng_state(BinWriter& w, const RngState& state);
+RngState deserialize_rng_state(BinReader& r);
+
+/// The kRngStreams payload: the stream count, then each stream's state.
+/// Reading requires exactly `expected` streams; another count is a
+/// different engine configuration (kConfigMismatch).
+void serialize_rng_streams(BinWriter& w, const std::vector<RngState>& streams);
+std::vector<RngState> deserialize_rng_streams(BinReader& r,
+                                              std::size_t expected);
 
 }  // namespace popproto

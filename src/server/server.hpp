@@ -1,4 +1,4 @@
-// popprotod — the simulation-serving daemon (ROADMAP item 1).
+// popprotod — the simulation-serving daemon (ROADMAP item 6).
 //
 // Threading model (docs/ARCHITECTURE.md "popprotod"):
 //   * one IO thread owns every socket: it poll()s the listener, the wake

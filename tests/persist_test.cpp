@@ -9,10 +9,12 @@
 //  * mid-run snapshots: a snapshot taken at an arbitrary point, restored
 //    into a diverged instance and continued, matches the uninterrupted run
 //    (all four backends, counters-section exempt like replay_check);
-//  * malformed snapshots: truncations, a fuzz loop of single-byte flips,
-//    wrong magic/version/backend/fingerprint, shard-count mismatch — every
-//    one throws a typed SnapshotError and leaves the target engine
-//    bit-for-bit untouched;
+//  * malformed snapshots from all five producers (the four backends and
+//    FaultInjector): truncations, a fuzz loop of single-byte flips, sections
+//    repeated, swapped, dropped or added with valid CRCs, wrong
+//    magic/version/backend/fingerprint, shard-count mismatch — every one
+//    throws a typed SnapshotError and leaves the target bit-for-bit
+//    untouched;
 //  * FaultPlan and EngineCounters serialization round-trips;
 //  * fault-schedule resume: replay_check_with_faults() proves a restored
 //    injector replays the *remaining* schedule (not a fresh one);
@@ -91,7 +93,34 @@ struct MajorityFixture {
           seed, mode);
     };
   }
+  BackendFactory count_shard(std::uint64_t seed, std::size_t shards) const {
+    return [this, seed, shards] {
+      CountShardEngine::Params params;
+      params.shards = shards;
+      params.min_shard = 2;  // keep the requested shard count at small n
+      return std::make_unique<CountShardEngine>(
+          proto,
+          std::vector<std::pair<State, std::uint64_t>>{{a, n / 2},
+                                                       {b, n - n / 2}},
+          seed, params);
+    };
+  }
 };
+
+FaultPlan churn_plan() {
+  FaultPlan plan;
+  plan.crash_at(6.0, CrashSpec{.fraction = 0.05, .count = 0});
+  plan.dropout_window(4.0, 18.0, 0.1);
+  plan.crash_bernoulli(0.5, 8.0, 20.0, CrashSpec{.fraction = 0.0, .count = 3});
+  plan.rejoin_at(15.0, RejoinSpec{.fraction = 0.0, .count = 0, .all = true});
+  plan.corrupt_at(14.0, CorruptSpec{.fraction = 0.02,
+                                    .count = 0,
+                                    .mode = CorruptMode::kFixed,
+                                    .fixed_state = 0,
+                                    .palette = {},
+                                    .mask = 0x1});
+  return plan;
+}
 
 std::string snapshot_bytes(const SimBackend& backend) {
   std::ostringstream out;
@@ -102,6 +131,53 @@ std::string snapshot_bytes(const SimBackend& backend) {
 void restore_bytes(SimBackend& backend, const std::string& bytes) {
   std::istringstream in(bytes);
   backend.restore(in);
+}
+
+// -- Section rewriter --------------------------------------------------------
+// A container as its (tag, payload) sections, kMeta first and the kEnd
+// terminator left out, so a test can edit the sequence or a payload and
+// join the result with every CRC computed afresh.
+
+using Sections = std::vector<std::pair<std::uint32_t, std::string>>;
+
+Sections split_sections(const std::string& bytes) {
+  BinReader r(bytes);
+  r.u32();  // magic
+  r.u32();  // version
+  Sections out;
+  for (;;) {
+    const std::uint32_t tag = r.u32();
+    const std::uint64_t len = r.u64();
+    r.u32();  // crc
+    std::string payload;
+    for (std::uint64_t i = 0; i < len; ++i)
+      payload.push_back(static_cast<char>(r.u8()));
+    if (tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)) return out;
+    out.emplace_back(tag, std::move(payload));
+  }
+}
+
+std::string join_sections(const Sections& sections) {
+  std::string out;
+  BinWriter w(out);
+  w.u32(kSnapshotMagic);
+  w.u32(kSnapshotVersion);
+  const auto put = [&](std::uint32_t tag, const std::string& payload) {
+    w.u32(tag);
+    w.u64(payload.size());
+    w.u32(crc32(payload));
+    out += payload;
+  };
+  for (const auto& [tag, payload] : sections) put(tag, payload);
+  put(static_cast<std::uint32_t>(SnapshotSection::kEnd), "");
+  return out;
+}
+
+std::string rewrite_sections(const std::string& bytes,
+                             const std::function<void(Sections&)>& edit) {
+  Sections sections = split_sections(bytes);
+  edit(sections);
+  return join_sections(sections);
 }
 
 // -- Replay determinism per backend ------------------------------------------
@@ -194,27 +270,12 @@ TEST(RngStreams, BatchEngineSplitStreamsRestoreExactly) {
 // replay_check uses.
 
 std::string snapshot_sans_counters(const SimBackend& backend) {
-  const std::string bytes = snapshot_bytes(backend);
-  BinReader r(bytes);
-  std::string out;
-  BinWriter w(out);
-  w.u32(r.u32());  // magic
-  w.u32(r.u32());  // version
-  for (;;) {
-    const std::uint32_t tag = r.u32();
-    const std::uint64_t len = r.u64();
-    const std::uint32_t crc = r.u32();
-    std::string payload;
-    for (std::uint64_t i = 0; i < len; ++i)
-      payload.push_back(static_cast<char>(r.u8()));
-    if (tag != static_cast<std::uint32_t>(SnapshotSection::kCounters)) {
-      w.u32(tag);
-      w.u64(len);
-      w.u32(crc);
-      for (const char ch : payload) w.u8(static_cast<std::uint8_t>(ch));
-    }
-    if (tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)) return out;
-  }
+  return rewrite_sections(snapshot_bytes(backend), [](Sections& sections) {
+    std::erase_if(sections, [](const auto& section) {
+      return section.first ==
+             static_cast<std::uint32_t>(SnapshotSection::kCounters);
+    });
+  });
 }
 
 TEST(MidBufferSnapshot, AgentEngineRestoresBitIdentically) {
@@ -411,14 +472,28 @@ TEST(MidBufferSnapshot, CountShardEngineRestoresBitIdentically) {
 
 // -- Malformed snapshots (satellite 3) ---------------------------------------
 
+/// What a container is restored into: how to restore it, and its state as
+/// bytes, which a rejected container must leave as they were.
+struct RestoreTarget {
+  std::function<void(const std::string&)> restore;
+  std::function<std::string()> state;
+};
+
+RestoreTarget target_of(SimBackend& backend) {
+  return {[&backend](const std::string& bytes) {
+            restore_bytes(backend, bytes);
+          },
+          [&backend] { return snapshot_bytes(backend); }};
+}
+
 /// Expect `bytes` to be rejected with a SnapshotError (optionally a specific
 /// code) and the target left bit-for-bit unchanged.
-void expect_rejected(SimBackend& target, const std::string& bytes,
+void expect_rejected(const RestoreTarget& target, const std::string& bytes,
                      const SnapshotErrc* expected_code,
                      const std::string& what) {
-  const std::string before = snapshot_bytes(target);
+  const std::string before = target.state();
   try {
-    restore_bytes(target, bytes);
+    target.restore(bytes);
     FAIL() << what << ": corrupted snapshot was accepted";
   } catch (const SnapshotError& e) {
     if (expected_code) {
@@ -429,26 +504,84 @@ void expect_rejected(SimBackend& target, const std::string& bytes,
   } catch (...) {
     FAIL() << what << ": threw something other than SnapshotError";
   }
-  EXPECT_EQ(snapshot_bytes(target), before) << what << ": target was mutated";
+  EXPECT_EQ(target.state(), before) << what << ": target was mutated";
 }
 
-TEST(MalformedSnapshot, TruncationsAlwaysThrow) {
-  ClockFixture fx(512);
-  auto src = fx.agent(7)();
-  src->run_rounds(4.0);
-  const std::string snap = snapshot_bytes(*src);
-  auto target = fx.agent(7)();
+void expect_rejected(SimBackend& target, const std::string& bytes,
+                     const SnapshotErrc* expected_code,
+                     const std::string& what) {
+  expect_rejected(target_of(target), bytes, expected_code, what);
+}
 
+/// A valid container and a target of the kind that wrote it.
+struct Producer {
+  std::string label;
+  std::string container;
+  RestoreTarget target;
+};
+
+/// The five producers of containers: the agent, count, batch (2 shards) and
+/// count_shard (2 shards) engines after 4 rounds, and a FaultInjector after
+/// 10 rounds of churn_plan(), each with a fresh target of its kind.
+class Producers {
+ public:
+  Producers() {
+    add("agent", clock_.agent(7));
+    add("count", maj_.count(7, CountEngineMode::kBatch));
+    add("batch", clock_.batch(7, 2));
+    add("count_shard", maj_.count_shard(7, 2));
+
+    auto eng = clock_.agent(7)();
+    FaultInjector injector(churn_plan(), 42);
+    injector.attach(*eng);
+    eng->run_rounds(10.0);
+    std::ostringstream out;
+    injector.snapshot(out);
+    all.push_back({"fault_injector", out.str(),
+                   {[this](const std::string& bytes) {
+                      std::istringstream in(bytes);
+                      injector_.restore(in, *injector_engine_);
+                    },
+                    [this] {
+                      std::ostringstream state;
+                      injector_.snapshot(state);
+                      return state.str() + snapshot_bytes(*injector_engine_);
+                    }}});
+  }
+
+  std::vector<Producer> all;
+
+ private:
+  void add(const std::string& label, const BackendFactory& make) {
+    auto src = make();
+    src->run_rounds(4.0);
+    targets_.push_back(make());
+    all.push_back({label, snapshot_bytes(*src), target_of(*targets_.back())});
+  }
+
+  ClockFixture clock_{512};
+  MajorityFixture maj_{512};
+  std::vector<std::unique_ptr<SimBackend>> targets_;
+  FaultInjector injector_{churn_plan(), 43};
+  std::unique_ptr<SimBackend> injector_engine_ = clock_.agent(7)();
+};
+
+TEST(MalformedSnapshot, TruncationsAlwaysThrow) {
+  Producers producers;
   const SnapshotErrc trunc = SnapshotErrc::kTruncated;
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{7},
-        snap.size() / 3, snap.size() / 2, snap.size() - 1}) {
-    // Truncating mid-payload can also surface as a checksum / corrupt
-    // failure depending on where the cut lands; "typed error, target
-    // untouched" is the contract.
-    expect_rejected(*target, snap.substr(0, len),
-                    len < 8 ? &trunc : nullptr,
-                    "truncated to " + std::to_string(len) + " bytes");
+  for (const Producer& p : producers.all) {
+    const std::string& snap = p.container;
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{7},
+          snap.size() / 3, snap.size() / 2, snap.size() - 1}) {
+      // Truncating mid-payload can also surface as a checksum / corrupt
+      // failure depending on where the cut lands; "typed error, target
+      // untouched" is the contract.
+      expect_rejected(p.target, snap.substr(0, len),
+                      len < 8 ? &trunc : nullptr,
+                      p.label + " truncated to " + std::to_string(len) +
+                          " bytes");
+    }
   }
 }
 
@@ -512,31 +645,15 @@ std::string count_snapshot_with_core_edit(
     MajorityFixture& maj, const std::function<void(std::string&)>& edit) {
   auto src = maj.count(7, CountEngineMode::kBatch)();
   src->run_rounds(4.0);
-  const std::string snap = snapshot_bytes(*src);
-  BinReader r(snap);
-  std::string out;
-  BinWriter w(out);
-  w.u32(r.u32());  // magic
-  w.u32(r.u32());  // version
   bool rewritten = false;
-  for (;;) {
-    const std::uint32_t tag = r.u32();
-    const std::uint64_t len = r.u64();
-    std::uint32_t crc = r.u32();
-    std::string payload;
-    for (std::uint64_t i = 0; i < len; ++i)
-      payload.push_back(static_cast<char>(r.u8()));
-    if (tag == static_cast<std::uint32_t>(SnapshotSection::kCore)) {
-      edit(payload);
-      crc = crc32(payload);
-      rewritten = true;
-    }
-    w.u32(tag);
-    w.u64(len);
-    w.u32(crc);
-    for (const char ch : payload) w.u8(static_cast<std::uint8_t>(ch));
-    if (tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)) break;
-  }
+  const std::string out =
+      rewrite_sections(snapshot_bytes(*src), [&](Sections& sections) {
+        for (auto& [tag, payload] : sections)
+          if (tag == static_cast<std::uint32_t>(SnapshotSection::kCore)) {
+            edit(payload);
+            rewritten = true;
+          }
+      });
   EXPECT_TRUE(rewritten);
   return out;
 }
@@ -584,23 +701,13 @@ TEST(MalformedSnapshot, BatchShardCountMismatch) {
 
 TEST(MalformedSnapshot, ByteFlipFuzz) {
   // Flip one byte at a time at pseudo-random offsets across a valid
-  // snapshot of each backend. Every flip must be rejected with a typed
+  // container of each producer. Every flip must be rejected with a typed
   // error (payload flips by CRC, framing flips by the structural checks)
   // and must leave the target untouched. Seeded mt19937 keeps failures
   // reproducible.
-  ClockFixture clock(512);
-  MajorityFixture maj(512);
-  auto agent = clock.agent(7)();
-  auto count = maj.count(7, CountEngineMode::kBatch)();
-  auto batch = clock.batch(7, 2)();
-  struct Case {
-    const char* label;
-    SimBackend* backend;
-  };
-  for (const Case c : {Case{"agent", agent.get()}, Case{"count", count.get()},
-                       Case{"batch", batch.get()}}) {
-    c.backend->run_rounds(4.0);
-    const std::string snap = snapshot_bytes(*c.backend);
+  Producers producers;
+  for (const Producer& p : producers.all) {
+    const std::string& snap = p.container;
     std::mt19937 prng(1234);
     std::uniform_int_distribution<std::size_t> pick_offset(0, snap.size() - 1);
     std::uniform_int_distribution<int> pick_bit(0, 7);
@@ -608,10 +715,54 @@ TEST(MalformedSnapshot, ByteFlipFuzz) {
       const std::size_t off = pick_offset(prng);
       std::string bad = snap;
       bad[off] ^= static_cast<char>(1 << pick_bit(prng));
-      expect_rejected(*c.backend, bad, nullptr,
-                      std::string(c.label) + " flip at offset " +
-                          std::to_string(off));
+      expect_rejected(p.target, bad, nullptr,
+                      p.label + " flip at offset " + std::to_string(off));
     }
+  }
+}
+
+TEST(MalformedSnapshot, SectionSequenceIsExact) {
+  // Every container here carries valid CRCs and only sections its producer
+  // writes; just their sequence is wrong. A restore reads the sections in
+  // the order they were written, so each one is refused: kTruncated where
+  // the terminator comes before a section that is due, kCorrupt where any
+  // other section does.
+  Producers producers;
+  for (const Producer& p : producers.all) {
+    const Sections good = split_sections(p.container);
+    ASSERT_GE(good.size(), 3u) << p.label;  // kMeta and its payload sections
+    ASSERT_EQ(join_sections(good), p.container) << p.label;
+    const auto expect = [&](const Sections& bad, SnapshotErrc code,
+                            const std::string& what) {
+      expect_rejected(p.target, join_sections(bad), &code,
+                      p.label + ": " + what);
+    };
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      const std::string at = "section " + std::to_string(i);
+      Sections twice = good;
+      twice.insert(twice.begin() + static_cast<std::ptrdiff_t>(i), good[i]);
+      expect(twice, SnapshotErrc::kCorrupt, at + " twice");
+
+      Sections dropped = good;
+      dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+      expect(dropped,
+             i + 1 == good.size() ? SnapshotErrc::kTruncated
+                                  : SnapshotErrc::kCorrupt,
+             at + " dropped");
+
+      if (i + 1 < good.size()) {
+        Sections swapped = good;
+        std::swap(swapped[i], swapped[i + 1]);
+        expect(swapped, SnapshotErrc::kCorrupt, at + " swapped with the next");
+      }
+    }
+    Sections extra = good;
+    extra.push_back(good[1]);
+    expect(extra, SnapshotErrc::kCorrupt, "first payload section again last");
+    Sections foreign = good;
+    foreign.emplace_back(
+        static_cast<std::uint32_t>(SnapshotSection::kFaultState) + 1, "");
+    expect(foreign, SnapshotErrc::kCorrupt, "unknown tag before kEnd");
   }
 }
 
@@ -813,21 +964,6 @@ TEST(Serialization, FaultPlanRejectsPalettelessRandomCorrupt) {
 
 // -- Fault-schedule resume (satellite 1) -------------------------------------
 
-FaultPlan churn_plan() {
-  FaultPlan plan;
-  plan.crash_at(6.0, CrashSpec{.fraction = 0.05, .count = 0});
-  plan.dropout_window(4.0, 18.0, 0.1);
-  plan.crash_bernoulli(0.5, 8.0, 20.0, CrashSpec{.fraction = 0.0, .count = 3});
-  plan.rejoin_at(15.0, RejoinSpec{.fraction = 0.0, .count = 0, .all = true});
-  plan.corrupt_at(14.0, CorruptSpec{.fraction = 0.02,
-                                    .count = 0,
-                                    .mode = CorruptMode::kFixed,
-                                    .fixed_state = 0,
-                                    .palette = {},
-                                    .mask = 0x1});
-  return plan;
-}
-
 TEST(FaultResume, AgentEngineReplaysRemainingSchedule) {
   ClockFixture fx(2048);
   const ReplayCheckResult r =
@@ -846,6 +982,13 @@ TEST(FaultResume, BatchEngineReplaysRemainingSchedule) {
   ClockFixture fx(4096);
   const ReplayCheckResult r =
       replay_check_with_faults(fx.batch(7, 2), 10.0, churn_plan(), 42);
+  EXPECT_TRUE(r.ok) << r.detail;
+}
+
+TEST(FaultResume, CountShardEngineReplaysRemainingSchedule) {
+  MajorityFixture fx(4096);
+  const ReplayCheckResult r =
+      replay_check_with_faults(fx.count_shard(7, 2), 10.0, churn_plan(), 42);
   EXPECT_TRUE(r.ok) << r.detail;
 }
 
