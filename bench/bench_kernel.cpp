@@ -254,36 +254,37 @@ void bench_batch_backend(bool smoke, std::vector<BenchRecord>& out,
   const Protocol proto = make_phase_clock_protocol(vars);
   const auto init = phase_clock_initial_states(n, n >> 10, *vars);
 
-  // Sequential agent-engine baseline at the same n (steps, not rounds: one
-  // round of sequential time is n interactions).
-  double agent_ips = 0.0;
-  {
-    Engine eng(proto, init, /*seed=*/7);
-    const std::uint64_t steps = static_cast<std::uint64_t>(
-        rounds * static_cast<double>(n) / 8.0);
-    const EngineRate r = time_engine(eng, steps / 4, steps);
-    agent_ips = r.ips;
-    BenchRecord rec = engine_record("phase_clock_agent_baseline", r,
-                                    static_cast<double>(n));
-    rec.extra.emplace_back("hardware_threads",
-                           static_cast<double>(probe_hardware_threads()));
-    out.push_back(std::move(rec));
-    telemetry.add_counters(eng.counters(), "batch_baseline.");
-    std::printf("%-32s %12.3g int/s\n", "phase_clock_agent_baseline",
-                agent_ips);
-  }
+  // Sequential agent-engine baseline at the same n, timed in chunks that
+  // alternate with each record's own chunks: one before each, as many
+  // interactions long (a batch round is n / 2 pairs). The host's rates can
+  // switch level for minutes at a time, so a baseline timed once up front
+  // compared every record against whichever level held then.
+  const double chunk_rounds = rounds / 3.0;
+  const auto agent_chunk =
+      static_cast<std::uint64_t>(chunk_rounds * static_cast<double>(n / 2));
+  Engine agent(proto, init, /*seed=*/7);
+  agent.run_steps(agent_chunk / 4);
+  const std::size_t baseline_at = out.size();
+  out.emplace_back();  // filled in once every chunk has run
+  double agent_wall = 0.0;
+  std::uint64_t agent_steps = 0;
 
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     BatchEngine::Params params;
     params.threads = threads;
     BatchEngine eng(proto, init, /*seed=*/7, params);
     eng.run_rounds(rounds / 4.0);  // warmup: populate per-shard caches
-    // Best-of-3 chunks, like time_interleaved: discard transient slowdowns.
-    double wall = 0.0, ips = 0.0;
+    // Best-of-3 chunks on both sides, like time_interleaved: discard
+    // transient slowdowns.
+    double wall = 0.0, ips = 0.0, agent_ips = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
+      const EngineRate r = time_engine(agent, 0, agent_chunk);
+      agent_wall += r.wall;
+      agent_steps += agent_chunk;
+      agent_ips = std::max(agent_ips, r.ips);
       const std::uint64_t i0 = eng.interactions();
       const double t0 = now_seconds();
-      eng.run_rounds(rounds / 3.0);
+      eng.run_rounds(chunk_rounds);
       const double dt = now_seconds() - t0;
       wall += dt;
       ips = std::max(
@@ -318,6 +319,18 @@ void bench_batch_backend(bool smoke, std::vector<BenchRecord>& out,
     std::printf("%-32s %12.3g int/s   (%.2fx vs agent baseline)\n",
                 name.c_str(), ips, ips / agent_ips);
   }
+
+  // The baseline record: the mean rate over every agent chunk.
+  BenchRecord rec = engine_record(
+      "phase_clock_agent_baseline",
+      EngineRate{agent_wall, static_cast<double>(agent_steps) / agent_wall},
+      static_cast<double>(n));
+  rec.extra.emplace_back("hardware_threads",
+                         static_cast<double>(probe_hardware_threads()));
+  std::printf("%-32s %12.3g int/s\n", "phase_clock_agent_baseline",
+              rec.interactions_per_sec);
+  out[baseline_at] = std::move(rec);
+  telemetry.add_counters(agent.counters(), "batch_baseline.");
 }
 
 void bench_count_shard(bool smoke, std::vector<BenchRecord>& out,
@@ -338,35 +351,42 @@ void bench_count_shard(bool smoke, std::vector<BenchRecord>& out,
   const std::uint64_t na = n * 11 / 20;  // 55/45 split
 
   // Agent-engine baseline on the same workload: per-interaction cost is
-  // n-independent, so a fixed step budget gives the honest int/s floor.
-  double agent_ips = 0.0;
-  {
-    std::vector<State> init(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < init.size(); ++i) init[i] = i < na ? a : b;
-    Engine eng(proto, std::move(init), /*seed=*/7);
-    const std::uint64_t steps =
-        smoke ? (std::uint64_t{1} << 20) : (std::uint64_t{1} << 22);
-    const EngineRate r = time_engine(eng, steps / 4, steps);
-    agent_ips = r.ips;
-    BenchRecord rec =
-        engine_record("count_shard_agent_baseline", r, static_cast<double>(n));
-    rec.extra.emplace_back("hardware_threads",
-                           static_cast<double>(probe_hardware_threads()));
-    out.push_back(std::move(rec));
-    telemetry.add_counters(eng.counters(), "count_shard_baseline.");
-    std::printf("%-32s %12.3g int/s\n", "count_shard_agent_baseline",
-                agent_ips);
-  }
+  // n-independent, so a fixed step budget gives the honest int/s floor. As
+  // in the batch series, its chunks alternate with each record's own: one
+  // before every segment of kSegmentRounds rounds, and a record's
+  // speedup_vs_agent divides by the mean rate over its own chunks.
+  constexpr int kSegmentRounds = 8;
+  const std::uint64_t agent_chunk =
+      (smoke ? (std::uint64_t{1} << 20) : (std::uint64_t{1} << 22)) / 8;
+  std::vector<State> init(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < init.size(); ++i) init[i] = i < na ? a : b;
+  Engine agent(proto, std::move(init), /*seed=*/7);
+  agent.run_steps(2 * agent_chunk);
+  const std::size_t baseline_at = out.size();
+  out.emplace_back();  // filled in once every chunk has run
+  double agent_wall = 0.0;
+  std::uint64_t agent_steps = 0;
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}, std::size_t{8}}) {
     CountShardEngine::Params params;
     params.shards = shards;
     CountShardEngine eng(proto, {{a, na}, {b, n - na}}, /*seed=*/7, params);
-    const double t0 = now_seconds();
-    while (eng.step() && eng.rounds() < 4096.0) {
+    double wall = 0.0, own_agent_wall = 0.0;
+    std::uint64_t own_agent_steps = 0;
+    for (bool live = true; live;) {
+      const EngineRate r = time_engine(agent, 0, agent_chunk);
+      own_agent_wall += r.wall;
+      own_agent_steps += agent_chunk;
+      const double t0 = now_seconds();
+      for (int round = 0; round < kSegmentRounds && live; ++round)
+        live = eng.step() && eng.rounds() < 4096.0;
+      wall += now_seconds() - t0;
     }
-    const double wall = now_seconds() - t0;
+    agent_wall += own_agent_wall;
+    agent_steps += own_agent_steps;
+    const double agent_ips =
+        static_cast<double>(own_agent_steps) / own_agent_wall;
     const double ips = static_cast<double>(eng.interactions()) / wall;
     const std::string name = "count_shard_majority_t" + std::to_string(shards);
     BenchRecord rec;
@@ -392,6 +412,19 @@ void bench_count_shard(bool smoke, std::vector<BenchRecord>& out,
                            "count_shard_t" + std::to_string(shards) + ".");
     std::printf("%-32s %12.3g int/s   (%.2fx vs agent baseline)\n",
                 name.c_str(), ips, ips / agent_ips);
+  }
+  {
+    // The baseline record: the mean rate over every agent chunk.
+    BenchRecord rec = engine_record(
+        "count_shard_agent_baseline",
+        EngineRate{agent_wall, static_cast<double>(agent_steps) / agent_wall},
+        static_cast<double>(n));
+    rec.extra.emplace_back("hardware_threads",
+                           static_cast<double>(probe_hardware_threads()));
+    std::printf("%-32s %12.3g int/s\n", "count_shard_agent_baseline",
+                rec.interactions_per_sec);
+    out[baseline_at] = std::move(rec);
+    telemetry.add_counters(agent.counters(), "count_shard_baseline.");
   }
 
   if (!smoke) {

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "core/shard_plan.hpp"
 #include "persist/snapshot.hpp"
-#include "support/thread_pool.hpp"
 
 namespace popproto {
 
@@ -61,28 +61,26 @@ BatchEngine::BatchEngine(const Protocol& protocol, std::vector<State> initial,
 
 BatchEngine::BatchEngine(const Protocol& protocol, std::vector<State> initial,
                          std::uint64_t seed, Params params)
-    : protocol_(protocol), params_(params), states_(std::move(initial)) {
+    : protocol_(protocol),
+      params_(params),
+      states_(std::move(initial)),
+      pool_(static_cast<unsigned>(clamp_shard_count(
+          params.threads != 0 ? params.threads : probe_hardware_threads(),
+          states_.size(), params.min_shard))) {
   POPPROTO_CHECK(protocol_.num_rules() > 0);
   POPPROTO_CHECK_MSG(states_.size() >= 2, "need at least two agents");
 
   const std::size_t n = states_.size();
-  std::size_t t =
-      params_.threads != 0 ? params_.threads : probe_hardware_threads();
-  const std::size_t floor_agents =
-      std::max(params_.min_shard, kMinUsableShard);
-  while (t > 1 && n / t < floor_agents) --t;
-
-  // Stream seeding order (stable across versions, documented for replay):
-  // migration stream first, then one stream per shard in shard order.
-  std::uint64_t sm = seed;
-  migrate_rng_ = Rng(splitmix64(sm));
+  const std::size_t t = pool_.size();
+  const ShardSeeds seeds = split_shard_seeds(seed, t);
+  migrate_rng_ = Rng(seeds.migration);
   shards_.reserve(t);
   const std::size_t base = n / t;
   const std::size_t extra = n % t;
   std::size_t off = 0;
   for (std::size_t s = 0; s < t; ++s) {
     const std::size_t take = base + (s < extra ? 1 : 0);
-    Shard sh{Rng(splitmix64(sm)),
+    Shard sh{Rng(seeds.shards[s]),
              0,
              {},
              {},
@@ -95,19 +93,6 @@ BatchEngine::BatchEngine(const Protocol& protocol, std::vector<State> initial,
     shards_.push_back(std::move(sh));
   }
   active_n_ = n;
-
-  workers_.reserve(t - 1);
-  for (std::size_t w = 1; w < t; ++w)
-    workers_.emplace_back([this, w] { worker_loop(w); });
-}
-
-BatchEngine::~BatchEngine() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_start_.notify_all();
-  for (auto& w : workers_) w.join();
 }
 
 void BatchEngine::set_injection_hook(InjectionHook hook) {
@@ -117,39 +102,6 @@ void BatchEngine::set_injection_hook(InjectionHook hook) {
 
 void BatchEngine::set_scheduler_bias(std::optional<SchedulerBias> bias) {
   bias_ = std::move(bias);
-}
-
-void BatchEngine::worker_loop(std::size_t shard_index) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_start_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-    }
-    shard_round(shards_[shard_index]);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (--unfinished_ == 0) cv_done_.notify_one();
-    }
-  }
-}
-
-void BatchEngine::run_round_parallel() {
-  if (shards_.size() == 1) {
-    shard_round(shards_[0]);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    unfinished_ = shards_.size() - 1;
-    ++epoch_;
-  }
-  cv_start_.notify_all();
-  shard_round(shards_[0]);
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] { return unfinished_ == 0; });
 }
 
 void BatchEngine::resolve(Shard& sh, std::uint64_t& sa, std::uint64_t& sb,
@@ -298,7 +250,8 @@ bool BatchEngine::step() {
   const bool runnable = active_n_ >= 2;
   if (runnable) {
     if (sidx_dirty_) invalidate_sidx();
-    run_round_parallel();
+    pool_.parallel_for(shards_.size(),
+                       [this](std::size_t s) { shard_round(shards_[s]); });
     for (const Shard& sh : shards_) interactions_ += sh.pairs;
   }
   time_ += 1.0;
@@ -529,8 +482,7 @@ void BatchEngine::restore(std::istream& in) {
   const std::size_t t = shards_.size();
 
   // Parse every section, in writer order, into staging locals.
-  const std::string core = reader.section(SnapshotSection::kCore);
-  BinReader c(core);
+  BinReader& c = reader.section(SnapshotSection::kCore);
   const std::uint64_t shard_count = c.u64();
   const std::uint32_t migrate_every = c.u32();
   const std::uint32_t rounds_since_migrate = c.u32();
@@ -544,31 +496,23 @@ void BatchEngine::restore(std::istream& in) {
             std::to_string(t) +
             " (thread pools are structural; match Params::threads)");
 
-  std::vector<State> states;
+  BinReader& p = reader.section(SnapshotSection::kPopulation);
+  std::vector<State> states = p.u64_vec();
   std::vector<std::vector<std::uint32_t>> shard_ids(t);
-  std::vector<std::uint32_t> crashed;
-  {
-    const std::string popn = reader.section(SnapshotSection::kPopulation);
-    BinReader p(popn);
-    states = p.u64_vec();
-    for (auto& ids : shard_ids) {
-      const std::uint64_t m = p.u64();
-      if (m > p.remaining() / 4)
-        throw SnapshotError(SnapshotErrc::kCorrupt,
-                            "shard size exceeds payload");
-      ids.resize(static_cast<std::size_t>(m));
-      for (auto& id : ids) id = p.u32();
-    }
-    crashed = p.u32_vec();
+  for (auto& ids : shard_ids) {
+    const std::uint64_t m = p.u64();
+    if (m > p.remaining() / 4)
+      throw SnapshotError(SnapshotErrc::kCorrupt, "shard size exceeds payload");
+    ids.resize(static_cast<std::size_t>(m));
+    for (auto& id : ids) id = p.u32();
   }
+  std::vector<std::uint32_t> crashed = p.u32_vec();
 
-  const std::string rng = reader.section(SnapshotSection::kRngStreams);
-  BinReader r(rng);
+  BinReader& r = reader.section(SnapshotSection::kRngStreams);
   const std::vector<RngState> streams =  // migration, then shards
       deserialize_rng_streams(r, 1 + t);
 
-  const std::string ctrs = reader.section(SnapshotSection::kCounters);
-  BinReader k(ctrs);
+  BinReader& k = reader.section(SnapshotSection::kCounters);
   const std::uint64_t cache_builds = k.u64();
   const EngineCounters ctr = deserialize_counters(k);
   if (k.u64() != t)

@@ -48,12 +48,9 @@
 // per-shard stream).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/injection.hpp"
@@ -63,6 +60,7 @@
 #include "observe/counters.hpp"
 #include "observe/event_trace.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace popproto {
 
@@ -91,7 +89,6 @@ class BatchEngine final : public SimBackend {
   /// enclosing class is complete).
   BatchEngine(const Protocol& protocol, std::vector<State> initial,
               std::uint64_t seed);
-  ~BatchEngine() override;
 
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
@@ -201,8 +198,6 @@ class BatchEngine final : public SimBackend {
 
   void shard_round(Shard& sh);
   void resolve(Shard& sh, std::uint64_t& sa, std::uint64_t& sb, double u);
-  void run_round_parallel();
-  void worker_loop(std::size_t shard_index);
   void migrate();
   /// Reset every slot's interned-index shadow (after external state
   /// mutation; each shard relearns lazily against its own cache).
@@ -232,17 +227,10 @@ class BatchEngine final : public SimBackend {
   std::uint64_t cache_builds_floor_ = 0;
   std::vector<std::uint32_t> crashed_;  // crashed agent ids (states frozen)
   std::vector<std::uint32_t> migration_buf_;
-
-  // Persistent fork-join pool: worker w runs shard w+1; the driving thread
-  // runs shard 0 and rings the round barrier. Generation-counter barrier —
-  // one lock per worker per round, no spinning.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
-  std::size_t unfinished_ = 0;
-  bool stop_ = false;
+  // One participant per shard: the driving thread runs shard 0, and helper
+  // s - 1 shard s (support/thread_pool.hpp). Declared last, so its helpers
+  // are joined before anything a round touches is destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace popproto

@@ -706,8 +706,7 @@ void CountEngine::restore(std::istream& in) {
   SnapshotReader reader(in, backend_name(), protocol_fingerprint(protocol_));
 
   // Parse every section, in writer order, into staging locals.
-  const std::string core = reader.section(SnapshotSection::kCore);
-  BinReader c(core);
+  BinReader& c = reader.section(SnapshotSection::kCore);
   const std::uint8_t mode = c.u8();
   const bool use_cache = c.u8() != 0;
   const bool use_skip = c.u8() != 0;
@@ -720,8 +719,7 @@ void CountEngine::restore(std::istream& in) {
   const std::uint64_t window_effective = c.u64();
   const double events_total_weight = c.f64();
 
-  const std::string popn = reader.section(SnapshotSection::kPopulation);
-  BinReader p(popn);
+  BinReader& p = reader.section(SnapshotSection::kPopulation);
   const std::uint64_t n = p.u64();
   std::vector<State> states = p.u64_vec();
   std::vector<std::uint64_t> counts = p.u64_vec();
@@ -738,12 +736,10 @@ void CountEngine::restore(std::istream& in) {
     crashed.emplace_back(s, cnt);
   }
 
-  const std::string rng = reader.section(SnapshotSection::kRngStreams);
-  BinReader r(rng);
+  BinReader& r = reader.section(SnapshotSection::kRngStreams);
   const RngState stream = deserialize_rng_streams(r, 1).front();
 
-  const std::string ctrs = reader.section(SnapshotSection::kCounters);
-  BinReader k(ctrs);
+  BinReader& k = reader.section(SnapshotSection::kCounters);
   const EngineCounters ctr = deserialize_counters(k);
   reader.finish();
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "core/pair_sampler.hpp"
+#include "core/shard_plan.hpp"
 #include "persist/snapshot.hpp"
 
 namespace popproto {
@@ -19,16 +20,21 @@ std::uint64_t total_count(
   return n;
 }
 
-// Lower the shard count until every shard holds at least max(min_shard, 2)
-// agents: a 1-agent shard can never interact, and sub-sqrt shards waste the
-// collision-sampling amortization (per-shard work is O(sqrt(m)) draws per
-// round regardless of m).
-std::size_t clamp_shard_count(std::size_t shards, std::uint64_t n,
-                              std::uint64_t min_shard) {
-  if (shards == 0) shards = 1;
-  const std::uint64_t floor_agents = std::max<std::uint64_t>(min_shard, 2);
-  while (shards > 1 && n / shards < floor_agents) --shards;
-  return shards;
+using SpeciesTable = std::vector<std::pair<State, std::uint64_t>>;
+
+// Fold `part` into the first-appearance table `out`: a state's count joins
+// the row where the state first appeared, and zero counts are skipped.
+// `rows` maps the states of `out` to their rows.
+void merge_species(const SpeciesTable& part, SpeciesTable& out,
+                   std::unordered_map<State, std::size_t>& rows) {
+  for (const auto& [s, c] : part) {
+    if (c == 0) continue;
+    const auto [it, inserted] = rows.emplace(s, out.size());
+    if (inserted)
+      out.emplace_back(s, c);
+    else
+      out[it->second].second += c;
+  }
 }
 
 unsigned resolve_threads(unsigned requested, std::size_t shards) {
@@ -41,11 +47,7 @@ unsigned resolve_threads(unsigned requested, std::size_t shards) {
 
 std::uint64_t CountShardEngine::shard_seed(std::uint64_t master_seed,
                                            std::size_t s) {
-  std::uint64_t sm = master_seed;
-  splitmix64(sm);  // first output: the migration stream's seed
-  std::uint64_t out = splitmix64(sm);
-  for (std::size_t i = 0; i < s; ++i) out = splitmix64(sm);
-  return out;
+  return split_shard_seeds(master_seed, s + 1).shards[s];
 }
 
 CountShardEngine::CountShardEngine(
@@ -72,11 +74,8 @@ CountShardEngine::CountShardEngine(
   const std::size_t S =
       clamp_shard_count(params_.shards, n, params_.min_shard);
 
-  std::uint64_t sm = seed;
-  migrate_rng_ = Rng(splitmix64(sm));
-  std::vector<std::uint64_t> seeds(S);
-  for (std::size_t s = 0; s < S; ++s) seeds[s] = splitmix64(sm);
-  // (identical to shard_seed(seed, s); the loop just walks sm once)
+  const ShardSeeds seeds = split_shard_seeds(seed, S);
+  migrate_rng_ = Rng(seeds.migration);
 
   shards_.reserve(S);
   if (S == 1) {
@@ -84,27 +83,20 @@ CountShardEngine::CountShardEngine(
     // trajectory must equal CountEngine kBatch under shard_seed(seed, 0)
     // exactly, including the species-table order.
     shards_.push_back(std::make_unique<CountEngine>(
-        protocol_, std::move(initial), seeds[0], CountEngineMode::kBatch));
+        protocol_, std::move(initial), seeds.shards[0],
+        CountEngineMode::kBatch));
   } else {
     // Initial deal = the same hypergeometric partition migration uses,
     // drawn on the migration stream before round 0. Merge duplicate
     // species first (first-appearance order).
-    mig_states_.clear();
-    mig_counts_.clear();
-    std::unordered_map<State, std::size_t> idx;
-    for (const auto& [s, c] : initial) {
-      if (c == 0) continue;
-      const auto [it, inserted] = idx.emplace(s, mig_states_.size());
-      if (inserted) {
-        mig_states_.push_back(s);
-        mig_counts_.push_back(0);
-      }
-      mig_counts_[it->second] += c;
-    }
+    SpeciesTable merged;
+    std::unordered_map<State, std::size_t> rows;
+    merge_species(initial, merged, rows);
+    load_pool(merged);
     for (std::size_t s = 0; s < S; ++s) {
       deal_shard(s, S, n);
       shards_.push_back(std::make_unique<CountEngine>(
-          protocol_, mig_init_, seeds[s], CountEngineMode::kBatch));
+          protocol_, mig_init_, seeds.shards[s], CountEngineMode::kBatch));
     }
   }
   next_migrate_time_ = static_cast<double>(params_.migrate_every);
@@ -150,21 +142,15 @@ bool CountShardEngine::all_shards_silent() const {
   return true;
 }
 
-std::uint64_t CountShardEngine::pool_scheduled() {
+std::uint64_t CountShardEngine::load_pool(
+    const std::vector<std::pair<State, std::uint64_t>>& table) {
   mig_states_.clear();
   mig_counts_.clear();
-  std::unordered_map<State, std::size_t> idx;
   std::uint64_t total = 0;
-  for (const auto& sub : shards_) {
-    for (const auto& [s, c] : sub->species()) {
-      const auto [it, inserted] = idx.emplace(s, mig_states_.size());
-      if (inserted) {
-        mig_states_.push_back(s);
-        mig_counts_.push_back(0);
-      }
-      mig_counts_[it->second] += c;
-      total += c;
-    }
+  for (const auto& [s, c] : table) {
+    mig_states_.push_back(s);
+    mig_counts_.push_back(c);
+    total += c;
   }
   return total;
 }
@@ -174,7 +160,7 @@ bool CountShardEngine::globally_silent() {
   // never met inside one shard may react once migration mixes them. Exact
   // test on the pooled counts — any ordered species pair with positive pair
   // count and positive fused change weight disproves silence.
-  const std::uint64_t total = pool_scheduled();
+  const std::uint64_t total = load_pool(species());
   if (total < 2) return true;
   for (std::size_t i = 0; i < mig_states_.size(); ++i) {
     if (mig_counts_[i] == 0) continue;
@@ -196,7 +182,7 @@ void CountShardEngine::migrate() {
   // sub keeps its n >= 2 floor through churn, so total >= 2 * shards and
   // every re-dealt shard stays constructible. Crashed agents keep their
   // frozen state inside the shard they crashed in.
-  const std::uint64_t total = pool_scheduled();
+  const std::uint64_t total = load_pool(species());
   const std::size_t S = shards_.size();
   for (std::size_t s = 0; s < S; ++s) {
     deal_shard(s, S, total);
@@ -293,17 +279,9 @@ std::uint64_t CountShardEngine::count_matching(const Guard& g) const {
 
 std::vector<std::pair<State, std::uint64_t>> CountShardEngine::species()
     const {
-  std::vector<std::pair<State, std::uint64_t>> out;
-  std::unordered_map<State, std::size_t> idx;
-  for (const auto& sub : shards_) {
-    for (const auto& [s, c] : sub->species()) {
-      const auto [it, inserted] = idx.emplace(s, out.size());
-      if (inserted)
-        out.emplace_back(s, c);
-      else
-        out[it->second].second += c;
-    }
-  }
+  SpeciesTable out;
+  std::unordered_map<State, std::size_t> rows;
+  for (const auto& sub : shards_) merge_species(sub->species(), out, rows);
   return out;
 }
 
@@ -441,8 +419,7 @@ void CountShardEngine::restore(std::istream& in) {
   const std::size_t S = shards_.size();
 
   // Parse every section, in writer order, into staging locals.
-  const std::string core = reader.section(SnapshotSection::kCore);
-  BinReader c(core);
+  BinReader& c = reader.section(SnapshotSection::kCore);
   const std::uint64_t shard_count = c.u64();
   const std::uint32_t migrate_every = c.u32();
   const bool silent = c.u8() != 0;
@@ -455,29 +432,26 @@ void CountShardEngine::restore(std::istream& in) {
             std::to_string(S) +
             " (shard count is structural; worker threads are not)");
 
+  BinReader& p = reader.section(SnapshotSection::kPopulation);
+  if (p.u64() != S)
+    throw SnapshotError(SnapshotErrc::kCorrupt, "per-shard blob count mismatch");
   std::vector<std::unique_ptr<CountEngine>> subs;
-  {
-    const std::string popn = reader.section(SnapshotSection::kPopulation);
-    BinReader p(popn);
-    if (p.u64() != S)
+  for (std::size_t s = 0; s < S; ++s) {
+    // Stage into throwaway engines: each blob is a full CountEngine
+    // container and validates itself (producer, fingerprint, CRCs, exact
+    // payloads) before its staging engine adopts it. It must fill its blob.
+    auto sub = std::make_unique<CountEngine>(
+        protocol_, std::vector<std::pair<State, std::uint64_t>>{{State{0}, 2}},
+        /*seed=*/1, CountEngineMode::kBatch);
+    std::istringstream blob(p.str());
+    sub->restore(blob);
+    if (blob.peek() != std::istringstream::traits_type::eof())
       throw SnapshotError(SnapshotErrc::kCorrupt,
-                          "per-shard blob count mismatch");
-    for (std::size_t s = 0; s < S; ++s) {
-      // Stage into throwaway engines: each blob is a full CountEngine
-      // container and validates itself (producer, fingerprint, CRCs)
-      // before its staging engine adopts it.
-      auto sub = std::make_unique<CountEngine>(
-          protocol_,
-          std::vector<std::pair<State, std::uint64_t>>{{State{0}, 2}},
-          /*seed=*/1, CountEngineMode::kBatch);
-      std::istringstream blob(p.str());
-      sub->restore(blob);
-      subs.push_back(std::move(sub));
-    }
+                          "bytes after a shard container");
+    subs.push_back(std::move(sub));
   }
 
-  const std::string rng = reader.section(SnapshotSection::kRngStreams);
-  BinReader r(rng);
+  BinReader& r = reader.section(SnapshotSection::kRngStreams);
   const RngState migrate_stream = deserialize_rng_streams(r, 1).front();
   reader.finish();
 

@@ -171,9 +171,10 @@ class CountShardEngine final : public SimBackend {
   /// Advance every shard whose local clock lags `target` up to it, in
   /// parallel across the worker pool.
   void advance_shards_to(double target);
-  /// Pool every shard's scheduled species counts into mig_states_ /
-  /// mig_counts_ (first-appearance scan order); returns the total.
-  std::uint64_t pool_scheduled();
+  /// Load a first-appearance species table (species(), or the merged
+  /// initial counts) into mig_states_ / mig_counts_; returns its total.
+  std::uint64_t load_pool(
+      const std::vector<std::pair<State, std::uint64_t>>& table);
   /// Pool all scheduled species counts and deal them back into shard-sized
   /// subsets (deal_shard for every shard in order).
   void migrate();

@@ -390,28 +390,20 @@ void Engine::restore(std::istream& in) {
   SnapshotReader reader(in, backend_name(), protocol_fingerprint(protocol_));
 
   // Parse every section, in writer order, into staging locals.
-  const std::string core = reader.section(SnapshotSection::kCore);
-  BinReader c(core);
+  BinReader& c = reader.section(SnapshotSection::kCore);
   const std::uint8_t scheduler = c.u8();
   const bool use_cache = c.u8() != 0;
   const double time = c.f64();
   const std::uint64_t interactions = c.u64();
 
-  std::vector<State> states;
-  std::vector<std::uint32_t> active;
-  {
-    const std::string popn = reader.section(SnapshotSection::kPopulation);
-    BinReader p(popn);
-    states = p.u64_vec();
-    active = p.u32_vec();
-  }
+  BinReader& p = reader.section(SnapshotSection::kPopulation);
+  std::vector<State> states = p.u64_vec();
+  std::vector<std::uint32_t> active = p.u32_vec();
 
-  const std::string rng = reader.section(SnapshotSection::kRngStreams);
-  BinReader r(rng);
+  BinReader& r = reader.section(SnapshotSection::kRngStreams);
   const RngState stream = deserialize_rng_streams(r, 1).front();
 
-  const std::string ctrs = reader.section(SnapshotSection::kCounters);
-  BinReader k(ctrs);
+  BinReader& k = reader.section(SnapshotSection::kCounters);
   const EngineCounters ctr = deserialize_counters(k);
   reader.finish();
 

@@ -200,12 +200,10 @@ void FaultInjector::restore(std::istream& in, SimBackend& backend) {
   SnapshotReader reader(in, "fault_injector", /*expected_fingerprint=*/0);
 
   // Parse both sections, in writer order, into staging locals.
-  const std::string planb = reader.section(SnapshotSection::kFaultPlan);
-  BinReader p(planb);
+  BinReader& p = reader.section(SnapshotSection::kFaultPlan);
   FaultPlan staged_plan = deserialize_fault_plan(p);
 
-  const std::string state = reader.section(SnapshotSection::kFaultState);
-  BinReader r(state);
+  BinReader& r = reader.section(SnapshotSection::kFaultState);
   const RngState rng = deserialize_rng_state(r);
   const std::uint64_t nf = r.u64();
   if (nf > r.remaining())

@@ -135,8 +135,7 @@ SnapshotReader::SnapshotReader(std::istream& in,
                             " (this build reads " +
                             std::to_string(kSnapshotVersion) + ")");
 
-  const std::string payload = section(SnapshotSection::kMeta);
-  BinReader meta(payload);
+  BinReader& meta = section(SnapshotSection::kMeta);
   const std::string producer = meta.str();
   const std::uint64_t fingerprint = meta.u64();
   population_n_ = meta.u64();
@@ -149,7 +148,10 @@ SnapshotReader::SnapshotReader(std::istream& in,
                         "snapshot was taken under a different protocol");
 }
 
-std::uint32_t SnapshotReader::read_section(std::string* payload) {
+std::uint32_t SnapshotReader::read_section() {
+  if (!payload_reader_.at_end())
+    throw SnapshotError(SnapshotErrc::kCorrupt,
+                        "section payload longer than its fields");
   char head[16];
   in_.read(head, sizeof head);
   if (in_.gcount() != sizeof head)
@@ -161,7 +163,9 @@ std::uint32_t SnapshotReader::read_section(std::string* payload) {
   if (len > kMaxSectionBytes)
     throw SnapshotError(SnapshotErrc::kCorrupt, "section length implausible");
 
-  payload->clear();
+  // Let the previous payload's buffer go: a population section can run to
+  // hundreds of MiB, and the sections after it are small.
+  std::string().swap(payload_);
   // Chunked read: a corrupted length fails with kTruncated as soon as the
   // stream runs dry instead of pre-allocating the advertised size.
   char buf[1 << 16];
@@ -173,18 +177,18 @@ std::uint32_t SnapshotReader::read_section(std::string* payload) {
     const std::streamsize got = in_.gcount();
     if (got <= 0)
       throw SnapshotError(SnapshotErrc::kTruncated, "section payload missing");
-    payload->append(buf, static_cast<std::size_t>(got));
+    payload_.append(buf, static_cast<std::size_t>(got));
     left -= static_cast<std::uint64_t>(got);
   }
-  if (crc32(*payload) != expected_crc)
+  if (crc32(payload_) != expected_crc)
     throw SnapshotError(SnapshotErrc::kBadChecksum,
                         "section CRC mismatch (corrupted snapshot)");
+  payload_reader_ = BinReader(payload_);
   return tag;
 }
 
-std::string SnapshotReader::section(SnapshotSection expected) {
-  std::string payload;
-  const std::uint32_t tag = read_section(&payload);
+BinReader& SnapshotReader::section(SnapshotSection expected) {
+  const std::uint32_t tag = read_section();
   if (tag != static_cast<std::uint32_t>(expected))
     throw SnapshotError(
         tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)
@@ -193,14 +197,13 @@ std::string SnapshotReader::section(SnapshotSection expected) {
         "section " + std::to_string(tag) + " where section " +
             std::to_string(static_cast<std::uint32_t>(expected)) +
             " belongs");
-  return payload;
+  return payload_reader_;
 }
 
 void SnapshotReader::finish() {
-  std::string payload;
-  const std::uint32_t tag = read_section(&payload);
+  const std::uint32_t tag = read_section();
   if (tag != static_cast<std::uint32_t>(SnapshotSection::kEnd) ||
-      !payload.empty())
+      !payload_.empty())
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "section " + std::to_string(tag) +
                             " where the empty terminator belongs");

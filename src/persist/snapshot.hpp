@@ -15,7 +15,8 @@
 // fingerprint before looking at anything else, and every section's CRC
 // before handing its payload out. It then reads the sections in exactly the
 // order their writer wrote them: a section missing, repeated, reordered or
-// foreign to the producer is refused. So a truncated file, a flipped bit, a
+// foreign to the producer is refused, and so is a payload with bytes past
+// the fields its reader takes. So a truncated file, a flipped bit, a
 // snapshot from the wrong substrate, or one taken under a different
 // protocol all fail with a typed SnapshotError and the restoring engine is
 // never touched (engines parse into staging storage and commit only after
@@ -102,17 +103,22 @@ class SnapshotWriter {
 /// Validating reader. The constructor consumes the header and kMeta section
 /// and cross-checks producer/fingerprint. The caller then asks for each
 /// section in the order its writer wrote them, one section() call apiece,
-/// and ends with finish(). All failures throw SnapshotError.
+/// and ends with finish(). Each payload must be read exactly: bytes left
+/// over past the fields its reader took are refused (kCorrupt) when the
+/// next section or the terminator is asked for. All failures throw
+/// SnapshotError.
 class SnapshotReader {
  public:
   SnapshotReader(std::istream& in, const std::string& expected_producer,
                  std::uint64_t expected_fingerprint);
 
-  /// The payload of the next section, which must be tagged `expected`; its
-  /// CRC is checked before it is returned. The terminator in its place
+  /// A reader over the payload of the next section, which must be tagged
+  /// `expected`; its CRC is checked first. The terminator in its place
   /// throws kTruncated (the container lacks a section), any other tag
   /// kCorrupt (a section repeated, out of order or foreign to the producer).
-  std::string section(SnapshotSection expected);
+  /// The reader is valid until the next section() or finish() call, which
+  /// requires it to be at its end.
+  BinReader& section(SnapshotSection expected);
   /// Consume the kEnd terminator, which must come next (kCorrupt if another
   /// section does). The stream is left just past it: an AutoCheckpoint file
   /// holds the injector's container right behind the engine's.
@@ -122,12 +128,14 @@ class SnapshotReader {
   std::uint64_t population_n() const { return population_n_; }
 
  private:
-  /// Read one raw section: its payload into `payload`, CRC verified, and
-  /// its tag as the result.
-  std::uint32_t read_section(std::string* payload);
+  /// Refuse the current payload unless it was read to its end, then read
+  /// the next raw section into payload_ (CRC verified) and return its tag.
+  std::uint32_t read_section();
 
   std::istream& in_;
   std::uint64_t population_n_ = 0;
+  std::string payload_;
+  BinReader payload_reader_{nullptr, 0};
 };
 
 // -- Shared section payload helpers -----------------------------------------

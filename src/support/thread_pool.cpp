@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
-#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -24,28 +23,50 @@ unsigned probe_hardware_threads() {
 }
 
 ThreadPool::ThreadPool(unsigned threads)
-    : threads_(threads != 0 ? threads : probe_hardware_threads()) {}
+    : threads_(threads != 0 ? threads : probe_hardware_threads()) {
+  for (unsigned h = 1; h < threads_; ++h)
+    helpers_.push_back(std::make_unique<TaskQueue>(1));
+}
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) const {
-  if (count == 0) return;
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(threads_, count));
-  if (workers <= 1) {
+  const std::size_t jobs = std::min<std::size_t>(threads_, count);
+  if (jobs <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&] {
+  // Participant j runs index j, then claims the indices past `jobs - 1`.
+  // Every helper job touches this frame, so the last one to finish signals
+  // while it holds `mu`: the wait below cannot see unfinished == 0, and
+  // return, before that job has let go of the lock.
+  std::atomic<std::size_t> next{jobs};
+  std::mutex mu;
+  std::condition_variable done;
+  std::size_t unfinished = jobs - 1;
+  const auto run_from = [&](std::size_t first) {
+    fn(first);
     for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) <
                         count;)
       fn(i);
   };
-  std::vector<std::thread> extra;
-  extra.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) extra.emplace_back(drain);
-  drain();  // the calling thread participates
-  for (auto& t : extra) t.join();
+  const auto helper = [&](std::size_t first) {
+    run_from(first);
+    std::lock_guard<std::mutex> lock(mu);
+    if (--unfinished == 0) done.notify_one();
+  };
+  const auto wait_for_helpers = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    done.wait(lock, [&] { return unfinished == 0; });
+  };
+  for (std::size_t h = 1; h < jobs; ++h)
+    helpers_[h - 1]->submit([&helper, h] { helper(h); });
+  try {
+    run_from(0);
+  } catch (...) {
+    wait_for_helpers();  // they read this frame until they finish
+    throw;
+  }
+  wait_for_helpers();
 }
 
 TaskQueue::TaskQueue(unsigned threads) {

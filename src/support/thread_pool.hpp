@@ -1,17 +1,21 @@
-// Minimal fork-join worker pool for embarrassingly parallel index spaces.
+// The fork-join pool and the job queue, the library's two thread sets.
 //
-// parallel_for(count, fn) runs fn(i) for every i in [0, count) across the
-// pool's threads with dynamic (atomic-counter) scheduling, blocking until
-// all indices ran. Work items therefore execute in nondeterministic order
-// on nondeterministic threads: fn must be thread-safe, must not throw, and
-// deterministic results are the caller's job (write to index-addressed
-// slots, as run_sweep_parallel does).
+// ThreadPool::parallel_for(count, fn) runs fn(i) for every i in [0, count)
+// across the pool's threads, blocking until all indices ran. Its helper
+// threads start with the pool and park between calls, each as the one
+// worker of a TaskQueue, the long-lived worker set popprotod serves
+// commands from.
+// Work items execute in nondeterministic order on nondeterministic
+// threads: fn must be thread-safe, must not throw, and deterministic
+// results are the caller's job (write to index-addressed slots, as
+// run_sweep_parallel does).
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -28,25 +32,7 @@ namespace popproto {
 /// speedup trajectory.
 unsigned probe_hardware_threads();
 
-class ThreadPool {
- public:
-  /// `threads` = 0 picks probe_hardware_threads().
-  explicit ThreadPool(unsigned threads = 0);
-
-  unsigned size() const { return threads_; }
-
-  /// Run fn(0), ..., fn(count - 1) to completion. With a single-thread pool
-  /// (or count <= 1) this degenerates to a plain sequential loop on the
-  /// calling thread — no workers are spawned.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn) const;
-
- private:
-  unsigned threads_;
-};
-
-/// Fixed pool of long-lived worker threads draining a FIFO job queue — the
-/// serving-side counterpart of ThreadPool's fork-join parallel_for. Jobs
+/// Fixed pool of long-lived worker threads draining a FIFO job queue. Jobs
 /// must not throw; they run in submission order but complete concurrently
 /// across workers (per-key ordering, where needed, is the submitter's job —
 /// popprotod keeps at most one command in flight per connection).
@@ -80,6 +66,32 @@ class TaskQueue {
   std::vector<std::thread> workers_;
   std::size_t running_ = 0;
   bool stopping_ = false;
+};
+
+class ThreadPool {
+ public:
+  /// `threads` counts the calling thread; 0 picks probe_hardware_threads().
+  /// The threads - 1 helpers start here (none for a one-thread pool) and
+  /// stay parked between parallel_for calls.
+  explicit ThreadPool(unsigned threads = 0);
+
+  unsigned size() const { return threads_; }
+
+  /// Run fn(0), ..., fn(count - 1), each exactly once, and return when all
+  /// have run. The caller runs index 0 and helper h index h + 1, so with
+  /// count == size() every index keeps one thread from call to call (and
+  /// its data that thread's caches); the rest go to whichever participant
+  /// asks first. Starts no thread: with a one-thread pool (or count <= 1)
+  /// this is a plain loop on the caller.
+  /// Returns only after every helper job of this call has finished. fn
+  /// must not call parallel_for on this pool: its helpers would wait for
+  /// themselves.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn) const;
+
+ private:
+  unsigned threads_;
+  std::vector<std::unique_ptr<TaskQueue>> helpers_;  // one worker each
 };
 
 }  // namespace popproto

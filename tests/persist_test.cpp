@@ -766,6 +766,70 @@ TEST(MalformedSnapshot, SectionSequenceIsExact) {
   }
 }
 
+TEST(MalformedSnapshot, SectionPayloadsAreReadExactly) {
+  // Each container here carries one section with 8 zero bytes past the
+  // fields its restore reads, under a valid CRC. A restore reads every
+  // payload to its end, kMeta's included, so each one is refused.
+  Producers producers;
+  const SnapshotErrc corrupt = SnapshotErrc::kCorrupt;
+  for (const Producer& p : producers.all) {
+    const Sections good = split_sections(p.container);
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      Sections padded = good;
+      padded[i].second.append(8, '\0');
+      expect_rejected(p.target, join_sections(padded), &corrupt,
+                      p.label + ": section " + std::to_string(i) + " padded");
+    }
+  }
+
+  // count_shard's population section holds each shard's CountEngine
+  // container as a string field: pad each of their sections, and then
+  // each container past its terminator.
+  const Producer& shard = producers.all[3];
+  ASSERT_EQ(shard.label, "count_shard");
+  const auto with_blob_edit = [&](std::size_t b,
+                                  const std::function<void(std::string&)>&
+                                      edit) {
+    return rewrite_sections(shard.container, [&](Sections& sections) {
+      for (auto& [tag, payload] : sections) {
+        if (tag != static_cast<std::uint32_t>(SnapshotSection::kPopulation))
+          continue;
+        BinReader r(payload);
+        std::vector<std::string> blobs(static_cast<std::size_t>(r.u64()));
+        for (std::string& blob : blobs) blob = r.str();
+        ASSERT_TRUE(r.at_end());
+        edit(blobs.at(b));
+        payload.clear();
+        BinWriter w(payload);
+        w.u64(blobs.size());
+        for (const std::string& blob : blobs) w.str(blob);
+      }
+    });
+  };
+  for (std::size_t b = 0; b < 2; ++b) {
+    const std::string at = "count_shard: shard " + std::to_string(b);
+    std::size_t sections = 0;
+    with_blob_edit(b, [&](std::string& blob) {
+      sections = split_sections(blob).size();
+    });
+    ASSERT_GE(sections, 3u) << at;
+    for (std::size_t i = 0; i < sections; ++i)
+      expect_rejected(shard.target,
+                      with_blob_edit(b,
+                                     [&](std::string& blob) {
+                                       blob = rewrite_sections(
+                                           blob, [&](Sections& inner) {
+                                             inner[i].second.append(8, '\0');
+                                           });
+                                     }),
+                      &corrupt, at + " section " + std::to_string(i) + " padded");
+    expect_rejected(
+        shard.target,
+        with_blob_edit(b, [](std::string& blob) { blob.append(8, '\0'); }),
+        &corrupt, at + " container padded past its terminator");
+  }
+}
+
 // -- Serialization round-trips -----------------------------------------------
 
 TEST(Serialization, CountersRoundTrip) {

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "core/batch_engine.hpp"
+#include "core/count_shard_engine.hpp"
+#include "protocols/baselines.hpp"
 #include "support/fitting.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -323,14 +330,80 @@ TEST(ThreadPool, ZeroThreadsMeansProbedHardwareThreads) {
 }
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
-  constexpr std::size_t kCount = 1000;
   for (const unsigned threads : {1u, 4u}) {
-    std::vector<std::atomic<int>> visits(kCount);
-    ThreadPool(threads).parallel_for(kCount, [&](std::size_t i) {
-      visits[i].fetch_add(1, std::memory_order_relaxed);
+    const ThreadPool pool(threads);
+    const std::size_t size = pool.size();
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, size - 1, size, 10 * size,
+          std::size_t{1000}}) {
+      std::vector<std::atomic<int>> visits(count);
+      pool.parallel_for(count, [&](std::size_t i) {
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(visits[i].load(), 1)
+            << "threads=" << threads << " count=" << count << " i=" << i;
+    }
+  }
+}
+
+/// The kernel's id of the calling thread. Linux hands thread ids out in
+/// increasing order, so a thread started later carries a larger one.
+long kernel_tid() { return syscall(SYS_gettid); }
+
+TEST(ThreadPool, HelpersStartWithThePoolAndParkBetweenCalls) {
+  const ThreadPool pool(4);
+  long started_after = 0;  // the id of a thread started after the pool's
+  std::thread([&] { started_after = kernel_tid(); }).join();
+  std::mutex mu;
+  std::set<long> seen;
+  for (int call = 0; call < 200; ++call)
+    pool.parallel_for(pool.size(), [&](std::size_t) {
+      const long tid = kernel_tid();
+      const std::lock_guard<std::mutex> lock(mu);
+      seen.insert(tid);
     });
-    for (std::size_t i = 0; i < kCount; ++i)
-      EXPECT_EQ(visits[i].load(), 1) << "threads=" << threads << " i=" << i;
+  EXPECT_LE(seen.size(), pool.size());
+  for (const long tid : seen)
+    EXPECT_LT(tid, started_after) << "a thread started after construction";
+}
+
+TEST(ThreadPool, OneThreadPoolRunsEverythingOnTheCaller) {
+  const ThreadPool pool(1);
+  ASSERT_EQ(pool.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t ran = 0;
+  pool.parallel_for(40, [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++ran;
+  });
+  EXPECT_EQ(ran, 40u);
+}
+
+// The sharded engines own a pool each; destroying one whose helpers are
+// parked, after rounds or before any, must join them and return.
+TEST(ThreadPool, ShardedEnginesConstructAndDestroyRepeatedly) {
+  auto vars = make_var_space();
+  const Protocol p = make_approximate_majority_protocol(vars);
+  const State a = var_bit(*vars->find("BA"));
+  const State b = var_bit(*vars->find("BB"));
+  std::vector<State> agents(1024, a);
+  for (std::size_t i = 0; i < agents.size(); i += 2) agents[i] = b;
+  for (std::uint64_t cycle = 0; cycle < 50; ++cycle) {
+    const double rounds = static_cast<double>(cycle % 2) * 2.0;
+    BatchEngine::Params bp;
+    bp.threads = 4;
+    bp.min_shard = 64;
+    BatchEngine batch(p, agents, cycle, bp);
+    ASSERT_EQ(batch.shards(), 4u);
+    batch.run_rounds(rounds);
+
+    CountShardEngine::Params cp;
+    cp.shards = 4;
+    cp.threads = 4;
+    CountShardEngine shard(p, {{a, 2048}, {b, 2048}}, cycle, cp);
+    ASSERT_EQ(shard.threads(), 4u);
+    shard.run_rounds(rounds);
   }
 }
 
