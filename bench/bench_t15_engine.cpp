@@ -1,7 +1,7 @@
 // T15 — substrate micro-benchmarks (google-benchmark): interaction
 // throughput of the agent engine, the count engine (direct vs skip-ahead),
-// and the typed clock machinery. These underpin the feasible n-ranges of
-// every other experiment.
+// the kernel oscillator on counts, and the clock hierarchy. These underpin
+// the feasible n-ranges of every other experiment.
 //
 // Besides the console table, results are exported to BENCH_engine.json
 // (override with POPPROTO_BENCH_OUT; see EXPERIMENTS.md for the schema) so
@@ -88,12 +88,18 @@ void BM_BatchEngineRound(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchEngineRound)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_OscillatorSimStep(benchmark::State& state) {
-  OscillatorSim sim = OscillatorSim::uniform(1 << 20, 1 << 6, 1);
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+void BM_OscillatorKernelCount(benchmark::State& state) {
+  // The validated P_o (pair kernel) on species counts at n = 2^20 with 2^6
+  // X agents — T3's sequential backend. Items = interactions.
+  auto vars = make_var_space();
+  const Protocol p = make_oscillator_kernel_protocol(vars);
+  CountEngine eng(p, oscillator_uniform_counts(1 << 20, 1 << 6, *vars), 1);
+  const std::uint64_t before = eng.interactions();
+  for (auto _ : state) eng.step();
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(eng.interactions() - before));
 }
-BENCHMARK(BM_OscillatorSimStep);
+BENCHMARK(BM_OscillatorKernelCount);
 
 void BM_ClockHierarchyStep(benchmark::State& state) {
   HierarchyParams hp;

@@ -9,10 +9,13 @@
 //     evenly across the six species states — the adversarial push toward the
 //     repelling interior fixed point). Healthy: some species suppressed
 //     (a_min <= n^{3/4}); recovery = escape from the interior, Thm 5.1(i).
-//   * Phase clock: typed PhaseClockSim, scramble() randomizing believers of
-//     75% of agents (digits intact — uniform digit scrambles sit outside the
-//     adoption rule's basin; see EXPERIMENTS.md). Healthy: composite phase
-//     spread <= 1; recovery = the pull-forward adoption re-synchronizing.
+//   * Phase clock: the kernel clock C_o on the agent engine, scramble_clock
+//     (a mutate_random_agents corruption) randomizing the oscillator and
+//     believer state of 75% of agents (digits intact — uniform digit
+//     scrambles sit outside the adoption rule's basin; see EXPERIMENTS.md).
+//     Healthy: composite phase spread <= 1; recovery = the pull-forward
+//     adoption re-synchronizing.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <optional>
@@ -23,6 +26,7 @@
 #include "analysis/report.hpp"
 #include "clocks/phase_clock.hpp"
 #include "core/count_engine.hpp"
+#include "core/engine.hpp"
 #include "faults/injector.hpp"
 #include "observe/telemetry.hpp"
 
@@ -55,7 +59,8 @@ std::optional<double> oscillator_trial(std::uint64_t n, std::uint64_t seed,
 
   const double thr = std::pow(static_cast<double>(n), 0.75);
   auto healthy = [&] {
-    return static_cast<double>(oscillator_min_species(eng, *vars)) <= thr;
+    const auto c = oscillator_species_counts(eng, *vars);
+    return static_cast<double>(std::min({c[0], c[1], c[2]})) <= thr;
   };
   if (!healthy()) return std::nullopt;
 
@@ -90,23 +95,31 @@ std::optional<double> oscillator_trial(std::uint64_t n, std::uint64_t seed,
 /// return rounds until composite coherence (spread <= 1) restabilizes.
 std::optional<double> clock_trial(std::uint64_t n, std::uint64_t seed,
                                   EventTrace* trace = nullptr) {
-  PhaseClockSim sim(n, /*x_count=*/9, seed);
-  sim.run_rounds(300.0);  // past startup: ticking well underway
-  for (int extra = 0; extra < 3 && sim.composite_spread() > 1; ++extra)
-    sim.run_rounds(100.0);
-  if (sim.composite_spread() > 1) return std::nullopt;
+  auto vars = make_var_space();
+  const ClockLevelParams prm;
+  const Protocol proto = make_clock_kernel_protocol(vars, prm);
+  const ClockCodec codec(*vars, prm);
+  Engine eng(proto, clock_kernel_initial_states(n, /*x_count=*/9, codec),
+             seed);
+  eng.set_event_trace(trace);
+  const auto coherent = [&] {
+    return clock_census(eng, codec).composite_spread() <= 1;
+  };
+  eng.run_rounds(300.0);  // past startup: ticking well underway
+  for (int extra = 0; extra < 3 && !coherent(); ++extra) eng.run_rounds(100.0);
+  if (!coherent()) return std::nullopt;
 
   Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
   RecoveryProbe probe(/*stable_for=*/2.0);
   probe.set_event_trace(trace);
-  probe.on_fault(sim.rounds());
-  sim.scramble(0.75, rng, /*max_digit_offset=*/0);
-  probe.observe(sim.rounds(), sim.composite_spread() <= 1);
+  probe.on_fault(eng.rounds());
+  scramble_clock(eng, codec, 0.75, rng, /*max_digit_offset=*/0);
+  probe.observe(eng.rounds(), coherent());
 
-  const double deadline = sim.rounds() + 200.0;
-  while (sim.rounds() < deadline) {
-    sim.run_rounds(0.5);
-    probe.observe(sim.rounds(), sim.composite_spread() <= 1);
+  const double deadline = eng.rounds() + 200.0;
+  while (eng.rounds() < deadline) {
+    eng.run_rounds(0.5);
+    probe.observe(eng.rounds(), coherent());
     if (probe.last_recovery_time().has_value()) break;
   }
   return probe.last_recovery_time();

@@ -3,11 +3,19 @@
 // dominance order, dips below n^{1-eps/3} and peaks above n - o(n) (ii),
 // under the sequential and random-matching schedulers, for #X in
 // [1, n^{1-eps}].
+//
+// Runs the kernel form of P_o (clocks/oscillator.hpp): the sequential
+// scheduler on CountEngine, the random-matching scheduler on BatchEngine
+// with one thread (an exact uniform matching per round).
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <memory>
 
 #include "analysis/report.hpp"
 #include "clocks/oscillator.hpp"
+#include "core/batch_engine.hpp"
+#include "core/count_engine.hpp"
 
 using namespace popproto;
 
@@ -21,35 +29,62 @@ struct Measured {
   std::uint64_t max_peak = 0;
 };
 
+std::unique_ptr<SimBackend> make_oscillator(
+    const Protocol& proto,
+    const std::vector<std::pair<State, std::uint64_t>>& init,
+    std::uint64_t seed, bool matching) {
+  if (!matching) return std::make_unique<CountEngine>(proto, init, seed);
+  std::vector<State> agents;
+  for (const auto& [s, c] : init) agents.insert(agents.end(), c, s);
+  BatchEngine::Params params;
+  params.threads = 1;
+  return std::make_unique<BatchEngine>(proto, std::move(agents), seed, params);
+}
+
 Measured measure(std::uint64_t n, std::uint64_t x, std::uint64_t seed,
                  bool matching) {
   Measured m;
-  OscillatorSim sim = OscillatorSim::uniform(n, x, seed);
+  auto vars = make_var_space();
+  const Protocol proto = make_oscillator_kernel_protocol(vars);
+  const auto eng = make_oscillator(
+      proto, oscillator_uniform_counts(n, x, *vars), seed, matching);
+  std::array<std::uint64_t, 3> sp = oscillator_species_counts(*eng, *vars);
+  const auto observe = [&] { sp = oscillator_species_counts(*eng, *vars); };
+  const auto a_min = [&] { return *std::min_element(sp.begin(), sp.end()); };
+  const auto a_max = [&] { return *std::max_element(sp.begin(), sp.end()); };
+  const auto dominant = [&] {
+    return static_cast<int>(std::max_element(sp.begin(), sp.end()) -
+                            sp.begin());
+  };
   const double thr = std::pow(static_cast<double>(n), 0.75);  // eps = 1/2
-  while (sim.rounds() < 4000.0) {
-    if (static_cast<double>(sim.a_min()) < thr) {
-      m.escape = sim.rounds();
+  while (eng->rounds() < 4000.0) {
+    if (static_cast<double>(a_min()) < thr) {
+      m.escape = eng->rounds();
       break;
     }
-    sim.run_rounds(1.0, matching);
+    eng->run_rounds(1.0);
+    observe();
   }
   if (m.escape < 0) return m;
-  sim.run_rounds(50.0, matching);
-  int dominant = sim.dominant();
+  eng->run_rounds(50.0);
+  observe();
+  int dom = dominant();
   int switches = 0, cyclic = 0;
   m.min_dip = n;
   const double window = 400.0;
-  const double t0 = sim.rounds();
-  while (sim.rounds() < t0 + window) {
-    sim.run_rounds(0.25, matching);
-    m.min_dip = std::min(m.min_dip, sim.a_min());
-    m.max_peak = std::max(m.max_peak, sim.a_max());
-    if (sim.a_max() > n - n / 10) {
-      const int d = sim.dominant();
-      if (d != dominant) {
+  const double t0 = eng->rounds();
+  while (eng->rounds() < t0 + window) {
+    // A matching round is indivisible: each step there is one round.
+    eng->run_rounds(0.25);
+    observe();
+    m.min_dip = std::min(m.min_dip, a_min());
+    m.max_peak = std::max(m.max_peak, a_max());
+    if (a_max() > n - n / 10) {
+      const int d = dominant();
+      if (d != dom) {
         ++switches;
-        if (d == (dominant + 1) % 3) ++cyclic;
-        dominant = d;
+        if (d == (dom + 1) % 3) ++cyclic;
+        dom = d;
       }
     }
   }

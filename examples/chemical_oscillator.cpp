@@ -19,6 +19,8 @@
 #include <string>
 
 #include "clocks/phase_clock.hpp"
+#include "core/count_engine.hpp"
+#include "core/engine.hpp"
 
 using namespace popproto;
 
@@ -33,9 +35,13 @@ std::string bar(double fraction, int width = 50) {
 }  // namespace
 
 int main() {
-  // --- The raw oscillator at n = 10^6 molecules, #X = 100 catalysts. ---
+  // --- The raw oscillator at n = 10^6 molecules, #X = 100 catalysts, on
+  // species counts (the beaker is well mixed: only abundances matter). ---
   const std::uint64_t n = 1000000;
-  OscillatorSim beaker = OscillatorSim::uniform(n, /*x_count=*/100, /*seed=*/3);
+  auto osc_vars = make_var_space();
+  const Protocol osc = make_oscillator_kernel_protocol(osc_vars);
+  CountEngine beaker(osc, oscillator_uniform_counts(n, /*x_count=*/100, *osc_vars),
+                     /*seed=*/3);
 
   std::printf("species concentrations over time (n = %llu molecules)\n",
               static_cast<unsigned long long>(n));
@@ -43,24 +49,31 @@ int main() {
   beaker.run_rounds(80.0);  // self-organization (Thm 5.1(i): O(log n))
   for (int step = 0; step < 24; ++step) {
     beaker.run_rounds(4.0);
-    const double a1 =
-        static_cast<double>(beaker.species(0)) / static_cast<double>(n);
-    const double a2 =
-        static_cast<double>(beaker.species(1)) / static_cast<double>(n);
+    const auto species = oscillator_species_counts(beaker, *osc_vars);
+    const double a1 = static_cast<double>(species[0]) / static_cast<double>(n);
+    const double a2 = static_cast<double>(species[1]) / static_cast<double>(n);
     std::printf("%8.0f  |%s| |%s|\n", beaker.rounds(), bar(a1).c_str(),
                 bar(a2).c_str());
   }
 
   // --- The derived phase clock (Thm 5.2) on a smaller population. ---
   std::printf("\nderived mod-8 phase clock (n = 50000): digit + sync spread\n");
-  PhaseClockSim clock(50000, /*x_count=*/40, /*seed=*/5);
+  auto clock_vars = make_var_space();
+  const ClockLevelParams prm;
+  const Protocol clock_proto = make_clock_kernel_protocol(clock_vars, prm);
+  const ClockCodec codec(*clock_vars, prm);
+  Engine clock(clock_proto,
+               clock_kernel_initial_states(50000, /*x_count=*/40, codec),
+               /*seed=*/5);
   clock.run_rounds(200.0);
   for (int step = 0; step < 12; ++step) {
     clock.run_rounds(25.0);
+    const ClockCensus census = clock_census(clock, codec);
     std::printf("  round %6.0f: agent-0 digit = %d, population spread = %d "
-                "digit(s), mean ticks/agent = %.1f\n",
-                clock.rounds(), clock.agent(0).digit, clock.digit_spread(),
-                clock.mean_ticks());
+                "digit(s), composite spread = %d phase(s)\n",
+                clock.rounds(),
+                codec.decode(clock.population().state(0)).digit,
+                census.digit_spread(), census.composite_spread());
   }
   std::printf("\nEvery molecule agrees on the digit up to the tolerated "
               "adjacent split — a population-wide clock built from pure "

@@ -16,6 +16,7 @@
 // suppressed") and reports time-to-violation and time-to-restabilize.
 //
 // Build & run:  ./build/examples/fault_recovery
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -54,7 +55,7 @@ int main() {
   auto vars = make_var_space();
   const Protocol proto = make_oscillator_protocol(vars);
   // The bitmask protocol samples one of its rules u.a.r. per interaction;
-  // macroscopic timescales dilate by num_rules versus the typed simulator.
+  // macroscopic timescales dilate by num_rules versus the kernel form.
   // All rounds printed below are undiluted (divided back by `dil`).
   const double dil = static_cast<double>(proto.num_rules());
 
@@ -71,7 +72,10 @@ int main() {
   auto u = [&] { return (eng.rounds() - t0) / dil; };  // undiluted timeline
 
   const std::uint64_t threshold = n / 16;
-  auto a_min = [&] { return oscillator_min_species(eng, *vars); };
+  auto a_min = [&] {
+    const auto c = oscillator_species_counts(eng, *vars);
+    return std::min({c[0], c[1], c[2]});
+  };
   auto healthy = [&] { return a_min() <= threshold; };
 
   // The adversary's schedule, in engine rounds relative to now.

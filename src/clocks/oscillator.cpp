@@ -1,8 +1,8 @@
 #include "clocks/oscillator.hpp"
 
-#include <algorithm>
+#include <cstdio>
 
-#include "core/count_engine.hpp"
+#include "core/sim_backend.hpp"
 #include "support/check.hpp"
 
 namespace popproto {
@@ -75,15 +75,8 @@ Protocol make_oscillator_protocol(VarSpacePtr vars,
 
 State oscillator_state(int species, int level, const VarSpace& vars) {
   POPPROTO_CHECK(species >= 0 && species < 3 && (level == 0 || level == 1));
-  const auto b0 = vars.find(kOscBit0);
-  const auto b1 = vars.find(kOscBit1);
-  const auto lvl = vars.find(kOscLvl);
-  POPPROTO_CHECK(b0 && b1 && lvl);
-  State s = 0;
-  if (species & 1) s |= var_bit(*b0);
-  if (species & 2) s |= var_bit(*b1);
-  if (level == 1) s |= var_bit(*lvl);
-  return s;
+  const OscAgent a{static_cast<std::uint8_t>(species), level == 1};
+  return OscCodec(vars).encode(a, false);
 }
 
 std::vector<State> oscillator_species_states(const VarSpace& vars) {
@@ -93,46 +86,26 @@ std::vector<State> oscillator_species_states(const VarSpace& vars) {
   return out;
 }
 
-std::array<std::uint64_t, 3> oscillator_species_counts(
-    const AgentPopulation& pop, const VarSpace& vars) {
-  std::array<std::uint64_t, 3> counts{};
-  for (const State s : pop.states()) {
-    const int sp = oscillator_species_of(s, vars);
-    if (sp >= 0) ++counts[static_cast<std::size_t>(sp)];
-  }
-  return counts;
-}
-
-std::array<std::uint64_t, 3> oscillator_species_counts(const CountEngine& eng,
+std::array<std::uint64_t, 3> oscillator_species_counts(const SimBackend& eng,
                                                        const VarSpace& vars) {
+  const OscCodec codec(vars);
   std::array<std::uint64_t, 3> counts{};
-  for (const auto& [s, c] : eng.species()) {
-    const int sp = oscillator_species_of(s, vars);
-    if (sp >= 0) counts[static_cast<std::size_t>(sp)] += c;
-  }
+  for (const auto& [s, c] : eng.species())
+    if (!codec.is_x(s)) counts[codec.decode(s).species] += c;
   return counts;
-}
-
-std::uint64_t oscillator_min_species(const CountEngine& eng,
-                                     const VarSpace& vars) {
-  const auto c = oscillator_species_counts(eng, vars);
-  return std::min({c[0], c[1], c[2]});
 }
 
 int oscillator_species_of(State s, const VarSpace& vars) {
-  const auto b0 = vars.find(kOscBit0);
-  const auto b1 = vars.find(kOscBit1);
-  const auto x = vars.find(kOscX);
-  POPPROTO_CHECK(b0 && b1 && x);
-  if (var_is_set(s, *x)) return -1;  // control agent, no species
-  return (var_is_set(s, *b0) ? 1 : 0) + (var_is_set(s, *b1) ? 2 : 0);
+  const OscCodec codec(vars);
+  return codec.is_x(s) ? -1 : codec.decode(s).species;  // -1: control agent
 }
 
+template <class Draws>
 bool oscillator_interact(const OscAgent* initiator, bool initiator_is_x,
-                         OscAgent& responder, Rng& rng,
+                         OscAgent& responder, Draws& draws,
                          const OscillatorParams& params) {
   if (initiator_is_x) {
-    responder.species = static_cast<std::uint8_t>(rng.below(3));
+    responder.species = static_cast<std::uint8_t>(draws.below(3));
     responder.strong = false;
     return true;
   }
@@ -151,7 +124,7 @@ bool oscillator_interact(const OscAgent* initiator, bool initiator_is_x,
   // Predation (the responder may just have been deactivated; conversion
   // resets it to + anyway).
   if (responder.species == prey_of(initiator->species)) {
-    if (initiator->strong || rng.chance(params.weak_predation_p)) {
+    if (initiator->strong || draws.chance(params.weak_predation_p)) {
       responder.species = initiator->species;
       responder.strong = false;
       changed = true;
@@ -160,124 +133,70 @@ bool oscillator_interact(const OscAgent* initiator, bool initiator_is_x,
   return changed;
 }
 
-OscillatorSim::OscillatorSim(std::array<std::array<std::uint64_t, 2>, 3> counts,
-                             std::uint64_t x_count, std::uint64_t seed,
-                             const OscillatorParams& params)
-    : counts_(counts), x_(x_count), rng_(seed), params_(params) {
-  n_ = x_;
-  for (const auto& sp : counts_) n_ += sp[0] + sp[1];
-  POPPROTO_CHECK(n_ >= 2);
-  POPPROTO_CHECK(params_.weak_predation_p > 0.0 && params_.weak_predation_p < 1.0);
+template bool oscillator_interact(const OscAgent*, bool, OscAgent&, Rng&,
+                                  const OscillatorParams&);
+template bool oscillator_interact(const OscAgent*, bool, OscAgent&,
+                                  ScriptedDraw&, const OscillatorParams&);
+
+OscCodec::OscCodec(const VarSpace& vars)
+    : b0(vars.at(kOscBit0)),
+      b1(vars.at(kOscBit1)),
+      lvl(vars.at(kOscLvl)),
+      x(vars.at(kOscX)) {}
+
+OscAgent OscCodec::decode(State s) const {
+  return OscAgent{static_cast<std::uint8_t>((var_is_set(s, b0) ? 1 : 0) +
+                                            (var_is_set(s, b1) ? 2 : 0)),
+                  var_is_set(s, lvl)};
 }
 
-OscillatorSim OscillatorSim::uniform(std::uint64_t n, std::uint64_t x_count,
-                                     std::uint64_t seed,
-                                     const OscillatorParams& params) {
+State OscCodec::encode(const OscAgent& a, bool is_x) const {
+  if (is_x) return var_bit(x);
+  State s = 0;
+  if (a.species & 1) s |= var_bit(b0);
+  if (a.species & 2) s |= var_bit(b1);
+  if (a.strong) s |= var_bit(lvl);
+  return s;
+}
+
+Protocol make_oscillator_kernel_protocol(VarSpacePtr vars,
+                                         const OscillatorParams& params) {
+  POPPROTO_CHECK(params.weak_predation_p > 0.0 &&
+                 params.weak_predation_p < 1.0);
+  for (const char* name : {kOscBit0, kOscBit1, kOscLvl, kOscX})
+    vars->intern(name);
+  const OscCodec codec(*vars);
+  PairKernel kernel;
+  kernel.outcomes = [codec, params](State a, State b,
+                                    std::vector<KernelOutcome>& out) {
+    const bool ax = codec.is_x(a);
+    const bool bx = codec.is_x(b);  // control agents are never modified
+    const OscAgent init = codec.decode(a);
+    ScriptedDraw draw;
+    do {
+      OscAgent r = codec.decode(b);
+      if (!bx) oscillator_interact(ax ? nullptr : &init, ax, r, draw, params);
+      out.push_back(KernelOutcome{draw.probability(), a, codec.encode(r, bx)});
+    } while (draw.next());
+  };
+  char sig[64];
+  std::snprintf(sig, sizeof sig, "oscillator p=%a", params.weak_predation_p);
+  kernel.signature = sig;
+  Protocol proto("oscillator_kernel", std::move(vars));
+  proto.add_kernel_thread("Oscillator", std::move(kernel));
+  return proto;
+}
+
+std::vector<std::pair<State, std::uint64_t>> oscillator_uniform_counts(
+    std::uint64_t n, std::uint64_t x_count, const VarSpace& vars) {
   POPPROTO_CHECK(n > x_count);
   const std::uint64_t rest = n - x_count;
-  std::array<std::array<std::uint64_t, 2>, 3> c{};
-  std::uint64_t assigned = 0;
-  for (int i = 0; i < 3; ++i)
-    for (int l = 0; l < 2; ++l) {
-      c[static_cast<std::size_t>(i)][static_cast<std::size_t>(l)] = rest / 6;
-      assigned += rest / 6;
-    }
-  c[0][0] += rest - assigned;  // remainder
-  return OscillatorSim(c, x_count, seed, params);
-}
-
-double OscillatorSim::rounds() const {
-  return static_cast<double>(interactions_) / static_cast<double>(n_) +
-         static_cast<double>(matching_rounds_);
-}
-
-int OscillatorSim::sample_type(int excluded_type) {
-  std::uint64_t total = n_;
-  if (excluded_type >= 0) --total;
-  std::uint64_t r = rng_.below(total);
-  for (int t = 0; t < 6; ++t) {
-    std::uint64_t c = counts_[static_cast<std::size_t>(t / 2)]
-                             [static_cast<std::size_t>(t % 2)];
-    if (t == excluded_type) --c;
-    if (r < c) return t;
-    r -= c;
-  }
-  return 6;  // X
-}
-
-void OscillatorSim::interact_types(int type_a, int type_b) {
-  if (type_b == 6) return;  // control agents are never modified
-  OscAgent resp{static_cast<std::uint8_t>(type_b / 2), (type_b % 2) != 0};
-  bool changed;
-  if (type_a == 6) {
-    changed = oscillator_interact(nullptr, true, resp, rng_, params_);
-  } else {
-    const OscAgent init{static_cast<std::uint8_t>(type_a / 2),
-                        (type_a % 2) != 0};
-    changed = oscillator_interact(&init, false, resp, rng_, params_);
-  }
-  if (!changed) return;
-  --counts_[static_cast<std::size_t>(type_b / 2)]
-           [static_cast<std::size_t>(type_b % 2)];
-  ++counts_[resp.species][resp.strong ? 1 : 0];
-}
-
-void OscillatorSim::step() {
-  const int a = sample_type(-1);
-  const int b = sample_type(a);
-  ++interactions_;
-  interact_types(a, b);
-}
-
-void OscillatorSim::matching_round() {
-  // Draw disjoint pairs without replacement from the start-of-round pool.
-  std::array<std::uint64_t, 7> rem = {counts_[0][0], counts_[0][1],
-                                      counts_[1][0], counts_[1][1],
-                                      counts_[2][0], counts_[2][1], x_};
-  std::uint64_t total = n_;
-  auto draw = [&]() {
-    std::uint64_t r = rng_.below(total);
-    for (int t = 0; t < 7; ++t) {
-      if (r < rem[static_cast<std::size_t>(t)]) {
-        --rem[static_cast<std::size_t>(t)];
-        --total;
-        return t;
-      }
-      r -= rem[static_cast<std::size_t>(t)];
-    }
-    POPPROTO_CHECK_MSG(false, "draw fell through");
-    return 0;
-  };
-  while (total >= 2) {
-    const int a = draw();
-    const int b = draw();
-    interact_types(a, b);
-  }
-  ++matching_rounds_;
-}
-
-void OscillatorSim::run_rounds(double rounds_to_run, bool matching_scheduler) {
-  const double target = rounds() + rounds_to_run;
-  if (matching_scheduler) {
-    while (rounds() < target) matching_round();
-  } else {
-    while (rounds() < target) step();
-  }
-}
-
-std::uint64_t OscillatorSim::a_min() const {
-  return std::min({species(0), species(1), species(2)});
-}
-
-std::uint64_t OscillatorSim::a_max() const {
-  return std::max({species(0), species(1), species(2)});
-}
-
-int OscillatorSim::dominant() const {
-  int best = 0;
-  for (int i = 1; i < 3; ++i)
-    if (species(i) > species(best)) best = i;
-  return best;
+  std::vector<std::pair<State, std::uint64_t>> out;
+  for (const State s : oscillator_species_states(vars))
+    out.emplace_back(s, rest / 6);
+  out[0].second += rest % 6;  // remainder
+  if (x_count > 0) out.emplace_back(var_bit(*vars.find(kOscX)), x_count);
+  return out;
 }
 
 }  // namespace popproto

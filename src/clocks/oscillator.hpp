@@ -22,22 +22,24 @@
 // order A_1 -> A_2 -> A_3 (Thm 5.1(ii)). X re-seeds species, so nothing goes
 // extinct while #X ≥ 1, and injects only O(#X/n) noise per round.
 //
-// Exposed in two forms:
-//   * make_oscillator_protocol(): a bitmask Protocol over a shared VarSpace
-//     (species in two bits, level bit, X flag) driven by the standard
-//     "sample one rule u.a.r. per interaction" scheduler convention;
-//   * OscillatorSim: a typed count-based simulator applying all matching
-//     rules systematically per interaction (the standard top-down-execution
-//     translation, §1.3), exact and O(1) per interaction, supporting both
-//     sequential and random-matching schedulers. Used by the Theorem 5.1
-//     experiments at large n.
+// Exposed in two forms over one bit layout (species in two bits, level bit,
+// X flag), so the observers below read either:
+//   * make_oscillator_protocol(): a bitmask ruleset driven by the standard
+//     "sample one rule u.a.r. per interaction" scheduler convention, whose
+//     dynamics are diluted by its 16 rules;
+//   * make_oscillator_kernel_protocol(): the pair kernel that applies every
+//     matching update per interaction (the standard top-down-execution
+//     translation, §1.3) — the validated P_o of the Theorem 5.1
+//     experiments. Its outcome lists enumerate the one random choice of
+//     oscillator_interact, so it runs on every SimBackend with exactly the
+//     dynamics the clock machinery samples.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "core/population.hpp"
 #include "core/protocol.hpp"
 #include "support/rng.hpp"
 
@@ -70,81 +72,83 @@ State oscillator_state(int species, int level, const VarSpace& vars);
 /// ...}); the corruption palette fault experiments deal victims across.
 std::vector<State> oscillator_species_states(const VarSpace& vars);
 
-class CountEngine;  // core/count_engine.hpp
+class SimBackend;  // core/sim_backend.hpp
 
-/// Per-species abundances (summed over levels) — the oscillator-coherence
-/// healthy predicates ("is some species suppressed?") read these.
-std::array<std::uint64_t, 3> oscillator_species_counts(
-    const AgentPopulation& pop, const VarSpace& vars);
-std::array<std::uint64_t, 3> oscillator_species_counts(const CountEngine& eng,
+/// Per-species abundances (summed over levels) of either form on any
+/// backend — the oscillator-coherence healthy predicates ("is some species
+/// suppressed?") read these. O(species).
+std::array<std::uint64_t, 3> oscillator_species_counts(const SimBackend& eng,
                                                        const VarSpace& vars);
 
-/// Smallest per-species abundance — the paper's "dips << n" observable.
-std::uint64_t oscillator_min_species(const CountEngine& eng,
-                                     const VarSpace& vars);
-
-/// One agent's oscillator component, used by the typed simulators and by
+/// One agent's oscillator component, used by the kernel protocols and by
 /// the clock machinery (clocks/phase_clock.hpp, clocks/hierarchy.hpp).
 struct OscAgent {
   std::uint8_t species = 0;  // 0..2
   bool strong = false;       // + (false) vs ++ (true)
 };
 
-/// Systematic interaction semantics shared by all typed simulators: the
-/// responder observes the initiator (activation/deactivation refresh) and is
-/// then preyed upon if applicable. `initiator_is_x` marks a control agent
-/// acting as source. Returns true when the responder changed.
-bool oscillator_interact(const OscAgent* initiator, bool initiator_is_x,
-                         OscAgent& responder, Rng& rng,
-                         const OscillatorParams& params);
-
-/// Typed exact simulator over (species, level) counts.
-class OscillatorSim {
+/// Answers an interaction's one random choice (an X source's below(3) or a
+/// weak predator's chance(p)) with a fixed way while a pair kernel lists the
+/// outcomes: way 0, 1, ... in turn, recording the current way's
+/// probability. Stands in for the engine's Rng in the interactions below.
+class ScriptedDraw {
  public:
-  /// counts[i][l]: abundance of species i at level l (0 = +, 1 = ++).
-  OscillatorSim(std::array<std::array<std::uint64_t, 2>, 3> counts,
-                std::uint64_t x_count, std::uint64_t seed,
-                const OscillatorParams& params = {});
-
-  /// Uniform split of (n - x_count) agents across the six oscillator states.
-  static OscillatorSim uniform(std::uint64_t n, std::uint64_t x_count,
-                               std::uint64_t seed,
-                               const OscillatorParams& params = {});
-
-  /// One sequential interaction (ordered random pair).
-  void step();
-
-  /// One random-matching round: disjoint pairs drawn without replacement
-  /// from the start-of-round configuration.
-  void matching_round();
-
-  void run_rounds(double rounds, bool matching_scheduler = false);
-
-  std::uint64_t species(int i) const {
-    return counts_[static_cast<std::size_t>(i)][0] +
-           counts_[static_cast<std::size_t>(i)][1];
+  std::uint64_t below(std::uint64_t k) {
+    return draw(k, 1.0 / static_cast<double>(k));
   }
-  std::uint64_t x_count() const { return x_; }
-  std::uint64_t n() const { return n_; }
-  double rounds() const;
-
-  std::uint64_t a_min() const;
-  std::uint64_t a_max() const;
-  /// Index of the currently largest species.
-  int dominant() const;
+  bool chance(double p) { return draw(2, way_ == 1 ? p : 1.0 - p) == 1; }
+  double probability() const { return p_; }
+  /// Move to the next way; false once every way has been listed.
+  bool next() {
+    drawn_ = false;
+    return ++way_ < ways_;
+  }
 
  private:
-  // Internal agent types: 0..5 = (species, level), 6 = X.
-  int sample_type(int excluded_type);
-  void interact_types(int type_a, int type_b);
+  std::uint64_t draw(std::uint64_t ways, double p) {
+    POPPROTO_CHECK_MSG(!drawn_, "an interaction made two random choices");
+    drawn_ = true;
+    ways_ = ways;
+    p_ = p;
+    return way_;
+  }
 
-  std::array<std::array<std::uint64_t, 2>, 3> counts_;
-  std::uint64_t x_;
-  std::uint64_t n_;
-  Rng rng_;
-  OscillatorParams params_;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t matching_rounds_ = 0;
+  std::uint64_t way_ = 0;
+  std::uint64_t ways_ = 1;
+  double p_ = 1.0;
+  bool drawn_ = false;
 };
+
+/// Systematic interaction semantics shared by every form: the responder
+/// observes the initiator (activation/deactivation refresh) and is then
+/// preyed upon if applicable. `initiator_is_x` marks a control agent acting
+/// as source. `draws` is the engine's Rng or a ScriptedDraw. Returns true
+/// when the responder changed.
+template <class Draws>
+bool oscillator_interact(const OscAgent* initiator, bool initiator_is_x,
+                         OscAgent& responder, Draws& draws,
+                         const OscillatorParams& params);
+
+/// The oscillator's four variables in one VarSpace (all interned).
+struct OscCodec {
+  explicit OscCodec(const VarSpace& vars);
+  bool is_x(State s) const { return var_is_set(s, x); }
+  OscAgent decode(State s) const;
+  /// The oscillator bits of `a`; an X agent is the X bit alone.
+  State encode(const OscAgent& a, bool is_x) const;
+
+  VarId b0, b1, lvl, x;
+};
+
+/// P_o as a one-thread pair-kernel protocol on `vars` (same state layout as
+/// make_oscillator_protocol). Its signature carries weak_predation_p.
+Protocol make_oscillator_kernel_protocol(VarSpacePtr vars,
+                                         const OscillatorParams& params = {});
+
+/// The Theorem 5.1 start: `x_count` control agents, the other n - x_count
+/// split evenly over the six species states (remainder on A1+), as
+/// (state, count) pairs in species-major order, X last.
+std::vector<std::pair<State, std::uint64_t>> oscillator_uniform_counts(
+    std::uint64_t n, std::uint64_t x_count, const VarSpace& vars);
 
 }  // namespace popproto

@@ -1,9 +1,13 @@
 #include "clocks/phase_clock.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
+#include "core/sim_backend.hpp"
 #include "support/check.hpp"
 
 namespace popproto {
@@ -45,8 +49,9 @@ bool phase_adopt(ClockAgent& self, const ClockAgent& seen,
   return digit_changed;
 }
 
+template <class Draws>
 int clock_level_interact(ClockAgent& a, bool a_is_x, ClockAgent& b, bool b_is_x,
-                         Rng& rng, const ClockLevelParams& params) {
+                         Draws& draws, const ClockLevelParams& params) {
   // Oscillator component: a acts on b. Species observed by the believers
   // are the pre-interaction ones (both orderings are equivalent up to one
   // interaction of slack during phase transitions).
@@ -54,9 +59,9 @@ int clock_level_interact(ClockAgent& a, bool a_is_x, ClockAgent& b, bool b_is_x,
   const int species_of_b = b_is_x ? -1 : static_cast<int>(b.osc.species);
   if (!b_is_x) {
     if (a_is_x) {
-      oscillator_interact(nullptr, true, b.osc, rng, params.osc);
+      oscillator_interact(nullptr, true, b.osc, draws, params.osc);
     } else {
-      oscillator_interact(&a.osc, false, b.osc, rng, params.osc);
+      oscillator_interact(&a.osc, false, b.osc, draws, params.osc);
     }
   }
   int ticks = 0;
@@ -68,91 +73,32 @@ int clock_level_interact(ClockAgent& a, bool a_is_x, ClockAgent& b, bool b_is_x,
   return ticks;
 }
 
-PhaseClockSim::PhaseClockSim(std::size_t n, std::size_t x_count,
-                             std::uint64_t seed, const ClockLevelParams& params)
-    : n_(n), x_count_(x_count), params_(params), agents_(n), rng_(seed) {
-  POPPROTO_CHECK(n >= 2 && x_count < n);
-  POPPROTO_CHECK(params_.believer_k >= 1);
-  POPPROTO_CHECK(params_.module >= 2);
-  for (std::size_t i = x_count_; i < n_; ++i) {
-    agents_[i].osc.species = static_cast<std::uint8_t>((i - x_count_) % 3);
-    ++species_counts_[agents_[i].osc.species];
-  }
-}
-
-void PhaseClockSim::step() {
-  const auto [ia, ib] = rng_.distinct_pair(n_);
-  ++interactions_;
-  ClockAgent& a = agents_[ia];
-  ClockAgent& b = agents_[ib];
-  const bool ax = is_x(ia);
-  const bool bx = is_x(ib);
-  const std::uint8_t old_species_b = b.osc.species;
-  const std::uint8_t old_digit_a = a.digit;
-  const std::uint8_t old_digit_b = b.digit;
-  const int ticks = clock_level_interact(a, ax, b, bx, rng_, params_);
-  total_ticks_ += static_cast<std::uint64_t>(ticks);
-  if (!bx && b.osc.species != old_species_b) {
-    --species_counts_[old_species_b];
-    ++species_counts_[b.osc.species];
-  }
-  const std::size_t observed = n_ - 1;
-  if ((ia == observed && a.digit != old_digit_a) ||
-      (ib == observed && b.digit != old_digit_b))
-    tick_times_.push_back(rounds());
-}
-
-void PhaseClockSim::run_rounds(double rounds_to_run) {
-  const auto target = static_cast<std::uint64_t>(
-      (rounds() + rounds_to_run) * static_cast<double>(n_));
-  while (interactions_ < target) step();
-}
-
-std::uint64_t PhaseClockSim::scramble(double fraction, Rng& rng,
-                                      int max_digit_offset) {
-  POPPROTO_CHECK(fraction >= 0.0 && fraction <= 1.0);
-  const int m = params_.module;
-  const auto k = static_cast<std::size_t>(
-      std::ceil(fraction * static_cast<double>(n_)));
-  // Partial Fisher-Yates over agent indices: k distinct victims.
-  std::vector<std::size_t> pool(n_);
-  for (std::size_t i = 0; i < n_; ++i) pool[i] = i;
-  for (std::size_t j = 0; j < k; ++j) {
-    std::swap(pool[j], pool[j + rng.below(pool.size() - j)]);
-    ClockAgent& ag = agents_[pool[j]];
-    if (!is_x(pool[j])) {
-      --species_counts_[ag.osc.species];
-      ag.osc.species = static_cast<std::uint8_t>(rng.below(3));
-      ag.osc.strong = rng.chance(0.5);
-      ++species_counts_[ag.osc.species];
-    }
-    ag.believed = static_cast<std::uint8_t>(rng.below(3));
-    ag.streak = static_cast<std::uint8_t>(
-        rng.below(static_cast<std::uint64_t>(params_.believer_k)));
-    if (max_digit_offset < 0) {
-      ag.digit = static_cast<std::uint8_t>(rng.below(
-          static_cast<std::uint64_t>(m)));
-    } else if (max_digit_offset > 0) {
-      const int span = 2 * max_digit_offset + 1;
-      const int offset = static_cast<int>(rng.below(
-                             static_cast<std::uint64_t>(span))) -
-                         max_digit_offset;
-      ag.digit = static_cast<std::uint8_t>((ag.digit + offset + m) % m);
-    }
-  }
-  return k;
-}
+template int clock_level_interact(ClockAgent&, bool, ClockAgent&, bool, Rng&,
+                                  const ClockLevelParams&);
+template int clock_level_interact(ClockAgent&, bool, ClockAgent&, bool,
+                                  ScriptedDraw&, const ClockLevelParams&);
 
 namespace {
 
+// The kernel clock's field bits are named CLK0, CLK1, ...
+inline constexpr const char* kClkBit = "CLK";
+
+int bits_for(int max_value) {
+  return static_cast<int>(std::bit_width(static_cast<unsigned>(max_value)));
+}
+
+int field_bits(const ClockLevelParams& params) {
+  return 2 + bits_for(params.believer_k - 1) + bits_for(params.module - 1);
+}
+
 // Arc length of the smallest circular arc (cycle length = occupied.size())
 // containing every occupied position.
-int arc_spread(const std::vector<bool>& occupied) {
+int arc_spread(const std::vector<std::uint64_t>& occupied) {
   const int m = static_cast<int>(occupied.size());
   int longest_gap = 0;
   int run = 0;
   for (int pass = 0; pass < 2 * m; ++pass) {
-    if (!occupied[static_cast<std::size_t>(pass % m)]) {
+    if (occupied[static_cast<std::size_t>(pass % m)] == 0) {
       ++run;
       longest_gap = std::max(longest_gap, std::min(run, m));
     } else {
@@ -165,18 +111,125 @@ int arc_spread(const std::vector<bool>& occupied) {
 
 }  // namespace
 
-int PhaseClockSim::digit_spread() const {
-  std::vector<bool> occupied(static_cast<std::size_t>(params_.module), false);
-  for (const auto& ag : agents_) occupied[ag.digit] = true;
-  return arc_spread(occupied);
+ClockCodec::ClockCodec(const VarSpace& vars, const ClockLevelParams& params)
+    : osc_(vars),
+      params_(params),
+      streak_bits_(bits_for(params.believer_k - 1)),
+      digit_bits_(bits_for(params.module - 1)) {
+  base_ = vars.at(kClkBit + std::string("0"));
+  for (int i = 1; i < field_bits(params); ++i)
+    POPPROTO_CHECK_MSG(vars.at(kClkBit + std::to_string(i)) == base_ + i,
+                       "kernel clock bits must be interned consecutively");
 }
 
-int PhaseClockSim::composite_spread() const {
-  std::vector<bool> occupied(static_cast<std::size_t>(3 * params_.module),
-                             false);
-  for (const auto& ag : agents_)
-    occupied[static_cast<std::size_t>(composite_phase(ag))] = true;
-  return arc_spread(occupied);
+ClockAgent ClockCodec::decode(State s) const {
+  ClockAgent a;
+  a.osc = osc_.decode(s);  // species 0 at level + for an X agent
+  const State f = s >> base_;
+  a.believed = static_cast<std::uint8_t>(f & 3);
+  a.streak = static_cast<std::uint8_t>((f >> 2) & ((1u << streak_bits_) - 1));
+  a.digit = static_cast<std::uint8_t>((f >> (2 + streak_bits_)) &
+                                      ((1u << digit_bits_) - 1));
+  return a;
+}
+
+State ClockCodec::encode(const ClockAgent& a, bool is_x) const {
+  const State f = State{a.believed} | State{a.streak} << 2 |
+                  State{a.digit} << (2 + streak_bits_);
+  return osc_.encode(a.osc, is_x) | f << base_;
+}
+
+Protocol make_clock_kernel_protocol(VarSpacePtr vars,
+                                    const ClockLevelParams& params) {
+  POPPROTO_CHECK(params.believer_k >= 1 && params.module >= 2);
+  POPPROTO_CHECK(params.osc.weak_predation_p > 0.0 &&
+                 params.osc.weak_predation_p < 1.0);
+  for (const char* name : {kOscBit0, kOscBit1, kOscLvl, kOscX})
+    vars->intern(name);
+  for (int i = 0; i < field_bits(params); ++i)
+    vars->intern(kClkBit + std::to_string(i));
+  const ClockCodec codec(*vars, params);
+  PairKernel kernel;
+  kernel.outcomes = [codec, params](State a, State b,
+                                    std::vector<KernelOutcome>& out) {
+    const bool ax = codec.is_x(a);
+    const bool bx = codec.is_x(b);
+    ScriptedDraw draw;
+    do {
+      ClockAgent ta = codec.decode(a);
+      ClockAgent tb = codec.decode(b);
+      clock_level_interact(ta, ax, tb, bx, draw, params);
+      out.push_back(KernelOutcome{draw.probability(), codec.encode(ta, ax),
+                                  codec.encode(tb, bx)});
+    } while (draw.next());
+  };
+  char sig[96];
+  std::snprintf(sig, sizeof sig, "clock k=%d m=%d p=%a", params.believer_k,
+                params.module, params.osc.weak_predation_p);
+  kernel.signature = sig;
+  Protocol proto("phase_clock_kernel", std::move(vars));
+  proto.add_kernel_thread("Clock", std::move(kernel));
+  return proto;
+}
+
+std::vector<State> clock_kernel_initial_states(std::size_t n,
+                                               std::size_t x_count,
+                                               const ClockCodec& codec) {
+  POPPROTO_CHECK(n >= 2 && x_count < n);
+  std::vector<State> init(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ClockAgent a;
+    if (i >= x_count)
+      a.osc.species = static_cast<std::uint8_t>((i - x_count) % 3);
+    init[i] = codec.encode(a, i < x_count);
+  }
+  return init;
+}
+
+int ClockCensus::digit_spread() const { return arc_spread(digits); }
+
+int ClockCensus::composite_spread() const { return arc_spread(composite); }
+
+ClockCensus clock_census(const SimBackend& eng, const ClockCodec& codec) {
+  ClockCensus c;
+  c.digits.assign(static_cast<std::size_t>(codec.params().module), 0);
+  c.composite.assign(static_cast<std::size_t>(3 * codec.params().module), 0);
+  for (const auto& [s, count] : eng.species()) {
+    const ClockAgent a = codec.decode(s);
+    c.digits[a.digit] += count;
+    c.composite[static_cast<std::size_t>(composite_phase(a))] += count;
+  }
+  return c;
+}
+
+std::uint64_t scramble_clock(SimBackend& eng, const ClockCodec& codec,
+                             double fraction, Rng& rng, int max_digit_offset) {
+  POPPROTO_CHECK(fraction >= 0.0 && fraction <= 1.0);
+  const int m = codec.params().module;
+  const auto k = static_cast<std::uint64_t>(
+      std::ceil(fraction * static_cast<double>(eng.active_n())));
+  return eng.mutate_random_agents(k, rng, [&](State old, std::uint64_t) {
+    const bool x = codec.is_x(old);
+    ClockAgent ag = codec.decode(old);
+    if (!x) {
+      ag.osc.species = static_cast<std::uint8_t>(rng.below(3));
+      ag.osc.strong = rng.chance(0.5);
+    }
+    ag.believed = static_cast<std::uint8_t>(rng.below(3));
+    ag.streak = static_cast<std::uint8_t>(
+        rng.below(static_cast<std::uint64_t>(codec.params().believer_k)));
+    if (max_digit_offset < 0) {
+      ag.digit =
+          static_cast<std::uint8_t>(rng.below(static_cast<std::uint64_t>(m)));
+    } else if (max_digit_offset > 0) {
+      const int span = 2 * max_digit_offset + 1;
+      const int offset =
+          static_cast<int>(rng.below(static_cast<std::uint64_t>(span))) -
+          max_digit_offset;
+      ag.digit = static_cast<std::uint8_t>((ag.digit + offset + m) % m);
+    }
+    return codec.encode(ag, x);
+  });
 }
 
 Protocol make_phase_clock_protocol(VarSpacePtr vars,

@@ -22,12 +22,10 @@
 // compiled program rulesets (§5.4).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "clocks/oscillator.hpp"
-#include "support/rng.hpp"
 
 namespace popproto {
 
@@ -77,89 +75,97 @@ bool phase_adopt(ClockAgent& self, const ClockAgent& seen,
 /// Full systematic single-level clock interaction for an ordered pair:
 /// oscillator action of a on b, then believer updates and phase adoption of
 /// both sides. Control agents (is_x) hold no species but still run
-/// believers/digits. Returns the number of digit ticks that occurred (0..4).
+/// believers/digits. `draws` is the engine's Rng or a ScriptedDraw (the
+/// oscillator action is the only random choice). Returns the number of
+/// digit ticks that occurred (0..4).
+template <class Draws>
 int clock_level_interact(ClockAgent& a, bool a_is_x, ClockAgent& b, bool b_is_x,
-                         Rng& rng, const ClockLevelParams& params);
+                         Draws& draws, const ClockLevelParams& params);
 
-/// Agent-based simulator of one oscillator + believer + digit level, with a
-/// fixed X-set. Used by the Theorem 5.2 experiments.
-class PhaseClockSim {
+// -- Kernel clock C_o -----------------------------------------------------
+//
+// The validated Theorem 5.2 clock as a one-thread pair-kernel protocol: each
+// interaction runs clock_level_interact on the ordered pair, one outcome
+// per way of its random choice. It runs on every SimBackend; the default
+// parameters (k = 6, m = 8) reach 7 * 3 * 6 * 8 = 1008 states, inside the
+// transition cache's default cap.
+
+/// Bit layout of a kernel clock agent: the oscillator's variables
+/// (OscCodec), then one contiguous field holding the believed species in
+/// two bits and the streak and digit in as many bits as believer_k - 1 and
+/// module - 1 need.
+class ClockCodec {
  public:
-  /// Agents [0, x_count) are control agents (fixed X set); the rest start
-  /// with uniformly split species at level +, believer reset, digit 0.
-  PhaseClockSim(std::size_t n, std::size_t x_count, std::uint64_t seed,
-                const ClockLevelParams& params = {});
+  /// The clock's variables must be interned in `vars`, the field's bits
+  /// consecutively (make_clock_kernel_protocol does).
+  ClockCodec(const VarSpace& vars, const ClockLevelParams& params);
 
-  void step();  // one sequential interaction
-  void run_rounds(double rounds);
-  double rounds() const {
-    return static_cast<double>(interactions_) / static_cast<double>(n_);
-  }
-
-  const ClockAgent& agent(std::size_t i) const { return agents_[i]; }
-  bool is_x(std::size_t i) const { return i < x_count_; }
-  std::size_t n() const { return n_; }
-  std::uint64_t species_count(int i) const {
-    return species_counts_[static_cast<std::size_t>(i)];
-  }
-
-  /// Maximum circular digit distance across all agents (synchronization
-  /// spread; 0 = perfectly synchronized, 1 = the tolerated adjacent split).
-  int digit_spread() const;
-
-  /// Same spread measure on the composite (digit, believed) cycle of length
-  /// 3m. In steady operation the population moves as a tight wave with
-  /// composite spread <= 1; believer corruption widens it without touching
-  /// digit_spread, so this is the healthy predicate of the fault
-  /// experiments ("clock phase coherence").
-  int composite_spread() const;
-
-  /// Average number of digit ticks an agent has experienced.
-  double mean_ticks() const {
-    return static_cast<double>(total_ticks_) / static_cast<double>(n_);
-  }
-
-  /// Round timestamps of one fixed agent's digit ticks (tick-interval
-  /// statistics). The observed agent is the last one (never in the X set).
-  const std::vector<double>& observed_tick_times() const { return tick_times_; }
-
-  /// Fault burst: randomize the clock state (species, level, believed,
-  /// streak, digit) of ceil(fraction * n) agents chosen uniformly without
-  /// replacement, drawing fresh values from `rng`. Control agents keep their
-  /// X role but get scrambled believers/digits. Returns the number hit.
-  ///
-  /// `max_digit_offset` bounds the digit perturbation: each victim's digit is
-  /// shifted by a uniform offset in [-max, +max] (mod m). Pass -1 for a full
-  /// uniform digit re-draw — note that uniform digit scrambles push the
-  /// population *outside* the adoption rule's basin of attraction: with every
-  /// digit occupied the circular pull-forward order frustrates cyclically and
-  /// the spread never collapses (see EXPERIMENTS.md, fault experiments).
-  std::uint64_t scramble(double fraction, Rng& rng, int max_digit_offset = -1);
+  bool is_x(State s) const { return osc_.is_x(s); }
+  ClockAgent decode(State s) const;
+  State encode(const ClockAgent& a, bool is_x) const;
+  const ClockLevelParams& params() const { return params_; }
 
  private:
-  std::size_t n_;
-  std::size_t x_count_;
+  OscCodec osc_;
   ClockLevelParams params_;
-  std::vector<ClockAgent> agents_;
-  std::array<std::uint64_t, 3> species_counts_{};
-  Rng rng_;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t total_ticks_ = 0;
-  std::vector<double> tick_times_;
+  int streak_bits_;
+  int digit_bits_;
+  VarId base_ = 0;  // bit of the field's lowest believed bit
 };
+
+/// C_o on `vars` (one "Clock" kernel thread). Its signature carries k, m
+/// and weak_predation_p.
+Protocol make_clock_kernel_protocol(VarSpacePtr vars,
+                                    const ClockLevelParams& params = {});
+
+/// Initial population: agents [0, x_count) are control agents, agent i of
+/// the rest holds species (i - x_count) mod 3 at level +; every believer
+/// and digit starts at 0.
+std::vector<State> clock_kernel_initial_states(std::size_t n,
+                                               std::size_t x_count,
+                                               const ClockCodec& codec);
+
+/// Occupancy of a kernel clock population per digit and per composite
+/// phase, read from species() in O(species).
+struct ClockCensus {
+  std::vector<std::uint64_t> digits;     // index: digit, size m
+  std::vector<std::uint64_t> composite;  // index: composite_phase, size 3m
+  /// Arc length of the smallest circular arc holding every occupied digit
+  /// (0 = synchronized, 1 = the tolerated adjacent split).
+  int digit_spread() const;
+  /// The same on the composite (digit, believed) cycle. In steady operation
+  /// the population moves as a tight wave with composite spread <= 1;
+  /// believer corruption widens it without touching digit_spread, so this
+  /// is the healthy predicate of the fault experiments.
+  int composite_spread() const;
+};
+ClockCensus clock_census(const SimBackend& eng, const ClockCodec& codec);
+
+/// Fault burst: rewrite ceil(fraction * active_n()) uniformly drawn agents
+/// through mutate_random_agents, drawing from `rng`: species and level
+/// (control agents keep theirs), believed, streak, and the digit — a
+/// uniform re-draw for max_digit_offset < 0, else a shift by a uniform
+/// offset in [-max, +max] (mod m). Uniform digit scrambles push the
+/// population outside the adoption rule's basin of attraction: with every
+/// digit occupied the circular pull-forward order frustrates cyclically and
+/// the spread never collapses (see EXPERIMENTS.md, fault experiments).
+/// Returns the number of agents drawn.
+std::uint64_t scramble_clock(SimBackend& eng, const ClockCodec& codec,
+                             double fraction, Rng& rng,
+                             int max_digit_offset = -1);
 
 // -- Bitmask phase-clock protocol ---------------------------------------
 //
 // The same believer + digit machinery expressed as a rule-based Protocol
 // over one VarSpace, composed with make_oscillator_protocol as a second
-// thread. Unlike PhaseClockSim (which applies every matching update
+// thread. Unlike the kernel clock (which applies every matching update
 // systematically per interaction and is the *validated* Theorem 5.2
-// simulator), this form goes through the generic scheduler — each
-// interaction picks one thread and one rule u.a.r. — so its believer
-// dynamics are rule-diluted and correspondingly slower. Its purpose is the
-// engine hot path: with ~60 rules over two threads and ~672 reachable
-// states it is the kernel-benchmark and transition-cache stress protocol
-// (ISSUE 2), not a replacement for PhaseClockSim.
+// clock), this form goes through the generic scheduler — each interaction
+// picks one thread and one rule u.a.r. — so its believer dynamics are
+// rule-diluted and correspondingly slower. Its purpose is the engine hot
+// path: with ~60 rules over two threads and ~672 reachable states it is the
+// kernel-benchmark and transition-cache stress protocol, not a replacement
+// for the kernel clock.
 
 /// Variable names of the clock thread: believed species (2 bits), certifying
 /// streak (2 bits, so believer_k <= 4), digit (3 bits, so module <= 8).

@@ -84,7 +84,7 @@ BatchEngine::BatchEngine(const Protocol& protocol, std::vector<State> initial,
              0,
              {},
              {},
-             TransitionCache(protocol_, params_.max_cache_states)};
+             TransitionCache(protocol_)};
     sh.slots.reserve(take);
     for (std::size_t i = 0; i < take; ++i)
       sh.slots.push_back(

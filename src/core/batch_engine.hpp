@@ -78,8 +78,6 @@ class BatchEngine final : public SimBackend {
     /// round (closest to exact global matching, most serial work); larger
     /// values amortize the O(n) shuffle. See docs/TUNING.md.
     std::uint32_t migrate_every = 4;
-    /// Per-shard TransitionCache state cap (core/transition_cache.hpp).
-    std::size_t max_cache_states = TransitionCache::kDefaultMaxStates;
   };
 
   BatchEngine(const Protocol& protocol, std::vector<State> initial,

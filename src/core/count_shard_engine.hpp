@@ -169,7 +169,7 @@ class CountShardEngine final : public SimBackend {
 
  private:
   /// Advance every shard whose local clock lags `target` up to it, in
-  /// parallel across the worker pool.
+  /// parallel across the worker pool (on the caller once silent).
   void advance_shards_to(double target);
   /// Load a first-appearance species table (species(), or the merged
   /// initial counts) into mig_states_ / mig_counts_; returns its total.

@@ -66,37 +66,6 @@ std::pair<State, State> Rule::apply(State initiator, State responder,
   return {initiator, responder};  // residual no-op branch
 }
 
-double Rule::change_probability(State initiator, State responder) const {
-  double p = 0.0;
-  for (const auto& o : outcomes_) {
-    if (!o.initiator.is_noop_on(initiator) || !o.responder.is_noop_on(responder))
-      p += o.probability;
-  }
-  return p;
-}
-
-std::pair<State, State> Rule::apply_conditioned_on_change(State initiator,
-                                                          State responder,
-                                                          Rng& rng) const {
-  const double total = change_probability(initiator, responder);
-  POPPROTO_DCHECK(total > 0.0);
-  double u = rng.uniform() * total;
-  for (const auto& o : outcomes_) {
-    if (o.initiator.is_noop_on(initiator) && o.responder.is_noop_on(responder))
-      continue;
-    if (u < o.probability)
-      return {o.initiator.apply(initiator), o.responder.apply(responder)};
-    u -= o.probability;
-  }
-  // Floating-point slack: fall back to the last changing outcome.
-  for (auto it = outcomes_.rbegin(); it != outcomes_.rend(); ++it) {
-    if (!it->initiator.is_noop_on(initiator) ||
-        !it->responder.is_noop_on(responder))
-      return {it->initiator.apply(initiator), it->responder.apply(responder)};
-  }
-  return {initiator, responder};
-}
-
 State Rule::write_set() const {
   State w = 0;
   for (const auto& o : outcomes_) {

@@ -56,16 +56,6 @@ class Rule {
   std::pair<State, State> apply(State initiator, State responder,
                                 Rng& rng) const;
 
-  /// Probability that applying the rule to this matching pair changes at
-  /// least one of the two states (used by the count engine's skip-ahead).
-  double change_probability(State initiator, State responder) const;
-
-  /// Apply conditioned on "some state changes"; precondition:
-  /// change_probability(initiator, responder) > 0.
-  std::pair<State, State> apply_conditioned_on_change(State initiator,
-                                                      State responder,
-                                                      Rng& rng) const;
-
   /// Rebuild this rule with `extra` conjoined to both guards (the §4
   /// branch-elimination guard injection).
   Rule strengthened(const BoolExpr& extra) const;

@@ -47,6 +47,13 @@ class VarSpace {
     return std::nullopt;
   }
 
+  /// The id of a variable that must already be interned (checked).
+  VarId at(const std::string& name) const {
+    const auto v = find(name);
+    POPPROTO_CHECK_MSG(v.has_value(), "variable not interned");
+    return *v;
+  }
+
   const std::string& name(VarId v) const {
     POPPROTO_CHECK(v < names_.size());
     return names_[v];

@@ -28,15 +28,18 @@ TransitionCache::TransitionCache(const Protocol& protocol,
   const double thread_p =
       threads.empty() ? 0.0 : 1.0 / static_cast<double>(threads.size());
   for (const auto& t : threads) {
-    if (t.rules.empty()) {
-      // Empty thread: its whole selection mass is a no-op (padding slot).
-      slots_.push_back(Slot{nullptr, thread_p, 0, 0});
+    if (t.is_kernel() || t.rules.empty()) {
+      // A kernel thread is one slot; an empty thread's whole selection mass
+      // is a no-op (padding slot).
+      slots_.push_back(Slot{nullptr, t.is_kernel() ? &t.kernel : nullptr,
+                            thread_p, 0, 0});
       continue;
     }
     const double w = thread_p / static_cast<double>(t.rules.size());
     for (const auto& r : t.rules) {
       Slot s;
       s.rule = &r;
+      s.kernel = nullptr;
       s.width = w;
       s.obegin = static_cast<std::uint32_t>(ocum_.size());
       double cum = 0.0;
@@ -60,6 +63,37 @@ TransitionCache::TransitionCache(const Protocol& protocol,
   map_mask_ = cap - 1;
 }
 
+template <class Visit>
+bool TransitionCache::for_each_outcome(const Slot& s, double c, State sa,
+                                       State sb, Visit&& visit) const {
+  if (s.kernel != nullptr) {
+    // The list is consumed before the next kernel call on this thread.
+    thread_local std::vector<KernelOutcome> outs;
+    outs.clear();
+    s.kernel->outcomes(sa, sb, outs);
+    // The rule slots' ocum_/omass_ arithmetic, done per pair.
+    double cum = 0.0;
+    for (const KernelOutcome& o : outs) {
+      cum += o.probability;
+      double bound = s.width * cum;
+      if (bound > s.width) bound = s.width;
+      if (visit(c + bound, s.width * o.probability,
+                PairOutcome{o.initiator, o.responder}))
+        return true;
+    }
+    return false;
+  }
+  if (s.rule == nullptr || !s.rule->matches(sa, sb)) return false;
+  const auto& outs = s.rule->outcomes();
+  for (std::uint32_t k = s.obegin; k != s.oend; ++k) {
+    const Outcome& o = outs[k - s.obegin];
+    if (visit(c + ocum_[k], omass_[k],
+              PairOutcome{o.initiator.apply(sa), o.responder.apply(sb)}))
+      return true;
+  }
+  return false;
+}
+
 PairOutcome TransitionCache::sample_uncached(State sa, State sb,
                                              double u) const {
   double c = 0.0;
@@ -69,53 +103,42 @@ PairOutcome TransitionCache::sample_uncached(State sa, State sb,
       c = end;
       continue;
     }
-    // The draw landed in this slot; only now evaluate its guards.
-    if (s.rule != nullptr && s.rule->matches(sa, sb)) {
-      const auto& outs = s.rule->outcomes();
-      for (std::uint32_t k = s.obegin; k != s.oend; ++k) {
-        if (u < c + ocum_[k]) {
-          const Outcome& o = outs[k - s.obegin];
-          return PairOutcome{o.initiator.apply(sa), o.responder.apply(sb)};
-        }
-      }
-    }
-    return PairOutcome{sa, sb};  // padding slot, guard miss, or residual mass
+    // The draw landed in this slot; only now evaluate its outcomes. A
+    // padding slot, a guard miss or the residual mass is a no-op.
+    PairOutcome hit{sa, sb};
+    for_each_outcome(s, c, sa, sb,
+                     [&](double bound, double, const PairOutcome& r) {
+                       if (u >= bound) return false;
+                       hit = r;
+                       return true;
+                     });
+    return hit;
   }
   return PairOutcome{sa, sb};  // float slack past the last slot
 }
 
 double TransitionCache::change_weight_uncached(State sa, State sb) const {
-  double cw = 0.0;
-  for (const Slot& s : slots_) {
-    if (s.rule == nullptr || !s.rule->matches(sa, sb)) continue;
-    const auto& outs = s.rule->outcomes();
-    for (std::uint32_t k = s.obegin; k != s.oend; ++k) {
-      const Outcome& o = outs[k - s.obegin];
-      if (o.initiator.is_noop_on(sa) && o.responder.is_noop_on(sb)) continue;
-      cw += omass_[k];
-    }
-  }
-  return cw;
+  thread_local std::vector<double> cum;
+  thread_local std::vector<PairOutcome> res;
+  cum.clear();
+  res.clear();
+  return change_dist_uncached(sa, sb, cum, res);
 }
 
 PairOutcome TransitionCache::sample_change_uncached(State sa, State sb,
                                                     double u01) const {
-  const double u = u01 * change_weight_uncached(sa, sb);
-  double acc = 0.0;
-  PairOutcome last{sa, sb};
-  for (const Slot& s : slots_) {
-    if (s.rule == nullptr || !s.rule->matches(sa, sb)) continue;
-    const auto& outs = s.rule->outcomes();
-    for (std::uint32_t k = s.obegin; k != s.oend; ++k) {
-      const Outcome& o = outs[k - s.obegin];
-      const PairOutcome r{o.initiator.apply(sa), o.responder.apply(sb)};
-      if (!changes(r, sa, sb)) continue;
-      acc += omass_[k];
-      last = r;
-      if (u < acc) return r;
-    }
-  }
-  return last;  // float slack: fall back to the last changing outcome
+  // The conditional distribution's breakpoints, scanned as sample_change
+  // scans the memoized ones; a merged run of equal results ends at the
+  // running sum its last outcome would have had, so both pick the same.
+  thread_local std::vector<double> cum;
+  thread_local std::vector<PairOutcome> res;
+  cum.clear();
+  res.clear();
+  const double u = u01 * change_dist_uncached(sa, sb, cum, res);
+  if (res.empty()) return PairOutcome{sa, sb};
+  for (std::size_t k = 0; k + 1 < res.size(); ++k)
+    if (u < cum[k]) return res[k];
+  return res.back();  // last changing outcome doubles as the slack fallback
 }
 
 bool TransitionCache::change_dist(State sa, State sb, ChangeDistView* out) {
@@ -131,26 +154,24 @@ bool TransitionCache::change_dist(State sa, State sb, ChangeDistView* out) {
 double TransitionCache::change_dist_uncached(
     State sa, State sb, std::vector<double>& cum,
     std::vector<PairOutcome>& res) const {
-  // Same enumeration as build_dist's push_c: running change mass per
-  // changing outcome, adjacent equal-result segments merged.
+  // Running change mass per changing outcome, adjacent equal-result
+  // segments merged (build_dist stores exactly this for memoized pairs).
   const std::size_t base = cum.size();
   double cw = 0.0;
-  for (const Slot& s : slots_) {
-    if (s.rule == nullptr || !s.rule->matches(sa, sb)) continue;
-    const auto& outs = s.rule->outcomes();
-    for (std::uint32_t k = s.obegin; k != s.oend; ++k) {
-      const Outcome& o = outs[k - s.obegin];
-      const PairOutcome r{o.initiator.apply(sa), o.responder.apply(sb)};
-      if (!changes(r, sa, sb)) continue;
-      cw += omass_[k];
-      if (cum.size() > base && res.back().a == r.a && res.back().b == r.b) {
-        cum.back() = cw;
-      } else {
-        cum.push_back(cw);
-        res.push_back(r);
-      }
-    }
-  }
+  for (const Slot& s : slots_)
+    for_each_outcome(s, 0.0, sa, sb,
+                     [&](double, double mass, const PairOutcome& r) {
+                       if (!changes(r, sa, sb)) return false;
+                       cw += mass;
+                       if (cum.size() > base && res.back().a == r.a &&
+                           res.back().b == r.b) {
+                         cum.back() = cw;
+                       } else {
+                         cum.push_back(cw);
+                         res.push_back(r);
+                       }
+                       return false;
+                     });
   return cw;
 }
 
@@ -255,31 +276,13 @@ std::int32_t TransitionCache::build_dist(State sa, State sb) {
     ucum_.push_back(bound);
     ures_.push_back(r);
   };
-  const auto push_c = [&](double bound, PairOutcome r) {
-    if (ccum_.size() > d.cbegin && cres_.back().a == r.a &&
-        cres_.back().b == r.b) {
-      ccum_.back() = bound;
-      return;
-    }
-    ccum_.push_back(bound);
-    cres_.push_back(r);
-  };
   double c = 0.0;
-  double cw = 0.0;
   for (const Slot& s : slots_) {
     const double end = c + s.width;
-    if (s.rule != nullptr && s.rule->matches(sa, sb)) {
-      const auto& outs = s.rule->outcomes();
-      for (std::uint32_t k = s.obegin; k != s.oend; ++k) {
-        const Outcome& o = outs[k - s.obegin];
-        const PairOutcome r{o.initiator.apply(sa), o.responder.apply(sb)};
-        push_u(c + ocum_[k], r);
-        if (changes(r, sa, sb)) {
-          cw += omass_[k];
-          push_c(cw, r);
-        }
-      }
-    }
+    for_each_outcome(s, c, sa, sb, [&](double bound, double, PairOutcome r) {
+      push_u(bound, r);
+      return false;
+    });
     push_u(end, PairOutcome{sa, sb});
     c = end;
   }
@@ -290,8 +293,10 @@ std::int32_t TransitionCache::build_dist(State sa, State sb) {
     ures_.pop_back();
   }
   d.uend = static_cast<std::uint32_t>(ucum_.size());
+  // The conditional-on-change breakpoints are the uncached change
+  // distribution's, appended in place.
+  d.change_weight = change_dist_uncached(sa, sb, ccum_, cres_);
   d.cend = static_cast<std::uint32_t>(ccum_.size());
-  d.change_weight = cw;
   // Mirror the kept breakpoints as interned-index entries for the
   // sample_indexed scan (uentries_ stays index-aligned with ucum_: every
   // build appends exactly uend - ubegin entries to both). Interning result

@@ -27,6 +27,13 @@
 // computes, both paths map every u in [0, 1) to the same result: cached and
 // uncached engines follow bit-identical trajectories from the same seed.
 //
+// A pair-kernel thread (core/protocol.hpp) is one slot of the thread's full
+// width; its outcomes, listed by the kernel for the pair at hand, take
+// sub-intervals by the same running-sum arithmetic as a rule's. Every walk
+// reads a slot's outcomes through one enumerator (for_each_outcome), so the
+// memo is built for kernel pairs as for rule pairs, and the hot paths never
+// see the difference.
+//
 // The conditional-on-change variants (`change_weight*`, `sample_change*`)
 // serve CountEngine's skip-ahead: change_weight is the total fused
 // probability mass of state-changing outcomes for the pair (the per-pair
@@ -41,7 +48,7 @@
 //
 // Lifetime: the cache keeps pointers into the Protocol's rule storage; the
 // Protocol must outlive the cache and must not be mutated (add_thread /
-// extend_thread / compose) after the cache is constructed.
+// add_kernel_thread) after the cache is constructed.
 #pragma once
 
 #include <cstddef>
@@ -89,7 +96,7 @@ class TransitionCache {
 
   /// Fused probability that one scheduler step on (sa, sb) changes at least
   /// one of the two states. This already folds in thread/rule selection, so
-  /// it replaces sum_r weight_r * change_probability_r in event weights.
+  /// it is the whole per-pair factor of an event weight.
   double change_weight(State sa, State sb);
   double change_weight_uncached(State sa, State sb) const;
 
@@ -182,12 +189,13 @@ class TransitionCache {
   std::uint64_t builds() const { return builds_; }
 
  private:
-  // One (thread, rule) scheduler slot. `rule == nullptr` marks an empty
-  // thread's padding slot (pure no-op mass). `width` is the slot's selection
-  // probability 1 / (num_threads * thread_rules); outcomes occupy
-  // ocum_/omass_[obegin, oend).
+  // One scheduler slot: a (thread, rule), a kernel thread (`kernel` set), or
+  // an empty thread's padding slot (both null: pure no-op mass). `width` is
+  // the slot's selection probability 1 / (num_threads * thread_rules); a
+  // rule's outcomes occupy ocum_/omass_[obegin, oend).
   struct Slot {
     const Rule* rule;
+    const PairKernel* kernel;
     double width;
     std::uint32_t obegin;
     std::uint32_t oend;
@@ -216,6 +224,14 @@ class TransitionCache {
   static constexpr std::int32_t kUnbuilt = -1;
   static constexpr std::uint64_t kUnbuiltRef = ~0ull;
 
+  /// Visit the outcomes of slot `s` (starting at `c` in [0, 1)) on the pair
+  /// (sa, sb) in order, as visit(bound, mass, result): `bound` is the
+  /// outcome's absolute running-sum breakpoint, `mass` its fused
+  /// probability. A padding slot or a rule whose guards miss visits nothing.
+  /// `visit` returns true to stop the walk; the result is then true.
+  template <class Visit>
+  bool for_each_outcome(const Slot& s, double c, State sa, State sb,
+                        Visit&& visit) const;
   /// Index of `s` in states_, interning it if new; kNoIndex when the state
   /// cap prevents interning.
   std::uint32_t intern(State s);

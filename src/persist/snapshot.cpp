@@ -59,6 +59,8 @@ std::uint64_t protocol_fingerprint(const Protocol& protocol) {
         w.u64(o.responder.clear_mask);
       }
     }
+    // Only kernel threads add bytes, so rule protocols keep their values.
+    if (thread.is_kernel()) w.str(thread.kernel.signature);
   }
   return fnv1a64(buf);
 }

@@ -63,7 +63,8 @@ enum class SnapshotSection : std::uint32_t {
 
 /// Order- and content-sensitive fingerprint of a protocol: name, thread
 /// structure, every rule's guards (compiled minterms), labels and weighted
-/// outcome masks. Two protocols with the same fingerprint drive a restored
+/// outcome masks, and each pair-kernel thread's signature (its parameters).
+/// Two protocols with the same fingerprint drive a restored
 /// trajectory identically; a mismatch means the snapshot is meaningless for
 /// this engine and restore refuses it (kBadFingerprint).
 std::uint64_t protocol_fingerprint(const Protocol& protocol);

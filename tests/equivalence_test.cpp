@@ -1,13 +1,16 @@
 // Cross-substrate equivalence: the agent-based Engine and the count-based
-// CountEngine simulate the same stochastic process; the typed OscillatorSim
-// matches the systematic semantics of the bitmask encoding up to the known
-// rule-dilution factor. These tests pin the statistical agreement that all
-// experiment results rest on.
+// CountEngine simulate the same stochastic process; the kernel form of the
+// oscillator (every matching update per interaction) matches the bitmask
+// encoding up to the known rule-dilution factor. These tests pin the
+// statistical agreement that all experiment results rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "clocks/oscillator.hpp"
+#include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
 #include "core/engine.hpp"
 #include "protocols/baselines.hpp"
@@ -132,18 +135,21 @@ INSTANTIATE_TEST_SUITE_P(Processes, SubstrateEquivalence,
 
 TEST(OscillatorEquivalence, TypedSimMatchesBitmaskDynamics) {
   // The bitmask protocol samples one of its 16 rules per interaction; the
-  // typed simulator applies all matching rules systematically. Up to that
+  // kernel form applies all matching rules systematically. Up to that
   // known dilution factor, the macroscopic trajectory (time of the first
   // dominance event) must agree within a small constant factor.
   const std::size_t n = 3000;
-  // Typed: first dominance time.
+  // Kernel form: first dominance time.
   double typed_time = -1;
   {
-    OscillatorSim sim = OscillatorSim::uniform(n, 8, 77);
-    while (sim.rounds() < 4000) {
-      sim.run_rounds(1.0);
-      if (sim.a_max() > (n * 8) / 10) {
-        typed_time = sim.rounds();
+    auto kvars = make_var_space();
+    const Protocol kernel = make_oscillator_kernel_protocol(kvars);
+    CountEngine eng(kernel, oscillator_uniform_counts(n, 8, *kvars), 77);
+    while (eng.rounds() < 4000) {
+      eng.run_rounds(1.0);
+      const auto sp = oscillator_species_counts(eng, *kvars);
+      if (std::max({sp[0], sp[1], sp[2]}) > (n * 8) / 10) {
+        typed_time = eng.rounds();
         break;
       }
     }
@@ -187,19 +193,37 @@ TEST(OscillatorEquivalence, TypedSimMatchesBitmaskDynamics) {
 TEST(OscillatorEquivalence, MatchingAndSequentialSchedulersAgree) {
   // Thm 5.1's "holds under both schedulers": compare oscillation periods.
   auto period = [](bool matching) {
-    OscillatorSim sim = OscillatorSim::uniform(30000, 30, 99);
-    sim.run_rounds(150.0, matching);
-    int dominant = sim.dominant();
+    auto vars = make_var_space();
+    const Protocol proto = make_oscillator_kernel_protocol(vars);
+    const std::uint64_t n = 30000;
+    const auto init = oscillator_uniform_counts(n, 30, *vars);
+    std::unique_ptr<SimBackend> eng;
+    if (matching) {
+      std::vector<State> agents;
+      for (const auto& [s, c] : init) agents.insert(agents.end(), c, s);
+      BatchEngine::Params params;
+      params.threads = 1;
+      eng = std::make_unique<BatchEngine>(proto, std::move(agents), 99, params);
+    } else {
+      eng = std::make_unique<CountEngine>(proto, init, 99);
+    }
+    const auto leader = [&](std::uint64_t* top) {
+      const auto sp = oscillator_species_counts(*eng, *vars);
+      const auto it = std::max_element(sp.begin(), sp.end());
+      *top = *it;
+      return static_cast<int>(it - sp.begin());
+    };
+    std::uint64_t top = 0;
+    eng->run_rounds(150.0);
+    int dominant = leader(&top);
     int switches = 0;
-    const double t0 = sim.rounds();
-    while (sim.rounds() < t0 + 300.0) {
-      sim.run_rounds(matching ? 1.0 : 0.25, matching);
-      if (sim.a_max() > sim.n() - sim.n() / 10) {
-        const int d = sim.dominant();
-        if (d != dominant) {
-          ++switches;
-          dominant = d;
-        }
+    const double t0 = eng->rounds();
+    while (eng->rounds() < t0 + 300.0) {
+      eng->run_rounds(matching ? 1.0 : 0.25);
+      const int d = leader(&top);
+      if (top > n - n / 10 && d != dominant) {
+        ++switches;
+        dominant = d;
       }
     }
     return switches > 0 ? 300.0 / switches : 1e9;

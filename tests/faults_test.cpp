@@ -12,6 +12,7 @@
 #include "core/engine.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
+#include "kernel_clock.hpp"
 #include "server/protocol_registry.hpp"
 
 namespace popproto {
@@ -155,7 +156,7 @@ TEST(FaultInjector, OscillatorRecoversFromQuarterCorruption) {
   auto vars = make_var_space();
   const Protocol proto = make_oscillator_protocol(vars);
   // The bitmask protocol samples one of its rules u.a.r. per interaction, so
-  // macroscopic timescales dilate by num_rules versus the typed simulator.
+  // macroscopic timescales dilate by num_rules versus the kernel form.
   const double dil = static_cast<double>(proto.num_rules());
 
   // A dominance configuration is a converged (healthy) oscillator state;
@@ -172,8 +173,12 @@ TEST(FaultInjector, OscillatorRecoversFromQuarterCorruption) {
   // Healthy: phase coherence = some species is suppressed. A 25% burst dealt
   // evenly across the palette lifts every species to >= ~n/12 > n/16.
   const std::uint64_t threshold = n / 16;
-  auto healthy = [&] { return oscillator_min_species(eng, *vars) <= threshold; };
-  ASSERT_TRUE(healthy()) << "a_min=" << oscillator_min_species(eng, *vars);
+  auto a_min = [&] {
+    const auto c = oscillator_species_counts(eng, *vars);
+    return std::min({c[0], c[1], c[2]});
+  };
+  auto healthy = [&] { return a_min() <= threshold; };
+  ASSERT_TRUE(healthy()) << "a_min=" << a_min();
 
   const double burst_round = eng.rounds() + 1.0;
   CorruptSpec cs;
@@ -191,7 +196,7 @@ TEST(FaultInjector, OscillatorRecoversFromQuarterCorruption) {
   ASSERT_EQ(injector.log().size(), 1u);
   EXPECT_EQ(injector.log()[0].kind, FaultKind::kCorrupt);
   EXPECT_EQ(injector.log()[0].affected, n / 4);
-  EXPECT_FALSE(healthy()) << "a_min=" << oscillator_min_species(eng, *vars);
+  EXPECT_FALSE(healthy()) << "a_min=" << a_min();
   probe.observe(eng.rounds(), healthy());  // capture the violation
 
   const double budget = 60.0 * dil;  // O(log n) with very generous slack
@@ -628,43 +633,58 @@ TEST(RecoveryProbe, NewBurstPreemptsUnrecoveredEvent) {
 // ---------------------------------------------------------------------------
 // Phase-clock scramble + composite coherence predicate
 
-TEST(PhaseClockSim, ScrambleRecoversCompositeCoherence) {
-  PhaseClockSim sim(2048, 9, 5);
+TEST(KernelClock, ScrambleRecoversCompositeCoherence) {
+  KernelClockRun sim(2048, 9, 5);
   sim.run_rounds(250.0);  // ticking well underway
-  ASSERT_LE(sim.composite_spread(), 1);
+  ASSERT_LE(sim.census().composite_spread(), 1);
 
   Rng rng(55);
-  const std::uint64_t hit = sim.scramble(0.75, rng, /*max_digit_offset=*/0);
+  const std::uint64_t hit = scramble_clock(sim.engine(), sim.codec(), 0.75,
+                                           rng, /*max_digit_offset=*/0);
   EXPECT_EQ(hit, 1536u);
-  EXPECT_LE(sim.digit_spread(), 1);      // digits untouched
-  EXPECT_GT(sim.composite_spread(), 1);  // believers scrambled
+  EXPECT_LE(sim.census().digit_spread(), 1);      // digits untouched
+  EXPECT_GT(sim.census().composite_spread(), 1);  // believers scrambled
 
   RecoveryProbe probe(/*stable_for=*/2.0);
   probe.on_fault(sim.rounds());
   const double deadline = sim.rounds() + 200.0;
   while (sim.rounds() < deadline) {
-    sim.run_rounds(0.5);
-    probe.observe(sim.rounds(), sim.composite_spread() <= 1);
+    sim.engine().run_rounds(0.5);
+    probe.observe(sim.rounds(), sim.census().composite_spread() <= 1);
     if (probe.last_recovery_time().has_value()) break;
   }
   ASSERT_TRUE(probe.last_recovery_time().has_value());
   EXPECT_LT(*probe.last_recovery_time(), 200.0);
 }
 
-TEST(PhaseClockSim, ScrambleConservesSpeciesCounts) {
-  PhaseClockSim sim(512, 3, 5);
+TEST(KernelClock, ScrambleConservesSpeciesCounts) {
+  KernelClockRun sim(512, 3, 5);
   sim.run_rounds(20.0);
   Rng rng(56);
-  sim.scramble(0.5, rng, 1);
-  std::uint64_t total = 0;
+  scramble_clock(sim.engine(), sim.codec(), 0.5, rng, 1);
+  // The engine's species tally agrees with a recount over the agents, and
+  // the control agents keep their role.
+  const Engine& eng = sim.engine();
   std::array<std::uint64_t, 3> recount{};
-  for (std::size_t a = 0; a < sim.n(); ++a)
-    if (!sim.is_x(a)) ++recount[sim.agent(a).osc.species];
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(sim.species_count(s), recount[static_cast<std::size_t>(s)]);
-    total += sim.species_count(s);
+  std::uint64_t controls = 0;
+  for (std::size_t a = 0; a < eng.n(); ++a) {
+    const State s = eng.population().state(a);
+    if (sim.codec().is_x(s)) {
+      ++controls;
+      EXPECT_LT(a, 3u);
+    } else {
+      ++recount[sim.codec().decode(s).osc.species];
+    }
   }
-  EXPECT_EQ(total, sim.n() - 3);
+  EXPECT_EQ(controls, 3u);
+  const auto tally = sim.species();
+  std::uint64_t total = 0;
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(tally[static_cast<std::size_t>(s)],
+              recount[static_cast<std::size_t>(s)]);
+    total += tally[static_cast<std::size_t>(s)];
+  }
+  EXPECT_EQ(total, eng.n() - 3);
 }
 
 }  // namespace

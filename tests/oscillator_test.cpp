@@ -1,16 +1,74 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 
 #include "clocks/oscillator.hpp"
+#include "core/batch_engine.hpp"
+#include "core/count_engine.hpp"
 #include "core/engine.hpp"
 
 namespace popproto {
 namespace {
 
+// The kernel P_o from the uniform start: the sequential scheduler on
+// species counts, the matching scheduler on BatchEngine with one thread (an
+// exact uniform matching per round).
+class OscRun {
+ public:
+  OscRun(std::uint64_t n, std::uint64_t x, std::uint64_t seed,
+         bool matching = false)
+      : vars_(make_var_space()),
+        proto_(make_oscillator_kernel_protocol(vars_)),
+        n_(n),
+        x_(x) {
+    const auto init = oscillator_uniform_counts(n, x, *vars_);
+    if (matching) {
+      std::vector<State> agents;
+      for (const auto& [s, c] : init) agents.insert(agents.end(), c, s);
+      BatchEngine::Params params;
+      params.threads = 1;
+      eng_ = std::make_unique<BatchEngine>(proto_, std::move(agents), seed,
+                                           params);
+    } else {
+      eng_ = std::make_unique<CountEngine>(proto_, init, seed);
+    }
+    observe();
+  }
+
+  void run_rounds(double rounds) {
+    eng_->run_rounds(rounds);
+    observe();
+  }
+  double rounds() const { return eng_->rounds(); }
+  std::uint64_t n() const { return n_; }
+  std::uint64_t x_count() const { return x_; }
+  std::uint64_t species(int i) const {
+    return sp_[static_cast<std::size_t>(i)];
+  }
+  std::uint64_t a_min() const { return *std::min_element(sp_.begin(), sp_.end()); }
+  std::uint64_t a_max() const { return *std::max_element(sp_.begin(), sp_.end()); }
+  int dominant() const {
+    return static_cast<int>(std::max_element(sp_.begin(), sp_.end()) -
+                            sp_.begin());
+  }
+
+ private:
+  void observe() { sp_ = oscillator_species_counts(*eng_, *vars_); }
+
+  VarSpacePtr vars_;
+  Protocol proto_;
+  std::uint64_t n_;
+  std::uint64_t x_;
+  std::unique_ptr<SimBackend> eng_;
+  std::array<std::uint64_t, 3> sp_{};
+};
+
 double escape_time(std::uint64_t n, std::uint64_t x, std::uint64_t seed,
                    double eps = 0.5) {
-  OscillatorSim sim = OscillatorSim::uniform(n, x, seed);
+  OscRun sim(n, x, seed);
   const double threshold = std::pow(static_cast<double>(n), 1.0 - eps / 2.0);
   while (sim.rounds() < 5000.0) {
     if (static_cast<double>(sim.a_min()) < threshold) return sim.rounds();
@@ -40,7 +98,7 @@ TEST(Oscillator, EscapeScalesLogarithmically) {
 }
 
 TEST(Oscillator, DominanceRotatesCyclically) {
-  OscillatorSim sim = OscillatorSim::uniform(30000, 30, 11);
+  OscRun sim(30000, 30, 11);
   sim.run_rounds(120.0);  // past escape
   int dominant = sim.dominant();
   int switches = 0, cyclic = 0;
@@ -63,7 +121,7 @@ TEST(Oscillator, DominanceRotatesCyclically) {
 TEST(Oscillator, PeriodIsLogarithmic) {
   // Period(n=10^6) / Period(n=10^3) should be ~2 (≈ log ratio), not 1000.
   auto period = [](std::uint64_t n, std::uint64_t x) {
-    OscillatorSim sim = OscillatorSim::uniform(n, x, 13);
+    OscRun sim(n, x, 13);
     sim.run_rounds(120.0);
     int dominant = sim.dominant();
     int switches = 0;
@@ -88,7 +146,7 @@ TEST(Oscillator, PeriodIsLogarithmic) {
 
 TEST(Oscillator, MinorityDipsScaleWithX) {
   // During oscillation the minority dips to Θ(#X)-ish levels, far below n.
-  OscillatorSim sim = OscillatorSim::uniform(100000, 100, 17);
+  OscRun sim(100000, 100, 17);
   sim.run_rounds(150.0);
   std::uint64_t min_seen = sim.n();
   while (sim.rounds() < 400.0) {
@@ -99,7 +157,7 @@ TEST(Oscillator, MinorityDipsScaleWithX) {
 }
 
 TEST(Oscillator, PeaksReachAlmostWholePopulation) {
-  OscillatorSim sim = OscillatorSim::uniform(100000, 100, 19);
+  OscRun sim(100000, 100, 19);
   sim.run_rounds(150.0);
   std::uint64_t max_seen = 0;
   while (sim.rounds() < 400.0) {
@@ -110,7 +168,7 @@ TEST(Oscillator, PeaksReachAlmostWholePopulation) {
 }
 
 TEST(Oscillator, NoExtinctionWhileXPositive) {
-  OscillatorSim sim = OscillatorSim::uniform(10000, 10, 23);
+  OscRun sim(10000, 10, 23);
   double worst = 1e18;
   while (sim.rounds() < 600.0) {
     sim.run_rounds(1.0);
@@ -125,12 +183,12 @@ TEST(Oscillator, NoExtinctionWhileXPositive) {
 
 TEST(Oscillator, OscillatesUnderMatchingScheduler) {
   // Thm 5.1 holds for the random-matching scheduler too.
-  OscillatorSim sim = OscillatorSim::uniform(30000, 30, 29);
-  sim.run_rounds(150.0, /*matching_scheduler=*/true);
+  OscRun sim(30000, 30, 29, /*matching=*/true);
+  sim.run_rounds(150.0);
   int dominant = sim.dominant();
   int switches = 0;
   while (sim.rounds() < 500.0) {
-    sim.run_rounds(1.0, true);
+    sim.run_rounds(1.0);
     if (sim.a_max() > sim.n() - sim.n() / 10) {
       const int d = sim.dominant();
       if (d != dominant) {

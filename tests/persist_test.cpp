@@ -107,6 +107,55 @@ struct MajorityFixture {
   }
 };
 
+// The two pair-kernel protocols (the validated P_o and C_o) on every
+// backend, from their experiment starts.
+struct KernelFixture {
+  std::shared_ptr<VarSpace> vars;
+  Protocol proto;
+  std::vector<std::pair<State, std::uint64_t>> init;
+
+  static KernelFixture oscillator(std::uint64_t n) {
+    auto vars = make_var_space();
+    KernelFixture fx{vars, make_oscillator_kernel_protocol(vars), {}};
+    fx.init = oscillator_uniform_counts(n, 8, *vars);
+    return fx;
+  }
+  static KernelFixture clock(std::uint64_t n, const ClockLevelParams& prm) {
+    auto vars = make_var_space();
+    KernelFixture fx{vars, make_clock_kernel_protocol(vars, prm), {}};
+    for (const State s :
+         clock_kernel_initial_states(n, 8, ClockCodec(*vars, prm))) {
+      if (fx.init.empty() || fx.init.back().first != s)
+        fx.init.emplace_back(s, 0);
+      ++fx.init.back().second;
+    }
+    return fx;
+  }
+
+  std::vector<State> agents() const {
+    std::vector<State> out;
+    for (const auto& [s, c] : init) out.insert(out.end(), c, s);
+    return out;
+  }
+  BackendFactory backend(const std::string& name, std::uint64_t seed) const {
+    return [this, name, seed]() -> std::unique_ptr<SimBackend> {
+      if (name == "agent")
+        return std::make_unique<Engine>(proto, agents(), seed);
+      if (name == "count")
+        return std::make_unique<CountEngine>(proto, init, seed);
+      if (name == "batch") {
+        BatchEngine::Params params;
+        params.threads = 2;
+        params.min_shard = 256;
+        return std::make_unique<BatchEngine>(proto, agents(), seed, params);
+      }
+      CountShardEngine::Params params;
+      params.shards = 2;
+      return std::make_unique<CountShardEngine>(proto, init, seed, params);
+    };
+  }
+};
+
 FaultPlan churn_plan() {
   FaultPlan plan;
   plan.crash_at(6.0, CrashSpec{.fraction = 0.05, .count = 0});
@@ -213,6 +262,17 @@ TEST(ReplayCheck, BatchEngineShardLadder) {
     const ReplayCheckResult r = replay_check(fx.batch(7, threads), 8.0);
     EXPECT_TRUE(r.ok) << "t=" << threads << ": " << r.detail;
   }
+}
+
+TEST(ReplayCheck, PairKernelProtocolsOnEveryBackend) {
+  const KernelFixture fixtures[] = {KernelFixture::oscillator(2048),
+                                    KernelFixture::clock(2048, {})};
+  for (const KernelFixture& fx : fixtures)
+    for (const char* backend : {"agent", "count", "batch", "count_shard"}) {
+      const ReplayCheckResult r = replay_check(fx.backend(backend, 7), 12.0);
+      EXPECT_TRUE(r.ok) << fx.proto.name() << " on " << backend << ": "
+                        << r.detail;
+    }
 }
 
 // Restore overwrites whatever state the target had accumulated — it is a
@@ -399,6 +459,40 @@ TEST(SnapshotBytes, BatchRunRoundsPinnedAcrossVersions) {
     if (!Profiler::compiled_in()) {
       EXPECT_EQ(crc32(snapshot_bytes(*eng)), pin.whole)
           << pin.name << " t=" << pin.threads;
+    }
+  }
+}
+
+TEST(SnapshotBytes, PairKernelRunRoundsPinned) {
+  // The kernel oscillator and clock after a fixed run on each backend,
+  // pinned the same way as the registry protocols above: a change that
+  // moves a kernel outcome list, its breakpoints or a trajectory fails
+  // here.
+  struct Pin {
+    const char* backend;
+    std::uint32_t osc_whole;
+    std::uint32_t osc_sans;
+    std::uint32_t clock_whole;
+    std::uint32_t clock_sans;
+  };
+  const KernelFixture osc = KernelFixture::oscillator(4099);
+  const KernelFixture clock = KernelFixture::clock(4099, {});
+  for (const Pin& pin :
+       {Pin{"agent", 0x446956a6u, 0xbfe4068fu, 0xfd9be759u, 0x454342b9u},
+        Pin{"count", 0x280a41b3u, 0xf4824d67u, 0xa1994750u, 0xcf96bc8au},
+        Pin{"batch", 0xa0f1cf9du, 0xe70a3bdbu, 0xca2cf7e6u, 0x4a0508bfu},
+        Pin{"count_shard", 0x343f07a0u, 0x343f07a0u, 0x39c8201au,
+            0x39c8201au}}) {
+    const auto o = osc.backend(pin.backend, /*seed=*/1)();
+    o->run_rounds(6.0);
+    const auto c = clock.backend(pin.backend, /*seed=*/1)();
+    c->run_rounds(6.0);
+    EXPECT_EQ(crc32(snapshot_sans_counters(*o)), pin.osc_sans) << pin.backend;
+    EXPECT_EQ(crc32(snapshot_sans_counters(*c)), pin.clock_sans)
+        << pin.backend;
+    if (!Profiler::compiled_in()) {
+      EXPECT_EQ(crc32(snapshot_bytes(*o)), pin.osc_whole) << pin.backend;
+      EXPECT_EQ(crc32(snapshot_bytes(*c)), pin.clock_whole) << pin.backend;
     }
   }
 }
@@ -636,6 +730,35 @@ TEST(MalformedSnapshot, WrongBackendAndWrongProtocol) {
   const SnapshotErrc fp = SnapshotErrc::kBadFingerprint;
   expect_rejected(osc_target, snapshot_bytes(*clock_src), &fp,
                   "phase-clock snapshot into majority engine");
+}
+
+TEST(MalformedSnapshot, KernelParametersAreFingerprinted) {
+  // Kernel threads carry no rules to hash, so their signature stands in:
+  // a clock snapshot under believer_k = 6 must not restore into an engine
+  // whose kernel certifies after 4 meetings (same variables, same states).
+  ClockLevelParams k6;
+  ClockLevelParams k4;
+  k4.believer_k = 4;
+  const KernelFixture src_fx = KernelFixture::clock(512, k6);
+  const KernelFixture dst_fx = KernelFixture::clock(512, k4);
+  EXPECT_NE(protocol_fingerprint(src_fx.proto),
+            protocol_fingerprint(dst_fx.proto));
+  for (const char* backend : {"agent", "count"}) {
+    auto src = src_fx.backend(backend, 7)();
+    src->run_rounds(4.0);
+    auto target = dst_fx.backend(backend, 7)();
+    const SnapshotErrc fp = SnapshotErrc::kBadFingerprint;
+    expect_rejected(*target, snapshot_bytes(*src), &fp,
+                    std::string("believer_k 6 snapshot into k = 4 on ") +
+                        backend);
+  }
+  // The oscillator's weak-predation probability is part of it too.
+  OscillatorParams p3;
+  p3.weak_predation_p = 0.3;
+  EXPECT_NE(protocol_fingerprint(make_oscillator_kernel_protocol(
+                make_var_space())),
+            protocol_fingerprint(make_oscillator_kernel_protocol(
+                make_var_space(), p3)));
 }
 
 /// A kBatch count-engine snapshot (n = 512, 4 rounds) with `edit` applied

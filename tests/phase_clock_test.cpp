@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "clocks/phase_clock.hpp"
+#include "kernel_clock.hpp"
 
 namespace popproto {
 namespace {
@@ -121,9 +122,9 @@ TEST(CircularHelpers, LaterPicksSuccessor) {
   EXPECT_EQ(circular_later(5, 5, 8), 5);
 }
 
-TEST(PhaseClockSim, TicksAtLogarithmicIntervals) {
+TEST(KernelClock, TicksAtLogarithmicIntervals) {
   const std::size_t n = 20000;
-  PhaseClockSim sim(n, 20, 7);
+  KernelClockRun sim(n, 20, 7);
   sim.run_rounds(150.0);
   const std::size_t before = sim.observed_tick_times().size();
   sim.run_rounds(400.0);
@@ -135,21 +136,21 @@ TEST(PhaseClockSim, TicksAtLogarithmicIntervals) {
   EXPECT_LT(interval, 10.0 * ln_n); // not slower than O(log n)
 }
 
-TEST(PhaseClockSim, PopulationStaysSynchronized) {
+TEST(KernelClock, PopulationStaysSynchronized) {
   // Thm 5.2: during correct operation all agents agree on the digit up to
   // the tolerated adjacent split.
-  PhaseClockSim sim(10000, 21, 11);
+  KernelClockRun sim(10000, 21, 11);
   sim.run_rounds(200.0);
   int max_spread = 0;
   while (sim.rounds() < 800.0) {
     sim.run_rounds(2.0);
-    max_spread = std::max(max_spread, sim.digit_spread());
+    max_spread = std::max(max_spread, sim.census().digit_spread());
   }
   EXPECT_LE(max_spread, 1);
 }
 
-TEST(PhaseClockSim, MeanTicksMatchesObservedAgent) {
-  PhaseClockSim sim(5000, 17, 13);
+TEST(KernelClock, MeanTicksMatchesObservedAgent) {
+  KernelClockRun sim(5000, 17, 13);
   sim.run_rounds(600.0);
   const double per_agent = sim.mean_ticks();
   const double observed =
@@ -157,8 +158,8 @@ TEST(PhaseClockSim, MeanTicksMatchesObservedAgent) {
   EXPECT_NEAR(per_agent, observed, std::max(3.0, 0.4 * per_agent));
 }
 
-TEST(PhaseClockSim, TickIntervalsConcentrate) {
-  PhaseClockSim sim(20000, 20, 17);
+TEST(KernelClock, TickIntervalsConcentrate) {
+  KernelClockRun sim(20000, 20, 17);
   sim.run_rounds(900.0);
   const auto& times = sim.observed_tick_times();
   ASSERT_GE(times.size(), 8u);
@@ -173,22 +174,20 @@ TEST(PhaseClockSim, TickIntervalsConcentrate) {
   EXPECT_LT(intervals.back(), 4.0 * med);
 }
 
-TEST(PhaseClockSim, LargeXDestroysOscillation) {
+TEST(KernelClock, LargeXDestroysOscillation) {
   // With #X = n/2 the source noise dominates the oscillator: no species
   // ever reaches near-total dominance, so the clock's ticks are no longer
   // anchored to oscillation phases. This checks that the #X <= n^{1-eps}
   // hypothesis of Thm 5.1/5.2 is doing real work.
   auto max_dominance = [](std::size_t x_count) {
-    PhaseClockSim sim(8000, x_count, 19);
+    KernelClockRun sim(8000, x_count, 19);
     sim.run_rounds(150.0);
     const double species_total = static_cast<double>(8000 - x_count);
     double best = 0.0;
     while (sim.rounds() < 500.0) {
-      sim.run_rounds(1.0);
-      const double mx =
-          static_cast<double>(std::max({sim.species_count(0),
-                                        sim.species_count(1),
-                                        sim.species_count(2)}));
+      sim.engine().run_rounds(1.0);
+      const auto sp = sim.species();
+      const double mx = static_cast<double>(std::max({sp[0], sp[1], sp[2]}));
       best = std::max(best, mx / species_total);
     }
     return best;

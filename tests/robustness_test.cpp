@@ -5,10 +5,13 @@
 // paper's "uncontrolled start" and adversarial-iteration regimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "clocks/hierarchy.hpp"
 #include "clocks/phase_clock.hpp"
+#include "core/count_engine.hpp"
+#include "kernel_clock.hpp"
 #include "lang/runtime.hpp"
 #include "protocols/leader_election.hpp"
 #include "protocols/majority.hpp"
@@ -25,14 +28,24 @@ class OscillatorRateSweep : public ::testing::TestWithParam<double> {};
 TEST_P(OscillatorRateSweep, OscillatesAcrossAsymmetryRange) {
   OscillatorParams prm;
   prm.weak_predation_p = GetParam();
-  OscillatorSim sim = OscillatorSim::uniform(20000, 20, 111, prm);
-  sim.run_rounds(250.0);
-  int dominant = sim.dominant();
+  auto vars = make_var_space();
+  const Protocol proto = make_oscillator_kernel_protocol(vars, prm);
+  const std::uint64_t n = 20000;
+  CountEngine eng(proto, oscillator_uniform_counts(n, 20, *vars), 111);
+  std::array<std::uint64_t, 3> sp{};
+  const auto leader = [&] {
+    return static_cast<int>(std::max_element(sp.begin(), sp.end()) -
+                            sp.begin());
+  };
+  eng.run_rounds(250.0);
+  sp = oscillator_species_counts(eng, *vars);
+  int dominant = leader();
   int switches = 0;
-  while (sim.rounds() < 650.0) {
-    sim.run_rounds(0.5);
-    if (sim.a_max() > sim.n() - sim.n() / 8) {
-      const int d = sim.dominant();
+  while (eng.rounds() < 650.0) {
+    eng.run_rounds(0.5);
+    sp = oscillator_species_counts(eng, *vars);
+    if (sp[static_cast<std::size_t>(leader())] > n - n / 8) {
+      const int d = leader();
       if (d != dominant) {
         ++switches;
         dominant = d;
@@ -54,13 +67,13 @@ class BelieverKSweep : public ::testing::TestWithParam<int> {};
 TEST_P(BelieverKSweep, ClockTicksAndStaysSynchronized) {
   ClockLevelParams prm;
   prm.believer_k = GetParam();
-  PhaseClockSim sim(10000, 15, 113, prm);
+  KernelClockRun sim(10000, 15, 113, prm);
   sim.run_rounds(250.0);
   const double ticks0 = sim.mean_ticks();
   int max_spread = 0;
   while (sim.rounds() < 650.0) {
     sim.run_rounds(4.0);
-    max_spread = std::max(max_spread, sim.digit_spread());
+    max_spread = std::max(max_spread, sim.census().digit_spread());
   }
   EXPECT_GE(sim.mean_ticks() - ticks0, 4.0) << "k=" << GetParam();
   EXPECT_LE(max_spread, 1) << "k=" << GetParam();
@@ -78,12 +91,12 @@ class ModuleSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ModuleSweep, DigitSpreadStaysTight) {
   ClockLevelParams prm;
   prm.module = GetParam();
-  PhaseClockSim sim(8000, 12, 115, prm);
+  KernelClockRun sim(8000, 12, 115, prm);
   sim.run_rounds(250.0);
   int max_spread = 0;
   while (sim.rounds() < 600.0) {
     sim.run_rounds(4.0);
-    max_spread = std::max(max_spread, sim.digit_spread());
+    max_spread = std::max(max_spread, sim.census().digit_spread());
   }
   EXPECT_LE(max_spread, 1) << "m=" << GetParam();
 }
@@ -98,7 +111,7 @@ class XBandSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(XBandSweep, ClockOperatesAcrossTheBand) {
   const std::size_t n = 16384;
-  PhaseClockSim sim(n, GetParam(), 117);
+  KernelClockRun sim(n, GetParam(), 117);
   sim.run_rounds(300.0);
   const double before = sim.mean_ticks();
   sim.run_rounds(300.0);

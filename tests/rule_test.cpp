@@ -76,48 +76,6 @@ TEST_F(RuleTest, MultipleOutcomesAreExclusive) {
   EXPECT_NEAR(xa / 20000.0, 0.5, 0.02);
 }
 
-TEST_F(RuleTest, ChangeProbabilityDeterministicRule) {
-  const Rule set_b = make_rule(BoolExpr::var(a_), BoolExpr::any(),
-                               BoolExpr::any(), BoolExpr::var(b_));
-  // Responder already has B: applying the rule changes nothing.
-  EXPECT_EQ(set_b.change_probability(var_bit(a_), var_bit(b_)), 0.0);
-  EXPECT_EQ(set_b.change_probability(var_bit(a_), 0), 1.0);
-}
-
-TEST_F(RuleTest, ChangeProbabilityProbabilisticRule) {
-  Outcome o;
-  o.probability = 0.3;
-  o.responder = update_from_formula(BoolExpr::var(b_));
-  const Rule r(BoolExpr::any(), BoolExpr::any(), {o});
-  EXPECT_NEAR(r.change_probability(0, 0), 0.3, 1e-12);
-  EXPECT_EQ(r.change_probability(0, var_bit(b_)), 0.0);
-}
-
-TEST_F(RuleTest, ApplyConditionedOnChangeAlwaysChanges) {
-  Outcome o;
-  o.probability = 0.1;
-  o.responder = update_from_formula(BoolExpr::var(b_));
-  const Rule r(BoolExpr::any(), BoolExpr::any(), {o});
-  for (int i = 0; i < 100; ++i) {
-    const auto [na, nb] = r.apply_conditioned_on_change(0, 0, rng_);
-    (void)na;
-    EXPECT_EQ(nb, var_bit(b_));
-  }
-}
-
-TEST_F(RuleTest, ConditionedApplySelectsAmongChangingOutcomes) {
-  Outcome noop, change;
-  noop.probability = 0.8;  // no updates: a no-op branch
-  change.probability = 0.2;
-  change.responder = update_from_formula(BoolExpr::var(c_));
-  const Rule r(BoolExpr::any(), BoolExpr::any(), {noop, change});
-  for (int i = 0; i < 50; ++i) {
-    const auto [na, nb] = r.apply_conditioned_on_change(0, 0, rng_);
-    (void)na;
-    EXPECT_EQ(nb, var_bit(c_));
-  }
-}
-
 TEST_F(RuleTest, StrengthenedAddsGuardToBothSides) {
   const Rule r = make_rule(BoolExpr::var(a_), BoolExpr::any(),
                            BoolExpr::any(), BoolExpr::var(b_));

@@ -62,11 +62,58 @@ Fixture dv12_fixture(std::size_t n) {
   return Fixture{vars, std::move(p), std::move(init)};
 }
 
+// Explicit no-op outcomes beside changing ones, and a deterministic rule
+// that is a no-op where its target bit is already set: the change weight
+// and the conditional draw must skip both kinds of no-op.
+Fixture mixed_outcome_fixture(std::size_t n) {
+  auto vars = make_var_space();
+  const VarId a = vars->intern("A");
+  const VarId b = vars->intern("B");
+  const VarId c = vars->intern("C");
+  Outcome noop, set_c;
+  noop.probability = 0.8;
+  set_c.probability = 0.2;
+  set_c.responder = update_from_formula(BoolExpr::var(c));
+  Outcome clear_b;
+  clear_b.probability = 0.3;
+  clear_b.initiator = update_from_formula(!BoolExpr::var(b));
+  Protocol p("mixed_outcomes", vars);
+  p.add_thread("T", {Rule(BoolExpr::any(), BoolExpr::any(), {noop, set_c}),
+                     make_rule(BoolExpr::var(a), BoolExpr::any(),
+                               BoolExpr::any(), BoolExpr::var(b)),
+                     Rule(BoolExpr::var(b), !BoolExpr::var(a), {clear_b})});
+  std::vector<State> init(n);
+  for (std::size_t i = 0; i < n; ++i)
+    init[i] = (i % 2 ? var_bit(a) : 0) | (i % 3 ? 0 : var_bit(b));
+  return Fixture{vars, std::move(p), std::move(init)};
+}
+
+// The two pair-kernel protocols (the validated P_o and C_o).
+Fixture oscillator_kernel_fixture(std::size_t n) {
+  auto vars = make_var_space();
+  Protocol p = make_oscillator_kernel_protocol(vars);
+  std::vector<State> init;
+  for (const auto& [s, c] : oscillator_uniform_counts(n, n / 16, *vars))
+    init.insert(init.end(), c, s);
+  return Fixture{vars, std::move(p), std::move(init)};
+}
+
+Fixture clock_kernel_fixture(std::size_t n) {
+  auto vars = make_var_space();
+  Protocol p = make_clock_kernel_protocol(vars);
+  std::vector<State> init =
+      clock_kernel_initial_states(n, n / 16, ClockCodec(*vars, {}));
+  return Fixture{vars, std::move(p), std::move(init)};
+}
+
 std::vector<Fixture> all_fixtures(std::size_t n) {
   std::vector<Fixture> fs;
   fs.push_back(oscillator_fixture(n));
   fs.push_back(phase_clock_fixture(n));
   fs.push_back(dv12_fixture(n));
+  fs.push_back(mixed_outcome_fixture(n));
+  fs.push_back(oscillator_kernel_fixture(n));
+  fs.push_back(clock_kernel_fixture(n));
   return fs;
 }
 
@@ -157,6 +204,151 @@ TEST(TransitionCacheEquivalence, CapFallbackStillCorrect) {
   }
   EXPECT_TRUE(tiny.cap_reached());
   EXPECT_LE(tiny.num_states(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Pair kernels, one step exactly: for a kernel protocol (one thread, so slot
+// width 1) the memoized and the uncached distributions of a pair must equal
+// its outcome list — the same changing results with the same masses in
+// order, each unconditional sub-interval mapping to its outcome, and the
+// rest of [0, 1) a no-op.
+// ---------------------------------------------------------------------------
+
+void expect_pair_matches_kernel(TransitionCache& cache, const Protocol& proto,
+                                State sa, State sb) {
+  std::vector<KernelOutcome> outs;
+  proto.threads()[0].kernel.outcomes(sa, sb, outs);
+  // Expected conditional-on-change breakpoints: running change mass, runs
+  // of equal results merged.
+  std::vector<double> cum;
+  std::vector<PairOutcome> res;
+  double cw = 0.0;
+  for (const KernelOutcome& o : outs) {
+    if (o.initiator == sa && o.responder == sb) continue;
+    cw += o.probability;
+    if (!res.empty() && res.back().a == o.initiator &&
+        res.back().b == o.responder) {
+      cum.back() = cw;
+    } else {
+      cum.push_back(cw);
+      res.push_back(PairOutcome{o.initiator, o.responder});
+    }
+  }
+  TransitionCache::ChangeDistView view;
+  ASSERT_TRUE(cache.change_dist(sa, sb, &view));
+  std::vector<double> ucum;
+  std::vector<PairOutcome> ures;
+  const TransitionCache& uncached = cache;
+  EXPECT_EQ(uncached.change_dist_uncached(sa, sb, ucum, ures), cw);
+  EXPECT_EQ(view.change_weight, cw);
+  ASSERT_EQ(view.count, cum.size());
+  ASSERT_EQ(ucum.size(), cum.size());
+  for (std::size_t k = 0; k < cum.size(); ++k) {
+    EXPECT_EQ(view.cum[k], cum[k]);
+    EXPECT_EQ(ucum[k], cum[k]);
+    EXPECT_EQ(view.res[k].a, res[k].a);
+    EXPECT_EQ(view.res[k].b, res[k].b);
+    EXPECT_EQ(ures[k].a, res[k].a);
+    EXPECT_EQ(ures[k].b, res[k].b);
+  }
+  // Unconditional draws: the middle of each outcome's sub-interval, and the
+  // residual mass past the list.
+  double lo = 0.0;
+  for (const KernelOutcome& o : outs) {
+    const double hi = lo + o.probability;
+    if (hi > lo) {
+      const double u = 0.5 * (lo + hi);
+      for (const PairOutcome r :
+           {cache.sample(sa, sb, u), uncached.sample_uncached(sa, sb, u)}) {
+        EXPECT_EQ(r.a, o.initiator);
+        EXPECT_EQ(r.b, o.responder);
+      }
+    }
+    lo = hi;
+  }
+  if (lo < 1.0) {
+    const double u = 0.5 * (lo + 1.0);
+    EXPECT_EQ(cache.sample(sa, sb, u).b, sb);
+    EXPECT_EQ(uncached.sample_uncached(sa, sb, u).b, sb);
+  }
+}
+
+TEST(PairKernel, OscillatorOneStepOnAll49Pairs) {
+  auto vars = make_var_space();
+  const Protocol proto = make_oscillator_kernel_protocol(vars);
+  std::vector<State> states = oscillator_species_states(*vars);
+  states.push_back(var_bit(*vars->find(kOscX)));
+  ASSERT_EQ(states.size(), 7u);
+  TransitionCache cache(proto);
+  const OscCodec codec(*vars);
+  std::size_t changing = 0;
+  for (const State sa : states)
+    for (const State sb : states) {
+      expect_pair_matches_kernel(cache, proto, sa, sb);
+      changing += cache.change_weight(sa, sb) > 0.0 ? 1 : 0;
+      // One outcome per way of the pair's one random choice: an X source
+      // seeds one of three species, a weak predator meeting its prey
+      // succeeds or fails, any other pair has one outcome.
+      std::size_t ways = 1;
+      if (codec.is_x(sa) && !codec.is_x(sb)) ways = 3;
+      if (!codec.is_x(sa) && !codec.is_x(sb)) {
+        const OscAgent pred = codec.decode(sa);
+        if (!pred.strong && codec.decode(sb).species == (pred.species + 2) % 3)
+          ways = 2;
+      }
+      std::vector<KernelOutcome> outs;
+      proto.threads()[0].kernel.outcomes(sa, sb, outs);
+      EXPECT_EQ(outs.size(), ways);
+    }
+  EXPECT_EQ(cache.num_pairs(), 49u);
+  // Weak predation: A1+ on A3 converts with probability 1/2 only.
+  const State a1 = oscillator_state(0, 0, *vars);
+  const State a3 = oscillator_state(2, 0, *vars);
+  EXPECT_EQ(cache.change_weight(a1, a3), 0.5);
+  // X re-seeds: two of its three ways change an A2+ responder.
+  EXPECT_EQ(cache.change_weight(var_bit(*vars->find(kOscX)),
+                                oscillator_state(1, 0, *vars)),
+            2.0 / 3.0);
+  // Changing pairs: X on any of the 6 species states, the same species on
+  // a + (6), predation on either prey level (12), deactivation of a ++ by
+  // its predator (6).
+  EXPECT_EQ(changing, 30u);
+}
+
+TEST(PairKernel, ClockOneStepOnSampledPairs) {
+  auto vars = make_var_space();
+  const ClockLevelParams prm;
+  const Protocol proto = make_clock_kernel_protocol(vars, prm);
+  const ClockCodec codec(*vars, prm);
+  TransitionCache cache(proto);
+  Rng rng(2024);
+  const auto random_agent = [&](bool* is_x) {
+    ClockAgent a;
+    *is_x = rng.below(8) == 0;
+    if (!*is_x) {
+      a.osc.species = static_cast<std::uint8_t>(rng.below(3));
+      a.osc.strong = rng.chance(0.5);
+    }
+    a.believed = static_cast<std::uint8_t>(rng.below(3));
+    a.streak = static_cast<std::uint8_t>(rng.below(prm.believer_k));
+    a.digit = static_cast<std::uint8_t>(rng.below(prm.module));
+    return a;
+  };
+  for (int t = 0; t < 2000; ++t) {
+    bool ax = false, bx = false;
+    const ClockAgent a = random_agent(&ax);
+    const ClockAgent b = random_agent(&bx);
+    const State sa = codec.encode(a, ax);
+    const State sb = codec.encode(b, bx);
+    // The codec round-trips every reachable agent.
+    const ClockAgent back = codec.decode(sa);
+    ASSERT_EQ(back.digit, a.digit);
+    ASSERT_EQ(back.streak, a.streak);
+    ASSERT_EQ(back.believed, a.believed);
+    ASSERT_EQ(codec.is_x(sa), ax);
+    expect_pair_matches_kernel(cache, proto, sa, sb);
+  }
+  EXPECT_FALSE(cache.cap_reached());
 }
 
 // ---------------------------------------------------------------------------
