@@ -47,7 +47,10 @@ std::vector<ScalingRow> run_sweep_parallel(const std::vector<std::uint64_t>& ns,
   for (auto& s : seeds) s = splitmix64(sm);
 
   std::vector<std::optional<double>> results(jobs);
-  ThreadPool(num_threads).parallel_for(jobs, [&](std::size_t j) {
+  ThreadPool(num_threads).parallel_for(jobs, [&](std::size_t i) {
+    // Last cell first: sweeps list n ascending, so the longest trials start
+    // while every thread is free instead of forming the tail.
+    const std::size_t j = jobs - 1 - i;
     results[j] = fn(ns[j / trials], seeds[j]);
   });
 
