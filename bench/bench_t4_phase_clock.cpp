@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     std::size_t n;
     std::size_t x;
     int max_spread = 0;
-    std::vector<double> ticks;  // post-synchronization tick times
+    std::vector<double> ticks;  // tick times from the last warm-up one on
   };
   std::vector<Row> rows;
   for (const int e : {11, 13, 15, ctx.scale >= 2.0 ? 18 : 17}) {
