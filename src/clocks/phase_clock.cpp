@@ -194,10 +194,13 @@ ClockCensus clock_census(const SimBackend& eng, const ClockCodec& codec) {
   ClockCensus c;
   c.digits.assign(static_cast<std::size_t>(codec.params().module), 0);
   c.composite.assign(static_cast<std::size_t>(3 * codec.params().module), 0);
+  const std::size_t m = c.digits.size();
   for (const auto& [s, count] : eng.species()) {
+    // A corruption may write any bits; a field read past its range counts
+    // modulo it, as the dynamics advance it.
     const ClockAgent a = codec.decode(s);
-    c.digits[a.digit] += count;
-    c.composite[static_cast<std::size_t>(composite_phase(a))] += count;
+    c.digits[a.digit % m] += count;
+    c.composite[(a.digit % m) * 3 + a.believed % 3] += count;
   }
   return c;
 }

@@ -174,6 +174,25 @@ TEST(KernelClock, TickIntervalsConcentrate) {
   EXPECT_LT(intervals.back(), 4.0 * med);
 }
 
+TEST(KernelClock, CensusCountsCorruptedFields) {
+  // A fault plan may write any bits: with m = 52 the digit field holds up to
+  // 63, and the believed field holds 3. The census must still count every
+  // agent, inside its tables.
+  ClockLevelParams prm;
+  prm.module = 52;
+  KernelClockRun sim(256, 4, 3, prm);
+  const State all_ones = ~State{0};
+  Rng rng(8);
+  sim.engine().mutate_random_agents(
+      40, rng, [&](State s, std::uint64_t) { return s | (all_ones << 4); });
+  const ClockCensus c = sim.census();
+  std::uint64_t digits = 0, phases = 0;
+  for (const std::uint64_t k : c.digits) digits += k;
+  for (const std::uint64_t k : c.composite) phases += k;
+  EXPECT_EQ(digits, 256u);
+  EXPECT_EQ(phases, 256u);
+}
+
 TEST(KernelClock, LargeXDestroysOscillation) {
   // With #X = n/2 the source noise dominates the oscillator: no species
   // ever reaches near-total dominance, so the clock's ticks are no longer
