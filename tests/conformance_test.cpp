@@ -6,11 +6,12 @@
 // alpha = 0.01: Holm rejects nothing exactly when every test passes at
 // alpha / (family size), which is what these cases assert.
 //
-// References: Engine with the sequential scheduler for the agent (cache
-// off, so the uncached kernel walks run), count and count_shard backends;
-// Engine with the random-matching scheduler for batch on one thread, whose
-// rounds are exact uniform matchings too. Registered under the ctest label
-// `conformance`, so the registry-wide matrix can join it.
+// The reference is Engine with the sequential scheduler for the agent,
+// count and count_shard backends, and Engine with the random-matching
+// scheduler for batch on one thread, whose rounds are exact uniform
+// matchings too. The agent backend under test runs with its cache off, so
+// the uncached kernel walks are what it checks. Registered under the ctest
+// label `conformance`, so the registry-wide matrix can join it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
