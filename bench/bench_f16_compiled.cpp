@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
                          0x7F17 + n);
       const auto t_conv = eng.run_until(
           [&](const AgentPopulation& pop) {
-            return leader_count(pop, *vars) == 1;
+            return pop.count_var(*vars->find(kLeaderVar)) == 1;
           },
           600000.0, 200.0);
       t.row()

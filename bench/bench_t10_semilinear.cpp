@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
           opts.seed = seed;
           FrameworkRuntime rt(proto.program, proto.inputs(nn, counts), opts);
           return rt.run_until(
-              [&](const AgentPopulation& pop) {
+              [&](const SimBackend& pop) {
                 return semilinear_output_is(pop, *vars, expected);
               },
               sc.spec.fast_path_available() ? 60 : 4000);

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                          p, majority_inputs(*vars, nn, nn / 2 + 1, nn / 2 - 1),
                          opts);
                      return rt.run_until(
-                         [&](const AgentPopulation& pop) {
+                         [&](const SimBackend& pop) {
                            return majority_output_is(pop, *vars, true);
                          },
                          10);
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
                                             minority),
                             opts);
         if (rt.run_until(
-                [&](const AgentPopulation& pop) {
+                [&](const SimBackend& pop) {
                   return majority_output_is(pop, *vars, true);
                 },
                 8))

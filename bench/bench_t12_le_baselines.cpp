@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
         opts.seed = seed;
         FrameworkRuntime rt(p, static_cast<std::size_t>(n), opts);
         return rt.run_until(
-            [&](const AgentPopulation& pop) {
+            [&](const SimBackend& pop) {
               return leader_count(pop, *vars) == 1;
             },
             400);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
           opts.seed = seed;
           FrameworkRuntime rt(p, plurality_inputs(*vars, nn, counts), opts);
           return rt.run_until(
-              [&](const AgentPopulation& pop) {
+              [&](const SimBackend& pop) {
                 return plurality_winner(pop, *vars, colors) == 0;
               },
               8);

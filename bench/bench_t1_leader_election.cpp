@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
       "rounds, w.h.p.",
       ctx);
 
-  const auto ns = pow2_range(8, ctx.scale >= 2.0 ? 18 : 16);
+  // Every statement is a species relabel or count, so n costs nothing.
+  const auto ns = pow2_range(8, 30);
   const std::size_t trials = scaled(20, ctx);
 
   std::vector<ScalingRow> iteration_rows, round_rows;
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
       opts.seed = seed;
       FrameworkRuntime rt(p, static_cast<std::size_t>(n), opts);
       const auto t = rt.run_until(
-          [&](const AgentPopulation& pop) {
+          [&](const SimBackend& pop) {
             return leader_count(pop, *vars) == 1;
           },
           400);

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
       "w.h.p.",
       ctx);
 
-  const auto ns = pow2_range(8, ctx.scale >= 2.0 ? 14 : 12);
+  // The per-agent input vector (8 bytes an agent) is what bounds n here.
+  const auto ns = pow2_range(8, ctx.scale >= 2.0 ? 22 : 20);
   const std::size_t trials = scaled(15, ctx);
 
   struct GapSpec {
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
       FrameworkRuntime rt(p, majority_inputs(*vars, nn, count_a, count_b),
                           opts);
       return rt.run_until(
-          [&](const AgentPopulation& pop) {
+          [&](const SimBackend& pop) {
             return majority_output_is(pop, *vars, true);
           },
           8);

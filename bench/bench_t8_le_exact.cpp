@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
           FrameworkRuntime rt(p, static_cast<std::size_t>(n), opts);
           const VarId L = *vars->find(kExactLeaderVar);
           return rt.run_until(
-              [&](const AgentPopulation& pop) {
-                return pop.count_var(L) == 1;
+              [&](const SimBackend& pop) {
+                return pop.count_matching(BoolExpr::var(L)) == 1;
               },
               4000);
         });

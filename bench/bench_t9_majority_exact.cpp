@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
           opts.seed = seed;
           FrameworkRuntime rt(p, majority_inputs(*vars, nn, a, b), opts);
           return rt.run_until(
-              [&](const AgentPopulation& pop) {
+              [&](const SimBackend& pop) {
                 return majority_output_is(pop, *vars, true);
               },
               50);
@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
           FrameworkRuntime rt(p, majority_inputs(*vars, nn, a, b), opts);
           const VarId B = *vars->find(kMajInputB);
           return rt.run_until(
-              [&](const AgentPopulation& pop) {
-                return pop.count_var(B) == 0 &&
+              [&](const SimBackend& pop) {
+                return pop.count_matching(BoolExpr::var(B)) == 0 &&
                        majority_output_is(pop, *vars, true);
               },
               4000);

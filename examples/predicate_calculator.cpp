@@ -35,7 +35,7 @@ void evaluate(const char* name, const PredicateSpec& spec, std::size_t n,
   FrameworkRuntime runtime(proto.program, proto.inputs(n, {count_a, count_b}),
                            options);
   const auto t = runtime.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return semilinear_output_is(pop, *vars, truth);
       },
       spec.fast_path_available() ? 100 : 5000);

@@ -50,7 +50,7 @@ int main() {
     options.seed = 7;
     FrameworkRuntime runtime(program, /*n=*/65536, options);
     const auto done = runtime.run_until(
-        [&](const AgentPopulation& pop) {
+        [&](const SimBackend& pop) {
           return leader_count(pop, *vars) == 1;
         },
         /*max_iterations=*/200);
@@ -69,7 +69,7 @@ int main() {
                           /*seed=*/13);
     const auto done = engine.run_until(
         [&](const AgentPopulation& pop) {
-          return leader_count(pop, *vars) == 1;
+          return pop.count_var(*vars->find(kLeaderVar)) == 1;
         },
         /*max_rounds=*/500000.0);
     std::printf("[3] compiled LeaderElection: unique leader among %zu agents "

@@ -35,7 +35,7 @@ int main() {
     FrameworkRuntime runtime(
         program, majority_inputs(*vars, swarm, votes_yes, votes_no), options);
     const auto t = runtime.run_until(
-        [&](const AgentPopulation& pop) {
+        [&](const SimBackend& pop) {
           return majority_output_is(pop, *vars, true);
         },
         10);
@@ -62,19 +62,24 @@ int main() {
         program, majority_inputs(*vars, swarm, votes_yes, votes_no), options);
     const VarId no_input = *vars->find(kMajInputB);
     const auto t = runtime.run_until(
-        [&](const AgentPopulation& pop) {
+        [&](const SimBackend& pop) {
           // Certainty milestone: the slow thread exhausted the minority
           // votes; from here the output can never flip again.
-          return pop.count_var(no_input) == 0 &&
+          return pop.count_matching(BoolExpr::var(no_input)) == 0 &&
                  majority_output_is(pop, *vars, true);
         },
         100000);
+    if (!t) {
+      std::printf("[MajorityExact] the minority votes were not exhausted "
+                  "within the iteration budget\n");
+      return 1;
+    }
     std::printf("[MajorityExact] locked-in YES after %.0f rounds despite "
                 "adversarial iterations (eventual certainty, Thm 6.3)\n",
                 *t);
     for (int i = 0; i < 5; ++i) {
       runtime.run_iteration();
-      if (!majority_output_is(runtime.population(), *vars, true)) {
+      if (!majority_output_is(runtime.backend(), *vars, true)) {
         std::printf("  !! output flipped — this must never print\n");
         return 1;
       }

@@ -31,6 +31,11 @@ constexpr double kToSkip = 0.85;
 constexpr double kToBatch = 1.25;
 constexpr double kBlockWindow = 16.0;
 
+// kBatch takes direct steps while the species outnumber four blocks'
+// interactions: a block's S x S pair table and a skip jump's S^2 event
+// weights then cost far more than a direct step's scan of S counts.
+constexpr double kDirectSpeciesPerBlock = 4.0;
+
 // The cap on one batch's interactions. A batch ends at its first
 // collision anyway, so the cap only needs to clear the collision-free run
 // distribution (E[run] ~ 0.63 sqrt(n) by the birthday bound, tail ~ 2 sqrt(n));
@@ -52,7 +57,6 @@ CountEngine::CountEngine(const Protocol& protocol,
       cache_(protocol),
       rng_(seed),
       mode_(mode) {
-  POPPROTO_CHECK(protocol.num_rules() > 0);
   for (const auto& [s, c] : initial) add_count(s, c);
   POPPROTO_CHECK_MSG(n_ >= 2, "population needs at least 2 agents");
 }
@@ -363,6 +367,14 @@ bool CountEngine::batch_allowed() const {
   return !bias_.has_value() && !injection_.drop_interaction;
 }
 
+bool CountEngine::species_outgrow_blocks() {
+  if (mode_ != CountEngineMode::kBatch || !batch_allowed()) return false;
+  const double limit = kDirectSpeciesPerBlock * mean_block();
+  if (static_cast<double>(states_.size()) <= limit) return false;
+  compact();  // dead slots would only lengthen the scans
+  return static_cast<double>(states_.size()) > limit;
+}
+
 bool CountEngine::block_next() {
   if (mode_ != CountEngineMode::kBatch || !batch_allowed()) return false;
   maybe_toggle_batch_skip();
@@ -599,7 +611,9 @@ void CountEngine::maybe_toggle_batch_skip() {
 bool CountEngine::step() {
   if (silent_) return false;
   bool alive = true;
-  if (block_next()) {
+  if (species_outgrow_blocks()) {
+    direct_step();
+  } else if (block_next()) {
     alive = batch_step(injection_.on_round ? last_injection_round_ + 1.0
                                            : kNoLimit);
   } else if (skip_engaged()) {
@@ -628,6 +642,10 @@ void CountEngine::run_rounds(double rounds_to_run) {
       ++ctr_.skip_jumps;
       ctr_.skipped_interactions += bulk;
       time_ = limit;  // nothing can change; fast-forward
+    } else if (species_outgrow_blocks()) {
+      // Direct steps up to the next round boundary, then decide again.
+      const double stop = std::min(limit, std::floor(time_) + 1.0);
+      while (time_ < stop) direct_step();
     } else if (block_next()) {
       batch_step(limit);
     } else if (skip_engaged()) {

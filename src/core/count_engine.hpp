@@ -10,8 +10,9 @@
 // conditional distribution. Both are equal in distribution to the direct
 // simulation, but late-stage sparse dynamics (|X|+|X| elimination, DV12
 // exact majority, ...) run in time proportional to the number of
-// *effective* interactions instead of all interactions. kDirect and kSkip
-// force one path and serve as references.
+// *effective* interactions instead of all interactions. When the species
+// table outgrows the blocks (S > 4 * sqrt(pi n / 8)), kBatch takes direct
+// steps instead. kDirect and kSkip force one path and serve as references.
 //
 // Fault support (src/faults/): the engine carries the same InjectionHook /
 // SchedulerBias surface as the agent-based Engine, plus count-level churn
@@ -46,6 +47,7 @@ enum class CountEngineMode { kDirect = 0, kSkip = 1, kBatch = 3 };
 class CountEngine final : public SimBackend {
  public:
   /// Initial configuration: (state, count) pairs; counts must sum to n >= 2.
+  /// A protocol without rules is accepted: every configuration is silent.
   CountEngine(const Protocol& protocol,
               std::vector<std::pair<State, std::uint64_t>> initial,
               std::uint64_t seed,
@@ -54,7 +56,8 @@ class CountEngine final : public SimBackend {
   /// Advance by one scheduler interaction (a direct step), one *effective*
   /// interaction plus its geometric prefix of no-ops (a skip jump), or one
   /// block. kBatch picks the path: direct steps under a SchedulerBias, skip
-  /// jumps under a drop hook, and otherwise a block unless the block/skip
+  /// jumps under a drop hook, direct steps while the species outnumber four
+  /// blocks' interactions, and otherwise a block unless the block/skip
   /// hand-off has parked it in skip. Returns false iff the configuration is
   /// silent (no rule can change anything); time is then left where it is.
   /// Only run_rounds fast-forwards a silent configuration.
@@ -117,10 +120,7 @@ class CountEngine final : public SimBackend {
 
   std::uint64_t count_state(State s) const;
   std::uint64_t count_matching(const Guard& g) const override;
-  std::uint64_t count_matching(const BoolExpr& e) const {
-    return count_matching(Guard(e));
-  }
-  bool exists(const BoolExpr& e) const { return count_matching(e) > 0; }
+  using SimBackend::count_matching;  // + the BoolExpr convenience overload
 
   /// All species with nonzero count (scheduled agents only).
   std::vector<std::pair<State, std::uint64_t>> species() const override;
@@ -197,6 +197,9 @@ class CountEngine final : public SimBackend {
   /// Returns false iff the configuration is silent.
   bool batch_step(double limit);
   bool batch_allowed() const;
+  /// kBatch without hooks, and too many species for blocks or skip jumps
+  /// to pay (compacts first): the next steps are direct.
+  bool species_outgrow_blocks();
   /// kBatch without hooks: run the block/skip hand-off, then say whether the
   /// next step is a block.
   bool block_next();

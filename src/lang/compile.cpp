@@ -1,5 +1,7 @@
 #include "lang/compile.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace popproto {
@@ -9,8 +11,7 @@ CompiledEngine::CompiledEngine(const Program& program,
                                std::unique_ptr<XDriver> x_driver,
                                const ClockLevelParams& clock,
                                std::uint64_t seed)
-    : program_(program),
-      tree_(precompile(program)),
+    : tree_(precompile(program)),
       n_(inputs.size()),
       user_([&] {
         const State init = program.initial_state();
@@ -20,6 +21,7 @@ CompiledEngine::CompiledEngine(const Program& program,
       background_(program.background_threads()),
       rng_(seed) {
   widths_.assign(static_cast<std::size_t>(tree_.depth), tree_.width);
+  tau_.resize(widths_.size());
   HierarchyParams hp;
   hp.levels = tree_.depth;
   hp.level = clock;
@@ -43,12 +45,13 @@ void CompiledEngine::step() {
   const std::vector<Rule>* rules = nullptr;
   if (t == clock_threads) {
     // Gated program thread: fire only when both agents hold the same
-    // non-⊥ time path (Π_τ of §5.4).
-    const auto tau_a = hierarchy_->time_path(a, widths_);
-    if (!tau_a) return;
-    const auto tau_b = hierarchy_->time_path(b, widths_);
-    if (!tau_b || *tau_a != *tau_b) return;
-    rules = tree_.leaf(*tau_a);
+    // non-⊥ time path (Π_τ of §5.4), compared level by level.
+    for (int lvl = 1; lvl <= tree_.depth; ++lvl) {
+      const int s = hierarchy_->slot(a, lvl, tree_.width);
+      if (s < 0 || s != hierarchy_->slot(b, lvl, tree_.width)) return;
+      tau_[static_cast<std::size_t>(lvl - 1)] = s;
+    }
+    rules = tree_.leaf(tau_);
     if (rules == nullptr || rules->empty()) return;
   } else {
     rules = &background_[static_cast<std::size_t>(t - clock_threads - 1)]
@@ -77,8 +80,10 @@ std::optional<double> CompiledEngine::run_until(
   POPPROTO_CHECK(check_interval > 0.0);
   if (predicate(user_)) return rounds();
   while (rounds() < max_rounds) {
-    run_rounds(check_interval);
+    const std::uint64_t before = interactions_;
+    run_rounds(std::min(check_interval, max_rounds - rounds()));
     if (predicate(user_)) return rounds();
+    if (interactions_ == before) break;  // horizon inside one interaction
   }
   return std::nullopt;
 }

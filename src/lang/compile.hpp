@@ -39,6 +39,9 @@ class CompiledEngine {
 
   void step();  // one sequential scheduler interaction
   void run_rounds(double rounds);
+  /// Run until predicate(user_population()) holds, checking every
+  /// `check_interval` rounds and at the horizon `max_rounds`, which the
+  /// last interval is clamped to; nullopt on timeout.
   std::optional<double> run_until(
       const std::function<bool(const AgentPopulation&)>& predicate,
       double max_rounds, double check_interval = 16.0);
@@ -63,10 +66,10 @@ class CompiledEngine {
   std::uint64_t program_rule_firings() const { return program_firings_; }
 
  private:
-  const Program& program_;
   CodeTree tree_;
   std::size_t n_;
   std::vector<int> widths_;
+  std::vector<int> tau_;  // step()'s common time path, reused
   std::unique_ptr<ClockHierarchy> hierarchy_;
   AgentPopulation user_;
   std::vector<const ProgramThread*> background_;

@@ -1,9 +1,10 @@
 #include "lang/runtime.hpp"
 
 #include <cmath>
-#include <unordered_map>
+#include <map>
 
-#include "support/check.hpp"
+#include "core/pair_sampler.hpp"
+#include "core/population.hpp"
 
 namespace popproto {
 
@@ -47,117 +48,130 @@ void collect_ops(const std::vector<Stmt>& body, std::vector<Guard>& conds,
   }
 }
 
+/// Species table of per-agent states, `extra` OR-ed into each.
+std::vector<std::pair<State, std::uint64_t>> collapse(
+    const std::vector<State>& states, State extra) {
+  std::map<State, std::uint64_t> counts;
+  for (const State s : states) ++counts[s | extra];
+  return {counts.begin(), counts.end()};
+}
+
 }  // namespace
+
+Protocol statement_protocol(const Program& program, std::vector<Rule> rules) {
+  Protocol p(program.name, program.vars);
+  if (!rules.empty()) p.add_thread("execute", std::move(rules));
+  for (const ProgramThread* t : program.background_threads())
+    p.add_thread(t->name, t->background_rules);
+  return p;
+}
 
 FrameworkRuntime::FrameworkRuntime(const Program& program, std::size_t n,
                                    RuntimeOptions opts)
-    : FrameworkRuntime(program,
-                       std::vector<State>(n, State{0}), opts) {}
+    : FrameworkRuntime(program, Species{{program.initial_state(), n}},
+                       opts) {}
 
 FrameworkRuntime::FrameworkRuntime(const Program& program,
-                                   std::vector<State> inputs,
+                                   const std::vector<State>& inputs,
                                    RuntimeOptions opts)
-    : program_(program),
-      opts_(opts),
-      pop_([&] {
-        const State init = program.initial_state();
-        for (auto& s : inputs) s |= init;
-        return AgentPopulation(std::move(inputs));
-      }()),
-      rng_(opts.seed),
-      background_(program.background_threads()) {
-  const double ln_n = std::log(static_cast<double>(pop_.size()));
-  exec_rounds_ = opts_.c * ln_n;
-  repeat_count_ = static_cast<std::size_t>(std::ceil(opts_.c * ln_n));
-  (void)program_.main_thread();  // validates thread structure
+    : FrameworkRuntime(program, collapse(inputs, program.initial_state()),
+                       opts) {}
+
+FrameworkRuntime::FrameworkRuntime(const Program& program,
+                                   const Species& initial, RuntimeOptions opts)
+    : program_(program), opts_(opts), rng_(opts.seed) {
+  add_engine(statement_protocol(program_, {}), initial);
+  add_statement_engines(program_.main_thread().body, initial);
+  exec_rounds_ =
+      opts_.c * std::log(static_cast<double>(backend().active_n()));
+  repeat_count_ = static_cast<std::size_t>(std::ceil(exec_rounds_));
 }
 
-void FrameworkRuntime::exec_rules(const std::vector<Rule>& rules,
-                                  double rounds_to_run) {
-  rounds_ += rounds_to_run;
-  const std::size_t threads = (rules.empty() ? 0 : 1) + background_.size();
-  if (threads == 0) return;
-  const auto interactions = static_cast<std::uint64_t>(
-      rounds_to_run * static_cast<double>(pop_.size()));
-  for (std::uint64_t i = 0; i < interactions; ++i) {
-    const auto [a, b] = rng_.distinct_pair(pop_.size());
-    const std::size_t t = rng_.below(threads);
-    const std::vector<Rule>* ruleset;
-    if (!rules.empty() && t == 0) {
-      ruleset = &rules;
-    } else {
-      const std::size_t bi = t - (rules.empty() ? 0 : 1);
-      ruleset = &background_[bi]->background_rules;
+std::size_t FrameworkRuntime::add_engine(Protocol protocol,
+                                         const Species& initial) {
+  protocols_.push_back(std::make_unique<Protocol>(std::move(protocol)));
+  engines_.push_back(
+      std::make_unique<CountEngine>(*protocols_.back(), initial, rng_()));
+  return engines_.size() - 1;
+}
+
+void FrameworkRuntime::add_statement_engines(const std::vector<Stmt>& body,
+                                             const Species& initial) {
+  for (const auto& s : body) {
+    if (s.kind == StmtKind::kExecuteRuleset) {
+      engine_of_[&s] =
+          s.rules.empty()
+              ? 0
+              : add_engine(statement_protocol(program_, s.rules), initial);
     }
-    if (ruleset->empty()) continue;
-    const Rule& rule = (*ruleset)[rng_.below(ruleset->size())];
-    const State sa = pop_.state(a);
-    const State sb = pop_.state(b);
-    if (!rule.matches(sa, sb)) continue;
-    const auto [na, nb] = rule.apply(sa, sb, rng_);
-    if (na != sa) pop_.set_state(a, na);
-    if (nb != sb) pop_.set_state(b, nb);
+    add_statement_engines(s.then_branch, initial);  // empty unless if/else
+    add_statement_engines(s.else_branch, initial);
+    add_statement_engines(s.body, initial);  // empty unless repeat
   }
 }
 
-void FrameworkRuntime::run_background(double rounds_to_run) {
-  static const std::vector<Rule> kNone;
-  exec_rules(kNone, rounds_to_run);
+void FrameworkRuntime::run_engine(std::size_t e, double rounds_to_run) {
+  rounds_ += rounds_to_run;
+  if (protocols_[e]->num_rules() == 0) return;  // nothing can change
+  if (e != live_) {
+    engines_[e]->reset_population(engines_[live_]->species());
+    live_ = e;
+  }
+  engines_[e]->run_rounds(rounds_to_run);
 }
 
-bool FrameworkRuntime::evaluate_exists(const BoolExpr& condition) {
-  const Guard guard(condition);
-  if (!opts_.epidemic_if_exists) return pop_.exists(guard);
+bool FrameworkRuntime::epidemic_reaches(std::uint64_t sources) {
   // Fig. 2 lowering: unset all Z flags, then run the epidemic with source
-  // set {agents satisfying the condition} for c ln n rounds; the branch
-  // decision is whether any flag ended up set.
-  std::vector<std::uint8_t> z(pop_.size(), 0);
-  const auto interactions = static_cast<std::uint64_t>(
-      exec_rounds_ * static_cast<double>(pop_.size()));
-  for (std::uint64_t i = 0; i < interactions; ++i) {
-    const auto [a, b] = rng_.distinct_pair(pop_.size());
-    if (z[a] || guard.matches(pop_.state(a))) z[b] = 1;
-  }
-  for (std::size_t i = 0; i < pop_.size(); ++i)
-    if (z[i]) return true;
-  return false;
+  // set {agents satisfying the condition} for c ln n rounds. The flags stay
+  // empty iff none of the m = ⌊c ln n · n⌋ interactions has a source as
+  // initiator, which happens with probability (1 - k/n)^m.
+  const auto n = static_cast<double>(backend().active_n());
+  const double m = std::floor(exec_rounds_ * n);
+  if (sources == 0 || m == 0.0) return false;
+  return !rng_.chance(
+      std::exp(m * std::log1p(-static_cast<double>(sources) / n)));
 }
 
 void FrameworkRuntime::apply_assign(const Stmt& stmt, bool good) {
   const Guard guard(stmt.source);
-  for (std::size_t i = 0; i < pop_.size(); ++i) {
-    if (!good && rng_.coin()) continue;  // adversarial partial assignment
-    const State s = pop_.state(i);
-    const bool value = stmt.coin ? rng_.coin() : guard.matches(s);
-    const State ns = value ? (s | var_bit(stmt.target))
-                           : (s & ~var_bit(stmt.target));
-    if (ns != s) pop_.set_state(i, ns);
+  const State bit = var_bit(stmt.target);
+  Species next;
+  for (const auto& [s, c] : engines_[live_]->species()) {
+    // A bad iteration's partial assignment skips each agent with
+    // probability 1/2.
+    const std::uint64_t hit = good ? c : sample_binomial(rng_, c, 0.5);
+    const std::uint64_t on = stmt.coin ? sample_binomial(rng_, hit, 0.5)
+                             : guard.matches(s) ? hit
+                                                : 0;
+    next.emplace_back(s | bit, on);
+    next.emplace_back(s & ~bit, hit - on);
+    next.emplace_back(s, c - hit);
   }
+  engines_[live_]->reset_population(next);
 }
 
 void FrameworkRuntime::run_stmt(const Stmt& stmt, bool good) {
   switch (stmt.kind) {
-    case StmtKind::kExecuteRuleset: {
-      const double r =
-          good ? exec_rounds_ : rng_.uniform() * exec_rounds_;
-      exec_rules(stmt.rules, r);
+    case StmtKind::kExecuteRuleset:
+      run_engine(engine_of_.at(&stmt),
+                 good ? exec_rounds_ : rng_.uniform() * exec_rounds_);
       break;
-    }
     case StmtKind::kAssign:
       apply_assign(stmt, good);
-      run_background(2.0 * exec_rounds_);  // the Fig. 1 two-phase charge
+      run_engine(0, 2.0 * exec_rounds_);  // the Fig. 1 two-phase charge
       break;
     case StmtKind::kIfExists: {
-      run_background(2.0 * exec_rounds_);  // Z reset + epidemic charge
+      run_engine(0, 2.0 * exec_rounds_);  // Z reset + epidemic charge
+      const std::uint64_t k = backend().count_matching(stmt.condition);
       bool take_then;
       if (good) {
-        take_then = evaluate_exists(stmt.condition);
+        take_then = opts_.epidemic_if_exists ? epidemic_reaches(k) : k > 0;
       } else {
         // Adversarial evaluation: stale Z flags may exist only while the
         // condition holds somewhere (Def. 2.1's second constraint), so a
         // currently-false condition forces the else branch; a true one may
         // resolve either way.
-        take_then = pop_.exists(Guard(stmt.condition)) && rng_.coin();
+        take_then = k > 0 && rng_.coin();
       }
       run_block(take_then ? stmt.then_branch : stmt.else_branch, good);
       break;
@@ -179,50 +193,57 @@ void FrameworkRuntime::run_block(const std::vector<Stmt>& body, bool good) {
   }
 }
 
+void FrameworkRuntime::run_startup_chaos() {
+  // Uncontrolled pre-phase: all rules fire in no particular order and
+  // assignments hit arbitrary subsets of agents (§3), except that
+  // operations nested in `if exists` branches stay disabled while their
+  // conditions are absent (Def. 2.1 via the Z_# gating).
+  std::vector<ChaosOp> pool;
+  std::vector<Guard> conds;
+  collect_ops(program_.main_thread().body, conds, pool);
+  for (const auto* bt : program_.background_threads())
+    for (const auto& r : bt->background_rules)
+      pool.push_back(ChaosOp{nullptr, &r, {}});
+  std::vector<State> agents;
+  for (const auto& [s, c] : backend().species())
+    agents.insert(agents.end(), c, s);
+  AgentPopulation pop(std::move(agents));
+  const auto interactions = static_cast<std::uint64_t>(
+      opts_.startup_chaos_rounds * static_cast<double>(pop.size()));
+  rounds_ += opts_.startup_chaos_rounds;
+  for (std::uint64_t i = 0; i < interactions && !pool.empty(); ++i) {
+    const auto [a, b] = rng_.distinct_pair(pop.size());
+    const ChaosOp& op = pool[rng_.below(pool.size())];
+    bool enabled = true;
+    for (const auto& g : op.conditions)
+      if (!pop.exists(g)) {
+        enabled = false;
+        break;
+      }
+    if (!enabled) continue;
+    if (op.assign != nullptr) {
+      const Guard guard(op.assign->source);
+      const State s = pop.state(a);
+      const bool value = op.assign->coin ? rng_.coin() : guard.matches(s);
+      pop.set_state(a, value ? (s | var_bit(op.assign->target))
+                             : (s & ~var_bit(op.assign->target)));
+    } else {
+      const Rule& rule = *op.rule;
+      const State sa = pop.state(a);
+      const State sb = pop.state(b);
+      if (!rule.matches(sa, sb)) continue;
+      const auto [na, nb] = rule.apply(sa, sb, rng_);
+      if (na != sa) pop.set_state(a, na);
+      if (nb != sb) pop.set_state(b, nb);
+    }
+  }
+  engines_[live_]->reset_population(collapse(pop.states(), 0));
+}
+
 void FrameworkRuntime::run_iteration() {
   if (!chaos_done_) {
     chaos_done_ = true;
-    if (opts_.startup_chaos_rounds > 0.0) {
-      // Uncontrolled pre-phase: all rules fire in no particular order and
-      // assignments hit arbitrary subsets of agents (§3), except that
-      // operations nested in `if exists` branches stay disabled while
-      // their conditions are absent (Def. 2.1 via the Z_# gating).
-      std::vector<ChaosOp> pool;
-      std::vector<Guard> conds;
-      collect_ops(program_.main_thread().body, conds, pool);
-      for (const auto* bt : background_)
-        for (const auto& r : bt->background_rules)
-          pool.push_back(ChaosOp{nullptr, &r, {}});
-      const auto interactions = static_cast<std::uint64_t>(
-          opts_.startup_chaos_rounds * static_cast<double>(pop_.size()));
-      rounds_ += opts_.startup_chaos_rounds;
-      for (std::uint64_t i = 0; i < interactions && !pool.empty(); ++i) {
-        const auto [a, b] = rng_.distinct_pair(pop_.size());
-        const ChaosOp& op = pool[rng_.below(pool.size())];
-        bool enabled = true;
-        for (const auto& g : op.conditions)
-          if (!pop_.exists(g)) {
-            enabled = false;
-            break;
-          }
-        if (!enabled) continue;
-        if (op.assign != nullptr) {
-          const Guard guard(op.assign->source);
-          const State s = pop_.state(a);
-          const bool value = op.assign->coin ? rng_.coin() : guard.matches(s);
-          pop_.set_state(a, value ? (s | var_bit(op.assign->target))
-                                  : (s & ~var_bit(op.assign->target)));
-        } else {
-          const Rule& rule = *op.rule;
-          const State sa = pop_.state(a);
-          const State sb = pop_.state(b);
-          if (!rule.matches(sa, sb)) continue;
-          const auto [na, nb] = rule.apply(sa, sb, rng_);
-          if (na != sa) pop_.set_state(a, na);
-          if (nb != sb) pop_.set_state(b, nb);
-        }
-      }
-    }
+    if (opts_.startup_chaos_rounds > 0.0) run_startup_chaos();
   }
   const bool good = !rng_.chance(opts_.bad_iteration_rate);
   run_block(program_.main_thread().body, good);
@@ -230,12 +251,11 @@ void FrameworkRuntime::run_iteration() {
 }
 
 std::optional<double> FrameworkRuntime::run_until(
-    const std::function<bool(const AgentPopulation&)>& predicate,
-    std::size_t max_iterations) {
-  if (predicate(pop_)) return rounds();
+    const SimBackend::Predicate& predicate, std::size_t max_iterations) {
+  if (predicate(backend())) return rounds();
   while (iterations_ < max_iterations) {
     run_iteration();
-    if (predicate(pop_)) return rounds();
+    if (predicate(backend())) return rounds();
   }
   return std::nullopt;
 }

@@ -7,10 +7,11 @@
 // `execute`/`repeat >= c ln n` runs for at least its prescribed duration
 // under a fair uniform scheduler (with background threads composed in), and
 // assignments / existence tests reach their expected outcome. This runtime
-// executes programs directly under those semantics, so protocol-level
-// experiments (T1, T2, T8, T9, T10) measure the algorithmic convergence the
-// paper's theorems describe, with the clock machinery's behaviour studied
-// (and cross-validated) separately by T3-T7 and F16.
+// executes programs directly under those semantics, on species counts: each
+// `execute` runs its statement_protocol on a CountEngine, the charges of
+// `:=` and `if exists` run the background threads alone, `:=` relabels
+// species (binomial splits for coins and partial assignments) and
+// `if exists` counts matching agents.
 //
 // Fidelity knobs:
 //  * bad_iteration_rate injects adversarial (synchronization-free)
@@ -19,17 +20,17 @@
 //    early abort — used to test the always-correct protocols;
 //  * startup_chaos_rounds runs the uncontrolled pre-phase (§3: "the provided
 //    rulesets will be executed in no particular order"), exercising
-//    constraint (1) of the safe-use discipline;
-//  * epidemic_if_exists evaluates `if exists` through a simulated Z-flag
-//    epidemic (the Fig. 2 lowering) instead of a global scan.
+//    constraint (1) of the safe-use discipline, once, on per-agent states;
+//  * epidemic_if_exists decides `if exists` by the exact outcome of the
+//    Z-flag epidemic (the Fig. 2 lowering) instead of a global scan.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <optional>
+#include <unordered_map>
 
-#include "core/population.hpp"
+#include "core/count_engine.hpp"
 #include "lang/ast.hpp"
-#include "support/rng.hpp"
 
 namespace popproto {
 
@@ -43,23 +44,26 @@ struct RuntimeOptions {
   std::uint64_t seed = 1;
 };
 
+/// What an `execute` of `rules` runs: `rules` as one thread beside the
+/// program's background threads (§2.2), or those alone if `rules` is empty.
+Protocol statement_protocol(const Program& program, std::vector<Rule> rules);
+
 class FrameworkRuntime {
  public:
   /// All agents start in the program's initializer state.
   FrameworkRuntime(const Program& program, std::size_t n, RuntimeOptions opts);
   /// Custom initial states (inputs): initializers are OR-ed on top.
-  FrameworkRuntime(const Program& program, std::vector<State> inputs,
+  FrameworkRuntime(const Program& program, const std::vector<State>& inputs,
                    RuntimeOptions opts);
 
   /// Execute one iteration of the main thread's outer loop (good with
   /// probability 1 - bad_iteration_rate).
   void run_iteration();
 
-  /// Run until predicate(population) holds at an iteration boundary.
+  /// Run until predicate(backend()) holds at an iteration boundary.
   /// Returns the parallel time, or nullopt after max_iterations.
-  std::optional<double> run_until(
-      const std::function<bool(const AgentPopulation&)>& predicate,
-      std::size_t max_iterations);
+  std::optional<double> run_until(const SimBackend::Predicate& predicate,
+                                  std::size_t max_iterations);
 
   std::size_t iterations() const { return iterations_; }
   /// Parallel time consumed so far (rounds), counting the charges of every
@@ -67,27 +71,39 @@ class FrameworkRuntime {
   /// execution, 2 c ln n per assignment, 2 c ln n per existence test.
   double rounds() const { return rounds_; }
 
-  const AgentPopulation& population() const { return pop_; }
-  AgentPopulation& population() { return pop_; }
-  const Program& program() const { return program_; }
-  Rng& rng() { return rng_; }
-  double c_ln_n() const { return exec_rounds_; }
+  /// The engine holding the configuration; its own rounds() counts only
+  /// the time run on it. Agents crashed on it stay there when the next
+  /// statement moves the species to another engine.
+  const SimBackend& backend() const { return *engines_[live_]; }
+  SimBackend& backend() { return *engines_[live_]; }
 
  private:
+  using Species = std::vector<std::pair<State, std::uint64_t>>;
+
+  FrameworkRuntime(const Program& program, const Species& initial,
+                   RuntimeOptions opts);
+  std::size_t add_engine(Protocol protocol, const Species& initial);
+  void add_statement_engines(const std::vector<Stmt>& body,
+                             const Species& initial);
+  /// Charge `rounds` and run engine `e` for them, moving the species to it.
+  void run_engine(std::size_t e, double rounds);
   void run_block(const std::vector<Stmt>& body, bool good);
   void run_stmt(const Stmt& stmt, bool good);
-  void exec_rules(const std::vector<Rule>& rules, double rounds);
-  void run_background(double rounds);
-  bool evaluate_exists(const BoolExpr& condition);
   void apply_assign(const Stmt& stmt, bool good);
+  bool epidemic_reaches(std::uint64_t sources);
+  void run_startup_chaos();
 
   const Program& program_;
   RuntimeOptions opts_;
-  AgentPopulation pop_;
   Rng rng_;
-  std::vector<const ProgramThread*> background_;
-  double exec_rounds_;      // c * ln n
+  double exec_rounds_;        // c * ln n
   std::size_t repeat_count_;  // ceil(c * ln n)
+  // Engine 0 runs the background threads alone; the others run the
+  // `execute` statements of engine_of_, each built once.
+  std::vector<std::unique_ptr<Protocol>> protocols_;
+  std::vector<std::unique_ptr<CountEngine>> engines_;
+  std::unordered_map<const Stmt*, std::size_t> engine_of_;
+  std::size_t live_ = 0;
   std::size_t iterations_ = 0;
   double rounds_ = 0.0;
   bool chaos_done_ = false;

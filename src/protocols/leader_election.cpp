@@ -38,10 +38,10 @@ Program make_leader_election_program(VarSpacePtr vars) {
   return p;
 }
 
-std::uint64_t leader_count(const AgentPopulation& pop, const VarSpace& vars) {
+std::uint64_t leader_count(const SimBackend& backend, const VarSpace& vars) {
   const auto L = vars.find(kLeaderVar);
   POPPROTO_CHECK(L.has_value());
-  return pop.count_var(*L);
+  return backend.count_matching(BoolExpr::var(*L));
 }
 
 }  // namespace popproto

@@ -21,7 +21,7 @@
 // O(log n) good iterations reach |L| = 1 w.h.p.
 #pragma once
 
-#include "core/population.hpp"
+#include "core/sim_backend.hpp"
 #include "lang/ast.hpp"
 
 namespace popproto {
@@ -32,6 +32,6 @@ inline constexpr const char* kLeaderVar = "L";
 Program make_leader_election_program(VarSpacePtr vars);
 
 /// Number of agents currently marked as leaders.
-std::uint64_t leader_count(const AgentPopulation& pop, const VarSpace& vars);
+std::uint64_t leader_count(const SimBackend& backend, const VarSpace& vars);
 
 }  // namespace popproto

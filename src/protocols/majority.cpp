@@ -65,12 +65,12 @@ std::vector<State> majority_inputs(const VarSpace& vars, std::size_t n,
   return states;
 }
 
-bool majority_output_is(const AgentPopulation& pop, const VarSpace& vars,
+bool majority_output_is(const SimBackend& backend, const VarSpace& vars,
                         bool a_wins) {
   const auto Y = vars.find(kMajOutput);
   POPPROTO_CHECK(Y.has_value());
-  const std::uint64_t set = pop.count_var(*Y);
-  return a_wins ? set == pop.size() : set == 0;
+  const std::uint64_t set = backend.count_matching(BoolExpr::var(*Y));
+  return a_wins ? set == backend.active_n() : set == 0;
 }
 
 }  // namespace popproto

@@ -9,7 +9,7 @@
 // existence tests.
 #pragma once
 
-#include "core/population.hpp"
+#include "core/sim_backend.hpp"
 #include "lang/ast.hpp"
 
 namespace popproto {
@@ -26,7 +26,7 @@ std::vector<State> majority_inputs(const VarSpace& vars, std::size_t n,
                                    std::size_t count_a, std::size_t count_b);
 
 /// True when every agent's Y_A equals `a_wins`.
-bool majority_output_is(const AgentPopulation& pop, const VarSpace& vars,
+bool majority_output_is(const SimBackend& backend, const VarSpace& vars,
                         bool a_wins);
 
 /// The cancellation and duplication rulesets (shared with MajorityExact and

@@ -106,13 +106,13 @@ std::vector<State> plurality_inputs(const VarSpace& vars, std::size_t n,
   return states;
 }
 
-int plurality_winner(const AgentPopulation& pop, const VarSpace& vars,
+int plurality_winner(const SimBackend& backend, const VarSpace& vars,
                      int colors) {
   int winner = -1;
   for (int i = 0; i < colors; ++i) {
     const auto v = vars.find(plurality_output_var(i));
     POPPROTO_CHECK(v.has_value());
-    if (pop.count_var(*v) == pop.size()) {
+    if (backend.count_matching(BoolExpr::var(*v)) == backend.active_n()) {
       if (winner >= 0) return -1;  // two unanimous winners: inconsistent
       winner = i;
     }

@@ -9,7 +9,7 @@
 // and each color's output as the conjunction "beats every other color".
 #pragma once
 
-#include "core/population.hpp"
+#include "core/sim_backend.hpp"
 #include "lang/ast.hpp"
 
 namespace popproto {
@@ -33,7 +33,7 @@ std::vector<State> plurality_inputs(const VarSpace& vars, std::size_t n,
                                     const std::vector<std::size_t>& counts);
 
 /// The color whose WIN flag is set for all agents, or -1 if there is none.
-int plurality_winner(const AgentPopulation& pop, const VarSpace& vars,
+int plurality_winner(const SimBackend& backend, const VarSpace& vars,
                      int colors);
 
 }  // namespace popproto

@@ -456,12 +456,12 @@ SemilinearProtocol make_semilinear_exact_protocol(VarSpacePtr vars,
   return out;
 }
 
-bool semilinear_output_is(const AgentPopulation& pop, const VarSpace& vars,
+bool semilinear_output_is(const SimBackend& backend, const VarSpace& vars,
                           bool value) {
   const auto P = vars.find(kSemilinearOutput);
   POPPROTO_CHECK(P.has_value());
-  const std::uint64_t set = pop.count_var(*P);
-  return value ? set == pop.size() : set == 0;
+  const std::uint64_t set = backend.count_matching(BoolExpr::var(*P));
+  return value ? set == backend.active_n() : set == 0;
 }
 
 }  // namespace popproto

@@ -29,8 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "core/population.hpp"
 #include "core/protocol.hpp"
+#include "core/sim_backend.hpp"
 #include "lang/ast.hpp"
 
 namespace popproto {
@@ -92,7 +92,7 @@ SemilinearProtocol make_semilinear_exact_protocol(VarSpacePtr vars,
 inline constexpr const char* kSemilinearOutput = "SL_P";
 
 /// True when every agent's SL_P equals `value`.
-bool semilinear_output_is(const AgentPopulation& pop, const VarSpace& vars,
+bool semilinear_output_is(const SimBackend& backend, const VarSpace& vars,
                           bool value);
 
 }  // namespace popproto

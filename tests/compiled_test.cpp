@@ -154,6 +154,28 @@ TEST(Compiled, NestedProgramAdvancesOuterSlotAfterInnerSweeps) {
   EXPECT_TRUE(tau2_moved);
 }
 
+TEST(Compiled, RunUntilClampsLastIntervalToHorizon) {
+  // A check_interval past max_rounds still checks once, at max_rounds, and
+  // a hit there reports the horizon, not a whole interval past it.
+  auto vars = make_var_space();
+  const Program p = make_leader_election_program(vars);
+  const std::size_t n = 64;
+  CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 4),
+                     ClockLevelParams{}, 3);
+  int calls = 0;
+  const auto t = eng.run_until(
+      [&](const AgentPopulation&) { return ++calls >= 2; }, 10.0, 16.0);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(calls, 2);
+  EXPECT_DOUBLE_EQ(*t, 10.0);
+  EXPECT_DOUBLE_EQ(eng.rounds(), 10.0);
+  // A timed-out run stops at the horizon too.
+  const auto none = eng.run_until(
+      [&](const AgentPopulation&) { return false; }, 25.0, 16.0);
+  EXPECT_FALSE(none.has_value());
+  EXPECT_DOUBLE_EQ(eng.rounds(), 25.0);
+}
+
 TEST(Compiled, LeaderElectionEndToEnd) {
   // The flagship integration test: the full compiled LeaderElection — Fig.1
   // assignment lowering, Fig.2 existence epidemics, Π_τ gating, oscillator,
@@ -165,14 +187,14 @@ TEST(Compiled, LeaderElectionEndToEnd) {
                      ClockLevelParams{}, 13);
   const auto t = eng.run_until(
       [&](const AgentPopulation& pop) {
-        return leader_count(pop, *vars) == 1;
+        return pop.count_var(*vars->find(kLeaderVar)) == 1;
       },
       400000.0, 200.0);
   ASSERT_TRUE(t.has_value());
   // The elected leader persists across further iterations (w.h.p.); verify
   // over a few more full cycles.
   eng.run_rounds(30000.0);
-  EXPECT_EQ(leader_count(eng.user_population(), *vars), 1u);
+  EXPECT_EQ(eng.user_population().count_var(*vars->find(kLeaderVar)), 1u);
 }
 
 }  // namespace

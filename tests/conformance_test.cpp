@@ -1,10 +1,13 @@
-// Conformance slice (ROADMAP item 5(a)) for the two pair-kernel protocols:
-// the validated oscillator P_o and base clock C_o run on every backend and
-// are compared against the agent Engine reference. Each backend gives one
-// hitting-time sample (two-sample KS) and one final-configuration category
-// (two-sample chi-square) per seed. The family is Holm-corrected at
-// alpha = 0.01: Holm rejects nothing exactly when every test passes at
-// alpha / (family size), which is what these cases assert.
+// Conformance slice (ROADMAP item 5(a)) for the two pair-kernel protocols
+// and for the statement protocols FrameworkRuntime runs an `execute` on:
+// the validated oscillator P_o and base clock C_o, Majority's cancel and
+// duplicate rulesets, and a ruleset composed with derandomize's
+// FilteredCoin background thread run on every backend and are compared
+// against the agent Engine reference. Each backend gives one hitting-time
+// sample (two-sample KS) and one final-configuration category (two-sample
+// chi-square) per seed. The family is Holm-corrected at alpha = 0.01: Holm
+// rejects nothing exactly when every test passes at alpha / (family size),
+// which is what these cases assert.
 //
 // The reference is Engine with the sequential scheduler for the agent,
 // count and count_shard backends, and Engine with the random-matching
@@ -27,14 +30,17 @@
 #include "core/count_engine.hpp"
 #include "core/count_shard_engine.hpp"
 #include "core/engine.hpp"
+#include "lang/derandomize.hpp"
+#include "lang/runtime.hpp"
+#include "protocols/majority.hpp"
 #include "support/stats.hpp"
 
 namespace popproto {
 namespace {
 
 constexpr double kAlpha = 0.01;
-// 2 protocols x 4 backends x (KS + chi-square).
-constexpr double kFamily = 16.0;
+// 5 protocols x 4 backends x (KS + chi-square).
+constexpr double kFamily = 40.0;
 constexpr int kSeeds = 100;
 
 using Counts = std::vector<std::pair<State, std::uint64_t>>;
@@ -201,6 +207,99 @@ TEST(Conformance, ClockKernelOnEveryBackend) {
                                c.begin());
   };
   expect_conforms(s, "clock kernel");
+}
+
+// Majority's working copies: `a` A* marks, `b` B* marks and the rest
+// blank, each agent also carrying `base`.
+Counts working_copies(const VarSpace& vars, std::uint64_t n, std::uint64_t a,
+                      std::uint64_t b, State base) {
+  return {{base | var_bit(*vars.find("MAJ_As")), a},
+          {base | var_bit(*vars.find("MAJ_Bs")), b},
+          {base, n - a - b}};
+}
+
+std::uint64_t count_var(const SimBackend& e, const VarSpace& vars,
+                        const char* name) {
+  return e.count_matching(BoolExpr::var(*vars.find(name)));
+}
+
+TEST(Conformance, MajorityCancelStatementOnEveryBackend) {
+  // Hitting time: the minority's working copies are gone. Final category:
+  // how many of them are left at round 5.
+  auto vars = make_var_space();
+  const Program program = make_majority_program(vars);
+  const Protocol proto = statement_protocol(
+      program, majority_cancel_rules(*vars->find("MAJ_As"),
+                                     *vars->find("MAJ_Bs")));
+  Subject s;
+  s.protocol = &proto;
+  s.init = working_copies(*vars, 512, 150, 120, 0);
+  s.hit = [&](const SimBackend& e) {
+    return count_var(e, *vars, "MAJ_Bs") == 0;
+  };
+  s.max_rounds = 2000.0;
+  s.final_round = 5.0;
+  s.category = [&](const SimBackend& e) {
+    return static_cast<double>(count_var(e, *vars, "MAJ_Bs"));
+  };
+  expect_conforms(s, "majority cancel statement");
+}
+
+TEST(Conformance, MajorityDuplicateStatementOnEveryBackend) {
+  // Hitting time: every working copy has recruited its blank. Final
+  // category: how many copies are still unrecruited at round 3.
+  auto vars = make_var_space();
+  const Program program = make_majority_program(vars);
+  const VarId as = *vars->find("MAJ_As");
+  const VarId bs = *vars->find("MAJ_Bs");
+  const VarId k = *vars->find("MAJ_K");
+  const Protocol proto =
+      statement_protocol(program, majority_duplicate_rules(as, bs, k));
+  const BoolExpr unrecruited =
+      (BoolExpr::var(as) || BoolExpr::var(bs)) && !BoolExpr::var(k);
+  Subject s;
+  s.protocol = &proto;
+  s.init = working_copies(*vars, 512, 40, 30, 0);
+  s.hit = [&](const SimBackend& e) {
+    return e.count_matching(unrecruited) == 0;
+  };
+  s.max_rounds = 2000.0;
+  s.final_round = 3.0;
+  s.category = [&](const SimBackend& e) {
+    return static_cast<double>(e.count_matching(unrecruited));
+  };
+  expect_conforms(s, "majority duplicate statement");
+}
+
+TEST(Conformance, StatementWithFilteredCoinOnEveryBackend) {
+  // Majority's cancel ruleset beside the FilteredCoin thread that
+  // derandomize() appends for a coin assignment: each interaction picks
+  // one of the two threads. Hitting time: the minority's copies are gone.
+  // Final category: the synthetic coin's size at round 20.
+  auto vars = make_var_space();
+  Program program = make_majority_program(vars);
+  const VarId as = *vars->find("MAJ_As");
+  const VarId bs = *vars->find("MAJ_Bs");
+  program.threads[0].body.insert(program.threads[0].body.begin(),
+                                 assign_coin(*vars->find("MAJ_K")));
+  const DerandomizedProgram d = derandomize(program);
+  ASSERT_EQ(d.coins_replaced, 1);
+  const Protocol proto =
+      statement_protocol(d.program, majority_cancel_rules(as, bs));
+  ASSERT_EQ(proto.threads().size(), 2u);
+  Subject s;
+  s.protocol = &proto;
+  s.init = working_copies(*vars, 512, 150, 120, d.program.initial_state());
+  s.hit = [&](const SimBackend& e) {
+    return count_var(e, *vars, "MAJ_Bs") == 0;
+  };
+  s.max_rounds = 2000.0;
+  s.final_round = 20.0;
+  s.category = [&](const SimBackend& e) {
+    return static_cast<double>(
+        e.count_matching(BoolExpr::var(d.coin_var)));
+  };
+  expect_conforms(s, "statement with FilteredCoin");
 }
 
 }  // namespace

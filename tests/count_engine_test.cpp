@@ -118,6 +118,30 @@ TEST(CountEngine, SilentFastForwardsTime) {
   EXPECT_EQ(eng.count_matching(BoolExpr::var(x)), 1u);
 }
 
+TEST(CountEngine, RuleLessProtocolIsSilent) {
+  // A protocol without rules (no thread at all, or only empty ones) can
+  // never change a configuration, in every mode.
+  auto vars = make_var_space();
+  const VarId x = vars->intern("X");
+  Protocol none("none", vars);
+  Protocol empty("empty", vars);
+  empty.add_thread("idle", {});
+  for (const Protocol* p : {&none, &empty}) {
+    for (const CountEngineMode mode :
+         {CountEngineMode::kBatch, CountEngineMode::kSkip,
+          CountEngineMode::kDirect}) {
+      CountEngine eng(*p, {{var_bit(x), 3}, {0, 61}}, 5, mode);
+      eng.run_rounds(10.0);
+      EXPECT_GE(eng.rounds(), 10.0);
+      EXPECT_EQ(eng.count_matching(BoolExpr::var(x)), 3u);
+      EXPECT_EQ(eng.effective_interactions(), 0u);
+      if (mode != CountEngineMode::kDirect) {
+        EXPECT_TRUE(eng.silent());
+      }
+    }
+  }
+}
+
 TEST(CountEngine, RunUntilFindsThreshold) {
   auto vars = make_var_space();
   const Protocol p = elimination_protocol(vars);

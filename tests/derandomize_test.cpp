@@ -81,7 +81,7 @@ TEST(Derandomize, LeaderElectionStillConverges) {
   opts.seed = 17;
   FrameworkRuntime rt(d.program, 2048, opts);
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return leader_count(pop, *vars) == 1;
       },
       600);

@@ -14,9 +14,9 @@ namespace {
 // LeaderElectionExact (Thms 6.1, 6.2).
 // ---------------------------------------------------------------------------
 
-std::uint64_t count(const AgentPopulation& pop, const VarSpace& vars,
+std::uint64_t count(const SimBackend& pop, const VarSpace& vars,
                     const char* name) {
-  return pop.count_var(*vars.find(name));
+  return pop.count_matching(BoolExpr::var(*vars.find(name)));
 }
 
 TEST(LeaderElectionExact, ElectsUniqueLeader) {
@@ -26,7 +26,7 @@ TEST(LeaderElectionExact, ElectsUniqueLeader) {
   opts.seed = 3;
   FrameworkRuntime rt(p, 1024, opts);
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return count(pop, *vars, kExactLeaderVar) == 1;
       },
       300);
@@ -42,7 +42,7 @@ TEST(LeaderElectionExact, SurvivorSetNeverEmpty) {
   FrameworkRuntime rt(p, 512, opts);
   for (int i = 0; i < 80; ++i) {
     rt.run_iteration();
-    ASSERT_GE(count(rt.population(), *vars, "LEX_R"), 1u);
+    ASSERT_GE(count(rt.backend(), *vars, "LEX_R"), 1u);
   }
 }
 
@@ -57,7 +57,7 @@ TEST(LeaderElectionExact, LeaderSetNeverEmptyForLong) {
   int consecutive_empty = 0;
   for (int i = 0; i < 80; ++i) {
     rt.run_iteration();
-    if (count(rt.population(), *vars, kExactLeaderVar) == 0) {
+    if (count(rt.backend(), *vars, kExactLeaderVar) == 0) {
       ++consecutive_empty;
       ASSERT_LT(consecutive_empty, 2);
     } else {
@@ -81,7 +81,7 @@ TEST_P(LeaderElectionExactAdversarial, StillElectsUnderFailures) {
   opts.startup_chaos_rounds = 50.0;
   FrameworkRuntime rt(p, 512, opts);
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return count(pop, *vars, kExactLeaderVar) == 1 &&
                count(pop, *vars, "LEX_R") == 1;
       },
@@ -90,7 +90,7 @@ TEST_P(LeaderElectionExactAdversarial, StillElectsUnderFailures) {
   // Once |R| = 1 and L = R, the configuration is stable: verify.
   for (int i = 0; i < 20; ++i) {
     rt.run_iteration();
-    ASSERT_EQ(count(rt.population(), *vars, kExactLeaderVar), 1u);
+    ASSERT_EQ(count(rt.backend(), *vars, kExactLeaderVar), 1u);
   }
 }
 
@@ -110,7 +110,7 @@ TEST(LeaderElectionExact, FilteredCoinStaysBalanced) {
   for (int i = 0; i < 20; ++i) {
     rt.run_iteration();
     const double f =
-        static_cast<double>(count(rt.population(), *vars, "LEX_F")) / 2048.0;
+        static_cast<double>(count(rt.backend(), *vars, "LEX_F")) / 2048.0;
     ++total;
     if (f > 0.05 && f < 0.95) ++balanced;
   }
@@ -140,15 +140,15 @@ TEST_P(MajorityExactSweep, ConvergesToCorrectStableOutput) {
   // minority *input* marks, then two more iterations settle the output
   // forever.
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
-        return pop.count_var(minority) == 0 &&
+      [&](const SimBackend& pop) {
+        return pop.count_matching(BoolExpr::var(minority)) == 0 &&
                majority_output_is(pop, *vars, a_wins);
       },
       4000);
   ASSERT_TRUE(t.has_value());
   for (int i = 0; i < 10; ++i) {
     rt.run_iteration();
-    ASSERT_TRUE(majority_output_is(rt.population(), *vars, a_wins));
+    ASSERT_TRUE(majority_output_is(rt.backend(), *vars, a_wins));
   }
 }
 
@@ -170,7 +170,7 @@ TEST(MajorityExact, FastPathDeliversEarly) {
   opts.seed = 21;
   FrameworkRuntime rt(p, majority_inputs(*vars, 1024, 513, 511), opts);
   rt.run_iteration();
-  EXPECT_TRUE(majority_output_is(rt.population(), *vars, true));
+  EXPECT_TRUE(majority_output_is(rt.backend(), *vars, true));
 }
 
 TEST(MajorityExact, SlowCancellationConservesDifference) {
@@ -184,8 +184,8 @@ TEST(MajorityExact, SlowCancellationConservesDifference) {
   const VarId B = *vars->find(kMajInputB);
   for (int i = 0; i < 6; ++i) {
     rt.run_iteration();
-    const auto a = rt.population().count_var(A);
-    const auto b = rt.population().count_var(B);
+    const auto a = rt.backend().count_matching(BoolExpr::var(A));
+    const auto b = rt.backend().count_matching(BoolExpr::var(B));
     ASSERT_EQ(a - b, 48u);  // #A - #B invariant under pairwise cancellation
   }
 }

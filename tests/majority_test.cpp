@@ -25,7 +25,7 @@ TEST_P(MajoritySweep, ComputesCorrectAnswer) {
   FrameworkRuntime rt(p, majority_inputs(*vars, n, count_a, count_b), opts);
   const bool a_wins = count_a > count_b;
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return majority_output_is(pop, *vars, a_wins);
       },
       8);
@@ -53,7 +53,7 @@ TEST(Majority, OutputStableAcrossFurtherIterations) {
   opts.seed = 3;
   FrameworkRuntime rt(p, majority_inputs(*vars, 512, 300, 212), opts);
   ASSERT_TRUE(rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return majority_output_is(pop, *vars, true);
       },
       8));
@@ -61,7 +61,7 @@ TEST(Majority, OutputStableAcrossFurtherIterations) {
   // a valid output.
   for (int i = 0; i < 3; ++i) {
     rt.run_iteration();
-    ASSERT_TRUE(majority_output_is(rt.population(), *vars, true));
+    ASSERT_TRUE(majority_output_is(rt.backend(), *vars, true));
   }
 }
 
@@ -78,8 +78,8 @@ TEST(Majority, InputsAreNeverModified) {
   const VarId B = *vars->find(kMajInputB);
   for (int i = 0; i < 3; ++i) {
     rt.run_iteration();
-    ASSERT_EQ(rt.population().count_var(A), 130u);
-    ASSERT_EQ(rt.population().count_var(B), 126u);
+    ASSERT_EQ(rt.backend().count_matching(BoolExpr::var(A)), 130u);
+    ASSERT_EQ(rt.backend().count_matching(BoolExpr::var(B)), 126u);
   }
 }
 
@@ -93,7 +93,7 @@ TEST(Majority, ConvergesFromFirstGoodIteration) {
   opts.seed = 7;
   FrameworkRuntime rt(p, majority_inputs(*vars, 1024, 513, 511), opts);
   rt.run_iteration();
-  EXPECT_TRUE(majority_output_is(rt.population(), *vars, true));
+  EXPECT_TRUE(majority_output_is(rt.backend(), *vars, true));
 }
 
 TEST(Majority, SurvivesStartupChaos) {
@@ -105,7 +105,7 @@ TEST(Majority, SurvivesStartupChaos) {
   opts.startup_chaos_rounds = 60.0;
   FrameworkRuntime rt(p, majority_inputs(*vars, 512, 200, 255), opts);
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return majority_output_is(pop, *vars, false);
       },
       8);
@@ -123,7 +123,7 @@ TEST(Majority, RoundsAreCubicInLogN) {
   const std::size_t n = 2048;
   FrameworkRuntime rt(p, majority_inputs(*vars, n, 1025, 1023), opts);
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return majority_output_is(pop, *vars, true);
       },
       6);

@@ -24,7 +24,7 @@ TEST_P(PluralitySweep, IdentifiesLargestColor) {
   const int expected = static_cast<int>(
       std::max_element(counts.begin(), counts.end()) - counts.begin());
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return plurality_winner(pop, *vars, colors) == expected;
       },
       8);
@@ -49,14 +49,14 @@ TEST(Plurality, WinnerFlagsAreConsistent) {
   opts.seed = 7;
   FrameworkRuntime rt(p, plurality_inputs(*vars, 300, {120, 80, 70}), opts);
   ASSERT_TRUE(rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return plurality_winner(pop, *vars, 3) == 0;
       },
       8));
   // Exactly one unanimous winner; other colors' flags unanimously off.
   for (int c = 1; c < 3; ++c) {
     const auto v = vars->find(plurality_output_var(c));
-    EXPECT_EQ(rt.population().count_var(*v), 0u);
+    EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(*v)), 0u);
   }
 }
 
@@ -90,7 +90,7 @@ TEST(Plurality, TwoColorsDegeneratesToMajority) {
   opts.seed = 9;
   FrameworkRuntime rt(p, plurality_inputs(*vars, 256, {127, 129}), opts);
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return plurality_winner(pop, *vars, 2) == 1;
       },
       8);

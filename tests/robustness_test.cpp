@@ -137,7 +137,7 @@ TEST_P(ChaosSweep, LeaderElectionSurvivesLongChaos) {
   opts.startup_chaos_rounds = GetParam();
   FrameworkRuntime rt(p, 1024, opts);
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return leader_count(pop, *vars) == 1;
       },
       400);
@@ -161,12 +161,11 @@ TEST(Robustness, MajorityWithCorruptedWorkingCopies) {
                         var_bit(*vars->find("MAJ_Bs")) |
                         var_bit(*vars->find("MAJ_K")) |
                         var_bit(*vars->find(kMajOutput));
-  for (std::size_t i = 0; i < 512; ++i) {
-    const State garbage = corrupt() & scratch;
-    rt.population().set_state(i, rt.population().state(i) | garbage);
-  }
+  rt.backend().mutate_random_agents(512, corrupt, [&](State s, std::uint64_t) {
+    return s | (corrupt() & scratch);
+  });
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) {
+      [&](const SimBackend& pop) {
         return majority_output_is(pop, *vars, false);
       },
       8);
@@ -203,7 +202,7 @@ TEST(Robustness, TinyPopulations) {
     opts.seed = 300 + n;
     FrameworkRuntime rt(p, n, opts);
     const auto t = rt.run_until(
-        [&](const AgentPopulation& pop) {
+        [&](const SimBackend& pop) {
           return leader_count(pop, *vars) == 1;
         },
         2000);
@@ -222,7 +221,7 @@ TEST(Robustness, MajorityAllBlankInputsKeepOutputUntouchedShape) {
   opts.seed = 37;
   FrameworkRuntime rt(p, majority_inputs(*vars, 256, 0, 0), opts);
   for (int i = 0; i < 3; ++i) rt.run_iteration();
-  EXPECT_TRUE(majority_output_is(rt.population(), *vars, false));
+  EXPECT_TRUE(majority_output_is(rt.backend(), *vars, false));
 }
 
 }  // namespace

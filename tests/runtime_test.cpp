@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "lang/runtime.hpp"
+#include "support/stats.hpp"
 
 namespace popproto {
 namespace {
@@ -17,6 +18,27 @@ Program single_assign_program(VarSpacePtr vars, Stmt stmt) {
   return p;
 }
 
+std::vector<double> binomial_pmf(std::uint64_t n, double p) {
+  std::vector<double> out(n + 1);
+  const auto dn = static_cast<double>(n);
+  for (std::uint64_t k = 0; k <= n; ++k) {
+    const auto dk = static_cast<double>(k);
+    out[k] = std::exp(std::lgamma(dn + 1.0) - std::lgamma(dk + 1.0) -
+                      std::lgamma(dn - dk + 1.0) + dk * std::log(p) +
+                      (dn - dk) * std::log1p(-p));
+  }
+  return out;
+}
+
+/// Chi-square goodness of fit of observed category counts at alpha = 0.01.
+void expect_fits(const std::vector<double>& observed,
+                 const std::vector<double>& expected) {
+  std::size_t dof = 0;
+  const double chi2 = chi_square_gof(observed, expected, &dof);
+  ASSERT_GT(dof, 0u);
+  EXPECT_LT(chi2, chi_square_critical_value(dof, 0.01));
+}
+
 TEST(Runtime, AssignmentAppliesPerAgent) {
   auto vars = make_var_space();
   const VarId x = vars->intern("X");
@@ -28,11 +50,9 @@ TEST(Runtime, AssignmentAppliesPerAgent) {
   init[8] = var_bit(x);  // X set, Y unset: must be cleared
   FrameworkRuntime rt(p, init, {});
   rt.run_iteration();
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(var_is_set(rt.population().state(i), x),
-              var_is_set(rt.population().state(i), y))
-        << "agent " << i;
-  }
+  const BoolExpr X = BoolExpr::var(x);
+  const BoolExpr Y = BoolExpr::var(y);
+  EXPECT_EQ(rt.backend().count_matching((X && !Y) || (!X && Y)), 0u);
 }
 
 TEST(Runtime, CoinAssignmentIsFairPerAgent) {
@@ -44,7 +64,8 @@ TEST(Runtime, CoinAssignmentIsFairPerAgent) {
   FrameworkRuntime rt(p, 10000, opts);
   rt.run_iteration();
   const double frac =
-      static_cast<double>(rt.population().count_var(f)) / 10000.0;
+      static_cast<double>(rt.backend().count_matching(BoolExpr::var(f))) /
+      10000.0;
   EXPECT_NEAR(frac, 0.5, 0.03);
 }
 
@@ -62,14 +83,14 @@ TEST(Runtime, IfExistsTakesCorrectBranch) {
     init[0] = var_bit(c);
     FrameworkRuntime rt(p, init, {});
     rt.run_iteration();
-    EXPECT_EQ(rt.population().count_var(t), 10u);
-    EXPECT_EQ(rt.population().count_var(e), 0u);
+    EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(t)), 10u);
+    EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(e)), 0u);
   }
   {
     FrameworkRuntime rt(p, 10, {});
     rt.run_iteration();
-    EXPECT_EQ(rt.population().count_var(t), 0u);
-    EXPECT_EQ(rt.population().count_var(e), 10u);
+    EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(t)), 0u);
+    EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(e)), 10u);
   }
 }
 
@@ -88,12 +109,12 @@ TEST(Runtime, EpidemicIfExistsAgreesWithIdeal) {
     init[0] = var_bit(c);
     FrameworkRuntime rt(p, init, opts);
     rt.run_iteration();
-    EXPECT_EQ(rt.population().count_var(t), 500u);
+    EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(t)), 500u);
   }
   {
     FrameworkRuntime rt(p, 500, opts);
     rt.run_iteration();
-    EXPECT_EQ(rt.population().count_var(t), 0u);
+    EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(t)), 0u);
   }
 }
 
@@ -110,7 +131,7 @@ TEST(Runtime, ExecuteRulesetRunsPrescribedRounds) {
   FrameworkRuntime rt(p, init, opts);
   rt.run_iteration();
   // c ln n ≈ 22.8 rounds: a one-way epidemic saturates w.h.p.
-  EXPECT_EQ(rt.population().count_var(i), 2000u);
+  EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(i)), 2000u);
   EXPECT_NEAR(rt.rounds(), 3.0 * std::log(2000.0), 1.0);
 }
 
@@ -155,7 +176,7 @@ TEST(Runtime, BackgroundThreadsRunDuringStatements) {
   init[0] = var_bit(i);
   FrameworkRuntime rt(p, init, {});
   rt.run_iteration();
-  EXPECT_GT(rt.population().count_var(i), 250u);
+  EXPECT_GT(rt.backend().count_matching(BoolExpr::var(i)), 250u);
 }
 
 TEST(Runtime, StartupChaosRespectsGuaranteedBehavior) {
@@ -172,7 +193,7 @@ TEST(Runtime, StartupChaosRespectsGuaranteedBehavior) {
   std::vector<State> init(200, var_bit(untouched));
   FrameworkRuntime rt(p, init, opts);
   rt.run_iteration();
-  EXPECT_EQ(rt.population().count_var(untouched), 200u);
+  EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(untouched)), 200u);
 }
 
 TEST(Runtime, PermanentlyFalseConditionNeverEntersBranch) {
@@ -190,7 +211,7 @@ TEST(Runtime, PermanentlyFalseConditionNeverEntersBranch) {
   opts.seed = 17;
   FrameworkRuntime rt(p, 100, opts);
   for (int i = 0; i < 50; ++i) rt.run_iteration();
-  EXPECT_EQ(rt.population().count_var(t), 0u);
+  EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(t)), 0u);
 }
 
 TEST(Runtime, BadIterationsMakePartialAssignments) {
@@ -203,10 +224,92 @@ TEST(Runtime, BadIterationsMakePartialAssignments) {
   opts.seed = 19;
   FrameworkRuntime rt(p, 1000, opts);
   rt.run_iteration();
-  const auto count = rt.population().count_var(x);
+  const auto count = rt.backend().count_matching(BoolExpr::var(x));
   // Adversarial execution may skip agents (or abort before the statement),
   // but may only set X through the assignment.
   EXPECT_LT(count, 1000u);
+}
+
+TEST(Runtime, CoinAssignmentOnOneSpeciesIsBinomial) {
+  // X := coin splits one species of N agents by Binomial(N, 1/2).
+  auto vars = make_var_space();
+  const VarId f = vars->intern("F");
+  const Program p = single_assign_program(vars, assign_coin(f));
+  constexpr std::uint64_t kN = 40;
+  constexpr int kSeeds = 2000;
+  std::vector<double> observed(kN + 1, 0.0);
+  for (int s = 0; s < kSeeds; ++s) {
+    RuntimeOptions opts;
+    opts.seed = 1000 + static_cast<std::uint64_t>(s);
+    FrameworkRuntime rt(p, kN, opts);
+    rt.run_iteration();
+    ++observed[rt.backend().count_matching(BoolExpr::var(f))];
+  }
+  std::vector<double> expected = binomial_pmf(kN, 0.5);
+  for (double& e : expected) e *= kSeeds;
+  expect_fits(observed, expected);
+}
+
+TEST(Runtime, BadIterationAssignmentUpdatesBinomialHalf) {
+  // A bad iteration aborts before the statement with probability 1/4;
+  // otherwise its partial assignment updates Binomial(N, 1/2) agents.
+  auto vars = make_var_space();
+  const VarId x = vars->intern("X");
+  const Program p =
+      single_assign_program(vars, assign(x, BoolExpr::constant(true)));
+  constexpr std::uint64_t kN = 40;
+  constexpr int kSeeds = 2000;
+  std::vector<double> observed(kN + 1, 0.0);
+  for (int s = 0; s < kSeeds; ++s) {
+    RuntimeOptions opts;
+    opts.bad_iteration_rate = 1.0;
+    opts.seed = 5000 + static_cast<std::uint64_t>(s);
+    FrameworkRuntime rt(p, kN, opts);
+    rt.run_iteration();
+    ++observed[rt.backend().count_matching(BoolExpr::var(x))];
+  }
+  std::vector<double> expected = binomial_pmf(kN, 0.5);
+  for (double& e : expected) e *= 0.75 * kSeeds;
+  expected[0] += 0.25 * kSeeds;
+  expect_fits(observed, expected);
+}
+
+TEST(Runtime, EpidemicIfExistsTakesThenAtFlagRate) {
+  // One source among n = 64 and m = ⌊c ln n · n⌋ = 14 epidemic
+  // interactions: the Z flags stay empty with probability (63/64)^14 ≈ 0.8,
+  // so the then-branch runs at rate 1 - (1 - k/n)^m. Exact two-sided
+  // binomial test at alpha = 0.01.
+  auto vars = make_var_space();
+  const VarId c = vars->intern("C");
+  const VarId t = vars->intern("T");
+  const Program p = single_assign_program(
+      vars,
+      if_exists(BoolExpr::var(c), {assign(t, BoolExpr::constant(true))}));
+  constexpr std::uint64_t kN = 64;
+  constexpr int kSeeds = 2000;
+  RuntimeOptions opts;
+  opts.epidemic_if_exists = true;
+  opts.c = 14.5 / (64.0 * std::log(64.0));
+  std::vector<State> init(kN, 0);
+  init[0] = var_bit(c);
+  std::uint64_t taken = 0;
+  for (int s = 0; s < kSeeds; ++s) {
+    opts.seed = 9000 + static_cast<std::uint64_t>(s);
+    FrameworkRuntime rt(p, init, opts);
+    rt.run_iteration();
+    const auto set = rt.backend().count_matching(BoolExpr::var(t));
+    ASSERT_TRUE(set == 0 || set == kN);
+    if (set == kN) ++taken;
+  }
+  const double rate = 1.0 - std::pow(1.0 - 1.0 / 64.0, 14.0);
+  const std::vector<double> pmf = binomial_pmf(kSeeds, rate);
+  double below = 0.0, above = 0.0;
+  for (std::uint64_t k = 0; k <= kSeeds; ++k) {
+    if (k <= taken) below += pmf[k];
+    if (k >= taken) above += pmf[k];
+  }
+  EXPECT_GT(2.0 * std::min(below, above), 0.01)
+      << taken << " of " << kSeeds << " at rate " << rate;
 }
 
 TEST(Runtime, InitializersApplied) {
@@ -215,7 +318,7 @@ TEST(Runtime, InitializersApplied) {
   Program p = single_assign_program(vars, execute_ruleset({}));
   p.initializers = {{x, true}};
   FrameworkRuntime rt(p, 10, {});
-  EXPECT_EQ(rt.population().count_var(x), 10u);
+  EXPECT_EQ(rt.backend().count_matching(BoolExpr::var(x)), 10u);
 }
 
 TEST(Runtime, RunUntilStopsAtPredicate) {
@@ -225,7 +328,7 @@ TEST(Runtime, RunUntilStopsAtPredicate) {
       single_assign_program(vars, assign(x, BoolExpr::constant(true)));
   FrameworkRuntime rt(p, 50, {});
   const auto t = rt.run_until(
-      [&](const AgentPopulation& pop) { return pop.count_var(x) == 50; }, 10);
+      [&](const SimBackend& pop) { return pop.count_matching(BoolExpr::var(x)) == 50; }, 10);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(rt.iterations(), 1u);
 }
