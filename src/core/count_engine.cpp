@@ -1,6 +1,7 @@
 #include "core/count_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -13,28 +14,29 @@ namespace popproto {
 namespace {
 constexpr double kNoLimit = std::numeric_limits<double>::infinity();
 
-// kBatch's hand-off between blocks and skip-ahead (DESIGN.md §9). A block
-// costs the same whether or not its ~0.63 sqrt(n) interactions change
+// kBatch's hand-off between its dense paths (blocks, direct steps) and
+// skip-ahead (DESIGN.md §9), with every cost counted in event-weight
+// updates. With S species a block of ~0.63 sqrt(n) interactions draws one
+// hypergeometric row per species, about kBlockCostPerSpecies updates each,
+// a direct step costs kDirectStepCost, and a skip jump rebuilds S^2 event
+// weights on top of a fixed cost worth kJumpFixedCost of them. The dense
+// path is whichever of a block and a block's worth of direct steps costs
+// less; both cost the same whether or not their interactions change
 // anything, so kBatch weighs the expected number of state changes in one
-// block against the number of skip jumps one block costs. With S species a
-// block draws one hypergeometric row per species, about kBlockCostPerSpecies
-// event-weight updates each, and a skip jump rebuilds S^2 event weights on
-// top of a fixed cost worth kJumpFixedCost of them. The engine parks in
-// skip when a block's expected changes fall below kToSkip of that
-// break-even, measured over a window of kBlockWindow blocks that restarts
-// at every decision, and resumes blocks above kToBatch of it, from the
-// exact event weight of the last jump. The constants come from the
-// count_shard measurements in EXPERIMENTS.md.
+// block against the number of skip jumps the dense path's block costs. The
+// engine parks in skip when a block's expected changes fall below kToSkip
+// of that break-even, measured over a window of kBlockWindow blocks (or as
+// many as one jump costs, if more) that restarts at every decision, and
+// resumes the dense path above kToBatch of it, from the exact event weight
+// of the last jump. The block and jump constants come from the count_shard
+// measurements, and the direct step's from the kernel clock and the
+// oscillator, in EXPERIMENTS.md.
 constexpr double kBlockCostPerSpecies = 200.0;
 constexpr double kJumpFixedCost = 27.0;
+constexpr double kDirectStepCost = 64.0;
 constexpr double kToSkip = 0.85;
 constexpr double kToBatch = 1.25;
 constexpr double kBlockWindow = 16.0;
-
-// kBatch takes direct steps while the species outnumber four blocks'
-// interactions: a block's S x S pair table and a skip jump's S^2 event
-// weights then cost far more than a direct step's scan of S counts.
-constexpr double kDirectSpeciesPerBlock = 4.0;
 
 // The cap on one batch's interactions. A batch ends at its first
 // collision anyway, so the cap only needs to clear the collision-free run
@@ -47,6 +49,17 @@ std::uint64_t batch_cap(std::uint64_t n) {
   const auto r =
       static_cast<std::uint64_t>(2.0 * std::sqrt(static_cast<double>(n)));
   return std::clamp<std::uint64_t>(r, 8, std::uint64_t{1} << 16);
+}
+
+// The slot holding draw r < sum(weights), found by a scan in slot order.
+std::size_t slot_of(const std::vector<std::uint64_t>& weights,
+                    std::uint64_t r) {
+  std::size_t i = 0;
+  for (; r >= weights[i]; ++i) {
+    r -= weights[i];
+    POPPROTO_CHECK_MSG(i + 1 < weights.size(), "slot draw fell through");
+  }
+  return i;
 }
 }  // namespace
 
@@ -72,21 +85,48 @@ void CountEngine::set_scheduler_bias(std::optional<SchedulerBias> bias) {
 
 void CountEngine::add_count(State s, std::uint64_t delta) {
   if (delta == 0) return;
-  auto it = index_.find(s);
-  if (it == index_.end()) {
-    index_.emplace(s, states_.size());
-    states_.push_back(s);
-    counts_.push_back(delta);
-  } else {
-    counts_[it->second] += delta;
-  }
   n_ += delta;
+  auto it = index_.find(s);
+  if (it != index_.end()) {
+    counts_[it->second] += delta;
+    fen_add(it->second, delta);
+    return;
+  }
+  index_.emplace(s, states_.size());
+  states_.push_back(s);
+  counts_.push_back(delta);
+  if (fen_.size() + 1 == counts_.size()) {
+    // Extend a current tree: node i sums the slots (i - lowbit(i), i].
+    const std::size_t i = counts_.size();
+    for (std::size_t j = i - 1; j > i - (i & (~i + 1)); j -= j & (~j + 1))
+      delta += fen_[j - 1];
+    fen_.push_back(delta);
+  }
 }
 
 void CountEngine::remove_count(std::size_t index, std::uint64_t delta) {
   POPPROTO_DCHECK(counts_[index] >= delta);
   counts_[index] -= delta;
   n_ -= delta;
+  fen_add(index, ~delta + 1);  // adds -delta modulo 2^64
+}
+
+void CountEngine::fen_add(std::size_t i, std::uint64_t delta) {
+  if (fen_.size() != counts_.size()) return;
+  for (++i; i <= fen_.size(); i += i & (~i + 1)) fen_[i - 1] += delta;
+}
+
+std::size_t CountEngine::fen_find(std::uint64_t r) const {
+  // The last prefix of the tree that sums to at most r ends just before the
+  // slot holding draw r (zero-count slots never hold one).
+  std::size_t pos = 0;
+  for (std::size_t step = std::bit_floor(fen_.size()); step > 0; step >>= 1) {
+    if (pos + step <= fen_.size() && fen_[pos + step - 1] <= r) {
+      pos += step;
+      r -= fen_[pos - 1];
+    }
+  }
+  return pos;
 }
 
 void CountEngine::compact() {
@@ -109,36 +149,29 @@ void CountEngine::compact() {
   states_.resize(k);
   counts_.resize(k);
   cw_.clear();
+  fen_.clear();
 }
 
 std::size_t CountEngine::sample_species(std::uint64_t exclude_one_of) {
+  if (fen_.size() != counts_.size()) {
+    fen_.assign(counts_.begin(), counts_.end());
+    for (std::size_t i = 1; i <= fen_.size(); ++i) {
+      const std::size_t up = i + (i & (~i + 1));
+      if (up <= fen_.size()) fen_[up - 1] += fen_[i - 1];
+    }
+  }
   std::uint64_t total = n_;
   if (exclude_one_of != ~0ull) --total;
-  std::uint64_t r = rng_.below(total);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    std::uint64_t c = counts_[i];
-    if (i == exclude_one_of) --c;
-    if (r < c) return i;
-    r -= c;
-  }
-  POPPROTO_CHECK_MSG(false, "species sampling fell through");
-  return 0;
-}
-
-std::size_t CountEngine::sample_species_with(Rng& rng) const {
-  std::uint64_t r = rng.below(n_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (r < counts_[i]) return i;
-    r -= counts_[i];
-  }
-  POPPROTO_CHECK_MSG(false, "species sampling fell through");
-  return 0;
+  const std::uint64_t r = rng_.below(total);
+  const std::size_t i = fen_find(r);
+  // Leaving out one agent of slot x lowers every prefix past x by one.
+  return i < exclude_one_of ? i : fen_find(r + 1);
 }
 
 std::uint64_t CountEngine::crash_random(std::uint64_t k, Rng& rng) {
   std::uint64_t moved = 0;
   while (moved < k && n_ > 2) {
-    const std::size_t i = sample_species_with(rng);
+    const std::size_t i = slot_of(counts_, rng.below(n_));
     const State s = states_[i];
     remove_count(i, 1);
     auto it = std::find_if(crashed_.begin(), crashed_.end(),
@@ -204,15 +237,9 @@ std::uint64_t CountEngine::mutate_random_agents(
   std::uint64_t pool_total = n_;
   std::vector<std::uint64_t> drawn(counts_.size(), 0);
   for (std::uint64_t j = 0; j < k; ++j) {
-    std::uint64_t r = rng.below(pool_total);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (r < pool[i]) {
-        --pool[i];
-        ++drawn[i];
-        break;
-      }
-      r -= pool[i];
-    }
+    const std::size_t i = slot_of(pool, rng.below(pool_total));
+    --pool[i];
+    ++drawn[i];
     --pool_total;
   }
   std::uint64_t j = 0, rewritten = 0;
@@ -367,18 +394,36 @@ bool CountEngine::batch_allowed() const {
   return !bias_.has_value() && !injection_.drop_interaction;
 }
 
-bool CountEngine::species_outgrow_blocks() {
-  if (mode_ != CountEngineMode::kBatch || !batch_allowed()) return false;
-  const double limit = kDirectSpeciesPerBlock * mean_block();
-  if (static_cast<double>(states_.size()) <= limit) return false;
-  compact();  // dead slots would only lengthen the scans
-  return static_cast<double>(states_.size()) > limit;
+double CountEngine::dense_block() {
+  if (mode_ != CountEngineMode::kBatch || !batch_allowed()) return 0.0;
+  const double block = mean_block();
+  maybe_toggle_batch_skip(block);
+  return use_skip_ ? 0.0 : block;
 }
 
-bool CountEngine::block_next() {
-  if (mode_ != CountEngineMode::kBatch || !batch_allowed()) return false;
-  maybe_toggle_batch_skip();
-  return !use_skip_;
+bool CountEngine::dense_step(double limit, double block) {
+  if (kBlockCostPerSpecies * static_cast<double>(states_.size()) <=
+      kDirectStepCost * block)
+    return batch_step(limit);
+  // A block's worth of direct steps (stopping at `limit`), counted in the
+  // hand-off window as a block's interactions are.
+  const std::uint64_t eff0 = effective_;
+  const double stop =
+      std::min(limit, time_ + block / static_cast<double>(n_));
+  std::uint64_t done = 0;
+  do {
+    direct_step();
+    ++done;
+  } while (time_ < stop);
+  window_steps_ += done;
+  window_effective_ += effective_ - eff0;
+  if (effective_ == eff0 && dense_cost_in_jumps(block) >= 1.0) {
+    // A no-op stretch checks for silence, as a block does, where the check
+    // costs no more than the stretch; beyond that the window decides.
+    rebuild_events();
+    if (events_total_weight_ <= 0.0) silent_ = true;
+  }
+  return !silent_;
 }
 
 std::size_t CountEngine::batch_species_slot(State s) {
@@ -460,34 +505,24 @@ void CountEngine::batch_collision_interaction(std::uint64_t* m_total,
   const std::uint64_t r = rng_.below(wtt + 2 * wtu);
   const bool init_touched = r < wtt + wtu;
   const bool resp_touched = r < wtt || r >= wtt + wtu;
-  const auto pick = [&](const std::vector<std::uint64_t>& pool,
-                        std::uint64_t total) {
-    std::uint64_t x = rng_.below(total);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (x < pool[i]) return i;
-      x -= pool[i];
-    }
-    POPPROTO_CHECK_MSG(false, "batch collision sampling fell through");
-    return std::size_t{0};
-  };
   // Remove the initiator from its pool before drawing the responder, so a
   // TT pair never reuses the same agent.
   std::size_t ia, ib;
   if (init_touched) {
-    ia = pick(bat_touched_, *u_total);
+    ia = slot_of(bat_touched_, rng_.below(*u_total));
     --bat_touched_[ia];
     --*u_total;
   } else {
-    ia = pick(counts_, *m_total);
+    ia = slot_of(counts_, rng_.below(*m_total));
     --counts_[ia];
     --*m_total;
   }
   if (resp_touched) {
-    ib = pick(bat_touched_, *u_total);
+    ib = slot_of(bat_touched_, rng_.below(*u_total));
     --bat_touched_[ib];
     --*u_total;
   } else {
-    ib = pick(counts_, *m_total);
+    ib = slot_of(counts_, rng_.below(*m_total));
     --counts_[ib];
     --*m_total;
   }
@@ -513,6 +548,7 @@ bool CountEngine::batch_step(double limit) {
     budget = room >= 1.0 ? static_cast<std::uint64_t>(room) : 1;
 
   compact();  // dense nonzero counts for the hypergeometric scans
+  fen_.clear();  // the deal and the merge below write counts_ directly
   bat_touched_.assign(states_.size(), 0);
   std::uint64_t m_total = n_;  // untouched agents (still in counts_)
   std::uint64_t u_total = 0;   // touched agents (in bat_touched_)
@@ -582,40 +618,41 @@ double CountEngine::mean_block() const {
   return std::min(run, static_cast<double>(batch_cap(n_)));
 }
 
-double CountEngine::block_cost_in_jumps() const {
+double CountEngine::dense_cost_in_jumps(double block) const {
   const double s = static_cast<double>(states_.size());
-  return kBlockCostPerSpecies * s / (s * s + kJumpFixedCost);
+  return std::min(kBlockCostPerSpecies * s, kDirectStepCost * block) /
+         (s * s + kJumpFixedCost);
 }
 
-bool CountEngine::blocks_pay() const {
-  return events_total_weight_ * mean_block() >
-         kToBatch * block_cost_in_jumps();
+bool CountEngine::dense_pays(double block) const {
+  return events_total_weight_ * block >
+         kToBatch * dense_cost_in_jumps(block);
 }
 
-void CountEngine::maybe_toggle_batch_skip() {
+void CountEngine::maybe_toggle_batch_skip(double block) {
   if (use_skip_) {
-    if (blocks_pay()) {
+    if (dense_pays(block)) {
       use_skip_ = false;
       window_steps_ = window_effective_ = 0;
     }
     return;
   }
-  const double block = mean_block();
+  // The window spans kBlockWindow blocks, and at least one jump's cost.
   const auto steps = static_cast<double>(window_steps_);
   if (steps < kBlockWindow * block) return;
+  const double jumps = dense_cost_in_jumps(block);
+  if (steps * jumps < block) return;
   use_skip_ = static_cast<double>(window_effective_) * block <
-              kToSkip * block_cost_in_jumps() * steps;
+              kToSkip * jumps * steps;
   window_steps_ = window_effective_ = 0;
 }
 
 bool CountEngine::step() {
   if (silent_) return false;
   bool alive = true;
-  if (species_outgrow_blocks()) {
-    direct_step();
-  } else if (block_next()) {
-    alive = batch_step(injection_.on_round ? last_injection_round_ + 1.0
-                                           : kNoLimit);
+  if (const double block = dense_block(); block > 0.0) {
+    alive = dense_step(
+        injection_.on_round ? last_injection_round_ + 1.0 : kNoLimit, block);
   } else if (skip_engaged()) {
     alive = skip_jump(kNoLimit) != Jump::kSilent;
   } else {
@@ -642,18 +679,15 @@ void CountEngine::run_rounds(double rounds_to_run) {
       ++ctr_.skip_jumps;
       ctr_.skipped_interactions += bulk;
       time_ = limit;  // nothing can change; fast-forward
-    } else if (species_outgrow_blocks()) {
-      // Direct steps up to the next round boundary, then decide again.
-      const double stop = std::min(limit, std::floor(time_) + 1.0);
-      while (time_ < stop) direct_step();
-    } else if (block_next()) {
-      batch_step(limit);
+    } else if (const double block = dense_block(); block > 0.0) {
+      dense_step(limit, block);
     } else if (skip_engaged()) {
       const Jump jump = skip_jump(limit);
       if (jump == Jump::kSilent) continue;
-      // A landed jump's exact event weight may hand kBatch back to blocks.
+      // A landed jump's exact event weight may hand kBatch back to the
+      // dense path.
       if (jump == Jump::kLanded && mode_ == CountEngineMode::kBatch &&
-          batch_allowed() && blocks_pay())
+          batch_allowed() && dense_pays(mean_block()))
         use_skip_ = false;
     } else {
       direct_step();
@@ -821,6 +855,7 @@ void CountEngine::restore(std::istream& in) {
   cache_builds_floor_ = cache_.builds();
   events_.clear();  // derived; rebuild_events regenerates both
   cw_.clear();
+  fen_.clear();
   bat_touched_.clear();
   bat_pairs_.clear();
   bat_out_.clear();
@@ -836,6 +871,7 @@ void CountEngine::reset_population(
   states_.clear();
   counts_.clear();
   index_.clear();
+  fen_.clear();
   n_ = 0;
   for (const auto& [s, c] : counts) add_count(s, c);
   POPPROTO_CHECK_MSG(n_ >= 2, "population needs at least 2 agents");

@@ -10,9 +10,10 @@
 // conditional distribution. Both are equal in distribution to the direct
 // simulation, but late-stage sparse dynamics (|X|+|X| elimination, DV12
 // exact majority, ...) run in time proportional to the number of
-// *effective* interactions instead of all interactions. When the species
-// table outgrows the blocks (S > 4 * sqrt(pi n / 8)), kBatch takes direct
-// steps instead. kDirect and kSkip force one path and serve as references.
+// *effective* interactions instead of all interactions. Where a block's
+// worth of direct steps costs less than a block (many species, small n),
+// kBatch takes those instead. kDirect and kSkip force one path and serve as
+// references.
 //
 // Fault support (src/faults/): the engine carries the same InjectionHook /
 // SchedulerBias surface as the agent-based Engine, plus count-level churn
@@ -56,11 +57,11 @@ class CountEngine final : public SimBackend {
   /// Advance by one scheduler interaction (a direct step), one *effective*
   /// interaction plus its geometric prefix of no-ops (a skip jump), or one
   /// block. kBatch picks the path: direct steps under a SchedulerBias, skip
-  /// jumps under a drop hook, direct steps while the species outnumber four
-  /// blocks' interactions, and otherwise a block unless the block/skip
-  /// hand-off has parked it in skip. Returns false iff the configuration is
-  /// silent (no rule can change anything); time is then left where it is.
-  /// Only run_rounds fast-forwards a silent configuration.
+  /// jumps under a drop hook, and otherwise the dense path (a block, or a
+  /// block's worth of direct steps where those cost less) unless the
+  /// dense/skip hand-off has parked it in skip. Returns false iff the
+  /// configuration is silent (no rule can change anything); time is then
+  /// left where it is. Only run_rounds fast-forwards a silent configuration.
   bool step() override;
 
   void run_rounds(double rounds) override;
@@ -137,7 +138,7 @@ class CountEngine final : public SimBackend {
 
   // -- Durable state (src/persist/, DESIGN.md §10) --------------------------
   /// Full-fidelity snapshot: the species table in its exact internal order
-  /// (sample_species scans counts_ in order, so ordering is part of the
+  /// (species draws follow counts_ order, so ordering is part of the
   /// trajectory), crashed multiset, RNG stream, mode/skip/batch config, the
   /// time base, and counters — including events_total_weight_, which the
   /// batch/skip hysteresis reads *before* any rebuild. The event list and
@@ -197,12 +198,13 @@ class CountEngine final : public SimBackend {
   /// Returns false iff the configuration is silent.
   bool batch_step(double limit);
   bool batch_allowed() const;
-  /// kBatch without hooks, and too many species for blocks or skip jumps
-  /// to pay (compacts first): the next steps are direct.
-  bool species_outgrow_blocks();
-  /// kBatch without hooks: run the block/skip hand-off, then say whether the
-  /// next step is a block.
-  bool block_next();
+  /// kBatch without hooks: run the dense/skip hand-off; mean_block() if the
+  /// next step is on the dense path, else 0.
+  double dense_block();
+  /// The dense path's next step, up to `limit`: a block, or `block`
+  /// interactions' worth of direct steps when those cost less. Returns
+  /// false iff silent.
+  bool dense_step(double limit, double block);
   /// Index of `s` in states_ (appending a zero-count slot if new), keeping
   /// the batch scratch vectors sized in lockstep.
   std::size_t batch_species_slot(State s);
@@ -217,22 +219,29 @@ class CountEngine final : public SimBackend {
                                    std::uint64_t* u_total);
   /// Expected interactions in one kBatch block.
   double mean_block() const;
-  /// How many skip jumps one block costs at the current species count.
-  double block_cost_in_jumps() const;
+  /// How many skip jumps one block's worth of interactions costs on the
+  /// dense path at the current species count.
+  double dense_cost_in_jumps(double block) const;
   /// kBatch's hand-back test from skip: at the last rebuild's event weight,
-  /// a block would change enough states to beat skip-ahead.
-  bool blocks_pay() const;
+  /// a block's worth of interactions would change enough states to beat
+  /// skip-ahead.
+  bool dense_pays(double block) const;
   /// Batch/skip hysteresis for kBatch, on expected changes per block.
-  void maybe_toggle_batch_skip();
+  void maybe_toggle_batch_skip(double block);
   void rebuild_events();
   /// Apply one state-changing interaction to the ordered species pair,
   /// drawing from the conditional-on-change fused distribution.
   void apply_change(std::size_t ia, std::size_t ib);
   void add_count(State s, std::uint64_t delta);
   void remove_count(std::size_t index, std::uint64_t delta);
+  /// Draw an agent's slot by count, one agent of slot `exclude_one_of`
+  /// left out, from the Fenwick tree (built here if stale).
   std::size_t sample_species(std::uint64_t exclude_one_of = ~0ull);
-  /// sample_species with an external generator (fault-layer sampling).
-  std::size_t sample_species_with(Rng& rng) const;
+  /// Add `delta` (modulo 2^64) to slot i's node path, if the tree is current.
+  void fen_add(std::size_t i, std::uint64_t delta);
+  /// The slot holding draw r < n_: the length of the longest prefix whose
+  /// counts sum to at most r.
+  std::size_t fen_find(std::uint64_t r) const;
   void maybe_fire_injection() {
     fire_crossed_rounds(injection_, last_injection_round_, time_);
   }
@@ -243,6 +252,10 @@ class CountEngine final : public SimBackend {
   std::vector<State> states_;
   std::vector<std::uint64_t> counts_;
   std::unordered_map<State, std::size_t> index_;
+  // Fenwick tree over counts_ for direct steps' draws, O(log S) each; it is
+  // current iff fen_.size() == counts_.size(). add_count and remove_count
+  // keep it so; compaction, blocks, resets and restore clear it.
+  std::vector<std::uint64_t> fen_;
   std::uint64_t n_ = 0;
   Rng rng_;
   CountEngineMode mode_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <vector>
 
 #include "lang/runtime.hpp"
 #include "protocols/leader_election.hpp"
@@ -127,13 +127,17 @@ TEST(LeaderElection, WhpVariantConvergesDespiteOccasionalBadIterations) {
 
 TEST(LeaderElection, RoundsAreQuadraticInLogN) {
   // Thm 3.1: O(log^2 n) rounds overall (each iteration costs Θ(log n)).
-  // 40 ln^2 n lies below the median run (T1 fits about 43 ln^2 n, and
-  // about 8% of seeds finish within it at n = 2^14), so one seed says
-  // little: the bound is asked of the fastest of 64 seeds.
+  // A good iteration charges five 2c ln n primitives (30 ln n rounds at
+  // c = 3) and halves the leader set, so the median run takes log2 n
+  // iterations, 30/ln 2 ≈ 43.3 ln^2 n rounds. 40 ln^2 n lies in the lower
+  // tail (7-8% of 400 seeds at n = 2^14, on species counts and on the
+  // per-agent runtime alike), so one seed says little: the bound is asked
+  // of the fastest of 64 seeds, and the median of one iteration more than
+  // log2 n.
   auto vars = make_var_space();
   const Program p = make_leader_election_program(vars);
   const std::size_t n = 16384;
-  double fastest = std::numeric_limits<double>::infinity();
+  std::vector<double> times;
   for (std::uint64_t seed = 23; seed < 23 + 64; ++seed) {
     RuntimeOptions opts;
     opts.seed = seed;
@@ -144,10 +148,13 @@ TEST(LeaderElection, RoundsAreQuadraticInLogN) {
         },
         500);
     ASSERT_TRUE(t.has_value()) << "seed " << seed;
-    fastest = std::min(fastest, *t);
+    times.push_back(*t);
   }
-  const double ln2 = std::pow(std::log(static_cast<double>(n)), 2.0);
-  EXPECT_LT(fastest, 40.0 * ln2);
+  std::sort(times.begin(), times.end());
+  const double ln_n = std::log(static_cast<double>(n));
+  EXPECT_LT(times.front(), 40.0 * ln_n * ln_n);
+  const double median = 0.5 * (times[31] + times[32]);
+  EXPECT_LT(median, 30.0 * (std::log2(static_cast<double>(n)) + 1.0) * ln_n);
 }
 
 }  // namespace

@@ -182,12 +182,12 @@ TEST(SemilinearExact, WeightedComparisonNegativeCase) {
 }
 
 TEST(SemilinearExact, GapOneIsEventuallyCorrectDespiteFailures) {
-  // The unwritten output already reads false, so run_until returns at
-  // once, and only about 18% of seeds then keep it through ten iterations
-  // while the fast path still guesses. One seed says little: the claim is
-  // asked of 32 seeds, at least one of which must hold the answer.
+  // Certainty route, as MajorityExactSweep takes it: run until the slow
+  // blackbox reads false at every agent and P reads false. Its actives then
+  // all hold -1 (an active agent's output is its value's sign), so it reads
+  // false forever, the combiner vetoes every write of true, and the answer
+  // must hold for ten more iterations on every seed.
   const PredicateSpec spec = threshold_ge({1, -1}, 0);
-  int held_runs = 0;
   for (std::uint64_t seed = 11; seed < 11 + 32; ++seed) {
     auto vars = make_var_space();
     const SemilinearProtocol proto =
@@ -200,18 +200,17 @@ TEST(SemilinearExact, GapOneIsEventuallyCorrectDespiteFailures) {
     FrameworkRuntime rt(proto.program, proto.inputs(200, {88, 89}), opts);
     const auto t = rt.run_until(
         [&](const SimBackend& pop) {
-          return semilinear_output_is(pop, *vars, false);
+          return pop.count_matching(proto.slow_output) == 0 &&
+                 semilinear_output_is(pop, *vars, false);
         },
         2500);
     ASSERT_TRUE(t.has_value()) << "seed " << seed;
-    bool held = true;
-    for (int i = 0; i < 10 && held; ++i) {
+    for (int i = 0; i < 10; ++i) {
       rt.run_iteration();
-      held = semilinear_output_is(rt.backend(), *vars, false);
+      ASSERT_TRUE(semilinear_output_is(rt.backend(), *vars, false))
+          << "seed " << seed;
     }
-    if (held) ++held_runs;
   }
-  EXPECT_GE(held_runs, 1);
 }
 
 TEST(SemilinearExact, ModPredicateRidesSlowPath) {
