@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
       "compiled LeaderElection converges end to end.",
       ctx);
 
+  const Protocol fixed_x = make_fixed_x_protocol(make_var_space());
+
   // (a) Time-path sequence of a 3-leaf flat program.
   {
     Program p;
@@ -30,8 +32,9 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 3; ++i) main.body.push_back(execute_ruleset({}));
     p.threads.push_back(std::move(main));
     const std::size_t n = 600;
-    CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 5),
-                       ClockLevelParams{}, 0x7F16);
+    CompiledEngine eng(p, std::vector<State>(n, 0), fixed_x,
+                       x_counts(n, 5, *fixed_x.vars()), ClockLevelParams{},
+                       0x7F16);
     eng.run_rounds(3000.0);
     std::vector<int> slots;
     int violations = 0;
@@ -60,8 +63,8 @@ int main(int argc, char** argv) {
                                                                  : 1200ull}) {
       auto vars = make_var_space();
       const Program p = make_leader_election_program(vars);
-      CompiledEngine eng(p, std::vector<State>(n, 0),
-                         make_fixed_x_driver(n, 4), ClockLevelParams{},
+      CompiledEngine eng(p, std::vector<State>(n, 0), fixed_x,
+                         x_counts(n, 4, *fixed_x.vars()), ClockLevelParams{},
                          0x7F17 + n);
       const auto t_conv = eng.run_until(
           [&](const AgentPopulation& pop) {

@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
 
   const double eps = 0.5;
   const auto ns = pow2_range(12, ctx.scale >= 2.0 ? 20 : 17);
+  // The junta runs on counts to paper scale (T5's range).
+  const auto junta_ns = pow2_range(12, ctx.scale >= 2.0 ? 30 : 24);
   const std::size_t trials = scaled(5, ctx);
 
   struct Variant {
@@ -40,23 +42,13 @@ int main(int argc, char** argv) {
   std::vector<ScalingRow> rows_by_variant[3];
   for (int v = 0; v < 3; ++v) {
     rows_by_variant[v] = run_sweep_parallel(
-        ns, trials, 0x7E14 + static_cast<std::uint64_t>(v),
+        v == 2 ? junta_ns : ns, trials, 0x7E14 + static_cast<std::uint64_t>(v),
         [&](std::uint64_t n, std::uint64_t seed) -> std::optional<double> {
           const double thr = std::pow(static_cast<double>(n), 1.0 - eps);
-          if (v == 2) {
-            XDriverHarness h(make_junta_x_driver(static_cast<std::size_t>(n)),
-                             seed);
-            const double ln_n = std::log(static_cast<double>(n));
-            while (h.rounds() < 400.0 * ln_n) {
-              if (static_cast<double>(h.driver().x_count()) < thr)
-                return h.rounds();
-              h.run_rounds(1.0);
-            }
-            return std::nullopt;
-          }
           auto vars = make_var_space();
-          const Protocol p = v == 0 ? make_x_elimination_protocol(vars)
-                                    : make_klevel_signal_protocol(vars, 2);
+          const Protocol p = v == 0   ? make_x_elimination_protocol(vars)
+                             : v == 1 ? make_klevel_signal_protocol(vars, 2)
+                                      : make_junta_protocol(vars);
           const VarId x = *vars->find(kXVar);
           State init = var_bit(x);
           if (v == 1) init |= var_bit(*vars->find(kZVar));
@@ -66,7 +58,7 @@ int main(int argc, char** argv) {
                 return static_cast<double>(
                            e.count_matching(BoolExpr::var(x))) < thr;
               },
-              1e9);
+              v == 2 ? 400.0 * std::log(static_cast<double>(n)) : 1e9);
         });
     for (const auto& r : rows_by_variant[v]) {
       t.row().add(variants[v].name).add(variants[v].states);

@@ -104,7 +104,9 @@ BENCHMARK(BM_OscillatorKernelCount);
 void BM_ClockHierarchyStep(benchmark::State& state) {
   HierarchyParams hp;
   hp.levels = static_cast<int>(state.range(0));
-  ClockHierarchy h(1 << 14, hp, make_fixed_x_driver(1 << 14, 16), 1);
+  const Protocol fixed_x = make_fixed_x_protocol(make_var_space());
+  ClockHierarchy h(1 << 14, hp, fixed_x, x_counts(1 << 14, 16, *fixed_x.vars()),
+                   1);
   for (auto _ : state) h.step();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -3,7 +3,11 @@
 //  * Elimination (X+X -> ¬X+X): time to #X <= n^{1-eps} is Θ(n^eps),
 //    with #X >= 1 guaranteed forever — measured exponent vs eps.
 //  * Junta election ([GS18]-style, O(log log n) states): #X <= n^{1-eps}
-//    within O(log n) rounds; junta size reported.
+//    within O(log n) rounds; junta size and peak live species reported.
+//    On species counts it sweeps up to n = 2^24.
+//
+// Exits 1 when a trial misses its threshold or #X ever reaches 0.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 
@@ -22,44 +26,45 @@ int main(int argc, char** argv) {
       ctx);
 
   const auto ns = pow2_range(12, ctx.scale >= 2.0 ? 20 : 17);
+  const auto junta_ns = pow2_range(12, ctx.scale >= 2.0 ? 30 : 24);
   const std::size_t trials = scaled(5, ctx);
+  bool ok = true;
+  const auto all_succeeded = [&](const std::vector<ScalingRow>& rows) {
+    for (const auto& r : rows) ok = ok && r.successes == r.trials;
+  };
+  // Rounds until #X < thr on counts, every agent starting in X; nullopt
+  // past `max_rounds`.
+  const auto time_below = [](const Protocol& p, std::uint64_t n,
+                             std::uint64_t seed, double thr,
+                             double max_rounds) {
+    const VarId x = p.vars()->at(kXVar);
+    CountEngine eng(p, x_counts(n, n, *p.vars()), seed);
+    return eng.run_until(
+        [&](const SimBackend& e) {
+          return static_cast<double>(e.count_matching(BoolExpr::var(x))) < thr;
+        },
+        max_rounds);
+  };
 
   for (const double eps : {0.25, 0.5}) {
     Table t(scaling_headers({"process", "eps"}));
     std::vector<ScalingRow> elim_rows = run_sweep_parallel(
         ns, trials, 0x7505,
         [&](std::uint64_t n, std::uint64_t seed) -> std::optional<double> {
-          auto vars = make_var_space();
-          const Protocol p = make_x_elimination_protocol(vars);
-          const VarId x = *vars->find(kXVar);
-          CountEngine eng(p, {{var_bit(x), n}}, seed);
-          const double thr =
-              std::pow(static_cast<double>(n), 1.0 - eps);
-          return eng.run_until(
-              [&](const SimBackend& e) {
-                return static_cast<double>(
-                           e.count_matching(BoolExpr::var(x))) < thr;
-              },
-              1e9);
+          return time_below(make_x_elimination_protocol(make_var_space()), n,
+                            seed, std::pow(static_cast<double>(n), 1.0 - eps),
+                            1e9);
         });
     for (const auto& r : elim_rows) {
       t.row().add("elimination").add(eps, 2);
       add_scaling_columns(t, r);
     }
     std::vector<ScalingRow> junta_rows = run_sweep_parallel(
-        ns, trials, 0x7506,
+        junta_ns, trials, 0x7506,
         [&](std::uint64_t n, std::uint64_t seed) -> std::optional<double> {
-          XDriverHarness h(make_junta_x_driver(static_cast<std::size_t>(n)),
-                           seed);
-          const double thr =
-              std::pow(static_cast<double>(n), 1.0 - eps);
-          const double ln_n = std::log(static_cast<double>(n));
-          while (h.rounds() < 200.0 * ln_n) {
-            if (static_cast<double>(h.driver().x_count()) < thr)
-              return h.rounds();
-            h.run_rounds(1.0);
-          }
-          return std::nullopt;
+          return time_below(make_junta_protocol(make_var_space()), n, seed,
+                            std::pow(static_cast<double>(n), 1.0 - eps),
+                            200.0 * std::log(static_cast<double>(n)));
         });
     for (const auto& r : junta_rows) {
       t.row().add("junta").add(eps, 2);
@@ -67,6 +72,8 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout,
             "time to #X < n^(1-eps), eps=" + format_double(eps, 2), ctx.csv);
+    all_succeeded(elim_rows);
+    all_succeeded(junta_rows);
 
     const LinearFit elim_fit = fit_rows_power(elim_rows);
     const PolylogChoice junta_fit = fit_rows_polylog(junta_rows, 2);
@@ -77,21 +84,35 @@ int main(int argc, char** argv) {
               << "   [paper: O(log n)]\n\n";
   }
 
-  // Junta size + invariant check.
-  Table j({"n", "junta size", "n^(1/2)", "#X >= 1 held"});
-  for (const auto n : ns) {
-    XDriverHarness h(make_junta_x_driver(static_cast<std::size_t>(n)), 0x7507);
+  // Junta size, the #X >= 1 invariant, and the live species (Prop 5.4's
+  // O(log log n) states), read every quarter round for 200 rounds.
+  Table j({"n", "junta size", "n^(1/2)", "#X >= 1 held",
+           "peak live species"});
+  for (const auto n : junta_ns) {
+    auto vars = make_var_space();
+    const Protocol p = make_junta_protocol(vars);
+    const VarId x = vars->at(kXVar);
+    CountEngine eng(p, x_counts(n, n, *vars), 0x7507);
     bool nonempty = true;
-    for (int i = 0; i < 200; ++i) {
-      h.run_rounds(1.0);
-      nonempty = nonempty && h.driver().x_count() >= 1;
+    std::size_t peak = 0;
+    for (int i = 0; i < 800; ++i) {
+      eng.run_rounds(0.25);
+      nonempty = nonempty && eng.count_matching(BoolExpr::var(x)) >= 1;
+      peak = std::max(peak, eng.species().size());
     }
+    ok = ok && nonempty;
     j.row()
         .add(n)
-        .add(h.driver().x_count())
+        .add(eng.count_matching(BoolExpr::var(x)))
         .add(std::sqrt(static_cast<double>(n)), 0)
-        .add(nonempty ? "yes" : "NO");
+        .add(nonempty ? "yes" : "NO")
+        .add(static_cast<std::uint64_t>(peak));
   }
   j.print(std::cout, "junta stabilization", ctx.csv);
+  if (!ok) {
+    std::cerr << "bench_t5_x_control: a trial missed its threshold or #X "
+                 "reached 0\n";
+    return 1;
+  }
   return 0;
 }

@@ -18,15 +18,15 @@ int main(int argc, char** argv) {
       "matching windows and the believer cycle length).",
       ctx);
 
+  const Protocol fixed_x = make_fixed_x_protocol(make_var_space());
   Table t({"n", "interval L1", "interval L2", "ratio L2/L1", "ln n"});
   for (const std::uint64_t n : {800ull, 1600ull, 3200ull}) {
     HierarchyParams hp;
     hp.levels = 2;
-    const auto x = static_cast<std::size_t>(
+    const auto x = static_cast<std::uint64_t>(
         std::pow(static_cast<double>(n), 0.33));
-    ClockHierarchy h(static_cast<std::size_t>(n), hp,
-                     make_fixed_x_driver(static_cast<std::size_t>(n), x),
-                     0x7707);
+    ClockHierarchy h(static_cast<std::size_t>(n), hp, fixed_x,
+                     x_counts(n, x, *fixed_x.vars()), 0x7707);
     h.run_rounds(30000.0);  // level-2 escape/lock
     const auto t1a = h.total_ticks(1);
     const auto t2a = h.total_ticks(2);
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     const std::size_t n = 400;
     HierarchyParams hp;
     hp.levels = 3;
-    ClockHierarchy h(n, hp, make_fixed_x_driver(n, 3), 0x7708);
+    ClockHierarchy h(n, hp, fixed_x, x_counts(n, 3, *fixed_x.vars()), 0x7708);
     h.run_rounds(3.0e6);
     const auto a1 = h.total_ticks(1);
     const auto a2 = h.total_ticks(2);

@@ -64,8 +64,10 @@ int main() {
     auto vars = make_var_space();
     const Program program = make_leader_election_program(vars);
     const std::size_t n = 500;
-    CompiledEngine engine(program, std::vector<State>(n, State{0}),
-                          make_fixed_x_driver(n, 4), ClockLevelParams{},
+    // The clock's control agents: a fixed X set of 4 (agents 0..3).
+    const Protocol fixed_x = make_fixed_x_protocol(make_var_space());
+    CompiledEngine engine(program, std::vector<State>(n, State{0}), fixed_x,
+                          x_counts(n, 4, *fixed_x.vars()), ClockLevelParams{},
                           /*seed=*/13);
     const auto done = engine.run_until(
         [&](const AgentPopulation& pop) {

@@ -4,12 +4,15 @@
 
 namespace popproto {
 
-ClockHierarchy::ClockHierarchy(std::size_t n, const HierarchyParams& params,
-                               std::unique_ptr<XDriver> x_driver,
-                               std::uint64_t seed)
+ClockHierarchy::ClockHierarchy(
+    std::size_t n, const HierarchyParams& params, const Protocol& x_protocol,
+    const std::vector<std::pair<State, std::uint64_t>>& x_init,
+    std::uint64_t seed)
     : n_(n),
       params_(params),
-      x_driver_(std::move(x_driver)),
+      x_cache_(x_protocol),
+      x_fixed_(x_protocol.num_rules() == 0),
+      x_var_(x_protocol.vars()->at(kXVar)),
       rng_(seed),
       level1_(n),
       total_ticks_(static_cast<std::size_t>(params.levels), 0) {
@@ -17,7 +20,8 @@ ClockHierarchy::ClockHierarchy(std::size_t n, const HierarchyParams& params,
   POPPROTO_CHECK(params_.levels >= 1);
   POPPROTO_CHECK_MSG(params_.level.module % 4 == 0,
                      "digit modulus must be divisible by 4 (stride-4 gating)");
-  POPPROTO_CHECK(x_driver_ != nullptr && x_driver_->n() == n);
+  for (const auto& [s, c] : x_init) x_states_.insert(x_states_.end(), c, s);
+  POPPROTO_CHECK_MSG(x_states_.size() == n, "X table must count n agents");
   for (std::size_t i = 0; i < n_; ++i)
     level1_[i].osc.species = static_cast<std::uint8_t>(i % 3);
   slow_.resize(static_cast<std::size_t>(params_.levels - 1));
@@ -93,7 +97,11 @@ void ClockHierarchy::slow_level_interact(std::size_t a, std::size_t b,
 void ClockHierarchy::interact_thread(std::size_t a, std::size_t b, int thread) {
   POPPROTO_DCHECK(a != b);
   if (thread == 0) {
-    x_driver_->interact(a, b, rng_);
+    if (x_fixed_) return;
+    const PairOutcome o =
+        x_cache_.sample(x_states_[a], x_states_[b], rng_.uniform());
+    x_states_[a] = o.a;
+    x_states_[b] = o.b;
   } else if (thread == 1) {
     level1_interact(a, b);
   } else {
@@ -101,16 +109,11 @@ void ClockHierarchy::interact_thread(std::size_t a, std::size_t b, int thread) {
   }
 }
 
-void ClockHierarchy::interact(std::size_t a, std::size_t b) {
-  const int t = static_cast<int>(rng_.below(
-      static_cast<std::uint64_t>(num_threads())));
-  interact_thread(a, b, t);
-}
-
 void ClockHierarchy::step() {
   const auto [a, b] = rng_.distinct_pair(n_);
   ++interactions_;
-  interact(a, b);
+  interact_thread(a, b, static_cast<int>(rng_.below(
+                            static_cast<std::uint64_t>(num_threads()))));
 }
 
 void ClockHierarchy::run_rounds(double rounds_to_run) {
@@ -128,13 +131,6 @@ int ClockHierarchy::live_digit(std::size_t agent, int level) const {
 int ClockHierarchy::star_digit(std::size_t agent, int level) const {
   POPPROTO_CHECK(level >= 2 && level <= params_.levels);
   return slow_[static_cast<std::size_t>(level - 2)][agent].star;
-}
-
-const ClockAgent& ClockHierarchy::clock_state(std::size_t agent,
-                                              int level) const {
-  POPPROTO_CHECK(level >= 1 && level <= params_.levels);
-  if (level == 1) return level1_[agent];
-  return slow_[static_cast<std::size_t>(level - 2)][agent].cur;
 }
 
 int ClockHierarchy::slot(std::size_t agent, int level, int width) const {

@@ -20,8 +20,9 @@
 //
 // One matching activation per stride-4 digit window of level j-1 slows
 // level j by a factor Θ(r^(j-1)), giving rates r^(j) = Θ((α ln n)^j) — the
-// paper's clock hierarchy. All levels share one control state X, provided
-// by a pluggable XDriver (clocks/x_control.hpp) composed as its own thread.
+// paper's clock hierarchy. All levels share one control state X, whose
+// process (a Protocol of clocks/x_control.hpp) runs as its own thread on
+// the agents' X states.
 //
 // For stable reads, each agent stores a local copy C*^{(j)} of its level-j
 // digit, refreshed at the start of every level-(j-1) cycle (digit 0) and
@@ -30,12 +31,13 @@
 // time path τ = (live level-1 digit, C*^{(2)}, ..., C*^{(L)}) — Π_τ of §5.4.
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "clocks/phase_clock.hpp"
 #include "clocks/x_control.hpp"
+#include "core/transition_cache.hpp"
 
 namespace popproto {
 
@@ -46,42 +48,44 @@ struct HierarchyParams {
 
 class ClockHierarchy {
  public:
+  /// `x_protocol` is the X process. Agents take the states of `x_init` in
+  /// table order (its counts sum to n), so a fixed table {X: x, ∅: n - x}
+  /// makes agents [0, x) the control agents. The protocol's VarSpace holds
+  /// kXVar, and the protocol must outlive the hierarchy.
   ClockHierarchy(std::size_t n, const HierarchyParams& params,
-                 std::unique_ptr<XDriver> x_driver, std::uint64_t seed);
+                 const Protocol& x_protocol,
+                 const std::vector<std::pair<State, std::uint64_t>>& x_init,
+                 std::uint64_t seed);
 
-  /// Threads composed into the clock machinery: thread 0 is the X driver,
+  /// Threads composed into the clock machinery: thread 0 is the X process,
   /// thread 1 the native level-1 clock, thread j (2..levels) the slowed
   /// driver of level j.
   int num_threads() const { return params_.levels + 1; }
 
-  /// One clock interaction for the ordered pair (a, b): picks one of the
-  /// composed threads u.a.r. and executes it. Used both by step() and by
-  /// the compiled-protocol engine, which interleaves program threads.
-  void interact(std::size_t a, std::size_t b);
+  /// One interaction of `thread` for the ordered pair (a, b). The compiled
+  /// engine calls it for the clock threads it interleaves with program
+  /// threads.
   void interact_thread(std::size_t a, std::size_t b, int thread);
 
-  /// One sequential scheduler step (random ordered pair + interact()).
+  /// One sequential scheduler step: a random ordered pair runs a thread
+  /// chosen u.a.r.
   void step();
   void run_rounds(double rounds);
   double rounds() const {
     return static_cast<double>(interactions_) / static_cast<double>(n_);
   }
-  /// External callers (the compiled engine) account interactions themselves.
-  void add_interactions(std::uint64_t k) { interactions_ += k; }
 
   std::size_t n() const { return n_; }
-  Rng& rng() { return rng_; }
   const HierarchyParams& params() const { return params_; }
-  const XDriver& x_driver() const { return *x_driver_; }
-  bool is_x(std::size_t agent) const { return x_driver_->is_x(agent); }
+  bool is_x(std::size_t agent) const {
+    return var_is_set(x_states_[agent], x_var_);
+  }
 
   /// Live digit of clock `level` (1-based) for an agent. For level >= 2
   /// this is the committed ("current") copy.
   int live_digit(std::size_t agent, int level) const;
   /// Stored local copy C*^{(level)}; defined for level >= 2.
   int star_digit(std::size_t agent, int level) const;
-  /// The full level state (inspection / tests).
-  const ClockAgent& clock_state(std::size_t agent, int level) const;
 
   /// Program-gating slot at `level` for an agent: digit/4 when the gating
   /// digit (live for level 1, starred for level >= 2) is divisible by 4 and
@@ -114,7 +118,12 @@ class ClockHierarchy {
 
   std::size_t n_;
   HierarchyParams params_;
-  std::unique_ptr<XDriver> x_driver_;
+  // Thread 0: the X process on the agents' X states. A protocol without
+  // rules (a fixed X set) draws nothing.
+  TransitionCache x_cache_;
+  bool x_fixed_;
+  VarId x_var_;
+  std::vector<State> x_states_;
   Rng rng_;
   std::vector<ClockAgent> level1_;
   // slow_[j-2][agent]: state of level j (j >= 2).

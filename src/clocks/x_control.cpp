@@ -1,11 +1,27 @@
 #include "clocks/x_control.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "support/check.hpp"
 
 namespace popproto {
+
+Protocol make_fixed_x_protocol(VarSpacePtr vars) {
+  vars->intern(kXVar);
+  return Protocol("fixed_x", std::move(vars));
+}
+
+std::vector<std::pair<State, std::uint64_t>> x_counts(std::uint64_t n,
+                                                      std::uint64_t x_count,
+                                                      const VarSpace& vars) {
+  POPPROTO_CHECK(x_count <= n);
+  std::vector<std::pair<State, std::uint64_t>> out;
+  if (x_count > 0) out.emplace_back(var_bit(vars.at(kXVar)), x_count);
+  if (n > x_count) out.emplace_back(State{0}, n - x_count);
+  return out;
+}
 
 Protocol make_x_elimination_protocol(VarSpacePtr vars) {
   const VarId x = vars->intern(kXVar);
@@ -78,166 +94,63 @@ Protocol make_klevel_signal_protocol(VarSpacePtr vars, int k) {
   return proto;
 }
 
-// ---------------------------------------------------------------------------
-// Typed drivers.
-// ---------------------------------------------------------------------------
-
 namespace {
 
-class FixedXDriver final : public XDriver {
- public:
-  FixedXDriver(std::size_t n, std::size_t x_count) : n_(n), x_(x_count) {
-    POPPROTO_CHECK(x_count <= n);
-  }
-  void interact(std::size_t, std::size_t, Rng&) override {}
-  bool is_x(std::size_t agent) const override { return agent < x_; }
-  std::uint64_t x_count() const override { return x_; }
-  std::size_t n() const override { return n_; }
+constexpr int kJuntaLevelBits = 5;  // levels 0..kJuntaLevelCap
+static_assert(kJuntaLevelCap < (1 << kJuntaLevelBits));
 
- private:
-  std::size_t n_;
-  std::size_t x_;
-};
+std::string junta_level_var(int bit) { return "JUNTA_L" + std::to_string(bit); }
 
-class EliminationXDriver final : public XDriver {
- public:
-  explicit EliminationXDriver(std::size_t n) : x_(n, 1), count_(n) {}
-  void interact(std::size_t a, std::size_t b, Rng&) override {
-    if (x_[a] && x_[b]) {
-      x_[a] = 0;  // ▷ (X) + (X) -> (¬X) + (X)
-      --count_;
-    }
-  }
-  bool is_x(std::size_t agent) const override { return x_[agent] != 0; }
-  std::uint64_t x_count() const override { return count_; }
-  std::size_t n() const override { return x_.size(); }
+std::array<VarId, kJuntaLevelBits> junta_level_vars(const VarSpace& vars) {
+  std::array<VarId, kJuntaLevelBits> out{};
+  for (int i = 0; i < kJuntaLevelBits; ++i)
+    out[static_cast<std::size_t>(i)] = vars.at(junta_level_var(i));
+  return out;
+}
 
- private:
-  std::vector<std::uint8_t> x_;
-  std::uint64_t count_;
-};
-
-class KLevelXDriver final : public XDriver {
- public:
-  KLevelXDriver(std::size_t n, int k) : k_(k), st_(n), count_(n) {
-    POPPROTO_CHECK(k >= 1 && k <= 16);
-    for (auto& s : st_) {
-      s.z = true;
-      s.x = true;
-    }
-  }
-  void interact(std::size_t a, std::size_t b, Rng&) override {
-    AgentState& ia = st_[a];
-    const AgentState& ib = st_[b];
-    if (!ib.z) {
-      ia.zrung = 0;
-      ia.xrung = 0;
-      return;
-    }
-    if (ia.z) {
-      if (++ia.zrung >= k_) {
-        ia.z = false;
-        ia.zrung = 0;
-      }
-    }
-    if (ia.x) {
-      if (++ia.xrung >= k_) {
-        ia.x = false;
-        ia.xrung = 0;
-        --count_;
-      }
-    }
-  }
-  bool is_x(std::size_t agent) const override { return st_[agent].x; }
-  std::uint64_t x_count() const override { return count_; }
-  std::size_t n() const override { return st_.size(); }
-
- private:
-  struct AgentState {
-    bool z = false;
-    bool x = false;
-    std::uint8_t zrung = 0;
-    std::uint8_t xrung = 0;
-  };
-  int k_;
-  std::vector<AgentState> st_;
-  std::uint64_t count_;
-};
-
-class JuntaXDriver final : public XDriver {
- public:
-  static constexpr std::uint8_t kLevelCap = 30;
-
-  explicit JuntaXDriver(std::size_t n) : st_(n), active_count_(n) {}
-  void interact(std::size_t a, std::size_t b, Rng&) override {
-    AgentState& ia = st_[a];
-    AgentState& ib = st_[b];
-    // Climb: the initiator of a same-level active pair advances one level.
-    if (ia.active && ib.active && ia.level == ib.level &&
-        ia.level < kLevelCap) {
-      ++ia.level;
-    }
-    // Epidemic maximum of levels seen so far.
-    const std::uint8_t m = std::max(
-        {ia.max_seen, ib.max_seen, ia.level, ib.level});
-    ia.max_seen = m;
-    ib.max_seen = m;
-    // Knock-out: climbers strictly below the known maximum drop out.
-    for (AgentState* s : {&ia, &ib}) {
-      if (s->active && s->level < s->max_seen) {
-        s->active = false;
-        --active_count_;
-      }
-    }
-  }
-  bool is_x(std::size_t agent) const override { return st_[agent].active; }
-  std::uint64_t x_count() const override { return active_count_; }
-  std::size_t n() const override { return st_.size(); }
-
- private:
-  struct AgentState {
-    std::uint8_t level = 0;
-    std::uint8_t max_seen = 0;
-    bool active = true;
-  };
-  std::vector<AgentState> st_;
-  std::uint64_t active_count_;
-};
+int decode_level(State s, const std::array<VarId, kJuntaLevelBits>& bits) {
+  int level = 0;
+  for (int i = 0; i < kJuntaLevelBits; ++i)
+    if (var_is_set(s, bits[static_cast<std::size_t>(i)])) level |= 1 << i;
+  return level;
+}
 
 }  // namespace
 
-std::unique_ptr<XDriver> make_fixed_x_driver(std::size_t n,
-                                             std::size_t x_count) {
-  return std::make_unique<FixedXDriver>(n, x_count);
+Protocol make_junta_protocol(VarSpacePtr vars) {
+  const VarId x = vars->intern(kXVar);
+  for (int i = 0; i < kJuntaLevelBits; ++i) vars->intern(junta_level_var(i));
+  const auto bits = junta_level_vars(*vars);
+  PairKernel kernel;
+  kernel.outcomes = [x, bits](State a, State b,
+                              std::vector<KernelOutcome>& out) {
+    const auto encode = [&](int level, bool climbing) {
+      State s = climbing ? var_bit(x) : 0;
+      for (int i = 0; i < kJuntaLevelBits; ++i)
+        if (level & (1 << i)) s |= var_bit(bits[static_cast<std::size_t>(i)]);
+      return s;
+    };
+    // A climber's level is its max (DESIGN.md §3.3), so la and lb serve
+    // as both.
+    const bool xa = var_is_set(a, x);
+    const bool xb = var_is_set(b, x);
+    int la = decode_level(a, bits);
+    const int lb = decode_level(b, bits);
+    // Climb: the initiator of a same-level climbing pair advances one level.
+    if (xa && xb && la == lb && la < kJuntaLevelCap) ++la;
+    // Epidemic maximum; knock-out: a climber below it drops out.
+    const int m = std::max(la, lb);
+    out.push_back(KernelOutcome{1.0, encode(m, xa && la == m),
+                                encode(m, xb && lb == m)});
+  };
+  kernel.signature = "junta cap=" + std::to_string(kJuntaLevelCap);
+  Protocol proto("junta", std::move(vars));
+  proto.add_kernel_thread("JuntaElection", std::move(kernel));
+  return proto;
 }
 
-std::unique_ptr<XDriver> make_elimination_x_driver(std::size_t n) {
-  return std::make_unique<EliminationXDriver>(n);
-}
-
-std::unique_ptr<XDriver> make_klevel_x_driver(std::size_t n, int k) {
-  return std::make_unique<KLevelXDriver>(n, k);
-}
-
-std::unique_ptr<XDriver> make_junta_x_driver(std::size_t n) {
-  return std::make_unique<JuntaXDriver>(n);
-}
-
-XDriverHarness::XDriverHarness(std::unique_ptr<XDriver> driver,
-                               std::uint64_t seed)
-    : driver_(std::move(driver)), rng_(seed) {
-  POPPROTO_CHECK(driver_ != nullptr && driver_->n() >= 2);
-}
-
-void XDriverHarness::run_rounds(double rounds_to_run) {
-  const auto n = driver_->n();
-  const auto target = static_cast<std::uint64_t>(
-      (rounds() + rounds_to_run) * static_cast<double>(n));
-  while (interactions_ < target) {
-    const auto [a, b] = rng_.distinct_pair(n);
-    driver_->interact(a, b, rng_);
-    ++interactions_;
-  }
+int junta_level(State s, const VarSpace& vars) {
+  return decode_level(s, junta_level_vars(vars));
 }
 
 }  // namespace popproto

@@ -13,27 +13,45 @@
 //    epidemic knock-out; O(log log n) states, #X >= 1 always, #X <= n^{1-eps}
 //    w.h.p. within O(log n) rounds.
 //
-// Each process exists in two forms: a bitmask Protocol (studied standalone
-// by experiments T5/T6 on the core engines) and a typed XDriver that plugs
-// into the clock machinery (clocks/hierarchy.hpp) as the composed thread
-// controlling the oscillator's source state. Junta election exceeds the
-// boolean-flag convention (its state space is O(log log n), not O(1)), so
-// it is provided as a typed driver only.
+// Each process is one Protocol whose X flag (kXVar) marks the control
+// agents, so it runs on every SimBackend (experiments T5, T6, T14) and is
+// also the clock machinery's thread 0 (clocks/hierarchy.hpp), which reads
+// each agent's X flag as the oscillator's source state. A protocol without
+// rules holds a fixed X set: the idealized junta under which the clock
+// experiments study controlled #X (the paper's Thm 5.1/5.2 setting).
+//
+// The junta is a pair kernel. Its state is the largest level the agent has
+// seen (5 bits, capped at kJuntaLevelCap) plus the X flag, which marks an
+// agent still climbing; a climber's own level is always its max, so the max
+// is the only level kept (DESIGN.md §3.3).
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "support/rng.hpp"
 
 namespace popproto {
 
 /// Variable names of the bitmask encodings.
 inline constexpr const char* kXVar = "X";       // the control flag itself
 inline constexpr const char* kZVar = "Z";       // k-level process: Z flag
-// Ladder rungs are interned as "Z1".."Zk" and "X1".."X(k-1)".
+// Ladder rungs are interned as "Z1".."Zk" and "X1".."X(k-1)"; the junta's
+// max level as the bits "JUNTA_L0".."JUNTA_L4".
+
+/// The highest level a junta climber can reach.
+inline constexpr int kJuntaLevelCap = 30;
+
+/// A fixed X set: kXVar interned, no rules.
+Protocol make_fixed_x_protocol(VarSpacePtr vars);
+
+/// The table {X: x_count, ∅: n - x_count}, empty entries left out: the
+/// fixed process's start, and for x_count = n that of elimination and of
+/// the junta. `vars` holds kXVar.
+std::vector<std::pair<State, std::uint64_t>> x_counts(std::uint64_t n,
+                                                      std::uint64_t x_count,
+                                                      const VarSpace& vars);
 
 /// Prop 5.3: ▷ (X) + (X) -> (¬X) + (X). Initial configuration: X set for
 /// all agents.
@@ -43,54 +61,14 @@ Protocol make_x_elimination_protocol(VarSpacePtr vars);
 /// configuration: X and Z set for all agents, all rungs unset.
 Protocol make_klevel_signal_protocol(VarSpacePtr vars, int k);
 
-// ---------------------------------------------------------------------------
-// Typed drivers for the clock machinery.
-// ---------------------------------------------------------------------------
+/// Prop 5.4: junta election as a one-thread pair kernel with one outcome.
+/// Two climbers at the same level: the initiator climbs one level (up to
+/// kJuntaLevelCap). Both agents then keep the larger of their max levels,
+/// and a climber below it leaves X. Initial configuration: the X bit alone
+/// (a climber at level 0) for all agents.
+Protocol make_junta_protocol(VarSpacePtr vars);
 
-/// Per-agent control-flag process composed with the clock threads. The
-/// driver owns whatever per-agent scratch state its process needs.
-class XDriver {
- public:
-  virtual ~XDriver() = default;
-  /// One composed interaction for the ordered agent pair (a, b).
-  virtual void interact(std::size_t a, std::size_t b, Rng& rng) = 0;
-  virtual bool is_x(std::size_t agent) const = 0;
-  virtual std::uint64_t x_count() const = 0;
-  virtual std::size_t n() const = 0;
-};
-
-/// Idealized fixed junta: agents [0, x_count) are X forever. Used to study
-/// the clocks under controlled #X (the paper's Thm 5.1/5.2 setting).
-std::unique_ptr<XDriver> make_fixed_x_driver(std::size_t n,
-                                             std::size_t x_count);
-
-/// Prop 5.3 elimination driver (starts with #X = n).
-std::unique_ptr<XDriver> make_elimination_x_driver(std::size_t n);
-
-/// Prop 5.5 k-level signal driver (starts with #X = n).
-std::unique_ptr<XDriver> make_klevel_x_driver(std::size_t n, int k);
-
-/// Prop 5.4 junta-election driver (starts with #X = n; X = still-climbing
-/// agents at the current maximum level).
-std::unique_ptr<XDriver> make_junta_x_driver(std::size_t n);
-
-/// Standalone harness: runs a driver alone under the sequential scheduler
-/// (for T5-style measurements on typed drivers).
-class XDriverHarness {
- public:
-  XDriverHarness(std::unique_ptr<XDriver> driver, std::uint64_t seed);
-
-  void run_rounds(double rounds);
-  double rounds() const {
-    return static_cast<double>(interactions_) /
-           static_cast<double>(driver_->n());
-  }
-  const XDriver& driver() const { return *driver_; }
-
- private:
-  std::unique_ptr<XDriver> driver_;
-  Rng rng_;
-  std::uint64_t interactions_ = 0;
-};
+/// The max level held in a junta state.
+int junta_level(State s, const VarSpace& vars);
 
 }  // namespace popproto

@@ -6,11 +6,11 @@
 
 namespace popproto {
 
-CompiledEngine::CompiledEngine(const Program& program,
-                               std::vector<State> inputs,
-                               std::unique_ptr<XDriver> x_driver,
-                               const ClockLevelParams& clock,
-                               std::uint64_t seed)
+CompiledEngine::CompiledEngine(
+    const Program& program, std::vector<State> inputs,
+    const Protocol& x_protocol,
+    const std::vector<std::pair<State, std::uint64_t>>& x_init,
+    const ClockLevelParams& clock, std::uint64_t seed)
     : tree_(precompile(program)),
       n_(inputs.size()),
       user_([&] {
@@ -26,7 +26,7 @@ CompiledEngine::CompiledEngine(const Program& program,
   hp.levels = tree_.depth;
   hp.level = clock;
   hp.level.module = 4 * (tree_.width + 1);
-  hierarchy_ = std::make_unique<ClockHierarchy>(n_, hp, std::move(x_driver),
+  hierarchy_ = std::make_unique<ClockHierarchy>(n_, hp, x_protocol, x_init,
                                                 rng_.split()());
 }
 

@@ -2,7 +2,7 @@
 // (paper §2.2, §5.4).
 //
 // The compiled protocol composes, per interaction, a uniform choice among:
-//   * the clock machinery threads (X driver, level-1 clock, slowed drivers
+//   * the clock machinery threads (X process, level-1 clock, slowed drivers
 //     of levels 2..l_max — see clocks/hierarchy.hpp),
 //   * the gated program thread: both agents derive their time path
 //     τ = (τ_{l_max}, ..., τ_1) from the clock digits (live level-1 digit,
@@ -32,9 +32,11 @@ namespace popproto {
 class CompiledEngine {
  public:
   /// `inputs` are the user states (program initializers are OR-ed on top);
-  /// the X driver controls the shared clock control state.
+  /// `x_protocol`, started from the table `x_init`, controls the shared
+  /// clock control state (see ClockHierarchy) and must outlive the engine.
   CompiledEngine(const Program& program, std::vector<State> inputs,
-                 std::unique_ptr<XDriver> x_driver,
+                 const Protocol& x_protocol,
+                 const std::vector<std::pair<State, std::uint64_t>>& x_init,
                  const ClockLevelParams& clock, std::uint64_t seed);
 
   void step();  // one sequential scheduler interaction

@@ -8,6 +8,16 @@
 namespace popproto {
 namespace {
 
+/// The compiled program on `n` blank inputs under a fixed X set: agents
+/// [0, x) are the control agents.
+CompiledEngine with_fixed_x(const Program& p, std::size_t n, std::uint64_t x,
+                            std::uint64_t seed) {
+  static const Protocol fixed = make_fixed_x_protocol(make_var_space());
+  return CompiledEngine(p, std::vector<State>(n, 0), fixed,
+                        x_counts(n, x, *fixed.vars()), ClockLevelParams{},
+                        seed);
+}
+
 /// A depth-1 program with `leaves` no-op rulesets (for time-path mechanics).
 Program flat_program(VarSpacePtr vars, int leaves) {
   Program p;
@@ -37,8 +47,7 @@ Program nested_program(VarSpacePtr vars) {
 TEST(Compiled, ModuleSizedToWidth) {
   auto vars = make_var_space();
   const Program p = flat_program(vars, 3);
-  CompiledEngine eng(p, std::vector<State>(100, 0),
-                     make_fixed_x_driver(100, 4), ClockLevelParams{}, 1);
+  CompiledEngine eng = with_fixed_x(p, 100, 4, 1);
   EXPECT_EQ(eng.tree().depth, 1);
   EXPECT_EQ(eng.tree().width, 3);
   EXPECT_EQ(eng.hierarchy().params().level.module, 16);  // 4 * (3 + 1)
@@ -50,8 +59,7 @@ TEST(Compiled, TimePathsSweepSlotsCyclically) {
   auto vars = make_var_space();
   const Program p = flat_program(vars, 3);
   const std::size_t n = 600;
-  CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 5),
-                     ClockLevelParams{}, 7);
+  CompiledEngine eng = with_fixed_x(p, n, 5, 7);
   eng.run_rounds(3000.0);  // clock stabilization
   std::vector<int> slots;
   while (eng.rounds() < 60000.0 && slots.size() < 24) {
@@ -82,8 +90,7 @@ TEST(Compiled, ProgramRulesFireOnlyOnValidPaths) {
       BoolExpr::any(), BoolExpr::any(), BoolExpr::var(m), BoolExpr::any())}));
   p.threads.push_back(std::move(main));
   const std::size_t n = 300;
-  CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 4),
-                     ClockLevelParams{}, 9);
+  CompiledEngine eng = with_fixed_x(p, n, 4, 9);
   // All digits are 0 at startup => slot ⊥ => no firings; step until the
   // first firing and verify a valid slot existed for some agent then.
   while (eng.program_rule_firings() == 0 && eng.rounds() < 5000.0) {
@@ -117,8 +124,7 @@ TEST(Compiled, NestedProgramAdvancesOuterSlotAfterInnerSweeps) {
   auto vars = make_var_space();
   const Program p = nested_program(vars);
   const std::size_t n = 250;
-  CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 4),
-                     ClockLevelParams{}, 11);
+  CompiledEngine eng = with_fixed_x(p, n, 4, 11);
   std::vector<std::pair<int, int>> path_log;  // (tau2, tau1)
   const double horizon = 1.2e6;
   while (eng.rounds() < horizon) {
@@ -160,8 +166,7 @@ TEST(Compiled, RunUntilClampsLastIntervalToHorizon) {
   auto vars = make_var_space();
   const Program p = make_leader_election_program(vars);
   const std::size_t n = 64;
-  CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 4),
-                     ClockLevelParams{}, 3);
+  CompiledEngine eng = with_fixed_x(p, n, 4, 3);
   int calls = 0;
   const auto t = eng.run_until(
       [&](const AgentPopulation&) { return ++calls >= 2; }, 10.0, 16.0);
@@ -183,8 +188,7 @@ TEST(Compiled, LeaderElectionEndToEnd) {
   auto vars = make_var_space();
   const Program p = make_leader_election_program(vars);
   const std::size_t n = 400;
-  CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 4),
-                     ClockLevelParams{}, 13);
+  CompiledEngine eng = with_fixed_x(p, n, 4, 13);
   const auto t = eng.run_until(
       [&](const AgentPopulation& pop) {
         return pop.count_var(*vars->find(kLeaderVar)) == 1;

@@ -1,7 +1,8 @@
-// Conformance slice (ROADMAP item 5(a)) for the two pair-kernel protocols
+// Conformance slice (ROADMAP item 5(a)) for the three pair-kernel protocols
 // and for the statement protocols FrameworkRuntime runs an `execute` on:
-// the validated oscillator P_o and base clock C_o, Majority's cancel and
-// duplicate rulesets, and a ruleset composed with derandomize's
+// the validated oscillator P_o and base clock C_o, the junta election of
+// Prop 5.4, Majority's cancel and duplicate rulesets, and a ruleset
+// composed with derandomize's
 // FilteredCoin background thread run on every backend and are compared
 // against the agent Engine reference. Each backend gives one hitting-time
 // sample (two-sample KS) and one final-configuration category (two-sample
@@ -26,6 +27,7 @@
 
 #include "clocks/oscillator.hpp"
 #include "clocks/phase_clock.hpp"
+#include "clocks/x_control.hpp"
 #include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
 #include "core/count_shard_engine.hpp"
@@ -39,8 +41,8 @@ namespace popproto {
 namespace {
 
 constexpr double kAlpha = 0.01;
-// 5 protocols x 4 backends x (KS + chi-square).
-constexpr double kFamily = 40.0;
+// 6 protocols x 4 backends x (KS + chi-square).
+constexpr double kFamily = 48.0;
 constexpr int kSeeds = 100;
 
 using Counts = std::vector<std::pair<State, std::uint64_t>>;
@@ -207,6 +209,31 @@ TEST(Conformance, ClockKernelOnEveryBackend) {
                                c.begin());
   };
   expect_conforms(s, "clock kernel");
+}
+
+TEST(Conformance, JuntaKernelOnEveryBackend) {
+  // Hitting time: #X < n^{1/2} (Prop 5.4). Final category: the highest
+  // level present at round 40.
+  auto vars = make_var_space();
+  const Protocol proto = make_junta_protocol(vars);
+  const VarId x = vars->at(kXVar);
+  const std::uint64_t n = 1024;
+  const double thr = std::sqrt(static_cast<double>(n));
+  Subject s;
+  s.protocol = &proto;
+  s.init = x_counts(n, n, *vars);
+  s.hit = [&](const SimBackend& e) {
+    return static_cast<double>(e.count_matching(BoolExpr::var(x))) < thr;
+  };
+  s.max_rounds = 2000.0;
+  s.final_round = 40.0;
+  s.category = [&](const SimBackend& e) {
+    int top = 0;
+    for (const auto& [st, c] : e.species())
+      top = std::max(top, junta_level(st, *vars));
+    return static_cast<double>(top);
+  };
+  expect_conforms(s, "junta kernel");
 }
 
 // Majority's working copies: `a` A* marks, `b` B* marks and the rest

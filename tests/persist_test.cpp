@@ -33,6 +33,7 @@
 
 #include "clocks/oscillator.hpp"
 #include "clocks/phase_clock.hpp"
+#include "clocks/x_control.hpp"
 #include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
 #include "core/count_shard_engine.hpp"
@@ -107,8 +108,8 @@ struct MajorityFixture {
   }
 };
 
-// The two pair-kernel protocols (the validated P_o and C_o) on every
-// backend, from their experiment starts.
+// The three pair-kernel protocols (the validated P_o and C_o, and the
+// junta election) on every backend, from their experiment starts.
 struct KernelFixture {
   std::shared_ptr<VarSpace> vars;
   Protocol proto;
@@ -129,6 +130,13 @@ struct KernelFixture {
         fx.init.emplace_back(s, 0);
       ++fx.init.back().second;
     }
+    return fx;
+  }
+
+  static KernelFixture junta(std::uint64_t n) {
+    auto vars = make_var_space();
+    KernelFixture fx{vars, make_junta_protocol(vars), {}};
+    fx.init = x_counts(n, n, *vars);
     return fx;
   }
 
@@ -266,7 +274,8 @@ TEST(ReplayCheck, BatchEngineShardLadder) {
 
 TEST(ReplayCheck, PairKernelProtocolsOnEveryBackend) {
   const KernelFixture fixtures[] = {KernelFixture::oscillator(2048),
-                                    KernelFixture::clock(2048, {})};
+                                    KernelFixture::clock(2048, {}),
+                                    KernelFixture::junta(2048)};
   for (const KernelFixture& fx : fixtures)
     for (const char* backend : {"agent", "count", "batch", "count_shard"}) {
       const ReplayCheckResult r = replay_check(fx.backend(backend, 7), 12.0);
@@ -752,6 +761,19 @@ TEST(MalformedSnapshot, KernelParametersAreFingerprinted) {
     const SnapshotErrc fp = SnapshotErrc::kBadFingerprint;
     expect_rejected(*target, snapshot_bytes(*src), &fp,
                     std::string("believer_k 6 snapshot into k = 4 on ") +
+                        backend);
+  }
+  // A junta snapshot restores only into a junta engine: on another kernel
+  // protocol the fingerprint differs.
+  const KernelFixture junta = KernelFixture::junta(512);
+  const KernelFixture osc = KernelFixture::oscillator(512);
+  for (const char* backend : {"agent", "count"}) {
+    auto src = junta.backend(backend, 7)();
+    src->run_rounds(4.0);
+    auto target = osc.backend(backend, 7)();
+    const SnapshotErrc fp = SnapshotErrc::kBadFingerprint;
+    expect_rejected(*target, snapshot_bytes(*src), &fp,
+                    std::string("junta snapshot into the oscillator on ") +
                         backend);
   }
   // The oscillator's weak-predation probability is part of it too.

@@ -179,12 +179,13 @@ TEST(Robustness, HierarchyRecoversFromScrambledBelievers) {
   HierarchyParams hp;
   hp.levels = 1;
   const std::size_t n = 6000;
-  ClockHierarchy h(n, hp, make_fixed_x_driver(n, 9), 119);
+  const Protocol fixed = make_fixed_x_protocol(make_var_space());
+  ClockHierarchy h(n, hp, fixed, x_counts(n, 9, *fixed.vars()), 119);
   h.run_rounds(300.0);  // lock once
   // No public mutation API for clock internals — emulate an adversarial
   // restart by constructing a fresh hierarchy from a different seed and
   // simply validating lock-in from its arbitrary initial state instead.
-  ClockHierarchy h2(n, hp, make_fixed_x_driver(n, 9), 991);
+  ClockHierarchy h2(n, hp, fixed, x_counts(n, 9, *fixed.vars()), 991);
   h2.run_rounds(300.0);
   const auto t0 = h2.total_ticks(1);
   h2.run_rounds(400.0);

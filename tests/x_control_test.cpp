@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "clocks/hierarchy.hpp"
 #include "clocks/x_control.hpp"
 #include "core/count_engine.hpp"
 
@@ -141,76 +146,150 @@ TEST(KLevelSignal, BuilderValidatesK) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed drivers.
+// Each process in its role as the X driver: the fixed X set through the
+// clock hierarchy, elimination and the k-level signal as X drivers, and
+// Prop 5.4's junta election (the `*XDriver` suites).
 // ---------------------------------------------------------------------------
 
+std::uint64_t x_count(const SimBackend& eng, const VarSpace& vars) {
+  return eng.count_matching(BoolExpr::var(vars.at(kXVar)));
+}
+
 TEST(FixedXDriver, Constant) {
-  auto d = make_fixed_x_driver(100, 7);
-  EXPECT_EQ(d->x_count(), 7u);
-  EXPECT_TRUE(d->is_x(0));
-  EXPECT_TRUE(d->is_x(6));
-  EXPECT_FALSE(d->is_x(7));
-  Rng rng(1);
-  d->interact(0, 50, rng);
-  EXPECT_EQ(d->x_count(), 7u);
+  const Protocol p = make_fixed_x_protocol(make_var_space());
+  HierarchyParams hp;
+  hp.levels = 1;
+  ClockHierarchy h(100, hp, p, x_counts(100, 7, *p.vars()), 1);
+  const auto count = [&] {
+    std::uint64_t c = 0;
+    for (std::size_t i = 0; i < h.n(); ++i) c += h.is_x(i) ? 1 : 0;
+    return c;
+  };
+  EXPECT_EQ(count(), 7u);
+  EXPECT_TRUE(h.is_x(0));
+  EXPECT_TRUE(h.is_x(6));
+  EXPECT_FALSE(h.is_x(7));
+  h.interact_thread(0, 50, 0);  // thread 0 is the X process
+  EXPECT_EQ(count(), 7u);
+  h.run_rounds(20.0);
+  EXPECT_EQ(count(), 7u);
 }
 
 TEST(EliminationXDriver, MatchesProtocolSemantics) {
-  XDriverHarness h(make_elimination_x_driver(4096), 21);
-  EXPECT_EQ(h.driver().x_count(), 4096u);
-  h.run_rounds(400.0);
-  EXPECT_GE(h.driver().x_count(), 1u);
-  EXPECT_LT(h.driver().x_count(), 100u);
-}
-
-TEST(EliminationXDriver, CountMatchesFlags) {
-  auto d = make_elimination_x_driver(256);
-  Rng rng(3);
-  XDriver* dr = d.get();
-  for (int i = 0; i < 20000; ++i) {
-    const auto [a, b] = rng.distinct_pair(256);
-    dr->interact(a, b, rng);
-  }
-  std::uint64_t scan = 0;
-  for (std::size_t i = 0; i < 256; ++i)
-    if (dr->is_x(i)) ++scan;
-  EXPECT_EQ(scan, dr->x_count());
+  auto vars = make_var_space();
+  const Protocol p = make_x_elimination_protocol(vars);
+  CountEngine eng(p, x_counts(4096, 4096, *vars), 21);
+  EXPECT_EQ(x_count(eng, *vars), 4096u);
+  eng.run_rounds(400.0);
+  EXPECT_GE(x_count(eng, *vars), 1u);
+  EXPECT_LT(x_count(eng, *vars), 100u);
 }
 
 TEST(KLevelXDriver, DecaysAndMayDie) {
-  XDriverHarness h(make_klevel_x_driver(1 << 14, 2), 23);
-  h.run_rounds(30.0);
-  const auto early = h.driver().x_count();
+  auto vars = make_var_space();
+  const Protocol p = make_klevel_signal_protocol(vars, 2);
+  const State init = var_bit(vars->at(kXVar)) | var_bit(vars->at(kZVar));
+  CountEngine eng(p, {{init, 1 << 14}}, 23);
+  eng.run_rounds(30.0);
+  const auto early = x_count(eng, *vars);
   EXPECT_GT(early, 0u);
-  h.run_rounds(1500.0);
+  eng.run_rounds(1500.0);
   // Unlike elimination, the k-level signal is allowed to extinguish.
-  EXPECT_LT(h.driver().x_count(), early / 2 + 1);
+  EXPECT_LT(x_count(eng, *vars), early / 2 + 1);
+}
+
+// A junta state: max level `level`, climbing iff `climbing`.
+State junta_state(int level, bool climbing, const VarSpace& vars) {
+  State s = climbing ? var_bit(vars.at(kXVar)) : 0;
+  for (int i = 0; i < 5; ++i)
+    if (level & (1 << i)) s |= var_bit(vars.at("JUNTA_L" + std::to_string(i)));
+  return s;
+}
+
+TEST(JuntaProtocol, OneOutcomePerPair) {
+  auto vars = make_var_space();
+  const Protocol p = make_junta_protocol(vars);
+  ASSERT_EQ(p.threads().size(), 1u);
+  ASSERT_TRUE(p.threads()[0].is_kernel());
+  EXPECT_EQ(p.threads()[0].kernel.signature, "junta cap=30");
+  // The ordered pair of junta states (la, xa), (lb, xb).
+  const auto pair = [&](int la, bool xa, int lb, bool xb) {
+    return std::make_pair(junta_state(la, xa, *vars),
+                          junta_state(lb, xb, *vars));
+  };
+  // What the kernel's one outcome makes of that pair.
+  const auto after = [&](int la, bool xa, int lb, bool xb) {
+    const auto [a, b] = pair(la, xa, lb, xb);
+    std::vector<KernelOutcome> out;
+    p.threads()[0].kernel.outcomes(a, b, out);
+    EXPECT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].probability, 1.0);
+    return std::make_pair(out[0].initiator, out[0].responder);
+  };
+  EXPECT_EQ(junta_level(junta_state(13, true, *vars), *vars), 13);
+  // Same-level climbers: the initiator climbs, knocking the responder out.
+  EXPECT_EQ(after(2, true, 2, true), pair(3, true, 3, false));
+  // A climber meeting a larger max, either side, drops out.
+  EXPECT_EQ(after(1, true, 3, false), pair(3, false, 3, false));
+  EXPECT_EQ(after(4, true, 2, true), pair(4, true, 4, false));
+  // A dropped-out agent climbs no more and only spreads its max.
+  EXPECT_EQ(after(2, false, 2, true), pair(2, false, 2, true));
+  // Climbing stops at the cap.
+  EXPECT_EQ(after(30, true, 30, true), pair(30, true, 30, true));
+}
+
+TEST(JuntaProtocol, LiveSpeciesWithinTwoPerLevel) {
+  // Prop 5.4's O(log log n) states, read as live species on counts: two
+  // per level (climbing or not) and O(1) levels above log2 log2 n. Peak
+  // over the first 60 rounds, sampled every quarter round.
+  for (const int log_n : {10, 20}) {
+    const auto n = std::uint64_t{1} << log_n;
+    const auto bound = static_cast<std::size_t>(
+        2 * (std::ceil(std::log2(static_cast<double>(log_n))) + 3));
+    for (const std::uint64_t seed : {41u, 42u, 43u}) {
+      auto vars = make_var_space();
+      const Protocol p = make_junta_protocol(vars);
+      CountEngine eng(p, x_counts(n, n, *vars), seed);
+      std::size_t peak = 0;
+      while (eng.rounds() < 60.0) {
+        eng.run_rounds(0.25);
+        peak = std::max(peak, eng.species().size());
+      }
+      EXPECT_LE(peak, bound) << "n = 2^" << log_n << ", seed " << seed;
+    }
+  }
 }
 
 TEST(JuntaXDriver, AlwaysKeepsAClimber) {
-  XDriverHarness h(make_junta_x_driver(1 << 13), 29);
+  auto vars = make_var_space();
+  const Protocol p = make_junta_protocol(vars);
+  CountEngine eng(p, x_counts(1 << 13, 1 << 13, *vars), 29);
   for (int i = 0; i < 40; ++i) {
-    h.run_rounds(5.0);
-    ASSERT_GE(h.driver().x_count(), 1u);
+    eng.run_rounds(5.0);
+    ASSERT_GE(x_count(eng, *vars), 1u);
   }
 }
 
 TEST(JuntaXDriver, JuntaIsSmallAfterLogTime) {
   // Prop 5.4: #X <= n^{1-eps} within O(log n) rounds.
-  const std::size_t n = 1 << 15;
-  XDriverHarness h(make_junta_x_driver(n), 31);
-  h.run_rounds(8.0 * std::log(static_cast<double>(n)));
+  const std::uint64_t n = 1 << 15;
+  auto vars = make_var_space();
+  const Protocol p = make_junta_protocol(vars);
+  CountEngine eng(p, x_counts(n, n, *vars), 31);
+  eng.run_rounds(8.0 * std::log(static_cast<double>(n)));
   const double limit = std::pow(static_cast<double>(n), 0.75);
-  EXPECT_LE(static_cast<double>(h.driver().x_count()), limit);
-  EXPECT_GE(h.driver().x_count(), 1u);
+  EXPECT_LE(static_cast<double>(x_count(eng, *vars)), limit);
+  EXPECT_GE(x_count(eng, *vars), 1u);
 }
 
 TEST(JuntaXDriver, JuntaStabilizes) {
-  XDriverHarness h(make_junta_x_driver(4096), 37);
-  h.run_rounds(120.0);
-  const auto a = h.driver().x_count();
-  h.run_rounds(300.0);
-  const auto b = h.driver().x_count();
+  auto vars = make_var_space();
+  const Protocol p = make_junta_protocol(vars);
+  CountEngine eng(p, x_counts(4096, 4096, *vars), 37);
+  eng.run_rounds(120.0);
+  const auto a = x_count(eng, *vars);
+  eng.run_rounds(300.0);
+  const auto b = x_count(eng, *vars);
   EXPECT_GE(a, b);
   EXPECT_LE(a - b, a / 2 + 1);  // stabilized (no collapse to 0)
   EXPECT_GE(b, 1u);
