@@ -4,6 +4,9 @@
 // LeaderElection — clock hierarchy, Π_τ-gated lowered rulesets, epidemics
 // and trigger-flag assignments — electing a unique leader on a real
 // population under the plain sequential scheduler.
+//
+// Exits 1 when the slot sweep sees fewer than 16 slots or leaves the cyclic
+// order, or when a compiled LeaderElection row times out.
 #include <iostream>
 
 #include "analysis/report.hpp"
@@ -21,6 +24,7 @@ int main(int argc, char** argv) {
       ctx);
 
   const Protocol fixed_x = make_fixed_x_protocol(make_var_space());
+  bool ok = true;
 
   // (a) Time-path sequence of a 3-leaf flat program.
   {
@@ -50,6 +54,7 @@ int main(int argc, char** argv) {
     Table t({"observed slot sequence", "order violations"});
     std::string seq;
     for (int s : slots) seq += std::to_string(s) + " ";
+    ok = ok && slots.size() >= 16 && violations == 0;
     t.row().add(seq).add(violations);
     t.print(std::cout, "time-path slot sweep (expected cyclic 1 2 3 1 ...)",
             ctx.csv);
@@ -66,9 +71,10 @@ int main(int argc, char** argv) {
       CompiledEngine eng(p, std::vector<State>(n, 0), fixed_x,
                          x_counts(n, 4, *fixed_x.vars()), ClockLevelParams{},
                          0x7F17 + n);
+      const Guard leader(BoolExpr::var(*vars->find(kLeaderVar)));
       const auto t_conv = eng.run_until(
-          [&](const AgentPopulation& pop) {
-            return pop.count_var(*vars->find(kLeaderVar)) == 1;
+          [&](const CompiledEngine& e) {
+            return e.count_matching(leader) == 1;
           },
           600000.0, 200.0);
       t.row()
@@ -78,6 +84,7 @@ int main(int argc, char** argv) {
           .add(t_conv ? *t_conv : -1.0, 0)
           .add(eng.program_rule_firings())
           .add(t_conv ? "unique leader" : "TIMEOUT");
+      ok = ok && t_conv.has_value();
     }
     t.print(std::cout, "compiled LeaderElection (full construction)", ctx.csv);
   }
@@ -85,5 +92,10 @@ int main(int argc, char** argv) {
                "(r^(2) = Θ(log^2 n) with large constants, see T7); their "
                "time-path mechanics are exercised by the compiled_test "
                "suite rather than timed here.\n";
+  if (!ok) {
+    std::cerr << "bench_f16_compiled: the slot sweep saw fewer than 16 slots "
+                 "or an order violation, or a row timed out\n";
+    return 1;
+  }
   return 0;
 }

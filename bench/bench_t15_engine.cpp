@@ -174,8 +174,8 @@ void export_telemetry(const std::vector<BenchRecord>& records) {
   eng.set_event_trace(&trace);
   eng.run_until(
       [&](const SimBackend&) {
-        return eng.population().count_var(*vars->find("BA")) == 0 ||
-               eng.population().count_var(*vars->find("BB")) == 0;
+        return eng.count_matching(BoolExpr::var(*vars->find("BA"))) == 0 ||
+               eng.count_matching(BoolExpr::var(*vars->find("BB"))) == 0;
       },
       /*max_rounds=*/400.0);
   telemetry.add_counters(eng.counters(), "probe.");

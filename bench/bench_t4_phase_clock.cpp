@@ -52,7 +52,7 @@ class ObservedClock {
 
  private:
   int observed_digit() const {
-    return codec_.decode(eng_.population().state(observed_)).digit;
+    return codec_.decode(eng_.agent_state(observed_)).digit;
   }
 
   const ClockLevelParams prm_;

@@ -32,18 +32,18 @@ int main(int argc, char** argv) {
   const auto all_succeeded = [&](const std::vector<ScalingRow>& rows) {
     for (const auto& r : rows) ok = ok && r.successes == r.trials;
   };
-  // Rounds until #X < thr on counts, every agent starting in X; nullopt
-  // past `max_rounds`.
+  // Rounds until #X < thr on counts, every agent starting in X, read every
+  // `check_interval` rounds; nullopt past `max_rounds`.
   const auto time_below = [](const Protocol& p, std::uint64_t n,
                              std::uint64_t seed, double thr,
-                             double max_rounds) {
+                             double max_rounds, double check_interval) {
     const VarId x = p.vars()->at(kXVar);
     CountEngine eng(p, x_counts(n, n, *p.vars()), seed);
     return eng.run_until(
         [&](const SimBackend& e) {
           return static_cast<double>(e.count_matching(BoolExpr::var(x))) < thr;
         },
-        max_rounds);
+        max_rounds, check_interval);
   };
 
   for (const double eps : {0.25, 0.5}) {
@@ -53,18 +53,21 @@ int main(int argc, char** argv) {
         [&](std::uint64_t n, std::uint64_t seed) -> std::optional<double> {
           return time_below(make_x_elimination_protocol(make_var_space()), n,
                             seed, std::pow(static_cast<double>(n), 1.0 - eps),
-                            1e9);
+                            1e9, 1.0);
         });
     for (const auto& r : elim_rows) {
       t.row().add("elimination").add(eps, 2);
       add_scaling_columns(t, r);
     }
+    // The junta gets there in a few rounds, so it is read on a 1/16-round
+    // grid; whole rounds would leave its rows p10 = p90.
     std::vector<ScalingRow> junta_rows = run_sweep_parallel(
         junta_ns, trials, 0x7506,
         [&](std::uint64_t n, std::uint64_t seed) -> std::optional<double> {
           return time_below(make_junta_protocol(make_var_space()), n, seed,
                             std::pow(static_cast<double>(n), 1.0 - eps),
-                            200.0 * std::log(static_cast<double>(n)));
+                            200.0 * std::log(static_cast<double>(n)),
+                            1.0 / 16.0);
         });
     for (const auto& r : junta_rows) {
       t.row().add("junta").add(eps, 2);

@@ -72,7 +72,7 @@ int main() {
     std::printf("  round %6.0f: agent-0 digit = %d, population spread = %d "
                 "digit(s), composite spread = %d phase(s)\n",
                 clock.rounds(),
-                codec.decode(clock.population().state(0)).digit,
+                codec.decode(clock.agent_state(0)).digit,
                 census.digit_spread(), census.composite_spread());
   }
   std::printf("\nEvery molecule agrees on the digit up to the tolerated "

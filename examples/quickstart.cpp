@@ -34,7 +34,7 @@ int main() {
     Engine engine(protocol, std::move(population), /*seed=*/42);
     const auto done = engine.run_until(
         [&](const SimBackend&) {
-          return engine.population().count_var(infected) == n;
+          return engine.count_matching(BoolExpr::var(infected)) == n;
         },
         /*max_rounds=*/200.0);
     std::printf("[1] epidemic saturated %zu agents in %.1f parallel rounds "
@@ -69,10 +69,9 @@ int main() {
     CompiledEngine engine(program, std::vector<State>(n, State{0}), fixed_x,
                           x_counts(n, 4, *fixed_x.vars()), ClockLevelParams{},
                           /*seed=*/13);
+    const Guard leader(BoolExpr::var(*vars->find(kLeaderVar)));
     const auto done = engine.run_until(
-        [&](const AgentPopulation& pop) {
-          return pop.count_var(*vars->find(kLeaderVar)) == 1;
-        },
+        [&](const CompiledEngine& e) { return e.count_matching(leader) == 1; },
         /*max_rounds=*/500000.0);
     std::printf("[3] compiled LeaderElection: unique leader among %zu agents "
                 "after %.0f rounds (clock-hierarchy paced; %llu gated "

@@ -60,7 +60,6 @@ class RecoveryProbe {
   std::vector<double> violation_delays() const;
 
   Summary recovery_summary() const { return summarize(recovery_times()); }
-  Summary violation_summary() const { return summarize(violation_delays()); }
 
   /// Convenience for single-burst trials: recovery time of the last event,
   /// or nullopt when it never restabilized (feeds TrialFn directly).

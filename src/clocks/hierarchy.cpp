@@ -1,8 +1,24 @@
 #include "clocks/hierarchy.hpp"
 
+#include <cmath>
+
 #include "support/check.hpp"
 
 namespace popproto {
+
+std::uint64_t run_rounds_target(std::uint64_t done, std::size_t n,
+                                double rounds, double& carry) {
+  const double dn = static_cast<double>(n);
+  const double owed = rounds * dn + carry;
+  const double whole = std::floor(owed);
+  // A whole call with nothing carried keeps the form trajectories were
+  // recorded with, bit for bit.
+  if (owed == whole && carry == 0.0)
+    return static_cast<std::uint64_t>(
+        (static_cast<double>(done) / dn + rounds) * dn);
+  carry = owed - whole;
+  return done + static_cast<std::uint64_t>(whole);
+}
 
 ClockHierarchy::ClockHierarchy(
     std::size_t n, const HierarchyParams& params, const Protocol& x_protocol,
@@ -117,8 +133,8 @@ void ClockHierarchy::step() {
 }
 
 void ClockHierarchy::run_rounds(double rounds_to_run) {
-  const auto target = static_cast<std::uint64_t>(
-      (rounds() + rounds_to_run) * static_cast<double>(n_));
+  const std::uint64_t target =
+      run_rounds_target(interactions_, n_, rounds_to_run, carry_);
   while (interactions_ < target) step();
 }
 

@@ -41,6 +41,14 @@
 
 namespace popproto {
 
+/// The interaction count a sequential `run_rounds(rounds)` call runs to,
+/// from `done` interactions among n agents. A call whose rounds·n is whole,
+/// with no fraction carried, runs to ⌊(done/n + rounds)·n⌋; any other call
+/// runs ⌊rounds·n + carry⌋ interactions and leaves the fraction in `carry`,
+/// so repeated fractional calls keep their time.
+std::uint64_t run_rounds_target(std::uint64_t done, std::size_t n,
+                                double rounds, double& carry);
+
 struct HierarchyParams {
   int levels = 2;  // l_max: number of clocks in the hierarchy
   ClockLevelParams level;  // believer k, digit modulus m, oscillator params
@@ -70,6 +78,8 @@ class ClockHierarchy {
   /// One sequential scheduler step: a random ordered pair runs a thread
   /// chosen u.a.r.
   void step();
+  /// Run `rounds` more rounds in whole interactions; a fraction of an
+  /// interaction carries over to the next call (see run_rounds_target).
   void run_rounds(double rounds);
   double rounds() const {
     return static_cast<double>(interactions_) / static_cast<double>(n_);
@@ -130,6 +140,7 @@ class ClockHierarchy {
   std::vector<std::vector<SlowLevel>> slow_;
   std::vector<std::uint64_t> total_ticks_;
   std::uint64_t interactions_ = 0;
+  double carry_ = 0.0;  // run_rounds' fractional interaction
 };
 
 }  // namespace popproto

@@ -14,12 +14,13 @@ namespace popproto {
 Engine::Engine(const Protocol& protocol, std::vector<State> initial_states,
                std::uint64_t seed, SchedulerKind scheduler)
     : protocol_(protocol),
-      pop_(std::move(initial_states)),
+      states_(std::move(initial_states)),
       rng_(seed),
       scheduler_(scheduler),
       cache_(protocol) {
+  POPPROTO_CHECK_MSG(states_.size() >= 2, "population needs at least 2 agents");
   POPPROTO_CHECK(protocol_.num_rules() > 0);
-  active_.resize(pop_.size());
+  active_.resize(states_.size());
   std::iota(active_.begin(), active_.end(), 0u);
   pos_in_active_ = active_;
   inv_active_ = 1.0 / static_cast<double>(active_.size());
@@ -41,7 +42,7 @@ void Engine::set_scheduler_bias(std::optional<SchedulerBias> bias) {
 }
 
 void Engine::crash_agent(std::size_t i) {
-  POPPROTO_CHECK(i < pop_.size());
+  POPPROTO_CHECK(i < states_.size());
   if (!is_active(i)) return;
   POPPROTO_CHECK_MSG(active_.size() > 2,
                      "at least two agents must stay scheduled");
@@ -59,7 +60,7 @@ void Engine::crash_agent(std::size_t i) {
 }
 
 void Engine::rejoin_agent(std::size_t i) {
-  POPPROTO_CHECK(i < pop_.size());
+  POPPROTO_CHECK(i < states_.size());
   if (is_active(i)) return;
   pos_in_active_[i] = static_cast<std::uint32_t>(active_.size());
   active_.push_back(static_cast<std::uint32_t>(i));
@@ -87,7 +88,7 @@ std::uint64_t Engine::crash_random(std::uint64_t k, Rng& rng) {
 
 std::uint64_t Engine::rejoin_random(std::uint64_t k, Rng& rng) {
   std::vector<std::uint32_t> pool;
-  for (std::size_t i = 0; i < pop_.size(); ++i)
+  for (std::size_t i = 0; i < states_.size(); ++i)
     if (!is_active(i)) pool.push_back(static_cast<std::uint32_t>(i));
   k = std::min<std::uint64_t>(k, pool.size());
   for (std::uint64_t j = 0; j < k; ++j) {
@@ -99,7 +100,7 @@ std::uint64_t Engine::rejoin_random(std::uint64_t k, Rng& rng) {
 
 std::uint64_t Engine::rejoin_all() {
   std::uint64_t k = 0;
-  for (std::size_t i = 0; i < pop_.size(); ++i) {
+  for (std::size_t i = 0; i < states_.size(); ++i) {
     if (is_active(i)) continue;
     rejoin_agent(i);
     ++k;
@@ -116,7 +117,7 @@ std::uint64_t Engine::mutate_random_agents(
   for (std::uint64_t j = 0; j < k; ++j) {
     std::swap(pool[j], pool[j + rng.below(pool.size() - j)]);
     const std::uint32_t victim = pool[j];
-    const State old_state = pop_.state(victim);
+    const State old_state = states_[victim];
     const State ns = f(old_state, j);
     if (ns == old_state) continue;
     set_state(victim, ns);
@@ -156,12 +157,12 @@ void Engine::intern_all(const std::vector<State>& states,
 }
 
 void Engine::resync_sidx() {
-  intern_all(pop_.states(), pos_in_active_, sidx_, species_n_);
+  intern_all(states_, pos_in_active_, sidx_, species_n_);
 }
 
 void Engine::set_state(std::size_t i, State s) {
-  POPPROTO_CHECK(i < pop_.size());
-  pop_.set_state(i, s);
+  POPPROTO_CHECK(i < states_.size());
+  states_[i] = s;
   if (!use_cache_) return;  // turning the cache back on resyncs
   const std::uint32_t idx = cache_.state_index(s);
   if (!cache_.cap_reached() && is_active(i)) {
@@ -178,10 +179,10 @@ void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
   // no guard work.
   std::uint32_t ia = sidx_[a];
   if (ia == TransitionCache::kNoState) [[unlikely]]
-    ia = sidx_[a] = cache_.state_index(pop_.state(a));
+    ia = sidx_[a] = cache_.state_index(states_[a]);
   std::uint32_t ib = sidx_[b];
   if (ib == TransitionCache::kNoState) [[unlikely]]
-    ib = sidx_[b] = cache_.state_index(pop_.state(b));
+    ib = sidx_[b] = cache_.state_index(states_[b]);
   if (ia != TransitionCache::kNoState && ib != TransitionCache::kNoState)
       [[likely]] {
     const IndexedPair r = cache_.sample_indexed(ia, ib, u);
@@ -193,13 +194,13 @@ void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
       if (r.a == ia && r.b == ib) [[likely]]
         return;
       if (r.a != ia) {
-        pop_.set_state(a, cache_.state_at(r.a));
+        states_[a] = cache_.state_at(r.a);
         sidx_[a] = r.a;
         --species_n_[ia];
         ++species_n_[r.a];
       }
       if (r.b != ib) {
-        pop_.set_state(b, cache_.state_at(r.b));
+        states_[b] = cache_.state_at(r.b);
         sidx_[b] = r.b;
         --species_n_[ib];
         ++species_n_[r.b];
@@ -212,16 +213,16 @@ void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
   // entries for changed agents are reset so the miss path relearns them;
   // past the cap the species counts are no longer read.
   ++ctr_.cache_fallbacks;
-  const State sa = pop_.state(a);
-  const State sb = pop_.state(b);
+  const State sa = states_[a];
+  const State sb = states_[b];
   const PairOutcome o = cache_.sample(sa, sb, u);
   if (o.a != sa || o.b != sb) ++ctr_.effective_steps;
   if (o.a != sa) {
-    pop_.set_state(a, o.a);
+    states_[a] = o.a;
     sidx_[a] = TransitionCache::kNoState;
   }
   if (o.b != sb) {
-    pop_.set_state(b, o.b);
+    states_[b] = o.b;
     sidx_[b] = TransitionCache::kNoState;
   }
 }
@@ -238,12 +239,12 @@ void Engine::interact(std::uint32_t a, std::uint32_t b) {
     resolve_cached(a, b, u);
     return;
   }
-  const State sa = pop_.state(a);
-  const State sb = pop_.state(b);
+  const State sa = states_[a];
+  const State sb = states_[b];
   const PairOutcome o = cache_.sample_uncached(sa, sb, u);
   if (o.a != sa || o.b != sb) ++ctr_.effective_steps;
-  if (o.a != sa) pop_.set_state(a, o.a);
-  if (o.b != sb) pop_.set_state(b, o.b);
+  if (o.a != sa) states_[a] = o.a;
+  if (o.b != sb) states_[b] = o.b;
 }
 
 void Engine::bias_sequential_pair(std::uint32_t& a, std::uint32_t b) {
@@ -253,7 +254,7 @@ void Engine::bias_sequential_pair(std::uint32_t& a, std::uint32_t b) {
     const auto cand = active_[rng_.below(active_.size())];
     if (cand == b) continue;
     a = cand;
-    if (bias_->prefer.matches(pop_.state(a))) break;
+    if (bias_->prefer.matches(states_[a])) break;
   }
 }
 
@@ -277,8 +278,8 @@ void Engine::matching_step() {
     std::uint32_t a = active_[pa];
     std::uint32_t b = active_[pb];
     if (bias_ && bias_->epsilon > 0.0 && rng_.chance(bias_->epsilon) &&
-        !bias_->prefer.matches(pop_.state(a)) &&
-        bias_->prefer.matches(pop_.state(b)))
+        !bias_->prefer.matches(states_[a]) &&
+        bias_->prefer.matches(states_[b]))
       std::swap(a, b);
     interact(a, b);
   }
@@ -355,7 +356,7 @@ EngineCounters Engine::counters() const {
 
 void Engine::snapshot(std::ostream& out) const {
   SnapshotWriter w(out, backend_name(), protocol_fingerprint(protocol_),
-                   pop_.size());
+                   states_.size());
 
   std::string core;
   BinWriter c(core);
@@ -367,10 +368,10 @@ void Engine::snapshot(std::ostream& out) const {
 
   // [n][states][m][active_], the layout of u64_vec + u32_vec, gathered
   // straight from the vectors instead of copied into a payload string.
-  const std::uint64_t n_states = pop_.size();
+  const std::uint64_t n_states = states_.size();
   const std::uint64_t n_active = active_.size();
   w.section(SnapshotSection::kPopulation,
-            {bytes_of(n_states), bytes_of(pop_.states()), bytes_of(n_active),
+            {bytes_of(n_states), bytes_of(states_), bytes_of(n_active),
              bytes_of(active_)});
 
   std::string rng;
@@ -428,15 +429,14 @@ void Engine::restore(std::istream& in) {
     throw SnapshotError(SnapshotErrc::kCorrupt, "negative time base");
 
   // Stage the remaining allocations, then commit with throw-free moves.
-  AgentPopulation staged_pop(std::move(states));
   std::vector<std::uint32_t> pos(n, kNotActive);
   for (std::size_t p = 0; p < active.size(); ++p)
     pos[active[p]] = static_cast<std::uint32_t>(p);
   std::vector<std::uint32_t> fresh_sidx;
   std::vector<std::uint64_t> fresh_counts;
-  intern_all(staged_pop.states(), pos, fresh_sidx, fresh_counts);
+  intern_all(states, pos, fresh_sidx, fresh_counts);
 
-  pop_ = std::move(staged_pop);
+  states_ = std::move(states);
   active_ = std::move(active);
   pos_in_active_ = std::move(pos);
   sidx_ = std::move(fresh_sidx);
@@ -466,9 +466,8 @@ std::uint64_t Engine::count_matching(const Guard& g) const {
         count += species_n_[s];
     return count;
   }
-  if (active_identity_) return pop_.count_matching(g);
   for (const std::uint32_t i : active_)
-    if (g.matches(pop_.state(i))) ++count;
+    if (g.matches(states_[i])) ++count;
   return count;
 }
 
@@ -481,7 +480,7 @@ std::vector<std::pair<State, std::uint64_t>> Engine::species() const {
         out.emplace_back(cache_.state_at(s), species_n_[s]);
   } else {
     std::unordered_map<State, std::uint64_t> counts;
-    for (const std::uint32_t i : active_) ++counts[pop_.state(i)];
+    for (const std::uint32_t i : active_) ++counts[states_[i]];
     out.assign(counts.begin(), counts.end());
   }
   std::sort(out.begin(), out.end());

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "core/injection.hpp"
-#include "core/population.hpp"
 #include "core/protocol.hpp"
 #include "core/scheduler.hpp"
 #include "core/sim_backend.hpp"
@@ -16,7 +15,7 @@
 
 namespace popproto {
 
-/// Drives a Protocol on an AgentPopulation under a chosen scheduler.
+/// Drives a Protocol on a vector of agent states under a chosen scheduler.
 ///
 /// Parallel time accounting: one sequential interaction advances time by
 /// 1/n_active rounds; one random-matching activation advances time by one
@@ -118,14 +117,15 @@ class Engine final : public SimBackend {
 
   double rounds() const override { return time_; }
   std::uint64_t interactions() const override { return interactions_; }
-  const AgentPopulation& population() const { return pop_; }
+  /// Agent i's state; a crashed agent keeps its frozen one.
+  State agent_state(std::size_t i) const { return states_[i]; }
   /// Set agent i's state outside an interaction: the one write path into
   /// the population from outside the engine. Keeps the interned-index
   /// shadow and the species counts exact.
   void set_state(std::size_t i, State s);
   /// The engine's stream, for comparing positions or saving it.
   const Rng& rng() const { return rng_; }
-  std::size_t n() const { return pop_.size(); }
+  std::size_t n() const { return states_.size(); }
 
  protected:
   EventTrace* event_trace() const override { return trace_; }
@@ -147,7 +147,7 @@ class Engine final : public SimBackend {
   void resolve_cached(std::uint32_t a, std::uint32_t b, double u);
   /// ε-mixture initiator skew for a sequential pair (see SchedulerBias).
   void bias_sequential_pair(std::uint32_t& a, std::uint32_t b);
-  /// Rebuild the interned-index shadow and the species counts from pop_
+  /// Rebuild the interned-index shadow and the species counts from states_
   /// (construction, and when the cache is turned back on).
   void resync_sidx();
   /// Intern every state of `states` into `sidx` and count the active
@@ -161,7 +161,7 @@ class Engine final : public SimBackend {
   bool counts_live() const { return use_cache_ && !cache_.cap_reached(); }
 
   const Protocol& protocol_;
-  AgentPopulation pop_;
+  std::vector<State> states_;  // agent id -> state
   Rng rng_;
   SchedulerKind scheduler_;
   TransitionCache cache_;
@@ -186,9 +186,10 @@ class Engine final : public SimBackend {
   std::vector<std::uint32_t> active_;         // scheduled agent ids
   std::vector<std::uint32_t> pos_in_active_;  // agent id -> index in active_
   // Agent id -> interned state index in cache_ (kNoState past the cache
-  // cap); a shadow of pop_ that lets interact() skip the State -> index
-  // hash. Every write to pop_ is the engine's own, so the cached path keeps
-  // it exact; the uncached path leaves it stale until the cache is back on.
+  // cap); a shadow of states_ that lets interact() skip the State -> index
+  // hash. Every write to states_ is the engine's own, so the cached path
+  // keeps it exact; the uncached path leaves it stale until the cache is
+  // back on.
   std::vector<std::uint32_t> sidx_;
   // Active agents per interned state index, updated beside sidx_ by every
   // engine mutation (interactions, churn, set_state, corruption, restore).

@@ -64,7 +64,6 @@ class Protocol {
 
   const std::string& name() const { return name_; }
   const VarSpacePtr& vars() const { return vars_; }
-  VarSpace& var_space() { return *vars_; }
   const std::vector<ProtoThread>& threads() const { return threads_; }
   /// Scheduler slots over all threads: every rule, and one per kernel
   /// thread.

@@ -66,17 +66,4 @@ std::pair<State, State> Rule::apply(State initiator, State responder,
   return {initiator, responder};  // residual no-op branch
 }
 
-State Rule::write_set() const {
-  State w = 0;
-  for (const auto& o : outcomes_) {
-    w |= o.initiator.set_mask | o.initiator.clear_mask;
-    w |= o.responder.set_mask | o.responder.clear_mask;
-  }
-  return w;
-}
-
-State Rule::read_set() const {
-  return guard1_.support() | guard2_.support();
-}
-
 }  // namespace popproto

@@ -62,20 +62,13 @@ class Rule {
 
   const Guard& initiator_guard() const { return guard1_; }
   const Guard& responder_guard() const { return guard2_; }
-  const BoolExpr& initiator_expr() const { return sigma1_; }
-  const BoolExpr& responder_expr() const { return sigma2_; }
   const std::vector<Outcome>& outcomes() const { return outcomes_; }
   const std::string& label() const { return label_; }
-
-  /// Bitmask of variables this rule may modify.
-  State write_set() const;
-  /// Bitmask of variables this rule reads in its guards.
-  State read_set() const;
 
  private:
   Guard guard1_;
   Guard guard2_;
-  BoolExpr sigma1_;  // retained for guard strengthening / diagnostics
+  BoolExpr sigma1_;  // retained for guard strengthening
   BoolExpr sigma2_;
   std::vector<Outcome> outcomes_;
   std::string label_;

@@ -13,13 +13,11 @@ CompiledEngine::CompiledEngine(
     const ClockLevelParams& clock, std::uint64_t seed)
     : tree_(precompile(program)),
       n_(inputs.size()),
-      user_([&] {
-        const State init = program.initial_state();
-        for (auto& s : inputs) s |= init;
-        return AgentPopulation(std::move(inputs));
-      }()),
+      user_(std::move(inputs)),
       background_(program.background_threads()),
       rng_(seed) {
+  const State init = program.initial_state();
+  for (State& s : user_) s |= init;
   widths_.assign(static_cast<std::size_t>(tree_.depth), tree_.width);
   tau_.resize(widths_.size());
   HierarchyParams hp;
@@ -59,33 +57,38 @@ void CompiledEngine::step() {
     if (rules->empty()) return;
   }
   const Rule& rule = (*rules)[rng_.below(rules->size())];
-  const State sa = user_.state(a);
-  const State sb = user_.state(b);
+  const State sa = user_[a];
+  const State sb = user_[b];
   if (!rule.matches(sa, sb)) return;
   const auto [na, nb] = rule.apply(sa, sb, rng_);
-  if (na != sa) user_.set_state(a, na);
-  if (nb != sb) user_.set_state(b, nb);
+  user_[a] = na;
+  user_[b] = nb;
   ++program_firings_;
 }
 
 void CompiledEngine::run_rounds(double rounds_to_run) {
-  const auto target = static_cast<std::uint64_t>(
-      (rounds() + rounds_to_run) * static_cast<double>(n_));
+  const std::uint64_t target =
+      run_rounds_target(interactions_, n_, rounds_to_run, carry_);
   while (interactions_ < target) step();
 }
 
 std::optional<double> CompiledEngine::run_until(
-    const std::function<bool(const AgentPopulation&)>& predicate,
+    const std::function<bool(const CompiledEngine&)>& predicate,
     double max_rounds, double check_interval) {
   POPPROTO_CHECK(check_interval > 0.0);
-  if (predicate(user_)) return rounds();
+  if (predicate(*this)) return rounds();
   while (rounds() < max_rounds) {
     const std::uint64_t before = interactions_;
     run_rounds(std::min(check_interval, max_rounds - rounds()));
-    if (predicate(user_)) return rounds();
+    if (predicate(*this)) return rounds();
     if (interactions_ == before) break;  // horizon inside one interaction
   }
   return std::nullopt;
+}
+
+std::uint64_t CompiledEngine::count_matching(const Guard& g) const {
+  return static_cast<std::uint64_t>(std::count_if(
+      user_.begin(), user_.end(), [&](State s) { return g.matches(s); }));
 }
 
 std::optional<std::vector<int>> CompiledEngine::common_time_path() const {

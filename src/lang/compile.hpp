@@ -24,7 +24,6 @@
 #include <optional>
 
 #include "clocks/hierarchy.hpp"
-#include "core/population.hpp"
 #include "lang/precompile.hpp"
 
 namespace popproto {
@@ -40,12 +39,14 @@ class CompiledEngine {
                  const ClockLevelParams& clock, std::uint64_t seed);
 
   void step();  // one sequential scheduler interaction
+  /// Run `rounds` more rounds in whole interactions; a fraction of an
+  /// interaction carries over to the next call (see run_rounds_target).
   void run_rounds(double rounds);
-  /// Run until predicate(user_population()) holds, checking every
-  /// `check_interval` rounds and at the horizon `max_rounds`, which the
-  /// last interval is clamped to; nullopt on timeout.
+  /// Run until predicate(*this) holds, checking every `check_interval`
+  /// rounds and at the horizon `max_rounds`, which the last interval is
+  /// clamped to; nullopt on timeout.
   std::optional<double> run_until(
-      const std::function<bool(const AgentPopulation&)>& predicate,
+      const std::function<bool(const CompiledEngine&)>& predicate,
       double max_rounds, double check_interval = 16.0);
 
   double rounds() const {
@@ -53,7 +54,8 @@ class CompiledEngine {
   }
   std::size_t n() const { return n_; }
 
-  const AgentPopulation& user_population() const { return user_; }
+  /// Agents whose user state satisfies the guard (O(n) scan).
+  std::uint64_t count_matching(const Guard& g) const;
   const ClockHierarchy& hierarchy() const { return *hierarchy_; }
   const CodeTree& tree() const { return tree_; }
 
@@ -73,10 +75,11 @@ class CompiledEngine {
   std::vector<int> widths_;
   std::vector<int> tau_;  // step()'s common time path, reused
   std::unique_ptr<ClockHierarchy> hierarchy_;
-  AgentPopulation user_;
+  std::vector<State> user_;  // agent id -> user state
   std::vector<const ProgramThread*> background_;
   Rng rng_;
   std::uint64_t interactions_ = 0;
+  double carry_ = 0.0;  // run_rounds' fractional interaction
   std::uint64_t program_firings_ = 0;
 };
 

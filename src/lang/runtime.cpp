@@ -1,10 +1,10 @@
 #include "lang/runtime.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
 #include "core/pair_sampler.hpp"
-#include "core/population.hpp"
 
 namespace popproto {
 
@@ -207,37 +207,35 @@ void FrameworkRuntime::run_startup_chaos() {
   std::vector<State> agents;
   for (const auto& [s, c] : backend().species())
     agents.insert(agents.end(), c, s);
-  AgentPopulation pop(std::move(agents));
+  const auto exists = [&](const Guard& g) {
+    return std::any_of(agents.begin(), agents.end(),
+                       [&](State s) { return g.matches(s); });
+  };
   const auto interactions = static_cast<std::uint64_t>(
-      opts_.startup_chaos_rounds * static_cast<double>(pop.size()));
+      opts_.startup_chaos_rounds * static_cast<double>(agents.size()));
   rounds_ += opts_.startup_chaos_rounds;
   for (std::uint64_t i = 0; i < interactions && !pool.empty(); ++i) {
-    const auto [a, b] = rng_.distinct_pair(pop.size());
+    const auto [a, b] = rng_.distinct_pair(agents.size());
     const ChaosOp& op = pool[rng_.below(pool.size())];
-    bool enabled = true;
-    for (const auto& g : op.conditions)
-      if (!pop.exists(g)) {
-        enabled = false;
-        break;
-      }
-    if (!enabled) continue;
+    if (!std::all_of(op.conditions.begin(), op.conditions.end(), exists))
+      continue;
     if (op.assign != nullptr) {
       const Guard guard(op.assign->source);
-      const State s = pop.state(a);
+      const State s = agents[a];
       const bool value = op.assign->coin ? rng_.coin() : guard.matches(s);
-      pop.set_state(a, value ? (s | var_bit(op.assign->target))
-                             : (s & ~var_bit(op.assign->target)));
+      agents[a] = value ? (s | var_bit(op.assign->target))
+                        : (s & ~var_bit(op.assign->target));
     } else {
       const Rule& rule = *op.rule;
-      const State sa = pop.state(a);
-      const State sb = pop.state(b);
+      const State sa = agents[a];
+      const State sb = agents[b];
       if (!rule.matches(sa, sb)) continue;
       const auto [na, nb] = rule.apply(sa, sb, rng_);
-      if (na != sa) pop.set_state(a, na);
-      if (nb != sb) pop.set_state(b, nb);
+      agents[a] = na;
+      agents[b] = nb;
     }
   }
-  engines_[live_]->reset_population(collapse(pop.states(), 0));
+  engines_[live_]->reset_population(collapse(agents, 0));
 }
 
 void FrameworkRuntime::run_iteration() {

@@ -49,7 +49,6 @@ class AutoCheckpoint {
   void write_now();
 
   std::uint64_t checkpoints_written() const { return written_; }
-  double last_checkpoint_rounds() const { return last_rounds_; }
 
   /// Restore `backend` (and the fault schedule into `injector`, when the
   /// checkpoint carries one) from `path`. Returns false when the file does

@@ -1,21 +1,24 @@
 #include "protocols/leader_election_exact.hpp"
 
+#include "lang/derandomize.hpp"
+
 namespace popproto {
 
 Program make_leader_election_exact_program(VarSpacePtr vars) {
   const VarId L = vars->intern(kExactLeaderVar);
   const VarId R = vars->intern("LEX_R");
-  const VarId F = vars->intern("LEX_F");
+  VarId F = vars->intern("LEX_F");
   const VarId D = vars->intern("LEX_D");
-  const VarId I = vars->intern("LEX_I");
-  const VarId S = vars->intern("LEX_S");
+  // thread FilteredCoin uses F (background ruleset, lines 16-21); it interns
+  // LEX_I and LEX_S after the variables above, so every bit keeps its place.
+  std::vector<Rule> coin_rules = make_filtered_coin_rules(*vars, "LEX_", &F);
+  const VarId I = vars->at("LEX_I");
+  const VarId S = vars->at("LEX_S");
 
   const BoolExpr eL = BoolExpr::var(L);
   const BoolExpr eR = BoolExpr::var(R);
   const BoolExpr eF = BoolExpr::var(F);
   const BoolExpr eD = BoolExpr::var(D);
-  const BoolExpr eI = BoolExpr::var(I);
-  const BoolExpr eS = BoolExpr::var(S);
 
   Program p;
   p.name = "LeaderElectionExact";
@@ -43,18 +46,10 @@ Program make_leader_election_exact_program(VarSpacePtr vars) {
     p.threads.push_back(std::move(main));
   }
 
-  // thread FilteredCoin uses F (background ruleset, lines 16-21).
   {
-    std::vector<Rule> rules;
-    rules.push_back(make_rule(eI, eI, !eI && eS, !eI && !eS, "fc_bootstrap"));
-    rules.push_back(make_rule(eI, !eI, !eI, BoolExpr::any(), "fc_drain"));
-    rules.push_back(make_rule(eS, !eS, eS && eF, eS && eF, "fc_flip_up"));
-    rules.push_back(make_rule(!eS, eS, !eS && eF, !eS && eF, "fc_flip_down"));
-    rules.push_back(make_rule(eF, BoolExpr::any(), !eF, BoolExpr::any(),
-                              "fc_decay"));
     ProgramThread t;
     t.name = "FilteredCoin";
-    t.background_rules = std::move(rules);
+    t.background_rules = std::move(coin_rules);
     p.threads.push_back(std::move(t));
   }
 

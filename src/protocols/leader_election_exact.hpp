@@ -17,7 +17,6 @@
 //    correct with certainty.
 #pragma once
 
-#include "core/population.hpp"
 #include "lang/ast.hpp"
 
 namespace popproto {

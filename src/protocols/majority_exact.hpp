@@ -12,7 +12,6 @@
 // bounds, §1.1 "Relation to impossibility results".)
 #pragma once
 
-#include "core/population.hpp"
 #include "lang/ast.hpp"
 
 namespace popproto {

@@ -25,7 +25,6 @@ class Table {
   /// "123 / 456"-style fraction cell.
   Table& add_fraction(std::uint64_t num, std::uint64_t den);
 
-  std::size_t num_rows() const { return rows_.size(); }
   const std::vector<std::string>& headers() const { return headers_; }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 

@@ -95,7 +95,6 @@ class Manifest {
   JobRow* find(const std::string& id);
 
   std::size_t count(JobState s) const;
-  bool all_done() const { return count(JobState::kDone) == jobs_.size(); }
 
  private:
   SweepSpec spec_;

@@ -5,142 +5,9 @@
 #include <sstream>
 
 #include "analysis/report.hpp"
-#include "core/engine.hpp"
-#include "core/metrics.hpp"
 
 namespace popproto {
 namespace {
-
-// ---------------------------------------------------------------------------
-// core/metrics: VarTrace and crossing counts.
-// ---------------------------------------------------------------------------
-
-TEST(VarTrace, RecordsAtRequestedInterval) {
-  auto vars = make_var_space();
-  const VarId a = vars->intern("A");
-  AgentPopulation pop(10, var_bit(a));
-  VarTrace trace({a}, /*interval_rounds=*/2.0);
-  for (double r = 0.0; r <= 10.0; r += 0.5) trace.record(r, pop);
-  // Due points: 0, 2, 4, 6, 8, 10.
-  EXPECT_EQ(trace.points().size(), 6u);
-  for (const auto& p : trace.points()) EXPECT_EQ(p.counts[0], 10u);
-}
-
-TEST(VarTrace, TracksChangingCounts) {
-  auto vars = make_var_space();
-  const VarId a = vars->intern("A");
-  AgentPopulation pop(4, 0);
-  VarTrace trace({a}, 1.0);
-  trace.record(0.0, pop);
-  pop.set_state(0, var_bit(a));
-  trace.record(1.0, pop);
-  pop.set_state(1, var_bit(a));
-  trace.record(2.0, pop);
-  ASSERT_EQ(trace.points().size(), 3u);
-  EXPECT_EQ(trace.points()[0].counts[0], 0u);
-  EXPECT_EQ(trace.points()[1].counts[0], 1u);
-  EXPECT_EQ(trace.points()[2].counts[0], 2u);
-  const auto [lo, hi] = trace.range(0);
-  EXPECT_EQ(lo, 0u);
-  EXPECT_EQ(hi, 2u);
-}
-
-TEST(VarTrace, RecordCountsVariant) {
-  auto vars = make_var_space();
-  const VarId a = vars->intern("A");
-  VarTrace trace({a}, 1.0);
-  trace.record_counts(0.0, {5});
-  trace.record_counts(0.5, {7});  // before the next due point: dropped
-  trace.record_counts(1.5, {9});
-  ASSERT_EQ(trace.points().size(), 2u);
-  EXPECT_EQ(trace.points()[1].counts[0], 9u);
-}
-
-TEST(VarTrace, GridDoesNotDriftUnderUnevenHooks) {
-  // Regression: hooks firing every 0.7 rounds used to re-anchor the next due
-  // time at `observation + interval`, stretching the effective spacing to
-  // 1.4 rounds (one point per ~1.4 rounds instead of per 1.0). The fixed
-  // grid serves every integer point 0..21 exactly once.
-  auto vars = make_var_space();
-  const VarId a = vars->intern("A");
-  VarTrace trace({a}, /*interval_rounds=*/1.0);
-  for (int k = 0; k <= 30; ++k) trace.record_counts(0.7 * k, {1});
-  EXPECT_EQ(trace.points().size(), 22u);
-  // No two recorded points serve the same grid cell: spacing stays near the
-  // interval instead of compounding the hook offset.
-  for (std::size_t i = 1; i < trace.points().size(); ++i) {
-    const double gap =
-        trace.points()[i].round - trace.points()[i - 1].round;
-    EXPECT_GE(gap, 0.69);
-    EXPECT_LE(gap, 1.41);
-  }
-}
-
-TEST(VarTrace, SparseObservationsCatchUpWithoutBacklog) {
-  auto vars = make_var_space();
-  const VarId a = vars->intern("A");
-  VarTrace trace({a}, 1.0);
-  trace.record_counts(0.0, {1});
-  // A skip-ahead style jump over many grid points: exactly one point lands,
-  // and the grid resumes at the next point after the landing round.
-  trace.record_counts(10.3, {2});
-  ASSERT_EQ(trace.points().size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.points()[1].round, 10.3);
-  trace.record_counts(10.6, {3});  // before the next due point (11): dropped
-  trace.record_counts(11.0, {4});
-  ASSERT_EQ(trace.points().size(), 3u);
-  EXPECT_EQ(trace.points()[2].counts[0], 4u);
-}
-
-TEST(VarTrace, ResetAllowsReuseAcrossTrials) {
-  auto vars = make_var_space();
-  const VarId a = vars->intern("A");
-  VarTrace trace({a}, 2.0);
-  for (double r = 0.0; r <= 8.0; r += 1.0) trace.record_counts(r, {1});
-  ASSERT_EQ(trace.points().size(), 5u);
-  trace.reset();
-  EXPECT_TRUE(trace.points().empty());
-  // The grid is re-anchored at 0: a fresh trial records from round 0 again
-  // instead of waiting out the previous trial's due time.
-  trace.record_counts(0.0, {9});
-  ASSERT_EQ(trace.points().size(), 1u);
-  EXPECT_EQ(trace.points()[0].counts[0], 9u);
-}
-
-TEST(Crossings, CountsUpwardCrossingsOnly) {
-  std::vector<TracePoint> pts;
-  for (const std::uint64_t v : {1u, 5u, 2u, 6u, 7u, 1u, 8u})
-    pts.push_back(TracePoint{0.0, {v}});
-  // Threshold 4: upward crossings at 1->5, 2->6, 1->8.
-  EXPECT_EQ(count_upward_crossings(pts, 0, 4.0), 3u);
-}
-
-TEST(Crossings, EmptyAndConstantTraces) {
-  EXPECT_EQ(count_upward_crossings({}, 0, 1.0), 0u);
-  std::vector<TracePoint> flat(5, TracePoint{0.0, {10}});
-  EXPECT_EQ(count_upward_crossings(flat, 0, 4.0), 0u);
-}
-
-TEST(VarTrace, IntegratesWithEngineRoundHook) {
-  auto vars = make_var_space();
-  const VarId i = vars->intern("I");
-  Protocol p("epi", vars);
-  p.add_thread("T", {make_rule(BoolExpr::var(i), BoolExpr::any(),
-                               BoolExpr::any(), BoolExpr::var(i))});
-  std::vector<State> init(500, 0);
-  init[0] = var_bit(i);
-  Engine eng(p, std::move(init), 3);
-  VarTrace trace({i}, 1.0);
-  for (int r = 0; r < 20; ++r) {
-    eng.run_rounds(1.0);
-    trace.record(eng.rounds(), eng.population());
-  }
-  ASSERT_GE(trace.points().size(), 15u);
-  // The epidemic is monotone: recorded counts never decrease.
-  for (std::size_t k = 1; k < trace.points().size(); ++k)
-    EXPECT_GE(trace.points()[k].counts[0], trace.points()[k - 1].counts[0]);
-  EXPECT_EQ(trace.points().back().counts[0], 500u);
-}
 
 // ---------------------------------------------------------------------------
 // analysis/experiment: sweeps and fits.

@@ -166,7 +166,8 @@ TEST(SyntheticCoin, BitsApproachHalfAndMix) {
   Engine eng(p, std::move(init), 19);
   eng.run_rounds(20 * std::log(static_cast<double>(n)));
   const double frac =
-      static_cast<double>(eng.population().count_var(c)) / static_cast<double>(n);
+      static_cast<double>(eng.count_matching(BoolExpr::var(c))) /
+      static_cast<double>(n);
   EXPECT_GT(frac, 0.25);
   EXPECT_LT(frac, 0.75);
 }
@@ -180,7 +181,7 @@ TEST(SyntheticCoin, AllZeroIsAbsorbing) {
   const VarId c = *vars->find("COIN");
   Engine eng(p, std::vector<State>(128, 0), 23);
   eng.run_rounds(100.0);
-  EXPECT_EQ(eng.population().count_var(c), 0u);
+  EXPECT_EQ(eng.count_matching(BoolExpr::var(c)), 0u);
 }
 
 }  // namespace

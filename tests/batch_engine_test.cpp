@@ -347,7 +347,7 @@ TEST(BatchEquivalence, PhaseClockTickIntervalsMatchMatchingReference) {
   const auto ref_ticks = tick_intervals(
       ref,
       [&] {
-        return phase_clock_digit_of(ref.population().state(observed), *vars);
+        return phase_clock_digit_of(ref.agent_state(observed), *vars);
       },
       max_rounds, want);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "lang/compile.hpp"
@@ -113,7 +114,7 @@ TEST(Compiled, ProgramRulesFireOnlyOnValidPaths) {
   EXPECT_GT(eng.program_rule_firings(), 0u);
   // Give the marker ruleset a few more slot windows to reach everyone.
   eng.run_rounds(4000.0);
-  EXPECT_EQ(eng.user_population().count_var(m), n);
+  EXPECT_EQ(eng.count_matching(Guard(BoolExpr::var(m))), n);
 }
 
 TEST(Compiled, NestedProgramAdvancesOuterSlotAfterInnerSweeps) {
@@ -160,6 +161,21 @@ TEST(Compiled, NestedProgramAdvancesOuterSlotAfterInnerSweeps) {
   EXPECT_TRUE(tau2_moved);
 }
 
+TEST(Compiled, FractionalRunRoundsKeepTime) {
+  // run_rounds carries the fraction of an interaction a call cannot run, so
+  // short calls add up to the time they asked for, to one interaction.
+  const auto interactions = [](const CompiledEngine& e) {
+    return std::round(e.rounds() * static_cast<double>(e.n()));
+  };
+  const Program p = flat_program(make_var_space(), 3);
+  CompiledEngine a = with_fixed_x(p, 1000, 5, 3);
+  for (int k = 0; k < 1000; ++k) a.run_rounds(0.0015);
+  EXPECT_NEAR(interactions(a), 1500.0, 1.0);
+  CompiledEngine b = with_fixed_x(p, 1000, 5, 4);
+  for (int k = 0; k < 100; ++k) b.run_rounds(0.3333);
+  EXPECT_NEAR(interactions(b), 33330.0, 1.0);
+}
+
 TEST(Compiled, RunUntilClampsLastIntervalToHorizon) {
   // A check_interval past max_rounds still checks once, at max_rounds, and
   // a hit there reports the horizon, not a whole interval past it.
@@ -169,14 +185,14 @@ TEST(Compiled, RunUntilClampsLastIntervalToHorizon) {
   CompiledEngine eng = with_fixed_x(p, n, 4, 3);
   int calls = 0;
   const auto t = eng.run_until(
-      [&](const AgentPopulation&) { return ++calls >= 2; }, 10.0, 16.0);
+      [&](const CompiledEngine&) { return ++calls >= 2; }, 10.0, 16.0);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(calls, 2);
   EXPECT_DOUBLE_EQ(*t, 10.0);
   EXPECT_DOUBLE_EQ(eng.rounds(), 10.0);
   // A timed-out run stops at the horizon too.
   const auto none = eng.run_until(
-      [&](const AgentPopulation&) { return false; }, 25.0, 16.0);
+      [&](const CompiledEngine&) { return false; }, 25.0, 16.0);
   EXPECT_FALSE(none.has_value());
   EXPECT_DOUBLE_EQ(eng.rounds(), 25.0);
 }
@@ -189,16 +205,15 @@ TEST(Compiled, LeaderElectionEndToEnd) {
   const Program p = make_leader_election_program(vars);
   const std::size_t n = 400;
   CompiledEngine eng = with_fixed_x(p, n, 4, 13);
+  const Guard leader(BoolExpr::var(*vars->find(kLeaderVar)));
   const auto t = eng.run_until(
-      [&](const AgentPopulation& pop) {
-        return pop.count_var(*vars->find(kLeaderVar)) == 1;
-      },
+      [&](const CompiledEngine& e) { return e.count_matching(leader) == 1; },
       400000.0, 200.0);
   ASSERT_TRUE(t.has_value());
   // The elected leader persists across further iterations (w.h.p.); verify
   // over a few more full cycles.
   eng.run_rounds(30000.0);
-  EXPECT_EQ(eng.user_population().count_var(*vars->find(kLeaderVar)), 1u);
+  EXPECT_EQ(eng.count_matching(leader), 1u);
 }
 
 }  // namespace

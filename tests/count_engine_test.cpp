@@ -86,7 +86,7 @@ TEST(CountEngine, MatchesAgentEngineOnEpidemic) {
       init[0] = var_bit(i);
       Engine ag(p, std::move(init), 50 + t);
       ag.run_rounds(rounds);
-      agent_sum += static_cast<double>(ag.population().count_var(i));
+      agent_sum += static_cast<double>(ag.count_matching(BoolExpr::var(i)));
       CountEngine ce(p, {{var_bit(i), 1}, {0, 499}}, 950 + t);
       ce.run_rounds(rounds);
       count_sum += static_cast<double>(ce.count_matching(BoolExpr::var(i)));

@@ -64,7 +64,7 @@ TEST(Derandomize, SyntheticCoinHoversAtConstantFraction) {
   for (int i = 0; i < 30; ++i) {
     eng.run_rounds(5.0);
     const double f =
-        static_cast<double>(eng.population().count_var(coin)) / 4096.0;
+        static_cast<double>(eng.count_matching(BoolExpr::var(coin))) / 4096.0;
     if (f > 0.05 && f < 0.95) ++balanced;
   }
   EXPECT_GE(balanced, 28);

@@ -35,7 +35,9 @@ TEST(Engine, EpidemicSaturates) {
   init[0] = var_bit(i);
   Engine eng(p, std::move(init), 7);
   const auto t = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) == 1000; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) == 1000;
+      },
       200.0);
   ASSERT_TRUE(t.has_value());
   // Epidemics complete in Θ(log n) rounds; allow generous slack.
@@ -51,9 +53,17 @@ TEST(Engine, EpidemicCompletesUnderMatchingScheduler) {
   init[0] = var_bit(i);
   Engine eng(p, std::move(init), 7, SchedulerKind::kRandomMatching);
   const auto t = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) == 1000; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) == 1000;
+      },
       400.0);
   ASSERT_TRUE(t.has_value());
+}
+
+TEST(Engine, RejectsTinyPopulations) {
+  auto vars = make_var_space();
+  const Protocol p = epidemic_protocol(vars);
+  EXPECT_DEATH(Engine(p, std::vector<State>(1, 0), 1), "at least 2");
 }
 
 TEST(Engine, RoundsAccounting) {
@@ -124,7 +134,9 @@ TEST(Engine, RunUntilQuantizesToCheckIntervalGrid) {
     init[0] = var_bit(i);
     Engine eng(p, std::move(init), 29);
     const auto t = eng.run_until(
-        [&](const SimBackend&) { return eng.population().count_var(i) >= 128; },
+        [&](const SimBackend& e) {
+          return e.count_matching(BoolExpr::var(i)) >= 128;
+        },
         100.0, interval);
     EXPECT_TRUE(t.has_value());
     return t.value_or(-1.0);
@@ -149,7 +161,7 @@ TEST(Engine, DeterministicGivenSeed) {
     init[0] = var_bit(i);
     Engine eng(p, std::move(init), seed);
     eng.run_rounds(5.0);
-    return eng.population().count_var(i);
+    return eng.count_matching(BoolExpr::var(i));
   };
   EXPECT_EQ(run(11), run(11));
   // Different seeds should (almost surely) differ at some point mid-epidemic.
@@ -176,7 +188,7 @@ TEST(Engine, SchedulerPairsAreUniform) {
   for (std::size_t s = 0; s < steps; ++s) {
     eng.set_state(0, 0);
     eng.step();
-    if (var_is_set(eng.population().state(0), m)) ++agent0_initiations;
+    if (var_is_set(eng.agent_state(0), m)) ++agent0_initiations;
   }
   const double freq = static_cast<double>(agent0_initiations) /
                       static_cast<double>(steps);
@@ -199,15 +211,15 @@ TEST(Engine, ThreadsShareSchedulingEqually) {
   std::uint64_t fired_x = 0, fired_y = 0;
   for (int i = 0; i < 20000; ++i) {
     eng.step();
-    fired_x = eng.population().count_var(x);
-    fired_y = eng.population().count_var(y);
+    fired_x = eng.count_matching(BoolExpr::var(x));
+    fired_y = eng.count_matching(BoolExpr::var(y));
     for (std::size_t a = 0; a < 1000; ++a) eng.set_state(a, 0);
   }
   // Both threads fire; equality is checked statistically over fresh runs.
   Engine eng2(p, std::vector<State>(1000, 0), 10);
   eng2.run_rounds(1.0);
-  const double cx = static_cast<double>(eng2.population().count_var(x));
-  const double cy = static_cast<double>(eng2.population().count_var(y));
+  const double cx = static_cast<double>(eng2.count_matching(BoolExpr::var(x)));
+  const double cy = static_cast<double>(eng2.count_matching(BoolExpr::var(y)));
   EXPECT_NEAR(cx / (cx + cy), 0.5, 0.1);
   (void)fired_x;
   (void)fired_y;
@@ -219,7 +231,9 @@ TEST(Engine, RunUntilTimesOut) {
   const VarId i = *vars->find("I");
   Engine eng(p, std::vector<State>(100, 0), 3);  // no infected agent
   const auto t = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) > 0; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) > 0;
+      },
       10.0);
   EXPECT_FALSE(t.has_value());
 }
@@ -240,7 +254,9 @@ TEST(Engine, RunUntilIntervalLargerThanHorizonStillChecks) {
   init[0] = var_bit(i);
   Engine eng(p, std::move(init), 11);
   const auto t = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) >= 2; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) >= 2;
+      },
       /*max_rounds=*/10.0, /*check_interval=*/100.0);
   ASSERT_TRUE(t.has_value());  // spread to 2 agents happens in O(1) rounds
   EXPECT_LE(*t, 10.0 + 0.05);  // checked at the horizon, not at 100 rounds
@@ -253,7 +269,9 @@ TEST(Engine, RunUntilTimeoutStopsAtHorizonNotInterval) {
   const VarId i = *vars->find("I");
   Engine eng(p, std::vector<State>(100, 0), 3);  // no infected agent: timeout
   const auto t = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) > 0; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) > 0;
+      },
       /*max_rounds=*/10.0, /*check_interval=*/100.0);
   EXPECT_FALSE(t.has_value());
   // Left within one activation (1/n rounds) of the horizon, not 100 rounds.
@@ -270,14 +288,18 @@ TEST(Engine, RunUntilZeroHorizonIsInitialCheckOnly) {
   Engine eng(p, std::move(init), 5);
   // Unsatisfied predicate + max_rounds = 0: no time passes, clean timeout.
   const auto miss = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) >= 2; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) >= 2;
+      },
       0.0);
   EXPECT_FALSE(miss.has_value());
   EXPECT_DOUBLE_EQ(eng.rounds(), 0.0);
   EXPECT_EQ(eng.interactions(), 0u);
   // Already-satisfied predicate succeeds even with a zero budget.
   const auto hit = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) >= 1; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) >= 1;
+      },
       0.0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(*hit, 0.0);
@@ -295,14 +317,18 @@ TEST(Engine, RunUntilAlreadySatisfiedReturnsCurrentTime) {
   const double before = eng.rounds();
   const std::uint64_t steps_before = eng.interactions();
   const auto t = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) >= 1; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) >= 1;
+      },
       1000.0);
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(*t, before);            // current time, not quantized up
   EXPECT_EQ(eng.interactions(), steps_before);  // no simulation ran
   // An engine already past the horizon still gets its initial check.
   const auto late = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) >= 1; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) >= 1;
+      },
       1.0);
   ASSERT_TRUE(late.has_value());
   EXPECT_DOUBLE_EQ(*late, before);
@@ -468,10 +494,10 @@ TEST(SchedulerTest, MatchingIsUniformish) {
 
 // -- Species counts ---------------------------------------------------------
 // Engine answers count_matching and species() from per-species counts kept
-// beside its interned-index shadow, falling back to a scan past the
-// transition-cache cap, with the cache off, or after a write to
-// population(). Whichever path answers, it must equal a brute-force scan of
-// population() over the active agents after every kind of mutation.
+// beside its interned-index shadow, falling back to a scan of the agent
+// states past the transition-cache cap or with the cache off. Whichever path
+// answers, it must equal a brute-force scan of agent_state() over the active
+// agents after every kind of mutation.
 
 /// Always-true, never-true, one literal, negated, and multi-minterm guards.
 std::vector<Guard> probe_guards(VarId a, VarId b, VarId c) {
@@ -489,7 +515,7 @@ void expect_counts_match_scan(const Engine& e,
                               const std::vector<Guard>& guards) {
   std::map<State, std::uint64_t> scan;
   for (std::size_t i = 0; i < e.n(); ++i)
-    if (e.is_active(i)) ++scan[e.population().state(i)];
+    if (e.is_active(i)) ++scan[e.agent_state(i)];
   const std::vector<std::pair<State, std::uint64_t>> want(scan.begin(),
                                                           scan.end());
   EXPECT_EQ(e.species(), want);

@@ -82,7 +82,7 @@ TEST_P(SubstrateEquivalence, AgentAndCountEnginesAgreeInMean) {
         init.insert(init.end(), k, s);
       Engine eng(p, std::move(init), 500 + static_cast<std::uint64_t>(t));
       eng.run_rounds(c.rounds);
-      agent_mean += static_cast<double>(eng.population().count_var(v));
+      agent_mean += static_cast<double>(eng.count_matching(BoolExpr::var(v)));
     }
     // Count engine (direct mode, to match step-for-step semantics).
     {
@@ -176,7 +176,7 @@ TEST(OscillatorEquivalence, TypedSimMatchesBitmaskDynamics) {
   auto species_count = [&](int sp) {
     BoolExpr e0 = (sp & 1) ? BoolExpr::var(b0) : !BoolExpr::var(b0);
     BoolExpr e1 = (sp & 2) ? BoolExpr::var(b1) : !BoolExpr::var(b1);
-    return eng.population().count_matching(!BoolExpr::var(x) && e0 && e1);
+    return eng.count_matching(!BoolExpr::var(x) && e0 && e1);
   };
   while (eng.rounds() < typed_time * static_cast<double>(rules) * 12.0) {
     eng.run_rounds(10.0);

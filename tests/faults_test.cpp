@@ -86,7 +86,7 @@ TEST(FaultInjector, EmptyPlanIsBitForBitIdenticalOnEngine) {
     EXPECT_EQ(plain.interactions(), hooked.interactions());
     EXPECT_DOUBLE_EQ(plain.rounds(), hooked.rounds());
     for (std::size_t a = 0; a < 300; ++a)
-      ASSERT_EQ(plain.population().state(a), hooked.population().state(a))
+      ASSERT_EQ(plain.agent_state(a), hooked.agent_state(a))
           << "agent " << a;
     EXPECT_TRUE(injector.log().empty());
   }
@@ -294,16 +294,19 @@ TEST(Engine, CrashFreezesStateAndRejoinIsStaleOrFresh) {
   EXPECT_EQ(eng.active_count(), 49u);
 
   eng.run_rounds(40.0);  // epidemic saturates the *active* population
-  EXPECT_EQ(eng.population().state(7), var_bit(i));  // frozen, never touched
-  EXPECT_EQ(eng.population().count_var(i), 50u);
+  EXPECT_EQ(eng.agent_state(7), var_bit(i));  // frozen, never touched
+  std::uint64_t infected = 0;  // every agent, the crashed one too
+  for (std::size_t a = 0; a < eng.n(); ++a)
+    if (var_is_set(eng.agent_state(a), i)) ++infected;
+  EXPECT_EQ(infected, 50u);
 
   eng.rejoin_agent(7);
   EXPECT_TRUE(eng.is_active(7));
-  EXPECT_EQ(eng.population().state(7), var_bit(i));  // stale state kept
+  EXPECT_EQ(eng.agent_state(7), var_bit(i));  // stale state kept
 
   eng.crash_agent(7);
   eng.rejoin_agent(7, /*fresh=*/0);
-  EXPECT_EQ(eng.population().state(7), 0u);
+  EXPECT_EQ(eng.agent_state(7), 0u);
 }
 
 TEST(Engine, ChurnKeepsTimeCalibratedToActivePopulation) {
@@ -377,11 +380,13 @@ TEST(FaultInjector, FullDropoutWindowFreezesEngineDynamics) {
   injector.attach(eng);
 
   eng.run_rounds(19.5);
-  EXPECT_EQ(eng.population().count_var(i), 1u);  // every interaction dropped
+  EXPECT_EQ(eng.count_matching(BoolExpr::var(i)), 1u);  // all dropped
   EXPECT_GE(eng.interactions(), 19u * 200u);     // but time kept flowing
 
   const auto t = eng.run_until(
-      [&](const SimBackend&) { return eng.population().count_var(i) == 200; },
+      [&](const SimBackend& e) {
+        return e.count_matching(BoolExpr::var(i)) == 200;
+      },
       300.0);
   ASSERT_TRUE(t.has_value());  // dynamics resume once the window closes
 }
@@ -423,7 +428,9 @@ TEST(FaultInjector, PartialDropoutSlowsButDoesNotStopEpidemic) {
     FaultInjector injector(std::move(plan), 57);
     injector.attach(eng);
     const auto t = eng.run_until(
-        [&](const SimBackend&) { return eng.population().count_var(i) == 400; },
+        [&](const SimBackend& e) {
+          return e.count_matching(BoolExpr::var(i)) == 400;
+        },
         500.0);
     return t;
   };
@@ -462,7 +469,7 @@ TEST(FaultInjector, SequentialBiasSkewsInitiatorSelection) {
     FaultInjector injector(std::move(plan), 67);
     injector.attach(eng);
     for (int s = 0; s < 2000; ++s) eng.step();
-    return eng.population().count_var(m);
+    return eng.count_matching(BoolExpr::var(m));
   };
   const auto biased = marks_after(true);
   const auto uniform = marks_after(false);
@@ -488,7 +495,7 @@ TEST(Engine, MatchingBiasFlipsOrientationTowardPreferred) {
     bias.prefer = Guard(BoolExpr::var(a));
     eng.set_scheduler_bias(bias);
     eng.run_rounds(60.0);
-    return eng.population().count_var(m);
+    return eng.count_matching(BoolExpr::var(m));
   };
   // ε=1: A initiates its pair every round; ε=0: only half the time.
   const auto flipped = marks_after(1.0);
@@ -548,8 +555,8 @@ TEST(FaultInjector, CorruptionRespectsCountModeAndMask) {
   FaultInjector injector(plan, 89);
   injector.attach(eng);
   eng.run_rounds(2.0);
-  EXPECT_EQ(eng.population().count_var(i), 5u);
-  EXPECT_EQ(eng.population().count_var(j), 100u);  // J untouched by mask
+  EXPECT_EQ(eng.count_matching(BoolExpr::var(i)), 5u);
+  EXPECT_EQ(eng.count_matching(BoolExpr::var(j)), 100u);  // J untouched by mask
 }
 
 TEST(FaultInjector, SpreadCorruptionDealsAcrossPalette) {
@@ -668,7 +675,7 @@ TEST(KernelClock, ScrambleConservesSpeciesCounts) {
   std::array<std::uint64_t, 3> recount{};
   std::uint64_t controls = 0;
   for (std::size_t a = 0; a < eng.n(); ++a) {
-    const State s = eng.population().state(a);
+    const State s = eng.agent_state(a);
     if (sim.codec().is_x(s)) {
       ++controls;
       EXPECT_LT(a, 3u);

@@ -28,6 +28,20 @@ TEST(Hierarchy, RejectsBadModule) {
                "divisible by 4");
 }
 
+TEST(Hierarchy, FractionalRunRoundsKeepTime) {
+  // run_rounds carries the fraction of an interaction a call cannot run, so
+  // short calls add up to the time they asked for, to one interaction.
+  const auto interactions = [](const ClockHierarchy& h) {
+    return std::round(h.rounds() * static_cast<double>(h.n()));
+  };
+  ClockHierarchy a = make_two_level(1000, 3);
+  for (int k = 0; k < 1000; ++k) a.run_rounds(0.0015);
+  EXPECT_NEAR(interactions(a), 1500.0, 1.0);
+  ClockHierarchy b = make_two_level(1000, 4);
+  for (int k = 0; k < 100; ++k) b.run_rounds(0.3333);
+  EXPECT_NEAR(interactions(b), 33330.0, 1.0);
+}
+
 TEST(Hierarchy, SingleLevelTicks) {
   HierarchyParams hp;
   hp.levels = 1;

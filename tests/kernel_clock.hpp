@@ -63,7 +63,7 @@ class KernelClockRun {
 
  private:
   int digit(std::size_t i) const {
-    return codec_.decode(eng_.population().state(i)).digit;
+    return codec_.decode(eng_.agent_state(i)).digit;
   }
 
   VarSpacePtr vars_;

@@ -153,8 +153,8 @@ TEST(EngineCounters, RunUntilPushesConvergenceEvent) {
   const VarId bb = *vars->find("BB");
   const auto t = eng.run_until(
       [&](const SimBackend&) {
-        return eng.population().count_var(ba) == 0 ||
-               eng.population().count_var(bb) == 0;
+        return eng.count_matching(BoolExpr::var(ba)) == 0 ||
+               eng.count_matching(BoolExpr::var(bb)) == 0;
       },
       /*max_rounds=*/500.0);
   ASSERT_TRUE(t.has_value());

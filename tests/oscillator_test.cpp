@@ -222,7 +222,7 @@ TEST(Oscillator, BitmaskProtocolOscillatesToo) {
   auto species_count = [&](int sp) {
     BoolExpr e0 = (sp & 1) ? BoolExpr::var(b0) : !BoolExpr::var(b0);
     BoolExpr e1 = (sp & 2) ? BoolExpr::var(b1) : !BoolExpr::var(b1);
-    return eng.population().count_matching(!BoolExpr::var(x) && e0 && e1);
+    return eng.count_matching(!BoolExpr::var(x) && e0 && e1);
   };
   // Expect a dominance event (>80% of species agents) within the slowed
   // escape horizon.

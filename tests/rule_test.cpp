@@ -95,13 +95,6 @@ TEST_F(RuleTest, StrengthenedKeepsOutcomes) {
   EXPECT_EQ(nb, var_bit(c_) | var_bit(b_));
 }
 
-TEST_F(RuleTest, WriteAndReadSets) {
-  const Rule r = make_rule(BoolExpr::var(a_), !BoolExpr::var(b_),
-                           !BoolExpr::var(a_), BoolExpr::var(c_));
-  EXPECT_EQ(r.read_set(), var_bit(a_) | var_bit(b_));
-  EXPECT_EQ(r.write_set(), var_bit(a_) | var_bit(c_));
-}
-
 TEST_F(RuleTest, RhsMustBeLiteralConjunction) {
   EXPECT_DEATH(make_rule(BoolExpr::any(), BoolExpr::any(),
                          BoolExpr::var(a_) || BoolExpr::var(b_),

@@ -127,7 +127,7 @@ std::vector<State> reachable_states(const Fixture& f, std::uint64_t seed) {
   eng.run_steps(20'000);
   std::vector<State> out;
   for (std::size_t i = 0; i < eng.n(); ++i)
-    out.push_back(eng.population().state(i));
+    out.push_back(eng.agent_state(i));
   return out;
 }
 
@@ -359,7 +359,7 @@ TEST(PairKernel, ClockOneStepOnSampledPairs) {
 void expect_identical(const Engine& a, const Engine& b, const char* what) {
   ASSERT_EQ(a.n(), b.n());
   for (std::size_t i = 0; i < a.n(); ++i)
-    ASSERT_EQ(a.population().state(i), b.population().state(i))
+    ASSERT_EQ(a.agent_state(i), b.agent_state(i))
         << what << " diverged at agent " << i;
   EXPECT_EQ(a.interactions(), b.interactions());
   EXPECT_DOUBLE_EQ(a.rounds(), b.rounds());
@@ -524,7 +524,7 @@ TEST(EngineEquivalence, TinyCapEngineStillBitIdentical) {
   }
   EXPECT_TRUE(tiny.cap_reached());
   for (std::size_t i = 0; i < init.size(); ++i)
-    ASSERT_EQ(init[i], uncached.population().state(i)) << i;
+    ASSERT_EQ(init[i], uncached.agent_state(i)) << i;
 }
 
 // ---------------------------------------------------------------------------
@@ -716,7 +716,7 @@ TEST(PhaseClockProtocol, DigitsAdvanceUnderTheEngine) {
   eng.run_steps(512 * 16'000);
   int max_digit = 0;
   for (std::size_t i = 0; i < eng.n(); ++i) {
-    const int d = phase_clock_digit_of(eng.population().state(i), *vars);
+    const int d = phase_clock_digit_of(eng.agent_state(i), *vars);
     EXPECT_GE(d, 0);
     EXPECT_LT(d, 8);
     if (d > max_digit) max_digit = d;
