@@ -14,9 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,7 +29,6 @@
 #include "protocols/baselines.hpp"
 #include "support/bench_io.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/thread_pool.hpp"
 
 namespace popproto {
@@ -240,8 +237,9 @@ void bench_count_skip(std::uint64_t reps, std::vector<BenchRecord>& out,
 void bench_batch_backend(bool smoke, std::vector<BenchRecord>& out,
                          Telemetry& telemetry) {
   // ISSUE 4 acceptance series, rescaled by ISSUE 10: phase clock under the
-  // sharded batch backend at 1/2/4/8 threads vs the sequential agent-engine
-  // baseline at the same n (full mode runs the headline n = 2^24).
+  // batch backend at 1/2/4/8 shards (matching rounds on species counts) vs
+  // the sequential agent-engine baseline at the same n (full mode runs the
+  // headline n = 2^24).
   // Names and telemetry prefixes are n-independent (n rides in `extra`) so
   // the CI schema diff is stable between smoke and full runs. The `speedup
   // _vs_agent` counter is meaningful only when `hardware_threads` >= the
@@ -466,106 +464,6 @@ void bench_count_shard(bool smoke, std::vector<BenchRecord>& out,
   }
 }
 
-void bench_simd_ab(bool smoke, std::vector<BenchRecord>& out,
-                   Telemetry& telemetry) {
-  // Scalar-vs-SIMD A/B on the vectorized kernel behind the batch engines'
-  // matching loops, the TransitionCache prescan (simd::mask_below_bounds).
-  // Both tiers are timed in-process by pinning POPPROTO_FORCE_SCALAR around
-  // simd::refresh_tier_from_env(); the tiers are bit-identical by contract
-  // (tests/simd_test.cpp), so the checksums must agree between tiers and
-  // the ratio is a pure implementation speedup. `simd_speedup` is the
-  // headline extra (>= 1.3x acceptance when the host runs the AVX2 tier; on
-  // a scalar-only host both runs hit the same code and the honest ~1.0x is
-  // recorded, tier 0 marking why).
-  constexpr std::size_t kLanes = 64;  // prescan block width (one mask word)
-  const std::size_t blocks = std::size_t{1} << 10;
-  const std::uint64_t passes = smoke ? 8 : 64;
-  const double lanes_total =
-      static_cast<double>(passes) * static_cast<double>(blocks * kLanes);
-
-  Rng rng(7);
-  // Bounds table shaped like a real cache: mostly small max-probabilities
-  // with a slice of +inf "unbuilt" sentinels that force the slow path.
-  std::vector<double> bounds(std::size_t{1} << 12);
-  for (auto& bnd : bounds)
-    bnd = rng.uniform() < 0.125 ? std::numeric_limits<double>::infinity()
-                                : rng.uniform() * 0.05;
-  std::vector<std::uint64_t> off(blocks * kLanes);
-  std::vector<double> u(blocks * kLanes);
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    off[i] = rng.below(bounds.size());
-    u[i] = rng.uniform();
-  }
-
-  auto time_prescan = [&] {
-    const double t0 = now_seconds();
-    std::uint64_t acc = 0;
-    for (std::uint64_t p = 0; p < passes; ++p)
-      for (std::size_t blk = 0; blk < blocks; ++blk)
-        acc ^= simd::mask_below_bounds(bounds.data(), off.data() + blk * kLanes,
-                                       u.data() + blk * kLanes, kLanes);
-    return std::pair<double, std::uint64_t>{now_seconds() - t0, acc};
-  };
-
-  // Pin / release the scalar tier around each timed run. If the whole
-  // process already runs under POPPROTO_FORCE_SCALAR (the CI scalar job),
-  // "native" restores that and both sides measure the same code — the
-  // recorded ~1.0x with simd_tier 0 is the truthful result there.
-  const char* prev = std::getenv("POPPROTO_FORCE_SCALAR");
-  const bool had_prev = prev != nullptr;
-  const std::string saved = had_prev ? prev : "";
-  auto pin_scalar = [&](bool on) {
-    if (on)
-      ::setenv("POPPROTO_FORCE_SCALAR", "1", 1);
-    else if (had_prev)
-      ::setenv("POPPROTO_FORCE_SCALAR", saved.c_str(), 1);
-    else
-      ::unsetenv("POPPROTO_FORCE_SCALAR");
-    simd::refresh_tier_from_env();
-  };
-
-  const char* name = "simd_ab_prescan";
-  double native_best = std::numeric_limits<double>::infinity();
-  double scalar_best = std::numeric_limits<double>::infinity();
-  std::uint64_t native_sum = 0, scalar_sum = 0;
-  double tier = 0.0;
-  // Interleave tiers, best-of-3 each, like time_interleaved: adjacency
-  // plus best-of discards transient machine noise from the ratio.
-  for (int rep = 0; rep < 3; ++rep) {
-    pin_scalar(false);
-    tier = static_cast<double>(static_cast<int>(simd::active_tier()));
-    const auto [tn, cn] = time_prescan();
-    native_best = std::min(native_best, tn);
-    native_sum = cn;
-    pin_scalar(true);
-    const auto [ts, cs] = time_prescan();
-    scalar_best = std::min(scalar_best, ts);
-    scalar_sum = cs;
-  }
-  pin_scalar(false);
-  if (native_sum != scalar_sum)
-    std::printf("WARNING: %s checksum mismatch between tiers "
-                "(%016llx vs %016llx)\n",
-                name, static_cast<unsigned long long>(native_sum),
-                static_cast<unsigned long long>(scalar_sum));
-  const double speedup = scalar_best / native_best;
-  BenchRecord rec;
-  rec.name = name;
-  rec.wall_seconds = native_best + scalar_best;
-  rec.interactions_per_sec = lanes_total / native_best;  // lanes/s, native
-  rec.effective_interactions_per_sec = rec.interactions_per_sec;
-  rec.extra.emplace_back("n", lanes_total);
-  rec.extra.emplace_back("simd_tier", tier);
-  rec.extra.emplace_back("scalar_lanes_per_sec", lanes_total / scalar_best);
-  rec.extra.emplace_back("simd_speedup", speedup);
-  out.push_back(std::move(rec));
-  telemetry.add_counter(std::string(name) + ".speedup", speedup);
-  telemetry.add_counter("simd_ab.tier", tier);
-  std::printf("%-32s %12.3g lanes/s (tier %s, %.2fx vs scalar)\n", name,
-              lanes_total / native_best, simd::tier_name(simd::active_tier()),
-              speedup);
-}
-
 int run(bool smoke) {
   const std::uint64_t scale = smoke ? 8 : 1;
   std::vector<BenchRecord> records;
@@ -602,7 +500,6 @@ int run(bool smoke) {
   bench_count_skip(smoke ? 2 : 8, records, telemetry);
   bench_batch_backend(smoke, records, telemetry);
   bench_count_shard(smoke, records, telemetry);
-  bench_simd_ab(smoke, records, telemetry);
 
   const std::string path = bench_json_path("BENCH_engine.json");
   if (!write_bench_json(path, "bench_kernel", records)) return 1;

@@ -4,9 +4,9 @@
 // under the sequential and random-matching schedulers, for #X in
 // [1, n^{1-eps}].
 //
-// Runs the kernel form of P_o (clocks/oscillator.hpp): the sequential
-// scheduler on CountEngine, the random-matching scheduler on BatchEngine
-// with one thread (an exact uniform matching per round).
+// Runs the kernel form of P_o (clocks/oscillator.hpp) on species counts:
+// the sequential scheduler on CountEngine, the random-matching scheduler on
+// BatchEngine with one shard (an exact uniform matching per round).
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -34,11 +34,9 @@ std::unique_ptr<SimBackend> make_oscillator(
     const std::vector<std::pair<State, std::uint64_t>>& init,
     std::uint64_t seed, bool matching) {
   if (!matching) return std::make_unique<CountEngine>(proto, init, seed);
-  std::vector<State> agents;
-  for (const auto& [s, c] : init) agents.insert(agents.end(), c, s);
   BatchEngine::Params params;
   params.threads = 1;
-  return std::make_unique<BatchEngine>(proto, std::move(agents), seed, params);
+  return std::make_unique<BatchEngine>(proto, init, seed, params);
 }
 
 Measured measure(std::uint64_t n, std::uint64_t x, std::uint64_t seed,

@@ -8,14 +8,8 @@ namespace popproto {
 
 std::uint64_t run_rounds_target(std::uint64_t done, std::size_t n,
                                 double rounds, double& carry) {
-  const double dn = static_cast<double>(n);
-  const double owed = rounds * dn + carry;
+  const double owed = rounds * static_cast<double>(n) + carry;
   const double whole = std::floor(owed);
-  // A whole call with nothing carried keeps the form trajectories were
-  // recorded with, bit for bit.
-  if (owed == whole && carry == 0.0)
-    return static_cast<std::uint64_t>(
-        (static_cast<double>(done) / dn + rounds) * dn);
   carry = owed - whole;
   return done + static_cast<std::uint64_t>(whole);
 }

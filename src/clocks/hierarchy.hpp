@@ -42,10 +42,9 @@
 namespace popproto {
 
 /// The interaction count a sequential `run_rounds(rounds)` call runs to,
-/// from `done` interactions among n agents. A call whose rounds·n is whole,
-/// with no fraction carried, runs to ⌊(done/n + rounds)·n⌋; any other call
-/// runs ⌊rounds·n + carry⌋ interactions and leaves the fraction in `carry`,
-/// so repeated fractional calls keep their time.
+/// from `done` interactions among n agents: ⌊rounds·n + carry⌋ more, with
+/// the fraction left in `carry`, so repeated fractional calls keep their
+/// time.
 std::uint64_t run_rounds_target(std::uint64_t done, std::size_t n,
                                 double rounds, double& carry);
 

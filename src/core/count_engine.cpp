@@ -610,6 +610,68 @@ bool CountEngine::batch_step(double limit) {
   return !silent_;
 }
 
+void CountEngine::matching_round() {
+  // A uniform maximal matching with uniform roles is a dealt pair table of
+  // ⌊n/2⌋ pairs: the deal's first draw takes the whole population (all but
+  // one agent when n is odd), and its pairs are disjoint, so each cell of
+  // k pairs resolves as a collision-free block's does.
+  const std::uint64_t pairs = n_ / 2;
+  interactions_ += pairs;
+  time_ += 1.0;
+  // A drop hook is asked once per pair, also when no pair can change a
+  // state.
+  const auto drop = [&](std::uint64_t k) {
+    std::uint64_t dropped = 0;
+    for (std::uint64_t p = 0; p < k; ++p)
+      dropped += injection_.drop_interaction(rng_) ? 1 : 0;
+    ctr_.dropped_interactions += dropped;
+    return dropped;
+  };
+  if (silent_) {
+    if (injection_.drop_interaction) drop(pairs);
+    return;
+  }
+  compact();
+  fen_.clear();  // the deal and the merge below write counts_ directly
+  const std::size_t s = counts_.size();  // slots may grow while resolving
+  bat_touched_.assign(s, 0);
+  deal_pair_table(rng_, counts_, n_, pairs, bat_pairs_);
+  if (bias_ && bias_->epsilon > 0.0) {
+    // A pair swaps roles with probability ε when only its responder is
+    // preferred (Engine's matching rounds); the reversed cell is fed by no
+    // other cell.
+    for (std::size_t i = 0; i < s; ++i) {
+      if (bias_->prefer.matches(states_[i])) continue;
+      for (std::size_t j = 0; j < s; ++j) {
+        std::uint64_t& k = bat_pairs_[i * s + j];
+        if (k == 0 || !bias_->prefer.matches(states_[j])) continue;
+        const std::uint64_t swapped = sample_binomial(rng_, k, bias_->epsilon);
+        k -= swapped;
+        bat_pairs_[j * s + i] += swapped;
+      }
+    }
+  }
+  const std::uint64_t eff0 = effective_;
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t j = 0; j < s; ++j) {
+      std::uint64_t k = bat_pairs_[i * s + j];
+      if (k > 0 && injection_.drop_interaction) {
+        const std::uint64_t dropped = drop(k);
+        bat_touched_[i] += dropped;
+        bat_touched_[j] += dropped;
+        k -= dropped;
+      }
+      if (k > 0) batch_apply_pair(i, j, k);
+    }
+  }
+  for (std::size_t i = 0; i < bat_touched_.size(); ++i)
+    counts_[i] += bat_touched_[i];
+  if (effective_ == eff0) {
+    rebuild_events();
+    if (events_total_weight_ <= 0.0) silent_ = true;
+  }
+}
+
 double CountEngine::mean_block() const {
   // A collision-free run lasts sqrt(pi n / 8) interactions on average (the
   // birthday bound), unless the cap cuts it short.

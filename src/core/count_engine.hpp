@@ -167,7 +167,8 @@ class CountEngine final : public SimBackend {
   EventTrace* event_trace() const override { return trace_; }
 
  private:
-  // CountShardEngine embeds each shard's container through write_snapshot.
+  // CountShardEngine embeds each shard's container through write_snapshot,
+  // and runs matching_round on the shards of a batch engine.
   friend class CountShardEngine;
 
   /// snapshot() with `ctr` as the kCounters payload: CountShardEngine embeds
@@ -197,6 +198,13 @@ class CountEngine final : public SimBackend {
   /// aggregate species-pair counts plus its boundary collision interaction.
   /// Returns false iff the configuration is silent.
   bool batch_step(double limit);
+  /// One round of the random-matching scheduler, for BatchEngine's shards
+  /// (DESIGN.md §8): ⌊n/2⌋ disjoint ordered pairs dealt from the counts
+  /// (with n odd, one agent sits the round out), each cell of k pairs
+  /// resolved as a block's is. A SchedulerBias reverses Binomial(k, ε)
+  /// pairs of each (non-preferred, preferred) cell, and a drop hook is
+  /// asked once per pair. Advances time by exactly 1.
+  void matching_round();
   bool batch_allowed() const;
   /// kBatch without hooks: run the dense/skip hand-off; mean_block() if the
   /// next step is on the dense path, else 0.

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "core/pair_sampler.hpp"
-#include "core/shard_plan.hpp"
 #include "persist/snapshot.hpp"
 
 namespace popproto {
@@ -37,6 +36,31 @@ void merge_species(const SpeciesTable& part, SpeciesTable& out,
   }
 }
 
+// Lower `shards` (0 counts as 1) until each of the n agents' shards holds
+// at least max(min_shard, 2): a lone agent can never interact, and tiny
+// shards spend their time on fork-join overhead.
+std::size_t clamp_shard_count(std::size_t shards, std::uint64_t n,
+                              std::uint64_t min_shard) {
+  shards = std::max<std::size_t>(shards, 1);
+  const std::uint64_t floor_agents = std::max<std::uint64_t>(min_shard, 2);
+  while (shards > 1 && n / shards < floor_agents) --shards;
+  return shards;
+}
+
+// The stream-split law (stable across versions, documented for replay):
+// splitmix64 walks the master seed, the migration stream takes the first
+// output and shard s output s + 2.
+struct ShardSeeds {
+  std::uint64_t migration;
+  std::vector<std::uint64_t> shards;
+};
+
+ShardSeeds split_shard_seeds(std::uint64_t seed, std::size_t shards) {
+  ShardSeeds out{splitmix64(seed), std::vector<std::uint64_t>(shards)};
+  for (std::uint64_t& s : out.shards) s = splitmix64(seed);
+  return out;
+}
+
 unsigned resolve_threads(unsigned requested, std::size_t shards) {
   if (requested != 0) return requested;
   return static_cast<unsigned>(std::min<std::size_t>(
@@ -59,8 +83,16 @@ CountShardEngine::CountShardEngine(
     const Protocol& protocol,
     std::vector<std::pair<State, std::uint64_t>> initial, std::uint64_t seed,
     Params params)
+    : CountShardEngine(protocol, std::move(initial), seed, params,
+                       ShardRound::kSequential) {}
+
+CountShardEngine::CountShardEngine(
+    const Protocol& protocol,
+    std::vector<std::pair<State, std::uint64_t>> initial, std::uint64_t seed,
+    Params params, ShardRound round)
     : protocol_(protocol),
       params_(params),
+      round_(round),
       pool_(resolve_threads(
           params.threads,
           clamp_shard_count(params.shards, total_count(initial),
@@ -129,18 +161,24 @@ void CountShardEngine::push_hooks_to_shards() {
   }
 }
 
+void CountShardEngine::advance_shard(std::size_t s, double target) {
+  CountEngine& sub = *shards_[s];
+  if (round_ == ShardRound::kMatching) {
+    while (sub.rounds() < target) sub.matching_round();
+  } else if (sub.rounds() < target) {
+    sub.run_rounds(target - sub.rounds());
+  }
+}
+
 void CountShardEngine::advance_shards_to(double target) {
-  const auto advance = [&](std::size_t s) {
-    CountEngine& sub = *shards_[s];
-    if (sub.rounds() < target) sub.run_rounds(target - sub.rounds());
-  };
   // A silent engine's shards only move their clocks forward, which is not
   // worth waking the helpers for; the calls and their results are the same.
   if (silent_) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) advance(s);
+    for (std::size_t s = 0; s < shards_.size(); ++s) advance_shard(s, target);
     return;
   }
-  pool_.parallel_for(shards_.size(), advance);
+  pool_.parallel_for(shards_.size(),
+                     [&](std::size_t s) { advance_shard(s, target); });
 }
 
 bool CountShardEngine::all_shards_silent() const {
@@ -185,7 +223,7 @@ bool CountShardEngine::globally_silent() {
 
 void CountShardEngine::migrate() {
   // Pool everything scheduled and deal it back by exact without-replacement
-  // draws: the count-space image of BatchEngine's global id reshuffle. Each
+  // draws: a uniform reshuffle of the exchangeable agents over shards. Each
   // sub keeps its n >= 2 floor through churn, so total >= 2 * shards and
   // every re-dealt shard stays constructible. Crashed agents keep their
   // frozen state inside the shard they crashed in.
@@ -231,6 +269,10 @@ bool CountShardEngine::step() {
 void CountShardEngine::run_rounds(double rounds_to_run) {
   if (!(rounds_to_run > 0.0)) return;
   const std::size_t S = shards_.size();
+  double target = time_ + rounds_to_run;
+  // Matching rounds are whole: the run ends at the first whole round at or
+  // past its target, and so does every segment below.
+  if (round_ == ShardRound::kMatching) target = std::ceil(target);
   if (S == 1 && !injection_.on_round) {
     // Pass-through preserves CountEngine's batch-budget truncation exactly:
     // batch_step caps each batch at the run target, so segmenting a run
@@ -238,14 +280,11 @@ void CountShardEngine::run_rounds(double rounds_to_run) {
     // Handing the whole run down in one call keeps the single-shard
     // trajectory bit-identical to a bare CountEngine kBatch — the shards=1
     // equivalence contract (tests/count_shard_engine_test.cpp).
-    CountEngine& sub = *shards_[0];
-    const double target = time_ + rounds_to_run;
-    if (sub.rounds() < target) sub.run_rounds(target - sub.rounds());
-    time_ = sub.rounds();
-    silent_ = sub.silent();
+    advance_shard(0, target);
+    time_ = shards_[0]->rounds();
+    silent_ = shards_[0]->silent();
     return;
   }
-  const double target = time_ + rounds_to_run;
   while (time_ < target) {
     // Advance in segments ending at the next migration boundary and (when a
     // fault schedule is installed) the next whole-round hook boundary.

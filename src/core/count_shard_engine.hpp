@@ -1,43 +1,45 @@
-// Count-sharded batch simulation backend (DESIGN.md §11).
+// Count-sharded simulation backends (DESIGN.md §8, §11).
 //
-// The fourth SimBackend substrate composes the two scaling mechanisms the
-// library already has: BatchEngine's shard decomposition (independent
-// subpopulations between periodic global reshuffles) and CountEngine's
-// kBatch collision sampling (whole collision-free blocks of ~sqrt(n)
-// interactions advanced with O(species^2) exact distributional draws,
-// DESIGN.md §9). Each shard is a species-count subpopulation driven by its
-// own CountEngine in kBatch mode on a private split RNG stream; every
-// `migrate_every` global rounds the scheduled agents are re-dealt across
-// shards by exact multivariate-hypergeometric draws on a dedicated
-// migration stream.
+// Each shard is a species-count subpopulation driven by its own CountEngine
+// on a private split RNG stream; every `migrate_every` global rounds the
+// scheduled agents are re-dealt across shards by exact multivariate-
+// hypergeometric draws on a dedicated migration stream. The shard, migration,
+// churn, silence-test and snapshot code below serves two backends, which
+// differ only in the round each shard runs:
+//   * count_shard (this class): the sequential scheduler. A shard runs
+//     CountEngine's kBatch path, whole collision-free blocks of ~sqrt(m)
+//     interactions advanced with O(species^2) exact distributional draws
+//     (DESIGN.md §9), so one round costs O(sqrt(m) * species^2) draws
+//     instead of m per-interaction draws.
+//   * batch (BatchEngine, core/batch_engine.hpp): the random-matching
+//     scheduler of Thm 5.1 and §5.2. A shard's round is one uniform maximal
+//     matching, dealt as a pair table of floor(m/2) pairs and resolved per
+//     species-pair cell, O(species^2) draws whatever m is.
 //
 // Why this composes: within a window a shard of m agents is an isolated
-// uniform-scheduler population, so §9's collision-sampling law applies to
-// it verbatim — the per-shard work for one round is O(sqrt(m) * species^2)
-// draws instead of m per-interaction draws. The hypergeometric re-deal is
-// the count-space image of BatchEngine's id reshuffle: dealing the pooled
-// species counts back into shard-sized subsets without replacement is
-// exactly a uniform partition of the (exchangeable) agents, so the window
-// composition approximates the global uniform scheduler with the same
-// O(shards / n) boundary error as the sharded matching backend.
+// well-mixed population, so the shard's own scheduler law applies to it
+// verbatim. Dealing the pooled species counts back into shard-sized subsets
+// without replacement is exactly a uniform partition of the (exchangeable)
+// agents, so the window composition approximates the global scheduler with
+// an O(shards / n) boundary error: pairs never straddle shards within a
+// window, and a matching leaves up to one agent per shard unmatched. With
+// one shard the round is exact.
 //
 // Determinism: the trajectory is a pure function of (protocol, initial
 // counts, seed, shards, migrate_every). Worker threads are an execution
 // detail only — shards touch disjoint engines and private streams, so any
-// thread count (including 1) replays the identical trajectory. This is
-// stronger than BatchEngine, where threads == shards is structural.
+// thread count (including 1) replays the identical trajectory.
 //
 // Scale: populations are species *counts* (u64), so n = 2^30 costs the
-// same memory as n = 2^10; per-round work grows as sqrt(n * shards), which
-// is what makes billion-agent majority runs interactive (bench_kernel's
-// count_shard_majority_n30 record).
+// same memory as n = 2^10 (bench_kernel's count_shard_majority_n30 record).
 //
 // Fault surface: the standard InjectionHook / SchedulerBias points plus the
 // SimBackend churn and corruption primitives, distributed across shards by
 // hypergeometric victim allocation so global victim selection stays
-// uniform. A SchedulerBias or dropout hook routes every shard through
-// CountEngine's exact per-interaction paths, direct steps and skip jumps
-// respectively (batch aggregation assumes unbiased uniform pair draws).
+// uniform. On count_shard a SchedulerBias or dropout hook routes every
+// shard through CountEngine's exact per-interaction paths, direct steps and
+// skip jumps respectively (batch aggregation assumes unbiased uniform pair
+// draws); a matching round applies both per cell of its pair table.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +60,7 @@
 
 namespace popproto {
 
-class CountShardEngine final : public SimBackend {
+class CountShardEngine : public SimBackend {
  public:
   struct Params {
     /// Species-count shards. Structural: part of the determinism tuple and
@@ -99,12 +101,14 @@ class CountShardEngine final : public SimBackend {
   /// migration stream takes the first output, shard s takes output s + 2.
   static std::uint64_t shard_seed(std::uint64_t master_seed, std::size_t s);
 
-  /// One global round: every shard advances one round of parallel time
-  /// (whole collision-free blocks internally), then migration/hooks fire if
-  /// due. Returns false iff the pooled configuration is silent — no species
-  /// pair anywhere could change state, even after a re-deal.
+  /// One global round: every shard advances one round of parallel time,
+  /// then migration/hooks fire if due. Returns false iff the pooled
+  /// configuration is silent — no species pair anywhere could change state,
+  /// even after a re-deal.
   bool step() override;
 
+  /// Run `rounds` more rounds of parallel time. Matching rounds are whole,
+  /// so a batch engine runs whole rounds until it reaches the target.
   void run_rounds(double rounds) override;
 
   // -- SimBackend observables ------------------------------------------------
@@ -165,9 +169,20 @@ class CountShardEngine final : public SimBackend {
   bool quiescent() const override { return silent_ && !injection_.on_round; }
 
  protected:
+  /// The round every shard runs, fixed by the backend.
+  enum class ShardRound {
+    kSequential,  // count_shard: CountEngine's kBatch path
+    kMatching,    // batch: CountEngine::matching_round
+  };
+  CountShardEngine(const Protocol& protocol,
+                   std::vector<std::pair<State, std::uint64_t>> initial,
+                   std::uint64_t seed, Params params, ShardRound round);
+
   EventTrace* event_trace() const override { return trace_; }
 
  private:
+  /// Advance shard s to `target` by its backend's rounds.
+  void advance_shard(std::size_t s, double target);
   /// Advance every shard whose local clock lags `target` up to it, in
   /// parallel across the worker pool (on the caller once silent).
   void advance_shards_to(double target);
@@ -199,6 +214,7 @@ class CountShardEngine final : public SimBackend {
 
   const Protocol& protocol_;
   Params params_;
+  ShardRound round_;
   std::vector<std::unique_ptr<CountEngine>> shards_;
   Rng migrate_rng_;
   // Fork-join pool advancing shards between barriers.

@@ -9,12 +9,13 @@
 //   * CountEngine     (core/count_engine.hpp) — species-abundance counts
 //     with exact geometric skip-ahead and O(√n)-amortized collision-sampled
 //     batches; the late-stage / sparse-dynamics backend.
-//   * BatchEngine     (core/batch_engine.hpp) — sharded batch-parallel
-//     random-matching rounds (§5.2 / Thm 5.1 scheduler) across worker
-//     threads; the large-n per-agent throughput backend.
+//   * BatchEngine     (core/batch_engine.hpp) — random-matching rounds
+//     (§5.2 / Thm 5.1 scheduler) on species-count shards, each round one
+//     dealt pair table; the matching scheduler at any n.
 //   * CountShardEngine (core/count_shard_engine.hpp) — species-count shards
 //     each advancing collision-sampled batches, with hypergeometric
-//     cross-shard migration; the extreme-n (2^30) parallel backend.
+//     cross-shard migration; the extreme-n (2^30) parallel backend, whose
+//     shard code BatchEngine runs too.
 //
 // This interface is the part every driver (benches, FaultInjector,
 // Telemetry, experiment sweeps, popprotod) actually consumes: advance time,

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "support/check.hpp"
-#include "support/simd.hpp"
 
 namespace popproto {
 
@@ -247,17 +246,6 @@ std::uint64_t TransitionCache::build_pair_ref(std::uint32_t ia,
                                               std::uint32_t ib) {
   pair_dist_indexed(ia, ib);
   return pair_uref_[ia * stride_ + ib];
-}
-
-std::uint64_t TransitionCache::prescan_slow(const std::uint32_t* ia,
-                                            const std::uint32_t* ib,
-                                            const double* u,
-                                            std::size_t k) const {
-  POPPROTO_DCHECK(k <= 64);
-  std::uint64_t off[64];
-  for (std::size_t j = 0; j < k; ++j)
-    off[j] = static_cast<std::uint64_t>(ia[j]) * stride_ + ib[j];
-  return simd::mask_below_bounds(pair_bounds_.data(), off, u, k);
 }
 
 std::int32_t TransitionCache::build_dist(State sa, State sb) {

@@ -164,18 +164,6 @@ class TransitionCache {
     return IndexedPair{ia, ib};
   }
 
-  /// Vectorized batch companion to sample_indexed (dispatched through
-  /// support/simd.hpp): bit j of the result is set when u[j] < the pair's
-  /// last breakpoint — the draw may change state, or the pair is unbuilt
-  /// (bound = +inf) — and lane j must be resolved through sample_indexed.
-  /// Clear bits are proven no-ops. All indices must be valid interned
-  /// indices; k <= 64. Const (no build, no re-stride), and the lane
-  /// classification survives builds triggered by slow lanes afterwards: a
-  /// built pair's bound value is preserved across re-striding, and unbuilt
-  /// pairs were classified slow to begin with.
-  std::uint64_t prescan_slow(const std::uint32_t* ia, const std::uint32_t* ib,
-                             const double* u, std::size_t k) const;
-
   /// Distinct states interned so far (grows lazily, capped at max_states()).
   std::size_t num_states() const { return states_.size(); }
   /// Ordered pairs with a memoized distribution so far.

@@ -99,11 +99,11 @@ CommandResult CommandExecutor::execute(const std::string& line) {
       if (!n || *n < 2) fail("bad n '" + tokens[4] + "' (need an integer >= 2)");
       if (*n > limits_.max_n)
         fail("n " + tokens[4] + " exceeds max_n " + fmt_u64(limits_.max_n));
-      const bool agent_array = backend == "agent" || backend == "batch";
-      if (agent_array && *n > limits_.max_agent_n)
+      if (backend == "agent" && *n > limits_.max_agent_n)
         fail("n " + tokens[4] + " exceeds max_agent_n " +
-             fmt_u64(limits_.max_agent_n) + " for backend '" + backend +
-             "' (use count/count_shard for larger populations)");
+             fmt_u64(limits_.max_agent_n) +
+             " for backend 'agent' (use a count backend for larger "
+             "populations)");
       std::uint64_t seed = 1;
       if (tokens.size() == 6) {
         const auto s = parse_u64(tokens[5]);

@@ -62,8 +62,8 @@ struct ServerStats {
 struct CommandLimits {
   /// Largest accepted population for any backend.
   std::uint64_t max_n = std::uint64_t{1} << 30;
-  /// Largest population for the per-agent-array substrates (agent, batch),
-  /// which materialize n slots in memory.
+  /// Largest population for the agent substrate, the only one that
+  /// materializes n slots in memory; the others hold species counts.
   std::uint64_t max_agent_n = std::uint64_t{1} << 22;
   /// Largest `run <rounds>` / run-until max-rounds per command; longer runs
   /// are issued as repeated commands so a bucket lock is never held hostage.

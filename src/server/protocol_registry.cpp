@@ -1,7 +1,6 @@
 #include "server/protocol_registry.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "clocks/phase_clock.hpp"
 #include "core/batch_engine.hpp"
@@ -14,31 +13,19 @@
 namespace popproto {
 namespace {
 
-/// Collapse a per-agent state vector into deterministic (state, count)
-/// pairs, first-seen order (std::map would reorder by raw bit pattern;
-/// first-seen keeps the control/X species leading for the phase clock).
-std::vector<std::pair<State, std::uint64_t>> states_to_counts(
-    const std::vector<State>& states) {
-  std::vector<std::pair<State, std::uint64_t>> counts;
-  std::map<State, std::size_t> index;
-  for (State s : states) {
-    auto [it, fresh] = index.emplace(s, counts.size());
-    if (fresh)
-      counts.emplace_back(s, 1);
-    else
-      ++counts[it->second].second;
-  }
-  return counts;
-}
-
 std::unique_ptr<ProtocolInstance> build_phase_clock(std::uint64_t n) {
   auto inst = std::make_unique<ProtocolInstance>();
   inst->vars = make_var_space();
   inst->protocol =
       std::make_unique<Protocol>(make_phase_clock_protocol(inst->vars));
-  const std::size_t x = static_cast<std::size_t>(n >> 6 ? n >> 6 : 1);
-  inst->initial_counts = states_to_counts(phase_clock_initial_states(
-      static_cast<std::size_t>(n), x, *inst->vars));
+  // phase_clock_initial_states as counts, in its first-seen order: the x X
+  // agents lead, then agent i >= x holds oscillator species i mod 3.
+  const std::uint64_t x = n >> 6 ? n >> 6 : 1;
+  inst->initial_counts = {{var_bit(*inst->vars->find(kOscX)), x}};
+  for (std::uint64_t i = x; i < x + 3 && i < n; ++i)
+    inst->initial_counts.emplace_back(
+        oscillator_state(static_cast<int>(i % 3), 0, *inst->vars),
+        (n - i + 2) / 3);
   return inst;
 }
 
@@ -151,10 +138,10 @@ std::unique_ptr<SimBackend> make_backend_instance(
                                     counts_to_states(inst.initial_counts),
                                     seed);
   if (backend == "batch") {
-    BatchEngine::Params params;  // threads picked by the engine when 0
+    BatchEngine::Params params;  // shards picked by the engine when 0
     params.threads = parallelism;
-    return std::make_unique<BatchEngine>(
-        *inst.protocol, counts_to_states(inst.initial_counts), seed, params);
+    return std::make_unique<BatchEngine>(*inst.protocol, inst.initial_counts,
+                                         seed, params);
   }
   if (backend == "count")
     return std::make_unique<CountEngine>(*inst.protocol, inst.initial_counts,

@@ -46,16 +46,17 @@ std::vector<std::string> registered_backend_names();
 
 /// Instantiate a SimBackend of the named substrate over `inst`'s protocol
 /// and initial configuration. Returns nullptr for an unknown backend name.
-/// Agent-array substrates ("agent", "batch") materialize n per-agent slots,
-/// so callers should cap n for them (popprotod does: max_agent_n).
+/// Only the "agent" substrate materializes n per-agent slots, so callers
+/// should cap n for it (popprotod does: max_agent_n); the others hold
+/// species counts.
 ///
 /// `parallelism` (0 = substrate default) sets the backend's *structural*
 /// parallelism so the trajectory is pinned by the caller's config alone:
-/// BatchEngine worker threads for "batch", the shard count for
-/// "count_shard" (whose thread count is execution-only and stays
-/// auto-probed); ignored by the single-threaded substrates. popsweep grids
-/// pass their `threads` axis through here — a resumed job must replay the
-/// trajectory the spec names, independent of the resuming host.
+/// the shard count for "batch" and "count_shard" (whose worker threads are
+/// execution-only and stay auto-probed); ignored by the single-threaded
+/// substrates. popsweep grids pass their `threads` axis through here — a
+/// resumed job must replay the trajectory the spec names, independent of
+/// the resuming host.
 std::unique_ptr<SimBackend> make_backend_instance(
     const std::string& backend, const ProtocolInstance& inst,
     std::uint64_t seed, unsigned parallelism = 0);

@@ -16,15 +16,6 @@ namespace {
 
 // -- Scalar reference tier --------------------------------------------------
 
-std::uint64_t mask_below_bounds_scalar(const double* bounds,
-                                       const std::uint64_t* off,
-                                       const double* u, std::size_t n) {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (u[i] < bounds[off[i]]) mask |= std::uint64_t{1} << i;
-  return mask;
-}
-
 // Slicing-by-8 tables: t[0] is the bytewise table; t[k][i] is the CRC
 // register after byte i is followed by k zero bytes, so one lookup per
 // table folds eight input bytes at once.
@@ -63,26 +54,10 @@ std::uint32_t crc32_update_scalar(std::uint32_t c, const unsigned char* p,
 #if defined(POPPROTO_SIMD_X86)
 
 // -- AVX2 tier --------------------------------------------------------------
-// Per-function target attribute: the TU itself compiles at the build's
-// baseline (-march=x86-64 in CI's scalar-fallback job), this body at avx2,
-// and active_tier() guarantees it only runs on capable CPUs.
-
-__attribute__((target("avx2"))) std::uint64_t mask_below_bounds_avx2(
-    const double* bounds, const std::uint64_t* off, const double* u,
-    std::size_t n) {
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off + i));
-    const __m256d b = _mm256_i64gather_pd(bounds, idx, 8);
-    const __m256d lt = _mm256_cmp_pd(_mm256_loadu_pd(u + i), b, _CMP_LT_OQ);
-    mask |= static_cast<std::uint64_t>(_mm256_movemask_pd(lt)) << i;
-  }
-  if (i < n)
-    mask |= mask_below_bounds_scalar(bounds, off + i, u + i, n - i) << i;
-  return mask;
-}
+// Per-function target attributes: the TU itself compiles at the build's
+// baseline (-march=x86-64 in CI's scalar-fallback job), the bodies below at
+// avx2 and pclmul, and active_tier() guarantees they only run on capable
+// CPUs.
 
 // Buffers shorter than this stay on slicing-by-8: the fold starts from four
 // 16-byte lanes. From there on it wins (on a Xeon VM: 10 ns against 23 ns
@@ -205,15 +180,6 @@ const char* tier_name(Tier t) {
       return "avx2";
   }
   return "unknown";
-}
-
-std::uint64_t mask_below_bounds(const double* bounds, const std::uint64_t* off,
-                                const double* u, std::size_t n) {
-#if defined(POPPROTO_SIMD_X86)
-  if (active_tier() == Tier::kAVX2)
-    return mask_below_bounds_avx2(bounds, off, u, n);
-#endif
-  return mask_below_bounds_scalar(bounds, off, u, n);
 }
 
 std::uint32_t crc32_update(std::uint32_t reg, const void* data,

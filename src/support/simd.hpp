@@ -1,6 +1,6 @@
-// SIMD dispatch shim for the hot-path kernels (DESIGN.md §13).
+// SIMD dispatch shim for the snapshot CRC (DESIGN.md §13).
 //
-// Each kernel here has a scalar reference implementation and (on x86-64) a
+// The CRC fold has a scalar reference implementation and (on x86-64) a
 // vector variant compiled with a per-function target attribute, so the
 // library builds with a plain -march=x86-64 baseline and still uses the
 // wide units when the running CPU has them. Dispatch is resolved once, at
@@ -9,10 +9,9 @@
 // scalar tier for A/B measurement and fallback testing.
 //
 // Contract: for identical inputs, every tier produces bit-identical outputs
-// (the prescan evaluates the same expression per lane; the CRC fold is
-// exact GF(2) arithmetic on the same polynomial). Replay and snapshot
-// fidelity therefore do not depend on the tier a host happens to dispatch
-// to; tests/simd_test.cpp pins this lane-for-lane.
+// (the fold is exact GF(2) arithmetic on the same polynomial). Snapshot
+// bytes and replay therefore do not depend on the tier a host happens to
+// dispatch to; tests/simd_test.cpp pins this.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +20,8 @@
 namespace popproto::simd {
 
 /// Instruction-set tiers, ordered by width. kAVX2 requires runtime AVX2
-/// and PCLMULQDQ support; every other host runs the scalar bodies. The
-/// values are stable: bench records stamp them as `simd_tier`.
+/// and PCLMULQDQ support; every other host runs the scalar bodies.
+/// perfbench stamps the tier's name on its records as `simd_tier`.
 enum class Tier { kScalar = 0, kAVX2 = 2 };
 
 /// The tier kernels dispatch to, resolved once per process: the widest
@@ -38,18 +37,9 @@ const char* tier_name(Tier t);
 /// not thread-safe against concurrent kernel calls.
 void refresh_tier_from_env();
 
-// -- Kernels ----------------------------------------------------------------
-// Plain pointers (callers own layout/alignment; none required); dispatches
+// -- Kernel -----------------------------------------------------------------
+// Plain pointer (callers own layout/alignment; none required); dispatches
 // internally on active_tier().
-
-/// Pair-table prescan for TransitionCache::sample_indexed (the batch
-/// engines' matching loops): bit j of the result is set when
-/// u[j] < bounds[off[j]] — the draw may change state (or the pair is
-/// unbuilt, bound = +inf) and must take the scalar slow path. Clear bits
-/// are proven no-ops: the dominant case, resolved here by one gathered
-/// load per lane instead of a call per pair. n <= 64.
-std::uint64_t mask_below_bounds(const double* bounds, const std::uint64_t* off,
-                                const double* u, std::size_t n);
 
 /// CRC-32 register update (IEEE 802.3, reflected polynomial 0xEDB88320)
 /// over `len` bytes; `reg` is the running register, which the caller

@@ -4,8 +4,9 @@
 // Prop 5.4, Majority's cancel and duplicate rulesets, and a ruleset
 // composed with derandomize's
 // FilteredCoin background thread run on every backend and are compared
-// against the agent Engine reference. Each backend gives one hitting-time
-// sample (two-sample KS) and one final-configuration category (two-sample
+// against the agent Engine reference. The five registry protocols join on
+// the batch backend. Each backend gives one hitting-time sample
+// (two-sample KS) and one final-configuration category (two-sample
 // chi-square) per seed. The family is Holm-corrected at alpha = 0.01: Holm
 // rejects nothing exactly when every test passes at alpha / (family size),
 // which is what these cases assert.
@@ -15,7 +16,7 @@
 // scheduler for batch on one thread, whose rounds are exact uniform
 // matchings too. The agent backend under test runs with its cache off, so
 // the uncached kernel walks are what it checks. Registered under the ctest
-// label `conformance`, so the registry-wide matrix can join it.
+// label `conformance`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,14 +36,16 @@
 #include "lang/derandomize.hpp"
 #include "lang/runtime.hpp"
 #include "protocols/majority.hpp"
+#include "server/protocol_registry.hpp"
 #include "support/stats.hpp"
 
 namespace popproto {
 namespace {
 
 constexpr double kAlpha = 0.01;
-// 6 protocols x 4 backends x (KS + chi-square).
-constexpr double kFamily = 48.0;
+// (6 protocols x 4 backends + 5 registry protocols on batch) x (KS +
+// chi-square).
+constexpr double kFamily = 58.0;
 constexpr int kSeeds = 100;
 
 using Counts = std::vector<std::pair<State, std::uint64_t>>;
@@ -80,7 +83,7 @@ std::vector<Backend> backends() {
          BatchEngine::Params params;
          params.threads = 1;
          return std::unique_ptr<SimBackend>(
-             std::make_unique<BatchEngine>(p, agents_of(init), seed, params));
+             std::make_unique<BatchEngine>(p, init, seed, params));
        }},
       {"count_shard_2", SchedulerKind::kSequential,
        [](const Protocol& p, const Counts& init, std::uint64_t seed) {
@@ -127,31 +130,34 @@ Sample run(const Subject& s,
   return out;
 }
 
-void expect_conforms(const Subject& s, const char* what) {
-  for (const Backend& b : backends()) {
-    const Sample ref = run(
-        s,
-        [&](std::uint64_t seed) {
-          return std::unique_ptr<SimBackend>(std::make_unique<Engine>(
-              *s.protocol, agents_of(s.init), seed, b.reference));
-        },
-        1000);
-    const Sample got = run(
-        s,
-        [&](std::uint64_t seed) { return b.make(*s.protocol, s.init, seed); },
-        50000);
-    const double d = ks_statistic(ref.hit, got.hit);
-    EXPECT_LT(d, ks_critical_value(ref.hit.size(), got.hit.size(),
-                                   kAlpha / kFamily))
-        << what << " on " << b.name << ": hitting-time KS";
-    std::size_t dof = 0;
-    const double chi2 =
-        chi_square_two_sample(ref.category, got.category, 64, &dof);
-    if (dof > 0) {
-      EXPECT_LT(chi2, chi_square_critical_value(dof, kAlpha / kFamily))
-          << what << " on " << b.name << ": final-category chi-square";
-    }
+void expect_conforms_on(const Subject& s, const Backend& b,
+                      const char* what) {
+  const Sample ref = run(
+      s,
+      [&](std::uint64_t seed) {
+        return std::unique_ptr<SimBackend>(std::make_unique<Engine>(
+            *s.protocol, agents_of(s.init), seed, b.reference));
+      },
+      1000);
+  const Sample got = run(
+      s,
+      [&](std::uint64_t seed) { return b.make(*s.protocol, s.init, seed); },
+      50000);
+  const double d = ks_statistic(ref.hit, got.hit);
+  EXPECT_LT(d, ks_critical_value(ref.hit.size(), got.hit.size(),
+                                 kAlpha / kFamily))
+      << what << " on " << b.name << ": hitting-time KS";
+  std::size_t dof = 0;
+  const double chi2 =
+      chi_square_two_sample(ref.category, got.category, 64, &dof);
+  if (dof > 0) {
+    EXPECT_LT(chi2, chi_square_critical_value(dof, kAlpha / kFamily))
+        << what << " on " << b.name << ": final-category chi-square";
   }
+}
+
+void expect_conforms(const Subject& s, const char* what) {
+  for (const Backend& b : backends()) expect_conforms_on(s, b, what);
 }
 
 TEST(Conformance, OscillatorKernelOnEveryBackend) {
@@ -327,6 +333,101 @@ TEST(Conformance, StatementWithFilteredCoinOnEveryBackend) {
         e.count_matching(BoolExpr::var(d.coin_var)));
   };
   expect_conforms(s, "statement with FilteredCoin");
+}
+
+// -- The registry protocols on batch ------------------------------------------
+// Each registry protocol from its registry start at n <= 1024, on batch
+// with one shard against Engine(kRandomMatching).
+
+/// A registry subject: the instance, whose protocol the subject points
+/// into, with its start table.
+struct RegistrySubject {
+  std::unique_ptr<ProtocolInstance> inst;
+  Subject subject;
+
+  RegistrySubject(const char* name, std::uint64_t n)
+      : inst(make_protocol_instance(name, n)) {
+    subject.protocol = inst->protocol.get();
+    subject.init = inst->initial_counts;
+    subject.max_rounds = 2000.0;
+  }
+  std::uint64_t count(const SimBackend& e, const char* expr) const {
+    return e.count_matching(parse_bool_expr(expr, *inst->vars));
+  }
+};
+
+void expect_conforms_on_batch(const Subject& s, const char* what) {
+  for (const Backend& b : backends())
+    if (b.name == "batch_t1") expect_conforms_on(s, b, what);
+}
+
+TEST(Conformance, RegistryApproxMajorityOnBatch) {
+  // Hitting time: B opinions fall to n/8. Final category: B opinions left
+  // at round 60.
+  RegistrySubject r("approx_majority", 1024);
+  r.subject.hit = [&](const SimBackend& e) {
+    return r.count(e, "BB") * 8 <= e.active_n();
+  };
+  r.subject.final_round = 60.0;
+  r.subject.category = [&](const SimBackend& e) {
+    return static_cast<double>(r.count(e, "BB"));
+  };
+  expect_conforms_on_batch(r.subject, "approx_majority");
+}
+
+TEST(Conformance, RegistryDv12MajorityOnBatch) {
+  // Hitting time: B opinions fall to n/8. Final category: B opinions left
+  // at round 150.
+  RegistrySubject r("dv12_majority", 1024);
+  r.subject.hit = [&](const SimBackend& e) {
+    return r.count(e, "MB") * 8 <= e.active_n();
+  };
+  r.subject.final_round = 150.0;
+  r.subject.category = [&](const SimBackend& e) {
+    return static_cast<double>(r.count(e, "MB"));
+  };
+  expect_conforms_on_batch(r.subject, "dv12_majority");
+}
+
+TEST(Conformance, RegistryFratricideOnBatch) {
+  // Hitting time: leaders fall to 8. Final category: leaders left at round
+  // 160.
+  RegistrySubject r("fratricide", 256);
+  r.subject.hit = [&](const SimBackend& e) { return r.count(e, "L") <= 8; };
+  r.subject.final_round = 160.0;
+  r.subject.category = [&](const SimBackend& e) {
+    return static_cast<double>(r.count(e, "L"));
+  };
+  expect_conforms_on_batch(r.subject, "fratricide");
+}
+
+TEST(Conformance, RegistryPhaseClockOnBatch) {
+  // Hitting time: a sixteenth of the population holds a certificate streak.
+  // Final category: streak holders at round 150.
+  RegistrySubject r("phase_clock", 512);
+  r.subject.hit = [&](const SimBackend& e) {
+    return r.count(e, "PC_K0 | PC_K1") * 16 >= e.active_n();
+  };
+  r.subject.final_round = 150.0;
+  r.subject.category = [&](const SimBackend& e) {
+    return static_cast<double>(r.count(e, "PC_K0 | PC_K1"));
+  };
+  expect_conforms_on_batch(r.subject, "phase_clock");
+}
+
+TEST(Conformance, RegistrySyntheticCoinOnBatch) {
+  // Hitting time: the coin count strays 24 from n/2. Final category: the
+  // coin count at round 200.
+  RegistrySubject r("synthetic_coin", 1024);
+  r.subject.hit = [&](const SimBackend& e) {
+    const auto c = static_cast<double>(r.count(e, "COIN"));
+    return std::abs(c - 512.0) >= 24.0;
+  };
+  r.subject.final_round = 200.0;
+  r.subject.category = [&](const SimBackend& e) {
+    return static_cast<double>(r.count(e, "COIN"));
+  };
+  expect_conforms_on_batch(r.subject, "synthetic_coin");
 }
 
 }  // namespace

@@ -377,9 +377,9 @@ TEST(SimBackendContract, RunUntilEdgeCasesAcrossBackends) {
   }
 
   // Quiescence: fratricide ends with one leader, after which the count
-  // substrates are silent. An unsatisfiable predicate then times out at the
-  // silence round instead of at the horizon, unless a fault schedule could
-  // still perturb the configuration.
+  // substrates (batch among them) are silent. An unsatisfiable predicate
+  // then times out at the silence round instead of at the horizon, unless a
+  // fault schedule could still perturb the configuration.
   auto fvars = make_var_space();
   const Protocol frat = make_fratricide_protocol(fvars);
   const Guard is_leader(BoolExpr::var(*fvars->find("L")));
@@ -388,38 +388,37 @@ TEST(SimBackendContract, RunUntilEdgeCasesAcrossBackends) {
   const auto no_leader = [&](const SimBackend& s) {
     return s.count_matching(is_leader) == 0;
   };
-  const auto make_count = [&](bool sharded) -> std::unique_ptr<SimBackend> {
-    if (sharded)
+  const auto make_count = [&](const std::string& backend)
+      -> std::unique_ptr<SimBackend> {
+    if (backend == "count_shard")
       return std::make_unique<CountShardEngine>(frat, leaders, 21, two_shards);
+    if (backend == "batch")
+      return std::make_unique<BatchEngine>(frat, leaders, 21,
+                                           BatchEngine::Params{});
     return std::make_unique<CountEngine>(frat, leaders, 21);
   };
-  for (const bool sharded : {false, true}) {
-    auto silent = make_count(sharded);
+  for (const std::string backend : {"count", "count_shard", "batch"}) {
+    auto silent = make_count(backend);
     SCOPED_TRACE(silent->backend_name());
     EXPECT_FALSE(silent->run_until(no_leader, /*max_rounds=*/1e6));
     EXPECT_TRUE(silent->quiescent());
     EXPECT_LT(silent->rounds(), 1e4);
     EXPECT_EQ(silent->count_matching(is_leader), 1u);
 
-    auto hooked = make_count(sharded);
+    auto hooked = make_count(backend);
     FaultInjector injector(FaultPlan().crash_at(1e6, CrashSpec{0.0, 1}), 5);
     injector.attach(*hooked);
     EXPECT_FALSE(hooked->run_until(no_leader, /*max_rounds=*/2000.0));
     EXPECT_FALSE(hooked->quiescent());
     EXPECT_DOUBLE_EQ(hooked->rounds(), 2000.0);
   }
+  // The agent substrate does not detect silence: it runs to the horizon,
+  // within one activation (an interaction, 1/n rounds) of it.
   Engine frat_agent(frat, std::vector<State>(64, leader), 21);
-  BatchEngine frat_batch(frat, std::vector<State>(64, leader), 21);
-  // One activation: an interaction (1/n rounds) or a whole batch round.
-  for (const auto& [b, activation] :
-       {std::pair<SimBackend*, double>{&frat_agent, 1.0 / 64},
-        std::pair<SimBackend*, double>{&frat_batch, 1.0}}) {
-    SCOPED_TRACE(b->backend_name());
-    EXPECT_FALSE(b->run_until(no_leader, /*max_rounds=*/300.0));
-    EXPECT_FALSE(b->quiescent());
-    EXPECT_GE(b->rounds(), 300.0);
-    EXPECT_LE(b->rounds(), 300.0 + activation);
-  }
+  EXPECT_FALSE(frat_agent.run_until(no_leader, /*max_rounds=*/300.0));
+  EXPECT_FALSE(frat_agent.quiescent());
+  EXPECT_GE(frat_agent.rounds(), 300.0);
+  EXPECT_LE(frat_agent.rounds(), 300.0 + 1.0 / 64);
 }
 
 TEST(SchedulerTest, MatchingIsDisjointAndNearPerfect) {

@@ -199,11 +199,9 @@ TEST(OscillatorEquivalence, MatchingAndSequentialSchedulersAgree) {
     const auto init = oscillator_uniform_counts(n, 30, *vars);
     std::unique_ptr<SimBackend> eng;
     if (matching) {
-      std::vector<State> agents;
-      for (const auto& [s, c] : init) agents.insert(agents.end(), c, s);
       BatchEngine::Params params;
       params.threads = 1;
-      eng = std::make_unique<BatchEngine>(proto, std::move(agents), 99, params);
+      eng = std::make_unique<BatchEngine>(proto, init, 99, params);
     } else {
       eng = std::make_unique<CountEngine>(proto, init, 99);
     }

@@ -40,6 +40,12 @@ TEST(Hierarchy, FractionalRunRoundsKeepTime) {
   ClockHierarchy b = make_two_level(1000, 4);
   for (int k = 0; k < 100; ++k) b.run_rounds(0.3333);
   EXPECT_NEAR(interactions(b), 33330.0, 1.0);
+  // A whole round after one step runs n more interactions, although
+  // (1/n + 1)·n rounds down to n in floating point.
+  ClockHierarchy c = make_two_level(1000, 5);
+  c.step();
+  c.run_rounds(1.0);
+  EXPECT_EQ(interactions(c), 1001.0);
 }
 
 TEST(Hierarchy, SingleLevelTicks) {

@@ -26,12 +26,9 @@ class OscRun {
         x_(x) {
     const auto init = oscillator_uniform_counts(n, x, *vars_);
     if (matching) {
-      std::vector<State> agents;
-      for (const auto& [s, c] : init) agents.insert(agents.end(), c, s);
       BatchEngine::Params params;
       params.threads = 1;
-      eng_ = std::make_unique<BatchEngine>(proto_, std::move(agents), seed,
-                                           params);
+      eng_ = std::make_unique<BatchEngine>(proto_, init, seed, params);
     } else {
       eng_ = std::make_unique<CountEngine>(proto_, init, seed);
     }

@@ -4,8 +4,8 @@
 //  * bit-identical replay per backend via replay_check(): Engine
 //    (sequential + random matching), CountEngine in all four modes, and
 //    BatchEngine at t = 1, 2, 4 shards;
-//  * RNG stream restore regression: BatchEngine's split per-shard streams
-//    and migration stream compare equal generator-state-for-generator-state;
+//  * RNG stream restore regression: BatchEngine's migration stream and
+//    each shard's stream compare equal generator-state-for-generator-state;
 //  * mid-run snapshots: a snapshot taken at an arbitrary point, restored
 //    into a diverged instance and continued, matches the uninterrupted run
 //    (all four backends, counters-section exempt like replay_check);
@@ -322,11 +322,17 @@ TEST(RngStreams, BatchEngineSplitStreamsRestoreExactly) {
         << "t=" << threads << " migration stream: "
         << rng_state_hex(res.migration_rng()) << " vs "
         << rng_state_hex(ref.migration_rng());
+    // A shard's stream is the kRngStreams section of its CountEngine.
+    const auto stream_of = [](const CountEngine& shard) {
+      for (const auto& [tag, payload] : split_sections(snapshot_bytes(shard)))
+        if (tag == static_cast<std::uint32_t>(SnapshotSection::kRngStreams))
+          return payload;
+      return std::string();
+    };
     for (std::size_t s = 0; s < ref.shards(); ++s) {
-      EXPECT_EQ(res.shard_rng(s), ref.shard_rng(s))
-          << "t=" << threads << " shard " << s << ": "
-          << rng_state_hex(res.shard_rng(s)) << " vs "
-          << rng_state_hex(ref.shard_rng(s));
+      EXPECT_FALSE(stream_of(ref.shard(s)).empty());
+      EXPECT_EQ(stream_of(res.shard(s)), stream_of(ref.shard(s)))
+          << "t=" << threads << " shard " << s;
     }
   }
 }
@@ -440,11 +446,13 @@ TEST(SnapshotBytes, CountRunRoundsPinnedAcrossVersions) {
 
 TEST(SnapshotBytes, BatchRunRoundsPinnedAcrossVersions) {
   // The batch-backend counterpart of the pins above, on 1, 2 and 4 shards.
-  // Each shard's stream feeds the matching shuffle 32 bits at a time and
-  // the pairing loop one uniform per pair, so a change that consumes a
-  // single word differently moves the shard states and fails here. Pinned
-  // the same way: whole snapshot on the default tier, the snapshot without
-  // its counters section on both.
+  // Each shard's stream feeds the round's pair-table deal and the per-cell
+  // binomial and multinomial draws, and the migration stream the re-deals,
+  // so a change that consumes a single word differently moves the shard
+  // states and fails here. Pinned the same way: whole snapshot on the
+  // default tier, the snapshot without its counters section on both. Like
+  // count_shard, batch has no top-level counters section, so its two CRCs
+  // agree.
   struct Pin {
     const char* name;
     unsigned threads;
@@ -452,12 +460,12 @@ TEST(SnapshotBytes, BatchRunRoundsPinnedAcrossVersions) {
     std::uint32_t sans_counters;
   };
   for (const Pin& pin :
-       {Pin{"approx_majority", 1, 0x95ca9563u, 0x6a3e8fafu},
-        Pin{"approx_majority", 2, 0x1c17469fu, 0x7e546594u},
-        Pin{"approx_majority", 4, 0x6a911d0au, 0x1a155307u},
-        Pin{"phase_clock", 1, 0x94d4b9d7u, 0xc52a2b56u},
-        Pin{"phase_clock", 2, 0x653fb7abu, 0x460c00f8u},
-        Pin{"phase_clock", 4, 0xf37c84c8u, 0x0ce6b113u}}) {
+       {Pin{"approx_majority", 1, 0x4a220e09u, 0x4a220e09u},
+        Pin{"approx_majority", 2, 0x3f55763bu, 0x3f55763bu},
+        Pin{"approx_majority", 4, 0x2578fa42u, 0x2578fa42u},
+        Pin{"phase_clock", 1, 0x9200f6c8u, 0x9200f6c8u},
+        Pin{"phase_clock", 2, 0x2e9cce17u, 0x2e9cce17u},
+        Pin{"phase_clock", 4, 0xc0e1cdc5u, 0xc0e1cdc5u}}) {
     const auto inst = make_protocol_instance(pin.name, 1u << 16);
     ASSERT_NE(inst, nullptr) << pin.name;
     const auto eng =
@@ -491,7 +499,7 @@ TEST(SnapshotBytes, PairKernelRunRoundsPinned) {
   for (const Pin& pin :
        {Pin{"agent", 0x446956a6u, 0xbfe4068fu, 0xfd9be759u, 0x454342b9u},
         Pin{"count", 0x280a41b3u, 0xf4824d67u, 0xab02ac01u, 0x05d23461u},
-        Pin{"batch", 0xa0f1cf9du, 0xe70a3bdbu, 0xca2cf7e6u, 0x4a0508bfu},
+        Pin{"batch", 0x4335553eu, 0x4335553eu, 0x4de19381u, 0x4de19381u},
         Pin{"count_shard", 0x343f07a0u, 0x343f07a0u, 0x33fb21f5u,
             0x33fb21f5u}}) {
     const auto o = osc.backend(pin.backend, /*seed=*/1)();
@@ -734,6 +742,22 @@ TEST(MalformedSnapshot, WrongBackendAndWrongProtocol) {
   expect_rejected(*agent_target, snapshot_bytes(*count_src), &backend,
                   "count snapshot into agent engine");
 
+  // batch and count_shard write one layout; the producer name alone tells
+  // which round the shards run, so neither restores into the other.
+  BatchEngine::Params two;
+  two.threads = 2;
+  two.min_shard = 16;
+  BatchEngine batch_src(maj.proto, {{maj.a, 256}, {maj.b, 256}}, 7, two);
+  batch_src.run_rounds(4.0);
+  auto shard_src = maj.count_shard(7, 2)();
+  shard_src->run_rounds(4.0);
+  auto shard_target = maj.count_shard(7, 2)();
+  BatchEngine batch_target(maj.proto, {{maj.a, 256}, {maj.b, 256}}, 7, two);
+  expect_rejected(*shard_target, snapshot_bytes(batch_src), &backend,
+                  "batch snapshot into count_shard engine");
+  expect_rejected(batch_target, snapshot_bytes(*shard_src), &backend,
+                  "count_shard snapshot into batch engine");
+
   // Same substrate, different protocol: fingerprint mismatch.
   auto clock_src = clock.agent(7)();
   clock_src->run_rounds(4.0);
@@ -844,6 +868,50 @@ TEST(MalformedSnapshot, BatchShardCountMismatch) {
   const SnapshotErrc mismatch = SnapshotErrc::kConfigMismatch;
   expect_rejected(*target, snapshot_bytes(*src), &mismatch,
                   "t=2 snapshot into t=4 engine");
+}
+
+TEST(MalformedSnapshot, PerAgentBatchLayoutIsRejected) {
+  // The batch backend once kept one state per agent. Its container held
+  // them with each shard's agent ids, a stream per shard beside the
+  // migration stream, and a counters section. Such a container, well formed
+  // under the right producer and protocol, is refused with a typed error,
+  // and the target keeps its state.
+  ClockFixture fx(512);
+  const std::uint64_t n = fx.init.size();
+  std::ostringstream out;
+  SnapshotWriter w(out, "batch", protocol_fingerprint(fx.proto), n);
+  std::string core;
+  BinWriter c(core);
+  c.u64(1);  // shards
+  c.u32(4);  // migrate_every
+  c.u32(0);  // rounds since the last migration
+  c.f64(4.0);
+  c.u64(4 * (n / 2));
+  c.u64(n);  // scheduled agents
+  w.section(SnapshotSection::kCore, core);
+  std::string popn;
+  BinWriter p(popn);
+  p.u64_vec(fx.init);
+  p.u64(n);  // shard 0's agent ids
+  for (std::uint64_t id = 0; id < n; ++id) p.u32(static_cast<std::uint32_t>(id));
+  p.u32_vec({});  // crashed ids
+  w.section(SnapshotSection::kPopulation, popn);
+  std::string rng;
+  BinWriter r(rng);
+  serialize_rng_streams(r, {Rng(1).state(), Rng(2).state()});
+  w.section(SnapshotSection::kRngStreams, rng);
+  std::string ctrs;
+  BinWriter k(ctrs);
+  k.u64(0);  // cache builds
+  serialize_counters(k, EngineCounters{});
+  k.u64(1);
+  serialize_counters(k, EngineCounters{});
+  w.section(SnapshotSection::kCounters, ctrs);
+  w.finish();
+
+  auto target = fx.batch(7, 1)();
+  target->run_rounds(2.0);
+  expect_rejected(*target, out.str(), nullptr, "per-agent batch container");
 }
 
 TEST(MalformedSnapshot, ByteFlipFuzz) {

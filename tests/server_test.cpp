@@ -12,11 +12,14 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "clocks/phase_clock.hpp"
 #include "server/command.hpp"
+#include "server/protocol_registry.hpp"
 #include "server/server.hpp"
 
 namespace popproto {
@@ -436,7 +439,34 @@ TEST(ServerLimits, AgentBackendSizeCapApplies) {
   EXPECT_EQ(c.cmd("create big agent phase_clock 2000").rfind("ERROR", 0), 0u);
   EXPECT_EQ(c.cmd("create big count approx_majority 2000").rfind("CREATED", 0),
             0u);  // count substrate is not bound by the agent cap
+  // Nor is batch: its shards hold species counts.
+  EXPECT_EQ(
+      c.cmd("create big2 batch approx_majority 2000").rfind("CREATED", 0), 0u);
   server.stop();
+}
+
+TEST(ProtocolRegistry, PhaseClockTableIsTheCollapsedAgentStart) {
+  // The registry builds the phase clock's start table as counts. It equals
+  // phase_clock_initial_states collapsed in first-seen order, which is what
+  // the agent, count and count_shard snapshots of this start were pinned
+  // from.
+  for (const std::uint64_t n :
+       {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{65},
+        std::uint64_t{1000}, std::uint64_t{1} << 20}) {
+    const auto inst = make_protocol_instance("phase_clock", n);
+    ASSERT_NE(inst, nullptr);
+    std::vector<std::pair<State, std::uint64_t>> collapsed;
+    std::map<State, std::size_t> row;
+    for (const State s : phase_clock_initial_states(
+             static_cast<std::size_t>(n), n >> 6 ? n >> 6 : 1, *inst->vars)) {
+      const auto [it, fresh] = row.emplace(s, collapsed.size());
+      if (fresh)
+        collapsed.emplace_back(s, 1);
+      else
+        ++collapsed[it->second].second;
+    }
+    EXPECT_EQ(inst->initial_counts, collapsed) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -1,17 +1,14 @@
 // Pins the support/simd.hpp kernel contract: every dispatch tier returns
-// bit-identical outputs for identical inputs, so replay fidelity never
-// depends on which CPU a trajectory happens to run on. The prescan kernel
-// is checked against an inline scalar reference on randomized inputs, then
-// the comparison is repeated with POPPROTO_FORCE_SCALAR pinned (the
-// in-process A/B the CI no-AVX2 job mirrors at build level); the CRC fold
-// is checked against slicing-by-8, the body the knob pins.
+// bit-identical outputs for identical inputs, so snapshot bytes never depend
+// on which CPU they were written on. The CRC fold is checked against
+// slicing-by-8, the body POPPROTO_FORCE_SCALAR pins (the in-process A/B the
+// CI no-AVX2 job mirrors at build level).
 #include "support/simd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -53,60 +50,6 @@ TEST(SimdDispatch, ForceScalarKnobPinsAndReleases) {
     EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);
   }
   EXPECT_EQ(simd::active_tier(), native);
-}
-
-TEST(SimdKernels, MaskBelowBoundsMatchesScalarComparison) {
-  Rng rng(7);
-  // A bounds table with the shapes the transition cache produces: ordinary
-  // breakpoints in (0, 1), exact 0 (pure no-op pairs), and +inf (unbuilt).
-  std::vector<double> bounds(512);
-  for (auto& b : bounds) {
-    const double r = rng.uniform();
-    b = r < 0.1 ? 0.0
-                : (r < 0.2 ? std::numeric_limits<double>::infinity()
-                           : rng.uniform());
-  }
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                        std::size_t{5}, std::size_t{16}, std::size_t{33},
-                        std::size_t{63}, std::size_t{64}}) {
-    std::vector<std::uint64_t> off(n);
-    std::vector<double> u(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      off[j] = rng.below(bounds.size());
-      // Mix boundary-equal draws in: u == bound must read as NOT below.
-      u[j] = rng.chance(0.25) ? bounds[off[j]] : rng.uniform();
-    }
-    std::uint64_t want = 0;
-    for (std::size_t j = 0; j < n; ++j)
-      if (u[j] < bounds[off[j]]) want |= std::uint64_t{1} << j;
-    EXPECT_EQ(simd::mask_below_bounds(bounds.data(), off.data(), u.data(), n),
-              want)
-        << "n=" << n;
-  }
-}
-
-// The cross-check the dispatch contract promises: identical outputs from the
-// native tier and the forced-scalar tier on the same inputs. On AVX2 hosts
-// this is a true vector-vs-scalar comparison; on narrower hosts it is a
-// (vacuous but harmless) scalar-vs-scalar run.
-TEST(SimdKernels, NativeTierMatchesForcedScalarBitwise) {
-  Rng rng(1234);
-  // Two AVX2 blocks of four lanes plus a two-lane scalar tail.
-  std::vector<std::uint64_t> off(10);
-  std::vector<double> u(off.size()), bounds(256);
-  for (auto& b : bounds) b = rng.uniform();
-  for (std::size_t j = 0; j < off.size(); ++j) {
-    off[j] = rng.below(bounds.size());
-    u[j] = rng.uniform();
-  }
-
-  const std::uint64_t mask_native =
-      simd::mask_below_bounds(bounds.data(), off.data(), u.data(), off.size());
-
-  ForceScalarScope scalar;
-  EXPECT_EQ(
-      simd::mask_below_bounds(bounds.data(), off.data(), u.data(), off.size()),
-      mask_native);
 }
 
 std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {

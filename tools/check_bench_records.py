@@ -5,8 +5,8 @@ CI's release job runs bench_sweep, bench_load, bench_persist and then
 bench_kernel, each appending to one BENCH_engine.json, and calls this script
 on the result. Each check_* function below is one check: the history array,
 the popprotod load records, the sharded-backend scaling records and their
-degraded_parallelism exemptions, the scalar-vs-SIMD prescan A/B record, the
-count_batch_majority speedup floor, and the telemetry key set against the
+degraded_parallelism exemptions, the count_batch_majority speedup floor,
+and the telemetry key set against the
 committed bench/results snapshot (a key appearing or vanishing means the
 exporter schema drifted without a snapshot refresh, bench/results/README.md).
 
@@ -28,7 +28,6 @@ SCALING = ("phase_clock_batch_t1", "phase_clock_batch_t2",
            "count_shard_majority_t1", "count_shard_majority_t2",
            "count_shard_majority_t4", "count_shard_majority_t8")
 BASELINES = ("phase_clock_agent_baseline", "count_shard_agent_baseline")
-SIMD_AB = "simd_ab_prescan"
 
 
 def check_history(bench):
@@ -117,23 +116,6 @@ def check_parallel_scaling(records, warnings):
     return []
 
 
-def check_simd_ab(records, warnings):
-    """The scalar-vs-SIMD prescan A/B record is present, and on a vector
-    tier it clears the 1.3x acceptance ratio."""
-    rec = records.get(SIMD_AB)
-    if rec is None:
-        return [f"BENCH_engine.json: missing record {SIMD_AB}"]
-    failures = [f"BENCH_engine.json: {SIMD_AB} lacks {key}"
-                for key in ("simd_tier", "simd_speedup") if key not in rec]
-    if rec.get("simd_tier", 0) == 0:
-        warnings.append("WARNING: SIMD A/B ran at the scalar tier; "
-                        "vector-speedup assertion skipped")
-    elif rec.get("simd_speedup", 0) < 1.3:
-        failures.append(f"BENCH_engine.json: {SIMD_AB} did not reach 1.3x "
-                        "over scalar on a vector tier")
-    return failures
-
-
 def check_count_batch(records):
     """Full acceptance is >= 10x at n = 2^20 on dedicated hardware; the
     smoke gate only guards against the batch path silently degrading to
@@ -162,7 +144,7 @@ def check_all(bench, smoke_telemetry, snapshot_telemetry, warnings):
     return (check_history(bench) + check_load(bench) +
             check_scaling_records(records) +
             check_parallel_scaling(records, warnings) +
-            check_simd_ab(records, warnings) + check_count_batch(records) +
+            check_count_batch(records) +
             check_telemetry_keys(smoke_telemetry, snapshot_telemetry))
 
 

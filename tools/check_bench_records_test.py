@@ -24,8 +24,6 @@ def good_bench(mod):
         records.append({"name": name, "interactions_per_sec": 2e6,
                         "speedup_vs_agent": 1.5, "degraded_parallelism": 0,
                         "hardware_threads": 4})
-    records.append({"name": "simd_ab_prescan", "simd_tier": 2,
-                    "simd_speedup": 5.0})
     records.append({"name": "count_batch_majority",
                     "speedup_vs_direct_effective": 12.0})
     load = {"suite": "bench_load", "records": [
@@ -112,16 +110,6 @@ def main():
     got = mod.check_parallel_scaling(records_of(bad), warnings)
     check("parallel scaling: one hardware thread only warns",
           got == [] and len(warnings) == 1, f"{got} {warnings}")
-
-    # scalar-vs-SIMD prescan A/B
-    check("simd a/b: 5x on a vector tier passes",
-          mod.check_simd_ab(records_of(good), []) == [])
-    bad = copy.deepcopy(good)
-    record(bad, "simd_ab_prescan")["simd_speedup"] = 1.1
-    got = mod.check_simd_ab(records_of(bad), [])
-    check("simd a/b: prescan below 1.3x fails",
-          got == ["BENCH_engine.json: simd_ab_prescan did not reach 1.3x "
-                  "over scalar on a vector tier"], got)
 
     # count_batch_majority speedup floor
     check("count batch: 12x passes",

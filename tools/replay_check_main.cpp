@@ -12,7 +12,7 @@
 //                [--rounds K] [--seed S] [--faults]
 //
 //   --backend  which SimBackend to exercise (default agent)
-//   --threads  BatchEngine shard/thread count (default 2)
+//   --threads  BatchEngine shard count (default 2)
 //   --shards   CountShardEngine shard count (default 2)
 //   --mode     CountEngine mode: direct|skip|batch (default batch)
 //   --n        population size (default 4096)
@@ -34,13 +34,13 @@
 #include <vector>
 
 #include "clocks/phase_clock.hpp"
-#include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
 #include "core/count_shard_engine.hpp"
 #include "core/engine.hpp"
 #include "faults/fault_plan.hpp"
 #include "persist/replay_check.hpp"
 #include "protocols/baselines.hpp"
+#include "server/protocol_registry.hpp"
 #include "support/parse.hpp"
 
 namespace popproto {
@@ -72,6 +72,8 @@ int run(const std::string& backend, unsigned threads, std::size_t shards,
   const Protocol clock_proto = make_phase_clock_protocol(clock_vars);
   const auto clock_init =
       phase_clock_initial_states(n, n >> 6 ? n >> 6 : 1, *clock_vars);
+  // The registry's phase clock is the same start as species counts.
+  const auto clock_counts = make_protocol_instance("phase_clock", n);
   auto maj_vars = make_var_space();
   const Protocol maj_proto = make_approximate_majority_protocol(maj_vars);
   const State ma = var_bit(*maj_vars->find("BA"));
@@ -92,10 +94,7 @@ int run(const std::string& backend, unsigned threads, std::size_t shards,
     };
   } else if (backend == "batch") {
     make = [&, threads] {
-      BatchEngine::Params params;
-      params.threads = threads;
-      return std::make_unique<BatchEngine>(clock_proto, clock_init, seed,
-                                           params);
+      return make_backend_instance("batch", *clock_counts, seed, threads);
     };
   } else if (backend == "count_shard") {
     make = [&, shards] {
